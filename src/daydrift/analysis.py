@@ -45,7 +45,9 @@ class PriceSeries:
             bad = np.flatnonzero(~(np.isfinite(arr) & (arr > 0)))
             if bad.size:
                 i = int(bad[0])
-                raise ValueError(f"non-positive {name} at row {i} (day {self.days[i]}): {arr[i]}")
+                raise ValueError(
+                    f"non-positive or non-finite {name} at row {i} (day {self.days[i]}): {arr[i]}"
+                )
 
     def __len__(self) -> int:
         return len(self.prev_close)

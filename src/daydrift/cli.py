@@ -83,7 +83,10 @@ def cmd_run(args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     records = run_sim(scenario)
-    write_daily_csv(records, out)
+    try:
+        write_daily_csv(records, out)
+    except ValueError as exc:  # the run produced prices the CSV cannot carry
+        raise SimulationError(str(exc)) from exc
     summary = summarize(records)
     print(f"simulated {summary.days} day(s), seed {scenario.seed}; daily records -> {out}")
     print(f"  final close       {summary.final_close:.6f}  (total return {summary.total_return * 100:+.6f}%)")

@@ -1,4 +1,4 @@
-"""Simulation engine: deterministic day/tick loop, runs, and parameter sweeps.
+"""Simulation engine: deterministic trading days, runs, and parameter sweeps.
 
 Per-tick processing order is fixed and part of the contract: (1) decay
 temporary impact, (2) apply the noise increment, (3) execute agent orders
@@ -6,6 +6,11 @@ in agent-list order.  The day's open is the mid after tick 0 has been
 fully processed; the close is the mid after the final tick.  Each day
 draws its noise from a Philox substream keyed by (seed, day), so a run is
 bit-reproducible and days can be replayed independently.
+
+``run_day`` computes a day by segments: it stops only at tick 0, at the
+ticks where orders trade and at the close, and between stops it advances
+the state with the market model's step functions over the whole gap.  The
+result has the bits of processing every tick in the order above.
 """
 
 from __future__ import annotations
@@ -14,18 +19,26 @@ import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from .agents import RoundTripTrader, orders_for_tick
 from .ledger import Ledger, from_micro, mark_to_market, record_fill
 from .market import (
-    BPS,
     ImpactParams,
     IntradayClock,
     MarketState,
     NoiseParams,
     SpreadDepthProfile,
+    check_noise_price,
+    decayed_temporary,
+    diffusion_growth,
+    diffusion_path,
+    fill_order,
+    mid_price,
+    noise_step,
+    reversion_pull,
 )
 
 DAILY_CSV_HEADER = "day,prev_close,open,close,overnight_ret,intraday_ret,total_cost,mtm_gain,net_pnl"
@@ -78,6 +91,43 @@ class Scenario:
     def initial_state(self) -> MarketState:
         return MarketState.initial(self.initial_mid, self.initial_fundamental)
 
+    @cached_property
+    def plan(self) -> "DayPlan":
+        """What every day of this scenario shares; built on first use."""
+        return DayPlan.of(self)
+
+
+@dataclass(frozen=True)
+class DayPlan:
+    """The parts of a trading day that do not change from day to day.
+
+    ``stops`` lists, in tick order, tick 0, every tick with orders and the
+    close, each as ``(tick, full_spread_bps, depth, notionals)``; the
+    notionals are the day-1 signed orders of that tick in agent-list order,
+    to be scaled by ``leg_growth_per_day ** (day - 1)``.
+    """
+
+    stops: tuple[tuple[int, float, float, tuple[float, ...]], ...]
+    book_per_price: float  # marked book value per unit of price
+    pull: float | None  # reversion_pull per tick; None without mean reversion
+
+    @classmethod
+    def of(cls, scenario: "Scenario") -> "DayPlan":
+        orders: dict[int, list[float]] = {}
+        for agent in scenario.agents:
+            for tick in (agent.buy_tick, agent.sell_tick):
+                for intent in orders_for_tick(agent, tick):
+                    orders.setdefault(tick, []).append(intent.signed_notional)
+        spread = scenario.profile.full_spread_bps.tolist()
+        depth = scenario.profile.depth.tolist()
+        ticks = sorted({0, scenario.clock.close_tick, *orders})
+        noise = scenario.noise
+        return cls(
+            stops=tuple((t, spread[t], depth[t], tuple(orders.get(t, ()))) for t in ticks),
+            book_per_price=scenario.total_book_value / scenario.initial_mid,
+            pull=None if noise.half_life_days is None else reversion_pull(noise, scenario.clock.dt_days),
+        )
+
 
 @dataclass(frozen=True)
 class DayRecord:
@@ -117,78 +167,61 @@ def run_day(
 ) -> tuple[MarketState, DayRecord, Ledger]:
     """Simulate one day; returns the carried state, the day record, and the ledger.
 
-    The loop below inlines the market-model operations for speed; it is
-    kept step-for-step equivalent to composing ``decay_temporary``,
-    ``advance_noise`` and ``apply_aggressive_trade``, which the test suite
-    checks bit-for-bit.
+    The per-tick order of the module docstring is the contract; the day is
+    computed by segments between the stops of ``scenario.plan``.  Without
+    mean reversion the anchor does not depend on trades, so the whole
+    day's diffusion is one ``diffusion_path``; with it, ``noise_step`` runs
+    tick by tick.  Temporary impact decays over each gap at once.  The
+    result is bit-identical to composing ``decay_temporary``,
+    ``advance_noise`` and ``apply_aggressive_trade`` tick by tick, which
+    the test suite checks.  A noise step that leaves the anchor outside
+    (0, inf), or a close outside it, raises ``ValueError``.
     """
-    clock, profile, impact, noise = scenario.clock, scenario.profile, scenario.impact, scenario.noise
-    ticks = clock.ticks_per_day
-    dt = clock.dt_days
-
+    plan = scenario.plan
+    pull = plan.pull
+    impact, noise = scenario.impact, scenario.noise
     state = state.start_day(day_rng(scenario.seed, day))
-    prev_close = state.day_anchor
-    anchor = state.day_anchor
+    prev_close = anchor = state.day_anchor
     perm = 0.0
     temp = state.temp_impact_bps
     fund = state.fundamental
 
-    retain = 1.0 - impact.temporary_decay_per_tick
-    pf = impact.permanent_fraction
-    lam = impact.lam
-    spread = profile.full_spread_bps.tolist()
-    depth = profile.depth.tolist()
+    ticks = scenario.clock.ticks_per_day
+    path = growth = None
+    if noise.sigma_daily > 0.0:
+        z = state.rng.standard_normal(ticks)
+        # an overflow surfaces as a non-finite price, which the checks report
+        with np.errstate(over="ignore", invalid="ignore"):
+            growth = diffusion_growth(noise, scenario.clock.dt_days, z)
+            if pull is None:
+                path = diffusion_path(anchor, growth)
+        if pull is not None:
+            growth = growth.tolist()
+    elif pull is not None:
+        growth = [1.0] * ticks
 
-    diffuse = noise.sigma_daily > 0.0
-    revert = noise.half_life_days is not None
-    if diffuse:
-        coef = noise.sigma_daily * math.sqrt(dt)
-        growth = [math.exp(coef * z) for z in state.rng.standard_normal(ticks).tolist()]
-    if revert:
-        pull = math.exp(-math.log(2.0) * dt / noise.half_life_days)
-
-    scale = 1.0
-    if scenario.leg_growth_per_day != 1.0:
-        scale = scenario.leg_growth_per_day ** (day - 1)
-    orders: dict[int, list[float]] = {}
-    for agent in scenario.agents:
-        for tick in (agent.buy_tick, agent.sell_tick):
-            for intent in orders_for_tick(agent, tick, scale):
-                orders.setdefault(tick, []).append(intent.signed_notional)
-
-    open_price = prev_close
-    for t in range(ticks):
-        if temp != 0.0:
-            temp *= retain
-        if revert:
-            q = 1.0 + perm * BPS
-            mid = anchor + anchor * (perm * BPS)
-            deviation = mid - fund
-            if deviation != 0.0:
-                anchor = (fund + deviation * pull) / q
-        if diffuse:
-            anchor *= growth[t]
-        if t in orders:
-            for notional in orders[t]:
-                mid = anchor + anchor * (perm * BPS)
-                sign = 1.0 if notional > 0 else -1.0
-                s = spread[t]
-                fill = mid * (1.0 + sign * (s / 2.0) * BPS)
-                cost = abs(notional) * (s * BPS) / 2.0
-                total_impact = sign * lam * s * abs(notional) / depth[t]
-                perm += pf * total_impact
-                temp += (1.0 - pf) * total_impact
-                if 1.0 + perm * BPS <= 0.0:
-                    raise ValueError(
-                        f"trade of {notional} at tick {t} drove the mid non-positive"
-                    )
-                book_ledger = record_fill(book_ledger, fill, notional, cost)
+    scale = scenario.leg_growth_per_day ** (day - 1)
+    last = -1
+    for t, spread, depth, notionals in plan.stops:
+        temp = decayed_temporary(impact, temp, t - last)
+        if path is not None:
+            anchor = float(path[t + 1])
+        elif pull is not None:
+            for k in range(last + 1, t + 1):
+                anchor = noise_step(anchor, perm, fund, pull, growth[k])
+                check_noise_price(anchor, tick=k)
+        for base in notionals:
+            notional = base * scale
+            fill, cost, perm, temp = fill_order(impact, spread, depth, anchor, perm, temp, notional, t)
+            book_ledger = record_fill(book_ledger, fill, notional, cost)
         if t == 0:
-            open_price = anchor + anchor * (perm * BPS)
+            open_price = mid_price(anchor, perm)
+        last = t
 
-    close = anchor + anchor * (perm * BPS)
-    book_value = (scenario.total_book_value / scenario.initial_mid) * prev_close
-    mtm_gain, book_ledger = mark_to_market(book_ledger, book_value, prev_close, close)
+    close = mid_price(anchor, perm)
+    if not 0.0 < close < math.inf:
+        raise ValueError(f"close is non-positive or non-finite: {close}")
+    mtm_gain, book_ledger = mark_to_market(book_ledger, plan.book_per_price * prev_close, prev_close, close)
     total_cost = from_micro(book_ledger.cost_history_micro[-1])
     record = DayRecord(
         day=day,
@@ -263,7 +296,22 @@ def intraday_return(record: DayRecord) -> float:
 
 
 def write_daily_csv(records, path) -> None:
-    """Daily CSV: prices to 6 decimals, returns to 10, currency to 2."""
+    """Daily CSV: prices to 6 decimals, returns to 10, currency to 2.
+
+    Before the file is opened, a price that is non-finite or would print
+    as zero or less raises ``ValueError`` naming the day: ``read_daily_csv``
+    and ``analyze`` could not use such a file.
+    """
+    inf = math.inf
+    for r in records:
+        if not (1e-6 <= r.prev_close < inf and 1e-6 <= r.open < inf and 1e-6 <= r.close < inf):
+            for name in ("prev_close", "open", "close"):
+                price = getattr(r, name)
+                if not 0.0 < float(f"{price:.6f}") < inf:
+                    raise ValueError(
+                        f"day {r.day}: {name} {price!r} is non-finite or prints as "
+                        "non-positive with 6 decimals; the daily CSV would be unreadable"
+                    )
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(DAILY_CSV_HEADER + "\n")
         for r in records:

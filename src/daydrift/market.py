@@ -13,10 +13,17 @@ in basis points against the day's anchor price (the previous close); across
 days the resulting drift compounds multiplicatively.  This keeps round
 trips exactly linear in notional, which is what makes the closed-form
 impact calibration below exact.
+
+Each operation on ``MarketState`` (``decay_temporary``, ``advance_noise``,
+``apply_aggressive_trade``) is the one-tick case of a scalar step function
+below (``decayed_temporary``, ``noise_step``, ``fill_order``).  The
+engine's day kernel calls the same step functions, over whole segments of
+the day, so there is one implementation of the model.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -198,13 +205,12 @@ class MarketState:
     @property
     def mid(self) -> float:
         """Quoted mid: day anchor plus accumulated permanent impact."""
-        return self.day_anchor + self.day_anchor * (self.perm_impact_bps * BPS)
+        return mid_price(self.day_anchor, self.perm_impact_bps)
 
     @property
     def effective_mid(self) -> float:
         """Mid including the not-yet-decayed temporary impact (diagnostic)."""
-        bps = self.perm_impact_bps + self.temp_impact_bps
-        return self.day_anchor + self.day_anchor * (bps * BPS)
+        return mid_price(self.day_anchor, self.perm_impact_bps + self.temp_impact_bps)
 
     def start_day(self, rng: np.random.Generator | None = None) -> "MarketState":
         """Roll accumulated impact into a fresh anchor at a day boundary.
@@ -224,7 +230,26 @@ class MarketState:
         """One tick of temporary-impact decay."""
         if self.temp_impact_bps == 0.0:
             return self
-        return replace(self, temp_impact_bps=self.temp_impact_bps * (1.0 - params.temporary_decay_per_tick))
+        return replace(self, temp_impact_bps=decayed_temporary(params, self.temp_impact_bps, 1))
+
+
+def mid_price(anchor: float, perm_bps: float) -> float:
+    """Mid quoted from a day anchor and the permanent impact (bps) accrued against it.
+
+    The form ``anchor + anchor*(perm*BPS)`` is kept exactly: swapped legs
+    then negate the day's relative move bit for bit.
+    """
+    return anchor + anchor * (perm_bps * BPS)
+
+
+def decayed_temporary(params: ImpactParams, temp_bps: float, n_ticks: int) -> float:
+    """Temporary impact (bps) after ``n_ticks`` ticks of decay.
+
+    The result is the product of ``n_ticks`` successive multiplications by
+    the retained fraction, in order, so any split of a run of ticks into
+    segments gives the same bits as decaying tick by tick.
+    """
+    return math.prod(itertools.repeat(1.0 - params.temporary_decay_per_tick, n_ticks), start=temp_bps)
 
 
 def quoted_half_spread(profile: SpreadDepthProfile, t: int) -> float:
@@ -260,8 +285,12 @@ def impact_bps(
         raise ValueError(f"degenerate market: depth[{t}] = {depth}")
     if signed_notional == 0:
         return 0.0
+    return _signed_impact(params, float(profile.full_spread_bps[t]), depth, signed_notional)
+
+
+def _signed_impact(params: ImpactParams, spread_bps: float, depth: float, signed_notional: float) -> float:
     sign = 1.0 if signed_notional > 0 else -1.0
-    return sign * params.lam * float(profile.full_spread_bps[t]) * abs(signed_notional) / depth
+    return sign * params.lam * spread_bps * abs(signed_notional) / depth
 
 
 def apply_aggressive_trade(
@@ -278,23 +307,49 @@ def apply_aggressive_trade(
     drift; the rest joins the decaying temporary component.
     """
     _check_tick(profile, t)
-    mid = state.mid
     if signed_notional == 0:
-        return mid, 0.0, state
-    sign = 1.0 if signed_notional > 0 else -1.0
-    spread = float(profile.full_spread_bps[t])
-    fill_price = mid * (1.0 + sign * (spread / 2.0) * BPS)
-    cost = crossing_cost(abs(signed_notional), spread)
-    total = impact_bps(params, profile, signed_notional, t)
-    perm = state.perm_impact_bps + params.permanent_fraction * total
-    temp = state.temp_impact_bps + (1.0 - params.permanent_fraction) * total
-    if 1.0 + perm * BPS <= 0.0:
-        raise ValueError(
-            f"trade of {signed_notional} at tick {t} would drive the mid non-positive "
-            f"(cumulative permanent impact {perm} bps)"
-        )
+        return state.mid, 0.0, state
+    fill_price, cost, perm, temp = fill_order(
+        params,
+        float(profile.full_spread_bps[t]),
+        float(profile.depth[t]),
+        state.day_anchor,
+        state.perm_impact_bps,
+        state.temp_impact_bps,
+        signed_notional,
+        t,
+    )
     new_state = replace(state, perm_impact_bps=perm, temp_impact_bps=temp)
     return fill_price, cost, new_state
+
+
+def fill_order(
+    params: ImpactParams,
+    spread_bps: float,
+    depth: float,
+    anchor: float,
+    perm_bps: float,
+    temp_bps: float,
+    signed_notional: float,
+    t: int,
+) -> tuple[float, float, float, float]:
+    """One nonzero aggressive order against a tick's full spread and depth.
+
+    Returns ``(fill_price, cost, perm_bps, temp_bps)``: the fill, its
+    spread cost, and the permanent and temporary impact after the trade.
+    """
+    sign = 1.0 if signed_notional > 0 else -1.0
+    fill_price = mid_price(anchor, perm_bps) * (1.0 + sign * (spread_bps / 2.0) * BPS)
+    cost = crossing_cost(abs(signed_notional), spread_bps)
+    total = _signed_impact(params, spread_bps, depth, signed_notional)
+    perm_bps += params.permanent_fraction * total
+    temp_bps += (1.0 - params.permanent_fraction) * total
+    if 1.0 + perm_bps * BPS <= 0.0:
+        raise ValueError(
+            f"trade of {signed_notional} at tick {t} would drive the mid non-positive "
+            f"(cumulative permanent impact {perm_bps} bps)"
+        )
+    return fill_price, cost, perm_bps, temp_bps
 
 
 def calibrate_lambda(
@@ -354,22 +409,65 @@ def advance_noise(state: MarketState, noise: NoiseParams, dt_days: float) -> Mar
     if not revert and not diffuse:
         return state
 
-    anchor = state.day_anchor
-    q = 1.0 + state.perm_impact_bps * BPS
-    if revert:
-        mid = state.mid
-        deviation = mid - state.fundamental
-        if deviation != 0.0:
-            pulled = state.fundamental + deviation * math.exp(
-                -math.log(2.0) * dt_days / noise.half_life_days
-            )
-            anchor = pulled / q
+    growth = 1.0
     if diffuse:
-        z = state.rng.standard_normal()
-        anchor = anchor * math.exp(noise.sigma_daily * math.sqrt(dt_days) * z)
-    if not anchor > 0.0 or not math.isfinite(anchor):
-        raise ValueError(f"noise step produced a non-positive or non-finite price: {anchor}")
+        with np.errstate(over="ignore"):
+            growth = diffusion_growth(noise, dt_days, state.rng.standard_normal(1)).item()
+    pull = reversion_pull(noise, dt_days) if revert else None
+    anchor = noise_step(state.day_anchor, state.perm_impact_bps, state.fundamental, pull, growth)
+    check_noise_price(anchor)
     return replace(state, day_anchor=anchor)
+
+
+def diffusion_growth(noise: NoiseParams, dt_days: float, z: np.ndarray) -> np.ndarray:
+    """Per-tick growth factors ``exp(sigma*sqrt(dt)*z)`` of the anchor for standard normals ``z``.
+
+    ``np.exp`` gives the same bits for one draw as for a whole day's array.
+    It overflows to inf for absurd sigmas: call it under
+    ``np.errstate(over="ignore")`` and check the price it produces.
+    """
+    return np.exp((noise.sigma_daily * math.sqrt(dt_days)) * z)
+
+
+def diffusion_path(anchor: float, growth: np.ndarray) -> np.ndarray:
+    """Anchor before and after each tick of pure diffusion: ``path[k]`` after ``k`` ticks.
+
+    ``np.multiply.accumulate`` multiplies in order, so ``path[k]`` has the
+    bits of ``k`` successive ``noise_step`` calls without reversion.  A
+    price that leaves (0, inf) never comes back under positive factors, so
+    checking the last entry checks the whole path; ``ValueError`` names the
+    first tick out of range.  Call it under ``np.errstate(over="ignore",
+    invalid="ignore")``: that check, not a warning, reports an overflow.
+    """
+    path = np.empty(len(growth) + 1)
+    path[0] = anchor
+    path[1:] = growth
+    np.multiply.accumulate(path, out=path)
+    if not 0.0 < path[-1] < math.inf:
+        k = int(np.flatnonzero(~((path > 0.0) & (path < math.inf)))[0])
+        check_noise_price(float(path[k]), tick=k - 1)
+    return path
+
+
+def reversion_pull(noise: NoiseParams, dt_days: float) -> float:
+    """Fraction of the mid's gap to fundamental left after ``dt_days`` of mean reversion."""
+    return math.exp(-math.log(2.0) * dt_days / noise.half_life_days)
+
+
+def noise_step(anchor: float, perm_bps: float, fundamental: float, pull: float | None, growth: float) -> float:
+    """The anchor after one noise tick: reversion by ``pull`` (None: off), then diffusion by ``growth``."""
+    if pull is not None:
+        deviation = mid_price(anchor, perm_bps) - fundamental
+        if deviation != 0.0:
+            anchor = (fundamental + deviation * pull) / (1.0 + perm_bps * BPS)
+    return anchor * growth
+
+
+def check_noise_price(anchor: float, tick: int | None = None) -> None:
+    """Raise ``ValueError`` unless a noise step left the anchor in (0, inf)."""
+    if not 0.0 < anchor < math.inf:
+        where = "" if tick is None else f" at tick {tick}"
+        raise ValueError(f"noise step produced a non-positive or non-finite price{where}: {anchor}")
 
 
 def _check_tick(profile: SpreadDepthProfile, t: int) -> None:

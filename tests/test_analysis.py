@@ -58,6 +58,10 @@ class TestPriceSeries:
         with pytest.raises(ValueError, match="row 1"):
             series([(100.0, 101.0, 100.5), (100.5, 0.0, 101.0)])
 
+    def test_infinite_price_is_reported_as_non_finite(self):
+        with pytest.raises(ValueError, match="non-positive or non-finite close at row 1"):
+            series([(100.0, 101.0, 100.5), (100.5, 101.0, math.inf)])
+
     def test_continuity_gaps_are_reported_not_fixed(self):
         s = series([(100.0, 101.0, 100.5), (100.6, 101.5, 101.0)])
         assert s.continuity_gaps() == [1]

@@ -1,10 +1,11 @@
 import datetime
+import re
 
 import pytest
 
 from daydrift.cli import main
 
-from conftest import parse_stanza
+from conftest import NOISY_CONFIG, parse_stanza
 
 
 def run_cli(capsys, *argv) -> tuple[int, dict, str, str]:
@@ -61,6 +62,20 @@ class TestRun:
         code, _, _, err = run_cli(capsys, "run", "--config", str(tmp_path / "nope.ini"), "--out", str(tmp_path / "x.csv"))
         assert code == 1
         assert "nope.ini" in err
+
+    @pytest.mark.parametrize("sigma", ["300", "60"])
+    def test_unwritable_prices_are_a_runtime_error(self, capsys, tmp_path, sigma):
+        # sigma 300 overflows the price to inf; sigma 60 leaves closes that
+        # print as 0.000000, which analyze could not read back
+        config = tmp_path / "wild.ini"
+        config.write_text(NOISY_CONFIG.read_text().replace("sigma_daily = 0.01", f"sigma_daily = {sigma}"))
+        out = tmp_path / "daily.csv"
+        code, _, _, err = run_cli(
+            capsys, "run", "--config", str(config), "--days", "50", "--seed", "1", "--out", str(out)
+        )
+        assert code == 2
+        assert re.search(r"day \d+: ", err)
+        assert not out.exists()
 
     def test_no_output_path_is_a_config_error(self, capsys, tmp_path):
         config = tmp_path / "min.ini"

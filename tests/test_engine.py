@@ -18,8 +18,12 @@ from daydrift import (
     advance_noise,
     apply_aggressive_trade,
     day_rng,
+    from_micro,
+    load_config,
+    mark_to_market,
     orders_for_tick,
     read_daily_csv,
+    record_fill,
     run_day,
     run_sim,
     run_sweep,
@@ -27,6 +31,8 @@ from daydrift import (
     summarize,
     write_daily_csv,
 )
+
+from conftest import NOISY_CONFIG, REFERENCE_CONFIG
 
 
 def make_scenario(
@@ -154,6 +160,92 @@ class TestRunDayMatchesOperationComposition:
         final = simulate(scenario).final_state
         assert final.mid == expected[-1][2]
         assert final.temp_impact_bps == expected[-1][3]
+
+    @pytest.mark.parametrize(
+        "case",
+        ["noisy-path", "noiseless", "interior-trades-diffusing", "interior-trades-reverting"],
+    )
+    def test_bitwise_equivalence_across_day_shapes(self, case):
+        scenario = bitwise_case(case)
+        expected = list(compose_days(scenario))
+        result = simulate(scenario)
+        assert list(result.records) == [record for record, _, _ in expected]
+        _, ledger, state = expected[-1]
+        assert result.ledger == ledger
+        final = result.final_state
+        assert final.day_anchor == state.day_anchor
+        assert final.perm_impact_bps == state.perm_impact_bps
+        assert final.temp_impact_bps == state.temp_impact_bps
+
+    @pytest.mark.parametrize("half_life", [None, 504.0])
+    def test_non_finite_price_names_the_first_day_the_noise_step_fails(self, half_life):
+        scenario = replace(
+            load_config(NOISY_CONFIG).build(), noise=NoiseParams(300.0, half_life), days=50, seed=1
+        )
+        failed_day = None
+        days = compose_days(scenario)
+        for day in range(1, scenario.days + 1):
+            try:
+                next(days)
+            except ValueError as exc:
+                assert "non-finite" in str(exc)
+                failed_day = day
+                break
+        assert failed_day is not None
+        with pytest.raises(SimulationError, match=rf"^day {failed_day}: noise step produced"):
+            simulate(scenario)
+
+
+def bitwise_case(case: str) -> Scenario:
+    if case == "noisy-path":  # diffusion without reversion, 392 ticks
+        return replace(load_config(NOISY_CONFIG).build(), days=4, seed=3)
+    if case == "noiseless":
+        return replace(load_config(REFERENCE_CONFIG).build(), days=3)
+    # a buy-first and a sell-first agent trading at the same interior tick,
+    # unwinding at different interior ticks, with legs growing 1.5x a day
+    agents = (
+        RoundTripTrader(1e9, 10.0, 1e7, buy_tick=5, sell_tick=40, agent_id="A"),
+        RoundTripTrader(5e8, 10.0, -4e6, buy_tick=5, sell_tick=50, agent_id="B"),
+    )
+    if case == "interior-trades-diffusing":
+        scenario = make_scenario(days=3, seed=5, sigma=0.01, agents=agents, ticks=64, leg_growth_per_day=1.5)
+    else:
+        scenario = make_scenario(
+            days=3, sigma=0.0, half_life=0.5, agents=agents, ticks=64, fundamental=95.0,
+            leg_growth_per_day=1.5,
+        )
+    # a retained fraction that is not a power of two rounds at every tick
+    return replace(scenario, impact=ImpactParams(lam=20.0, temporary_decay_per_tick=0.3))
+
+
+def compose_days(scenario: Scenario):
+    """Reference run, one tick at a time through the market operations.
+
+    Yields ``(record, ledger, state)`` after each day; fills are booked
+    with ``record_fill`` and each day is sealed with ``mark_to_market``.
+    """
+    clock, profile, impact, noise = scenario.clock, scenario.profile, scenario.impact, scenario.noise
+    state = scenario.initial_state()
+    ledger = Ledger()
+    for day in range(1, scenario.days + 1):
+        state = state.start_day(day_rng(scenario.seed, day))
+        prev = state.day_anchor
+        scale = scenario.leg_growth_per_day ** (day - 1)
+        for t in range(clock.ticks_per_day):
+            state = state.decay_temporary(impact)
+            state = advance_noise(state, noise, clock.dt_days)
+            for agent in scenario.agents:
+                for intent in orders_for_tick(agent, t, scale):
+                    fill, cost, state = apply_aggressive_trade(
+                        state, profile, impact, intent.signed_notional, t
+                    )
+                    ledger = record_fill(ledger, fill, intent.signed_notional, cost)
+            if t == 0:
+                open_price = state.mid
+        book = scenario.total_book_value / scenario.initial_mid * prev
+        gain, ledger = mark_to_market(ledger, book, prev, state.mid)
+        cost = from_micro(ledger.cost_history_micro[-1])
+        yield DayRecord(day, prev, open_price, state.mid, cost, gain, gain - cost), ledger, state
 
 
 class TestRunSim:
