@@ -9,6 +9,7 @@ fully valid scenario or not at all.  Error messages name the offending
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 
 from .agents import RoundTripTrader, split_trader
@@ -195,8 +196,8 @@ def load_config(path) -> ScenarioConfig:
     raw = get("impact", "lambda")
     if raw is not None:
         lam = _parse_float("impact", "lambda", raw)
-        if lam < 0:
-            raise _fail("impact", "lambda", f"must be >= 0, got {lam}")
+        if not 0.0 <= lam < math.inf:
+            raise _fail("impact", "lambda", f"must be finite and >= 0, got {lam}")
         values["lam"] = lam
     raw = get("impact", "permanent_fraction")
     if raw is not None:
@@ -214,8 +215,8 @@ def load_config(path) -> ScenarioConfig:
     raw = get("noise", "sigma_daily")
     if raw is not None:
         sigma = _parse_float("noise", "sigma_daily", raw)
-        if sigma < 0:
-            raise _fail("noise", "sigma_daily", f"must be >= 0, got {sigma}")
+        if not 0.0 <= sigma < math.inf:
+            raise _fail("noise", "sigma_daily", f"must be finite and >= 0, got {sigma}")
         values["sigma_daily"] = sigma
     raw = get("noise", "mean_reversion_half_life_days")
     if raw is not None:

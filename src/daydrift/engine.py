@@ -167,6 +167,9 @@ def run_day(
 ) -> tuple[MarketState, DayRecord, Ledger]:
     """Simulate one day; returns the carried state, the day record, and the ledger.
 
+    The day's fills and its mark update the caller's ``book_ledger`` in
+    place, and that same ledger is returned.
+
     The per-tick order of the module docstring is the contract; the day is
     computed by segments between the stops of ``scenario.plan``.  Without
     mean reversion the anchor does not depend on trades, so the whole
@@ -221,8 +224,8 @@ def run_day(
     close = mid_price(anchor, perm)
     if not 0.0 < close < math.inf:
         raise ValueError(f"close is non-positive or non-finite: {close}")
+    total_cost = from_micro(book_ledger.period_cost_micro)
     mtm_gain, book_ledger = mark_to_market(book_ledger, plan.book_per_price * prev_close, prev_close, close)
-    total_cost = from_micro(book_ledger.cost_history_micro[-1])
     record = DayRecord(
         day=day,
         prev_close=prev_close,

@@ -137,8 +137,8 @@ class ImpactParams:
     temporary_decay_per_tick: float = 0.5
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError(f"lam must be >= 0, got {self.lam}")
+        if not 0.0 <= self.lam < math.inf:
+            raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
         if not 0.0 <= self.permanent_fraction <= 1.0:
             raise ValueError(f"permanent_fraction must be in [0, 1], got {self.permanent_fraction}")
         if not 0.0 <= self.temporary_decay_per_tick < 1.0:
@@ -161,8 +161,8 @@ class NoiseParams:
     half_life_days: float | None = 504.0
 
     def __post_init__(self):
-        if self.sigma_daily < 0:
-            raise ValueError(f"sigma_daily must be >= 0, got {self.sigma_daily}")
+        if not 0.0 <= self.sigma_daily < math.inf:
+            raise ValueError(f"sigma_daily must be finite and >= 0, got {self.sigma_daily}")
         if self.half_life_days is not None and not self.half_life_days > 0:
             raise ValueError(f"half_life_days must be positive or None, got {self.half_life_days}")
 

@@ -51,6 +51,21 @@ class TestRun:
         assert code == 1
         assert "profile.spread_close_bps" in err
 
+    @pytest.mark.parametrize(
+        "section, key, name",
+        [("noise", "sigma_daily", "noise.sigma_daily"), ("impact", "lambda", "impact.lambda")],
+    )
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_value_names_the_key(self, capsys, tmp_path, section, key, name, value):
+        # NaN compares false against any bound; it must not pass as a valid value
+        config = tmp_path / "bad.ini"
+        config.write_text(f"[{section}]\n{key} = {value}\n")
+        out = tmp_path / "x.csv"
+        code, _, _, err = run_cli(capsys, "run", "--config", str(config), "--days", "3", "--out", str(out))
+        assert code == 1
+        assert name in err
+        assert not out.exists()
+
     def test_unknown_key_rejected(self, capsys, tmp_path):
         config = tmp_path / "bad.ini"
         config.write_text("[impact]\nlamda = 3\n")
@@ -230,6 +245,26 @@ class TestSweep:
         )
         assert code == 0
         assert stanza["ok"] == "1" and stanza["failed"] == "1"
+
+    def test_nan_sigma_cell_is_an_error_not_a_noiseless_run(self, capsys, noisy_config_path, tmp_path):
+        out = tmp_path / "sweep.csv"
+        code, stanza, text, _ = run_cli(
+            capsys,
+            "sweep",
+            "--config",
+            str(noisy_config_path),
+            "--grid",
+            "noise.sigma_daily=0.01,nan",
+            "--grid",
+            "run.days=5",
+            "--out",
+            str(out),
+        )
+        assert code == 0
+        assert stanza["ok"] == "1" and stanza["failed"] == "1"
+        assert "sigma_daily must be finite" in text
+        rows = out.read_text().splitlines()
+        assert rows[2].startswith("nan,5.0,,") and "sigma_daily must be finite and >= 0, got nan" in rows[2]
 
     def test_all_cells_failing_is_a_runtime_error(self, capsys, reference_config_path, tmp_path):
         code, _, _, _ = run_cli(

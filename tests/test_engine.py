@@ -17,6 +17,7 @@ from daydrift import (
     SpreadDepthProfile,
     advance_noise,
     apply_aggressive_trade,
+    daily_net_pnl,
     day_rng,
     from_micro,
     load_config,
@@ -305,6 +306,23 @@ class TestRunSim:
         assert led.cash_micro == -sum(f.signed_notional_micro + f.cost_micro for f in led.fills)
         assert led.cumulative_cost_micro == sum(f.cost_micro for f in led.fills)
         assert led.cumulative_cost_micro == 30 * 10_000_000_000
+
+    def test_ledger_histories_match_the_day_records(self):
+        # legs grow 1% a day, so every day's cost differs and an off-by-one
+        # between the ledger's day histories and the records shows
+        days = 300
+        scenario = replace(load_config(NOISY_CONFIG).build(), days=days, leg_growth_per_day=1.01)
+        result = simulate(scenario)
+        records, ledger = result.records, result.ledger
+        assert len({r.total_cost for r in records}) == days
+        costs, gains = ledger.cost_history_micro, ledger.mtm_history
+        assert len(costs) == len(gains) == days
+        for d in range(1, days + 1):
+            assert from_micro(costs[d - 1]) == records[d - 1].total_cost
+            assert gains[d - 1] == (d, records[d - 1].mtm_gain)
+            assert daily_net_pnl(ledger, d) == records[d - 1].net_pnl
+        assert len(ledger.fills) == 2 * days
+        assert ledger.period_cost_micro == 0
 
 
 class TestDailyCsv:

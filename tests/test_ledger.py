@@ -86,6 +86,38 @@ class TestRecordFill:
             last = led.cumulative_cost_micro
 
 
+class TestRunningAccount:
+    def test_operations_update_the_ledger_in_place(self):
+        led = Ledger()
+        assert record_fill(led, 100.0, 1e7, 7500.0) is led
+        gain, marked = mark_to_market(led, 1e10, 100.0, 100.01)
+        assert marked is led
+        assert led.mtm_history == ((1, gain),)
+        assert led.cost_history_micro == (7_500_000_000,)
+
+    def test_returned_histories_are_snapshots(self):
+        led = record_fill(Ledger(), 100.0, 1e7, 7500.0)
+        _, led = mark_to_market(led, 1e10, 100.0, 100.01)
+        fills, costs, gains = led.fills, led.cost_history_micro, led.mtm_history
+        assert isinstance(fills, tuple) and isinstance(costs, tuple) and isinstance(gains, tuple)
+        with pytest.raises(AttributeError):
+            fills.append(fills[0])
+        assert len(led.fills) == 1
+        record_fill(led, 100.0, -1e7, 2500.0)
+        _, led = mark_to_market(led, 1e10, 100.01, 100.02)
+        assert len(fills) == 1 and costs == (7_500_000_000,) and len(gains) == 1
+        assert len(led.fills) == 2 and led.cost_history_micro == (7_500_000_000, 2_500_000_000)
+
+    def test_equal_accounts_compare_equal(self):
+        a, b = Ledger(), Ledger()
+        for led in (a, b):
+            record_fill(led, 100.0, 1e7, 7500.0)
+            mark_to_market(led, 1e10, 100.0, 100.01)
+        assert a == b
+        record_fill(b, 100.0, 0.0, 0.0)
+        assert a != b
+
+
 class TestMarkToMarket:
     def test_one_bp_on_ten_billion(self):
         gain, led = mark_to_market(Ledger(), 1e10, 100.0, 100.01)
