@@ -9,6 +9,7 @@ each participant pays 1/n of the spread cost.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 
@@ -29,10 +30,14 @@ class RoundTripTrader:
     agent_id: str = "M"
 
     def __post_init__(self):
-        if not self.capital > 0:
-            raise ValueError(f"capital must be positive, got {self.capital}")
-        if not self.leverage > 0:
-            raise ValueError(f"leverage must be positive, got {self.leverage}")
+        if not 0.0 < self.capital < math.inf:
+            raise ValueError(f"capital must be positive and finite, got {self.capital}")
+        if not 0.0 < self.leverage < math.inf:
+            raise ValueError(f"leverage must be positive and finite, got {self.leverage}")
+        if not self.book_value < math.inf:
+            raise ValueError(f"book value capital * leverage overflows: {self.capital} * {self.leverage}")
+        if not math.isfinite(self.leg_notional):
+            raise ValueError(f"leg_notional must be finite, got {self.leg_notional}")
         if abs(self.leg_notional) > self.book_value:
             raise ValueError(
                 f"leg_notional {self.leg_notional} exceeds book value {self.book_value}"

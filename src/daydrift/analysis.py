@@ -18,6 +18,7 @@ import numpy as np
 
 DECOMPOSITION_CSV_HEADER = "day,overnight_ret,intraday_ret,cum_overnight,cum_intraday,cum_total"
 _TINY, _HUGE = np.finfo(float).tiny, np.finfo(float).max
+_REPORT_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -68,11 +69,7 @@ class PriceSeries:
         Simulated series have none; ingested data may, and the gaps are
         reported rather than repaired.
         """
-        return [
-            i
-            for i in range(1, len(self))
-            if self.prev_close[i] != self.close[i - 1]
-        ]
+        return (np.flatnonzero(self.prev_close[1:] != self.close[:-1]) + 1).tolist()
 
 
 @dataclass(frozen=True)
@@ -255,12 +252,14 @@ def ingest_ohlc_csv(path) -> PriceSeries:
 def write_decomposition_csv(result: DecompositionResult, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(DECOMPOSITION_CSV_HEADER + "\n")
-        for i, day in enumerate(result.days):
-            fh.write(
-                f"{day},{result.overnight_ret[i]:.10f},{result.intraday_ret[i]:.10f},"
-                f"{result.cum_overnight[i]:.10f},{result.cum_intraday[i]:.10f},"
-                f"{result.cum_total[i]:.10f}\n"
-            )
+        columns = (result.overnight_ret, result.intraday_ret, result.cum_overnight, result.cum_intraday, result.cum_total)
+        # Python floats format faster than numpy scalars; converting a block
+        # at a time keeps the report's memory flat in the series length
+        for start in range(0, len(result.days), _REPORT_BLOCK_ROWS):
+            block = slice(start, start + _REPORT_BLOCK_ROWS)
+            rows = zip(result.days[block], *(c[block].tolist() for c in columns))
+            for day, ovn, intra, cum_ovn, cum_intra, cum_total in rows:
+                fh.write(f"{day},{ovn:.10f},{intra:.10f},{cum_ovn:.10f},{cum_intra:.10f},{cum_total:.10f}\n")
 
 
 def locate_zero_crossing(xs, ys) -> float:

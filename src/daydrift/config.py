@@ -242,9 +242,11 @@ def load_config(path) -> ScenarioConfig:
             raw = get("agents", key)
             if raw is not None:
                 value = _parse_float("agents", key, raw)
-                # leg_notional may be negative (sell-first round trip)
-                if key != "leg_notional" and not value > 0:
-                    raise _fail("agents", key, f"must be positive, got {value}")
+                if key == "leg_notional":  # may be negative (sell-first round trip)
+                    if not math.isfinite(value):
+                        raise _fail("agents", key, f"must be finite, got {value}")
+                elif not 0.0 < value < math.inf:
+                    raise _fail("agents", key, f"must be positive and finite, got {value}")
                 values[key] = value
         raw = get("agents", "buy_tick")
         buy = _parse_tick("agents", "buy_tick", raw, ticks) if raw is not None else 0
@@ -260,8 +262,8 @@ def load_config(path) -> ScenarioConfig:
         raw = get("agents", "leg_growth_per_day")
         if raw is not None:
             growth = _parse_float("agents", "leg_growth_per_day", raw)
-            if not growth > 0:
-                raise _fail("agents", "leg_growth_per_day", f"must be positive, got {growth}")
+            if not 0.0 < growth < math.inf:
+                raise _fail("agents", "leg_growth_per_day", f"must be positive and finite, got {growth}")
             values["leg_growth_per_day"] = growth
 
     raw = get("run", "days")
@@ -289,7 +291,11 @@ def load_config(path) -> ScenarioConfig:
         values["daily_csv"] = raw
 
     config = ScenarioConfig(**values)
-    # leg vs book consistency is owned by the agent type; surface it with a key name
+    # book and leg consistency is owned by the agent type; surface it with a key name
+    if config.has_agents and not config.capital * config.leverage < math.inf:
+        raise _fail(
+            "agents", "leverage", f"book value capital * leverage overflows: {config.capital} * {config.leverage}"
+        )
     if config.has_agents and abs(config.leg_notional) > config.capital * config.leverage:
         raise _fail(
             "agents",

@@ -7,10 +7,13 @@ fully processed; the close is the mid after the final tick.  Each day
 draws its noise from a Philox substream keyed by (seed, day), so a run is
 bit-reproducible and days can be replayed independently.
 
-``run_day`` computes a day by segments: it stops only at tick 0, at the
-ticks where orders trade and at the close, and between stops it advances
-the state with the market model's step functions over the whole gap.  The
-result has the bits of processing every tick in the order above.
+One run kernel computes every day, for ``simulate`` over a whole run and
+for ``run_day`` over one day.  It carries the day's state as floats from
+day to day and computes each day by segments: it stops only at tick 0, at
+the ticks where orders trade and at the close, and between stops it
+advances the state with the market model's step functions over the whole
+gap.  The result has the bits of processing every tick in the order above.
+A day without noise builds no substream.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from .market import (
     SpreadDepthProfile,
     check_noise_price,
     decayed_temporary,
+    diffusion_coef,
     diffusion_growth,
     diffusion_path,
     fill_order,
@@ -67,12 +71,14 @@ class Scenario:
         object.__setattr__(self, "agents", tuple(self.agents))
         if self.days < 1:
             raise ValueError(f"days must be >= 1, got {self.days}")
+        if self.seed < 0:  # checked here because a noiseless run never hands it to day_rng
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not self.initial_mid > 0:
             raise ValueError(f"initial_mid must be positive, got {self.initial_mid}")
         if not self.initial_fundamental > 0:
             raise ValueError(f"initial_fundamental must be positive, got {self.initial_fundamental}")
-        if not self.leg_growth_per_day > 0:
-            raise ValueError(f"leg_growth_per_day must be positive, got {self.leg_growth_per_day}")
+        if not 0.0 < self.leg_growth_per_day < math.inf:
+            raise ValueError(f"leg_growth_per_day must be positive and finite, got {self.leg_growth_per_day}")
         if len(self.profile) != self.clock.ticks_per_day:
             raise ValueError(
                 f"profile has {len(self.profile)} ticks but clock expects {self.clock.ticks_per_day}"
@@ -89,7 +95,8 @@ class Scenario:
         return sum(a.book_value for a in self.agents if a.enabled)
 
     def initial_state(self) -> MarketState:
-        return MarketState.initial(self.initial_mid, self.initial_fundamental)
+        """The state before day 1; its generator is seeded with the run seed."""
+        return MarketState.initial(self.initial_mid, self.initial_fundamental, seed=self.seed)
 
     @cached_property
     def plan(self) -> "DayPlan":
@@ -110,6 +117,7 @@ class DayPlan:
     stops: tuple[tuple[int, float, float, tuple[float, ...]], ...]
     book_per_price: float  # marked book value per unit of price
     pull: float | None  # reversion_pull per tick; None without mean reversion
+    diffusion_coef: float  # diffusion_coef per tick; 0.0 without noise
 
     @classmethod
     def of(cls, scenario: "Scenario") -> "DayPlan":
@@ -126,6 +134,7 @@ class DayPlan:
             stops=tuple((t, spread[t], depth[t], tuple(orders.get(t, ()))) for t in ticks),
             book_per_price=scenario.total_book_value / scenario.initial_mid,
             pull=None if noise.half_life_days is None else reversion_pull(noise, scenario.clock.dt_days),
+            diffusion_coef=diffusion_coef(noise, scenario.clock.dt_days),
         )
 
 
@@ -168,75 +177,16 @@ def run_day(
     """Simulate one day; returns the carried state, the day record, and the ledger.
 
     The day's fills and its mark update the caller's ``book_ledger`` in
-    place, and that same ledger is returned.
-
-    The per-tick order of the module docstring is the contract; the day is
-    computed by segments between the stops of ``scenario.plan``.  Without
-    mean reversion the anchor does not depend on trades, so the whole
-    day's diffusion is one ``diffusion_path``; with it, ``noise_step`` runs
-    tick by tick.  Temporary impact decays over each gap at once.  The
-    result is bit-identical to composing ``decay_temporary``,
-    ``advance_noise`` and ``apply_aggressive_trade`` tick by tick, which
-    the test suite checks.  A noise step that leaves the anchor outside
-    (0, inf), or a close outside it, raises ``ValueError``.
+    place, and that same ledger is returned.  This is the one-day case of
+    the run kernel that ``simulate`` uses, so chaining ``run_day`` over a
+    run's days gives ``simulate``'s records, ledger and state bit for bit.
+    A noiseless day draws no generator and carries ``state.rng`` over.
+    A noise step that leaves the anchor outside (0, inf), or a close
+    outside it, raises ``ValueError``.
     """
-    plan = scenario.plan
-    pull = plan.pull
-    impact, noise = scenario.impact, scenario.noise
-    state = state.start_day(day_rng(scenario.seed, day))
-    prev_close = anchor = state.day_anchor
-    perm = 0.0
-    temp = state.temp_impact_bps
-    fund = state.fundamental
-
-    ticks = scenario.clock.ticks_per_day
-    path = growth = None
-    if noise.sigma_daily > 0.0:
-        z = state.rng.standard_normal(ticks)
-        # an overflow surfaces as a non-finite price, which the checks report
-        with np.errstate(over="ignore", invalid="ignore"):
-            growth = diffusion_growth(noise, scenario.clock.dt_days, z)
-            if pull is None:
-                path = diffusion_path(anchor, growth)
-        if pull is not None:
-            growth = growth.tolist()
-    elif pull is not None:
-        growth = [1.0] * ticks
-
-    scale = scenario.leg_growth_per_day ** (day - 1)
-    last = -1
-    for t, spread, depth, notionals in plan.stops:
-        temp = decayed_temporary(impact, temp, t - last)
-        if path is not None:
-            anchor = float(path[t + 1])
-        elif pull is not None:
-            for k in range(last + 1, t + 1):
-                anchor = noise_step(anchor, perm, fund, pull, growth[k])
-                check_noise_price(anchor, tick=k)
-        for base in notionals:
-            notional = base * scale
-            fill, cost, perm, temp = fill_order(impact, spread, depth, anchor, perm, temp, notional, t)
-            book_ledger = record_fill(book_ledger, fill, notional, cost)
-        if t == 0:
-            open_price = mid_price(anchor, perm)
-        last = t
-
-    close = mid_price(anchor, perm)
-    if not 0.0 < close < math.inf:
-        raise ValueError(f"close is non-positive or non-finite: {close}")
-    total_cost = from_micro(book_ledger.period_cost_micro)
-    mtm_gain, book_ledger = mark_to_market(book_ledger, plan.book_per_price * prev_close, prev_close, close)
-    record = DayRecord(
-        day=day,
-        prev_close=prev_close,
-        open=open_price,
-        close=close,
-        total_cost=total_cost,
-        mtm_gain=mtm_gain,
-        net_pnl=mtm_gain - total_cost,
-    )
-    new_state = replace(state, day_anchor=anchor, perm_impact_bps=perm, temp_impact_bps=temp)
-    return new_state, record, book_ledger
+    records: list[DayRecord] = []
+    new_state = _run_days(state.start_day(), scenario, range(day, day + 1), book_ledger, records)
+    return new_state, records[0], book_ledger
 
 
 @dataclass(frozen=True)
@@ -247,17 +197,89 @@ class SimResult:
 
 
 def simulate(scenario: Scenario) -> SimResult:
-    """Run the full scenario, carrying state and accounting across days."""
-    state = scenario.initial_state()
+    """Run the full scenario, carrying state and accounting across days.
+
+    A noiseless run never builds a per-day generator, so its
+    ``final_state.rng`` is the initial state's generator, undrawn.
+    """
     book_ledger = Ledger()
     records: list[DayRecord] = []
-    for day in range(1, scenario.days + 1):
-        try:
-            state, record, book_ledger = run_day(state, scenario, day, book_ledger)
-        except (ValueError, OverflowError) as exc:
-            raise SimulationError(f"day {day}: {exc}") from exc
-        records.append(record)
+    try:
+        state = _run_days(scenario.initial_state(), scenario, range(1, scenario.days + 1), book_ledger, records)
+    except (ValueError, OverflowError) as exc:
+        raise SimulationError(f"day {len(records) + 1}: {exc}") from exc
     return SimResult(tuple(records), book_ledger, state)
+
+
+def _run_days(
+    state: MarketState, scenario: Scenario, days: range, book_ledger: Ledger, records: list[DayRecord]
+) -> MarketState:
+    """The run kernel: simulate ``days`` in order from ``state``; returns the final state.
+
+    ``state`` is at a day boundary: its anchor is the first day's previous
+    close and its permanent impact is zero.  Each finished day's record is
+    appended to ``records``, so after an error ``len(records)`` counts the
+    days that finished.  Between days the anchor and the impacts are
+    carried as floats; the close becomes the next day's anchor, which is
+    ``MarketState.start_day``.
+
+    The per-tick order of the module docstring is the contract; each day is
+    computed by segments between the stops of ``scenario.plan``.  Without
+    mean reversion the anchor does not depend on trades, so the whole
+    day's diffusion is one ``diffusion_path``; with it, ``noise_step`` runs
+    tick by tick.  Temporary impact decays over each gap at once.  The
+    result is bit-identical to composing ``decay_temporary``,
+    ``advance_noise`` and ``apply_aggressive_trade`` tick by tick, which
+    the test suite checks.  Only a day with noise builds its ``day_rng``.
+    """
+    plan = scenario.plan
+    stops, pull, book_per_price, coef = plan.stops, plan.pull, plan.book_per_price, plan.diffusion_coef
+    impact, seed, leg_growth = scenario.impact, scenario.seed, scenario.leg_growth_per_day
+    ticks = scenario.clock.ticks_per_day
+    diffuse = coef > 0.0
+    flat = [1.0] * ticks if pull is not None and not diffuse else None
+    close = state.day_anchor
+    temp, fund, rng = state.temp_impact_bps, state.fundamental, state.rng
+    # an overflow surfaces as a non-finite price, which the checks report
+    with np.errstate(over="ignore", invalid="ignore"):
+        for day in days:
+            prev_close = anchor = close
+            perm = 0.0
+            path = None
+            growth = flat
+            if diffuse:
+                rng = day_rng(seed, day)
+                growth = diffusion_growth(coef, rng.standard_normal(ticks))
+                if pull is None:
+                    path = diffusion_path(anchor, growth)
+                else:
+                    growth = growth.tolist()
+
+            scale = leg_growth ** (day - 1)
+            last = -1
+            for t, spread, depth, notionals in stops:
+                temp = decayed_temporary(impact, temp, t - last)
+                if path is not None:
+                    anchor = float(path[t + 1])
+                elif pull is not None:
+                    for k in range(last + 1, t + 1):
+                        anchor = noise_step(anchor, perm, fund, pull, growth[k])
+                        check_noise_price(anchor, tick=k)
+                for base in notionals:
+                    notional = base * scale
+                    fill, cost, perm, temp = fill_order(impact, spread, depth, anchor, perm, temp, notional, t)
+                    record_fill(book_ledger, fill, notional, cost)
+                if t == 0:
+                    open_price = mid_price(anchor, perm)
+                last = t
+
+            close = mid_price(anchor, perm)
+            if not 0.0 < close < math.inf:
+                raise ValueError(f"close is non-positive or non-finite: {close}")
+            total_cost = from_micro(book_ledger.period_cost_micro)
+            mtm_gain, _ = mark_to_market(book_ledger, book_per_price * prev_close, prev_close, close)
+            records.append(DayRecord(day, prev_close, open_price, close, total_cost, mtm_gain, mtm_gain - total_cost))
+    return MarketState(anchor, fund, perm, temp, rng)
 
 
 def run_sim(scenario: Scenario) -> list[DayRecord]:

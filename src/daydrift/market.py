@@ -412,21 +412,27 @@ def advance_noise(state: MarketState, noise: NoiseParams, dt_days: float) -> Mar
     growth = 1.0
     if diffuse:
         with np.errstate(over="ignore"):
-            growth = diffusion_growth(noise, dt_days, state.rng.standard_normal(1)).item()
+            growth = diffusion_growth(diffusion_coef(noise, dt_days), state.rng.standard_normal(1)).item()
     pull = reversion_pull(noise, dt_days) if revert else None
     anchor = noise_step(state.day_anchor, state.perm_impact_bps, state.fundamental, pull, growth)
     check_noise_price(anchor)
     return replace(state, day_anchor=anchor)
 
 
-def diffusion_growth(noise: NoiseParams, dt_days: float, z: np.ndarray) -> np.ndarray:
-    """Per-tick growth factors ``exp(sigma*sqrt(dt)*z)`` of the anchor for standard normals ``z``.
+def diffusion_coef(noise: NoiseParams, dt_days: float) -> float:
+    """Log-price diffusion per standard normal over a step of ``dt_days``: ``sigma*sqrt(dt)``."""
+    return noise.sigma_daily * math.sqrt(dt_days)
 
-    ``np.exp`` gives the same bits for one draw as for a whole day's array.
-    It overflows to inf for absurd sigmas: call it under
-    ``np.errstate(over="ignore")`` and check the price it produces.
+
+def diffusion_growth(coef: float, z: np.ndarray) -> np.ndarray:
+    """Per-tick growth factors ``exp(coef*z)`` of the anchor for standard normals ``z``.
+
+    ``coef`` is ``diffusion_coef``.  ``np.exp`` gives the same bits for one
+    draw as for a whole day's array.  It overflows to inf for absurd
+    sigmas: call it under ``np.errstate(over="ignore")`` and check the
+    price it produces.
     """
-    return np.exp((noise.sigma_daily * math.sqrt(dt_days)) * z)
+    return np.exp(coef * z)
 
 
 def diffusion_path(anchor: float, growth: np.ndarray) -> np.ndarray:

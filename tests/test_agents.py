@@ -30,6 +30,23 @@ class TestTrader:
         with pytest.raises(ValueError):
             RoundTripTrader(capital=capital, leverage=leverage, leg_notional=0.0, buy_tick=0, sell_tick=1)
 
+    @pytest.mark.parametrize(
+        "capital, leverage, leg, match",
+        [
+            (float("inf"), 10.0, 0.0, "capital must be positive and finite"),
+            (float("nan"), 10.0, 0.0, "capital must be positive and finite"),
+            (1e9, float("inf"), 0.0, "leverage must be positive and finite"),
+            (1e9, float("nan"), 0.0, "leverage must be positive and finite"),
+            (1e200, 1e200, 0.0, "book value capital \\* leverage overflows"),
+            (1e9, 10.0, float("nan"), "leg_notional must be finite"),
+            (1e9, 10.0, float("-inf"), "leg_notional must be finite"),
+        ],
+    )
+    def test_rejects_non_finite_values(self, capital, leverage, leg, match):
+        # NaN compares false against any bound, so each check must accept only finite values
+        with pytest.raises(ValueError, match=match):
+            RoundTripTrader(capital=capital, leverage=leverage, leg_notional=leg, buy_tick=0, sell_tick=1)
+
 
 class TestOrdersForTick:
     def test_buy_leg(self):

@@ -67,6 +67,10 @@ class TestPriceSeries:
         assert s.continuity_gaps() == [1]
         s = series([(100.0, 101.0, 100.5), (100.5, 101.5, 101.0)])
         assert s.continuity_gaps() == []
+        s = series([(100.0, 101.0, 100.5), (100.6, 101.5, 101.0), (101.0, 99.0, 98.0), (98.5, 98.0, 97.0)])
+        gaps = s.continuity_gaps()
+        assert gaps == [1, 3] and all(type(i) is int for i in gaps)
+        assert series([(100.0, 101.0, 100.5)]).continuity_gaps() == []
 
 
 class TestDecompose:
@@ -265,6 +269,44 @@ class TestDecompositionCsv:
         lines = path.read_text().splitlines()
         assert lines[0] == DECOMPOSITION_CSV_HEADER
         assert len(lines) == 4
+
+    def test_report_rows_match_per_row_formatting_across_blocks(self, tmp_path):
+        # long enough to span several blocks of the writer, with a partial last block
+        rng = np.random.default_rng(5)
+        close = 100.0 * np.exp(np.cumsum(rng.normal(0.0, 0.01, 2601)))
+        opn = close * np.exp(rng.normal(0.0, 0.003, 2601))
+        s = PriceSeries(tuple(range(1, 2601)), close[:-1], opn[1:], close[1:])
+        result = decompose(s)
+        path = tmp_path / "report.csv"
+        write_decomposition_csv(result, path)
+        expected = [DECOMPOSITION_CSV_HEADER] + [
+            f"{day},{result.overnight_ret[i]:.10f},{result.intraday_ret[i]:.10f},"
+            f"{result.cum_overnight[i]:.10f},{result.cum_intraday[i]:.10f},{result.cum_total[i]:.10f}"
+            for i, day in enumerate(result.days)
+        ]
+        assert path.read_text().splitlines() == expected
+
+    def test_report_bytes_are_pinned(self, tmp_path):
+        # negative, tiny (one prints as -0.0000000000), large and near -1 returns
+        rows = [
+            (100.0, 95.0, 90.0),
+            (90.0, 90.0000001, 90.0000002),
+            (90.0000002, 900.0, 9000.0),
+            (9000.0, 0.09, 0.0009),
+            (0.0009, 0.0009, 0.0009),
+            (100.0, 99.9999999999, 100.0),
+        ]
+        path = tmp_path / "report.csv"
+        write_decomposition_csv(decompose(series(rows)), path)
+        assert path.read_bytes() == (
+            b"day,overnight_ret,intraday_ret,cum_overnight,cum_intraday,cum_total\n"
+            b"1,-0.0500000000,-0.0526315789,0.9500000000,0.9473684211,0.9000000000\n"
+            b"2,0.0000000011,0.0000000011,0.9500000011,0.9473684221,0.9000000020\n"
+            b"3,8.9999999778,9.0000000000,9.4999999894,9.4736842211,90.0000000000\n"
+            b"4,-0.9999900000,-0.9900000000,0.0000950000,0.0947368422,0.0000090000\n"
+            b"5,0.0000000000,0.0000000000,0.0000950000,0.0947368422,0.0000090000\n"
+            b"6,-0.0000000000,0.0000000000,0.0000950000,0.0947368422,0.0000090000\n"
+        )
 
 
 class TestLocateZeroCrossing:

@@ -53,7 +53,14 @@ class TestRun:
 
     @pytest.mark.parametrize(
         "section, key, name",
-        [("noise", "sigma_daily", "noise.sigma_daily"), ("impact", "lambda", "impact.lambda")],
+        [
+            ("noise", "sigma_daily", "noise.sigma_daily"),
+            ("impact", "lambda", "impact.lambda"),
+            ("agents", "capital", "agents.capital"),
+            ("agents", "leverage", "agents.leverage"),
+            ("agents", "leg_notional", "agents.leg_notional"),
+            ("agents", "leg_growth_per_day", "agents.leg_growth_per_day"),
+        ],
     )
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_value_names_the_key(self, capsys, tmp_path, section, key, name, value):
@@ -64,6 +71,15 @@ class TestRun:
         code, _, _, err = run_cli(capsys, "run", "--config", str(config), "--days", "3", "--out", str(out))
         assert code == 1
         assert name in err
+        assert not out.exists()
+
+    def test_book_value_overflow_names_the_key(self, capsys, tmp_path):
+        config = tmp_path / "bad.ini"
+        config.write_text("[agents]\ncapital = 1e200\nleverage = 1e200\n")
+        out = tmp_path / "x.csv"
+        code, _, _, err = run_cli(capsys, "run", "--config", str(config), "--days", "3", "--out", str(out))
+        assert code == 1
+        assert "agents.leverage" in err and "overflows" in err
         assert not out.exists()
 
     def test_unknown_key_rejected(self, capsys, tmp_path):
@@ -265,6 +281,27 @@ class TestSweep:
         assert "sigma_daily must be finite" in text
         rows = out.read_text().splitlines()
         assert rows[2].startswith("nan,5.0,,") and "sigma_daily must be finite and >= 0, got nan" in rows[2]
+
+    @pytest.mark.parametrize("key", ["agents.capital", "agents.leverage", "agents.leg_notional", "agents.book_value"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_agent_cell_is_an_error(self, capsys, noisy_config_path, tmp_path, key, value):
+        out = tmp_path / "sweep.csv"
+        code, stanza, _, _ = run_cli(
+            capsys,
+            "sweep",
+            "--config",
+            str(noisy_config_path),
+            "--grid",
+            f"{key}=1e9,{value}",
+            "--grid",
+            "run.days=3",
+            "--out",
+            str(out),
+        )
+        assert code == 0
+        assert stanza["ok"] == "1" and stanza["failed"] == "1"
+        rows = out.read_text().splitlines()
+        assert rows[2].startswith(f"{value},3.0,,") and "ValueError" in rows[2]
 
     def test_all_cells_failing_is_a_runtime_error(self, capsys, reference_config_path, tmp_path):
         code, _, _, _ = run_cli(

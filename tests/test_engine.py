@@ -257,6 +257,43 @@ class TestRunSim:
         _, record, _ = run_day(state, scenario, 1, Ledger())
         assert records == [record]
 
+    @pytest.mark.parametrize(
+        "case",
+        ["noisy-path", "noiseless", "interior-trades-diffusing", "interior-trades-reverting"],
+    )
+    def test_chained_run_days_equal_simulate(self, case):
+        scenario = bitwise_case(case)
+        state, ledger, records = scenario.initial_state(), Ledger(), []
+        for day in range(1, scenario.days + 1):
+            state, record, ledger = run_day(state, scenario, day, ledger)
+            records.append(record)
+        result = simulate(scenario)
+        assert tuple(records) == result.records
+        assert ledger == result.ledger
+        final = result.final_state
+        assert (state.day_anchor, state.perm_impact_bps, state.temp_impact_bps) == (
+            final.day_anchor,
+            final.perm_impact_bps,
+            final.temp_impact_bps,
+        )
+
+    @pytest.mark.parametrize("half_life", [None, 0.5])
+    def test_noiseless_runs_draw_no_substream(self, monkeypatch, half_life):
+        scenario = make_scenario(days=5, sigma=0.0, half_life=half_life, fundamental=95.0)
+        expected = simulate(scenario).records
+
+        def no_substream(seed, day):
+            raise AssertionError(f"day_rng({seed}, {day}) called on a noiseless day")
+
+        monkeypatch.setattr("daydrift.engine.day_rng", no_substream)
+        result = simulate(scenario)
+        assert result.records == expected
+        # the final generator is the initial one, undrawn, so reruns agree on it too
+        assert result.final_state.rng.bit_generator.state == scenario.initial_state().rng.bit_generator.state
+        state = scenario.initial_state()
+        _, record, _ = run_day(state, scenario, 1, Ledger())
+        assert record == expected[0]
+
     def test_days_chain_exactly(self):
         records = run_sim(make_scenario(days=40, sigma=0.01, half_life=504.0, seed=3))
         for a, b in zip(records, records[1:]):
@@ -369,6 +406,12 @@ class TestRunSweep:
         assert [c.ok for c in cells] == [True, False, True]
         assert "must be positive" in cells[1].error
 
+    @pytest.mark.parametrize("sigma", [0.0, 0.01])
+    def test_negative_seed_cell_is_an_error_with_or_without_noise(self, sigma):
+        cells = run_sweep(make_scenario(days=1, sigma=sigma), [("run.seed", [-1.0, 1.0])])
+        assert [c.ok for c in cells] == [False, True]
+        assert "seed must be >= 0, got -1" in cells[0].error
+
     def test_unknown_key_is_rejected_up_front(self):
         with pytest.raises(ValueError, match="unknown sweep key"):
             run_sweep(make_scenario(), [("impact.nope", [1.0])])
@@ -417,3 +460,8 @@ class TestScenarioValidation:
     def test_days_must_be_positive(self):
         with pytest.raises(ValueError):
             make_scenario(days=0, agents=())
+
+    @pytest.mark.parametrize("growth", [0.0, float("inf"), float("nan")])
+    def test_leg_growth_must_be_positive_and_finite(self, growth):
+        with pytest.raises(ValueError, match="leg_growth_per_day must be positive and finite"):
+            make_scenario(leg_growth_per_day=growth)
