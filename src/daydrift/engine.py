@@ -5,7 +5,11 @@ temporary impact, (2) apply the noise increment, (3) execute agent orders
 in agent-list order.  The day's open is the mid after tick 0 has been
 fully processed; the close is the mid after the final tick.  Each day
 draws its noise from a Philox substream keyed by (seed, day), so a run is
-bit-reproducible and days can be replayed independently.
+bit-reproducible and days can be replayed independently.  ``day_rng`` is
+the reference definition of a substream.  ``simulate`` computes the Philox
+keys of all of a run's days at once with ``day_keys``, which gives the bits
+of ``SeedSequence``, and re-keys one generator per day; ``run_day``, and a
+seed too wide for ``day_keys``, build each day's ``day_rng``.
 
 One run kernel computes every day, for ``simulate`` over a whole run and
 for ``run_day`` over one day.  It carries the day's state as floats from
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -69,6 +74,11 @@ class Scenario:
 
     def __post_init__(self):
         object.__setattr__(self, "agents", tuple(self.agents))
+        for name in ("days", "seed"):
+            try:
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
         if self.days < 1:
             raise ValueError(f"days must be >= 1, got {self.days}")
         if self.seed < 0:  # checked here because a noiseless run never hands it to day_rng
@@ -171,6 +181,63 @@ def day_rng(seed: int, day: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=(seed, day))))
 
 
+# SeedSequence's hash (numpy/random/bit_generator.pyx): a pool of 4 uint32
+# words, mixed with these constants and shift.
+_MIX_L, _MIX_R, _XSHIFT = 0xCA01F9DD, 0x4973F715, 16
+_POOL = 4
+
+
+def _hash_consts(init: int, mult: int, n: int) -> tuple[tuple[int, int], ...]:
+    """The (xor, multiplier) pairs of ``n`` successive hashes from ``init``."""
+    consts = []
+    for _ in range(n):
+        nxt = init * mult & 0xFFFFFFFF
+        consts.append((init, nxt))
+        init = nxt
+    return tuple(consts)
+
+
+# Hashes do not depend on the data: 4 + 12 to mix the pool, 4 to emit the key.
+_MIX_HASHES = _hash_consts(0x43B0D7E5, 0x931E8875, _POOL * _POOL)
+_KEY_HASHES = _hash_consts(0x8B51F9DD, 0x58F38DED, _POOL)
+
+
+def _hash(words: np.ndarray, consts: tuple[int, int]) -> np.ndarray:
+    xor, mult = consts
+    words = (words ^ xor) * mult
+    return words ^ (words >> _XSHIFT)
+
+
+def day_keys(seed: int, days: range) -> np.ndarray | None:
+    """The Philox key of ``day_rng(seed, day)`` for each day, in one vectorised pass.
+
+    Row ``i`` of the ``(len(days), 2)`` uint64 result equals
+    ``SeedSequence(entropy=(seed, days[i])).generate_state(2, np.uint64)``:
+    the entropy is the seed's uint32 words, low first, then the day, and
+    the hash is SeedSequence's in uint32 arithmetic over every day at once.
+    Returns None when the entropy does not fit the 4-word pool, that is for
+    a seed of 2**96 or more (or a day of 2**32 or more); such a run uses
+    ``day_rng``.
+    """
+    n_words = (seed.bit_length() + 31) // 32 or 1
+    if n_words >= _POOL or days.stop - 1 > 0xFFFFFFFF:
+        return None
+    words = [seed >> 32 * i & 0xFFFFFFFF for i in range(n_words)]
+    n = len(days)
+    pool = [np.full(n, w, dtype=np.uint32) for w in words]
+    pool.append(np.arange(days.start, days.stop, dtype=np.uint32))
+    pool += [np.zeros(n, dtype=np.uint32)] * (_POOL - len(pool))
+    hashes = iter(_MIX_HASHES)
+    pool = [_hash(w, next(hashes)) for w in pool]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                mixed = _MIX_L * pool[dst] - _MIX_R * _hash(pool[src], next(hashes))
+                pool[dst] = mixed ^ (mixed >> _XSHIFT)
+    key_words = np.stack([_hash(w, c) for w, c in zip(pool, _KEY_HASHES)], axis=1)
+    return key_words.astype("<u4").view("<u8").astype(np.uint64)
+
+
 def run_day(
     state: MarketState, scenario: Scenario, day: int, book_ledger: Ledger
 ) -> tuple[MarketState, DayRecord, Ledger]:
@@ -180,6 +247,8 @@ def run_day(
     place, and that same ledger is returned.  This is the one-day case of
     the run kernel that ``simulate`` uses, so chaining ``run_day`` over a
     run's days gives ``simulate``'s records, ledger and state bit for bit.
+    A noisy day draws from its ``day_rng``, which ``simulate`` reproduces
+    by re-keying one generator; one day does not pay for ``day_keys``.
     A noiseless day draws no generator and carries ``state.rng`` over.
     A noise step that leaves the anchor outside (0, inf), or a close
     outside it, raises ``ValueError``.
@@ -199,20 +268,33 @@ class SimResult:
 def simulate(scenario: Scenario) -> SimResult:
     """Run the full scenario, carrying state and accounting across days.
 
-    A noiseless run never builds a per-day generator, so its
-    ``final_state.rng`` is the initial state's generator, undrawn.
+    A noisy run computes every day's substream key up front with
+    ``day_keys`` and re-keys one Philox generator per day, so each day
+    draws the normals of its ``day_rng``; its ``final_state.rng`` has the
+    bit-generator state of ``day_rng(seed, days)`` after that day's
+    ``ticks`` normals.  A seed too wide for ``day_keys`` builds each day's
+    ``day_rng`` instead.  A noiseless run computes no keys and never
+    builds a per-day generator, so its ``final_state.rng`` is the initial
+    state's generator, undrawn.
     """
     book_ledger = Ledger()
     records: list[DayRecord] = []
+    days = range(1, scenario.days + 1)
+    keys = day_keys(scenario.seed, days) if scenario.plan.diffusion_coef > 0.0 else None
     try:
-        state = _run_days(scenario.initial_state(), scenario, range(1, scenario.days + 1), book_ledger, records)
+        state = _run_days(scenario.initial_state(), scenario, days, book_ledger, records, keys)
     except (ValueError, OverflowError) as exc:
         raise SimulationError(f"day {len(records) + 1}: {exc}") from exc
     return SimResult(tuple(records), book_ledger, state)
 
 
 def _run_days(
-    state: MarketState, scenario: Scenario, days: range, book_ledger: Ledger, records: list[DayRecord]
+    state: MarketState,
+    scenario: Scenario,
+    days: range,
+    book_ledger: Ledger,
+    records: list[DayRecord],
+    keys: np.ndarray | None = None,
 ) -> MarketState:
     """The run kernel: simulate ``days`` in order from ``state``; returns the final state.
 
@@ -230,7 +312,10 @@ def _run_days(
     tick by tick.  Temporary impact decays over each gap at once.  The
     result is bit-identical to composing ``decay_temporary``,
     ``advance_noise`` and ``apply_aggressive_trade`` tick by tick, which
-    the test suite checks.  Only a day with noise builds its ``day_rng``.
+    the test suite checks.  Only a day with noise draws a substream: with
+    ``keys`` (``day_keys`` of ``days``) it re-keys one Philox generator,
+    counter 0 and buffer empty, which is the state of a fresh ``day_rng``;
+    without, it builds the day's ``day_rng``.
     """
     plan = scenario.plan
     stops, pull, book_per_price, coef = plan.stops, plan.pull, plan.book_per_price, plan.diffusion_coef
@@ -240,15 +325,32 @@ def _run_days(
     flat = [1.0] * ticks if pull is not None and not diffuse else None
     close = state.day_anchor
     temp, fund, rng = state.temp_impact_bps, state.fundamental, state.rng
+    if keys is not None:
+        bits = np.random.Philox(key=0)  # re-keyed before every draw
+        rng = np.random.Generator(bits)
+        substream = {"counter": (0, 0, 0, 0), "key": None}
+        rekeyed = {
+            "bit_generator": "Philox",
+            "state": substream,
+            "buffer": (0, 0, 0, 0),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        keys = keys.tolist()
     # an overflow surfaces as a non-finite price, which the checks report
     with np.errstate(over="ignore", invalid="ignore"):
-        for day in days:
+        for i, day in enumerate(days):
             prev_close = anchor = close
             perm = 0.0
             path = None
             growth = flat
             if diffuse:
-                rng = day_rng(seed, day)
+                if keys is None:
+                    rng = day_rng(seed, day)
+                else:
+                    substream["key"] = keys[i]
+                    bits.state = rekeyed
                 growth = diffusion_growth(coef, rng.standard_normal(ticks))
                 if pull is None:
                     path = diffusion_path(anchor, growth)
@@ -446,10 +548,10 @@ def apply_override(scenario: Scenario, key: str, value: float) -> Scenario:
             depth = value
         profile = SpreadDepthProfile.default(scenario.clock.ticks_per_day, open_bps, close_bps, depth)
         return replace(scenario, profile=profile)
-    if key == "run.days":
-        return replace(scenario, days=int(value))
-    if key == "run.seed":
-        return replace(scenario, seed=int(value))
+    if key in ("run.days", "run.seed"):
+        if isinstance(value, float) and not value.is_integer():
+            raise ValueError(f"{key} must be an integer, got {value!r}")
+        return replace(scenario, **{key.removeprefix("run."): int(value)})
     if key == "run.initial_mid":
         return replace(scenario, initial_mid=value)
     if key == "run.initial_fundamental":

@@ -262,6 +262,28 @@ class TestSweep:
         assert code == 0
         assert stanza["ok"] == "1" and stanza["failed"] == "1"
 
+    def test_non_integral_seed_or_days_cell_is_an_error(self, capsys, reference_config_path, tmp_path):
+        out = tmp_path / "sweep.csv"
+        code, stanza, text, _ = run_cli(
+            capsys,
+            "sweep",
+            "--config",
+            str(reference_config_path),
+            "--grid",
+            "run.seed=1,1.5",
+            "--grid",
+            "run.days=2,2.5",
+            "--out",
+            str(out),
+        )
+        assert code == 0
+        assert stanza["ok"] == "1" and stanza["failed"] == "3"
+        rows = out.read_text().splitlines()[1:]
+        assert rows[0].startswith("1.0,2.0,") and rows[0].endswith(",")
+        assert "run.days must be an integer, got 2.5" in rows[1]
+        assert "run.seed must be an integer, got 1.5" in rows[2] and "run.seed must be" in rows[3]
+        assert "run.days must be an integer, got 2.5" in text
+
     def test_nan_sigma_cell_is_an_error_not_a_noiseless_run(self, capsys, noisy_config_path, tmp_path):
         out = tmp_path / "sweep.csv"
         code, stanza, text, _ = run_cli(

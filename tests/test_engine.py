@@ -33,6 +33,8 @@ from daydrift import (
     write_daily_csv,
 )
 
+from daydrift.engine import day_keys
+
 from conftest import NOISY_CONFIG, REFERENCE_CONFIG
 
 
@@ -249,6 +251,25 @@ def compose_days(scenario: Scenario):
         yield DayRecord(day, prev, open_price, state.mid, cost, gain, gain - cost), ledger, state
 
 
+def plain(state: dict) -> dict:
+    """A bit-generator state with its arrays as lists, so states compare with ==."""
+    return {k: plain(v) if isinstance(v, dict) else np.asarray(v).tolist() for k, v in state.items()}
+
+
+class TestDayKeys:
+    @pytest.mark.parametrize("seed", [0, 2**31 - 1, 2**32 - 1, 2**32, 2**64 + 3])
+    def test_keys_equal_seed_sequence(self, seed):
+        for days in (range(1, 2001), range(2**32 - 1, 2**32)):
+            expected = [np.random.SeedSequence(entropy=(seed, d)).generate_state(2, np.uint64) for d in days]
+            keys = day_keys(seed, days)
+            assert keys.dtype == np.uint64 and keys.shape == (len(days), 2)
+            assert keys.tolist() == np.array(expected).tolist()
+
+    @pytest.mark.parametrize(("seed", "days"), [(2**96, range(1, 3)), (1, range(2**32 - 1, 2**32 + 1))])
+    def test_entropy_wider_than_the_pool_has_no_keys(self, seed, days):
+        assert day_keys(seed, days) is None
+
+
 class TestRunSim:
     def test_single_day_reduces_to_run_day(self):
         scenario = make_scenario()
@@ -293,6 +314,41 @@ class TestRunSim:
         state = scenario.initial_state()
         _, record, _ = run_day(state, scenario, 1, Ledger())
         assert record == expected[0]
+
+    @pytest.mark.parametrize("half_life", [None, 0.5])
+    def test_noiseless_runs_compute_no_keys(self, monkeypatch, half_life):
+        scenario = make_scenario(days=5, sigma=0.0, half_life=half_life, fundamental=95.0)
+        expected = simulate(scenario).records
+
+        def no_keys(seed, days):
+            raise AssertionError(f"day_keys({seed}, {days}) called on a noiseless run")
+
+        monkeypatch.setattr("daydrift.engine.day_keys", no_keys)
+        assert simulate(scenario).records == expected
+
+    @pytest.mark.parametrize(("seed", "substreams_built"), [(2**96 - 1, 0), (2**96, 4)])
+    def test_only_a_seed_too_wide_for_the_keys_builds_day_rng(self, monkeypatch, seed, substreams_built):
+        scenario = make_scenario(days=4, sigma=0.01, seed=seed)
+        expected = simulate(scenario)
+        calls = []
+
+        def counted(seed, day):
+            calls.append(day)
+            return day_rng(seed, day)
+
+        monkeypatch.setattr("daydrift.engine.day_rng", counted)
+        result = simulate(scenario)
+        assert len(calls) == substreams_built
+        assert result.records == expected.records
+        assert result.ledger == expected.ledger
+
+    @pytest.mark.parametrize("seed", [7, 2**64 + 3, 2**96])
+    def test_noisy_final_generator_is_the_last_days_substream(self, seed):
+        scenario = replace(bitwise_case("noisy-path"), seed=seed)
+        reference = day_rng(seed, scenario.days)
+        reference.standard_normal(scenario.clock.ticks_per_day)
+        final = simulate(scenario).final_state.rng.bit_generator.state
+        assert plain(final) == plain(reference.bit_generator.state)
 
     def test_days_chain_exactly(self):
         records = run_sim(make_scenario(days=40, sigma=0.01, half_life=504.0, seed=3))
@@ -412,6 +468,13 @@ class TestRunSweep:
         assert [c.ok for c in cells] == [False, True]
         assert "seed must be >= 0, got -1" in cells[0].error
 
+    @pytest.mark.parametrize("key", ["run.days", "run.seed"])
+    @pytest.mark.parametrize("value", [2.5, math.inf, math.nan])
+    def test_non_integral_days_or_seed_cell_is_an_error(self, key, value):
+        cells = run_sweep(make_scenario(days=1, sigma=0.01), [(key, [value, 2.0])])
+        assert [c.ok for c in cells] == [False, True]
+        assert f"{key} must be an integer, got {value!r}" in cells[0].error
+
     def test_unknown_key_is_rejected_up_front(self):
         with pytest.raises(ValueError, match="unknown sweep key"):
             run_sweep(make_scenario(), [("impact.nope", [1.0])])
@@ -460,6 +523,16 @@ class TestScenarioValidation:
     def test_days_must_be_positive(self):
         with pytest.raises(ValueError):
             make_scenario(days=0, agents=())
+
+    @pytest.mark.parametrize("field", ["days", "seed"])
+    def test_days_and_seed_must_be_integers(self, field):
+        with pytest.raises(ValueError, match=rf"^{field} must be an integer, got 1.5$"):
+            make_scenario(**{field: 1.5})
+
+    def test_integer_like_days_and_seed_become_ints(self):
+        scenario = make_scenario(days=np.int64(3), seed=np.uint32(7), sigma=0.01)
+        assert type(scenario.days) is int and type(scenario.seed) is int
+        assert simulate(scenario).records == simulate(make_scenario(days=3, seed=7, sigma=0.01)).records
 
     @pytest.mark.parametrize("growth", [0.0, float("inf"), float("nan")])
     def test_leg_growth_must_be_positive_and_finite(self, growth):
