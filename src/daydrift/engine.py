@@ -337,7 +337,6 @@ def _run_days(
             "has_uint32": 0,
             "uinteger": 0,
         }
-        keys = keys.tolist()
     # an overflow surfaces as a non-finite price, which the checks report
     with np.errstate(over="ignore", invalid="ignore"):
         for i, day in enumerate(days):
