@@ -32,7 +32,6 @@ from daydrift import (
     summarize,
     write_daily_csv,
 )
-
 from daydrift.engine import day_keys
 
 from conftest import NOISY_CONFIG, REFERENCE_CONFIG
