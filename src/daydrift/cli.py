@@ -138,6 +138,19 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
+_INTEGER_GRID_KEYS = ("run.days", "run.seed")
+
+
+def _grid_value(key: str, token: str) -> int | float:
+    """A grid value; an integer literal of an integer key stays an exact ``int``."""
+    if key in _INTEGER_GRID_KEYS:
+        try:
+            return int(token)
+        except ValueError:
+            pass  # a non-integral value stays a float and fails its cell
+    return float(token)
+
+
 def _parse_grid(specs: list[str]) -> list[tuple[str, list[float]]]:
     grid = []
     for spec in specs:
@@ -146,7 +159,7 @@ def _parse_grid(specs: list[str]) -> list[tuple[str, list[float]]]:
         key, _, raw_values = spec.partition("=")
         key = key.strip()
         try:
-            values = [float(v) for v in raw_values.split(",") if v.strip()]
+            values = [_grid_value(key, v) for v in raw_values.split(",") if v.strip()]
         except ValueError:
             raise ConfigError(f"grid spec {spec!r} has a non-numeric value") from None
         if not values:

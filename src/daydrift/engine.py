@@ -12,12 +12,16 @@ of ``SeedSequence``, and re-keys one generator per day; ``run_day``, and a
 seed too wide for ``day_keys``, build each day's ``day_rng``.
 
 One run kernel computes every day, for ``simulate`` over a whole run and
-for ``run_day`` over one day.  It carries the day's state as floats from
-day to day and computes each day by segments: it stops only at tick 0, at
-the ticks where orders trade and at the close, and between stops it
-advances the state with the market model's step functions over the whole
-gap.  The result has the bits of processing every tick in the order above.
-A day without noise builds no substream.
+for ``run_day`` over one day.  It works in blocks of days.  Only the noise
+draw and the price chain go day by day; the fills' costs and impacts, the
+fill prices, the marks and the ledger are computed over a block at a time
+with the market model's step functions applied to arrays, since none of
+them but the fill prices and the marks reads the price.  Within a day it
+stops only at tick 0, at the ticks where orders trade and at the close,
+and between stops it advances the price over the whole gap.  The result
+has the bits of processing every tick in the order above, one day at a
+time, and a failing day raises the error that doing so raises first.  A
+day without noise builds no substream.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from .agents import RoundTripTrader, orders_for_tick
-from .ledger import Ledger, from_micro, mark_to_market, record_fill
+from .ledger import Ledger, book_days, check_fills, record_fill
 from .market import (
     ImpactParams,
     IntradayClock,
@@ -45,8 +49,11 @@ from .market import (
     diffusion_growth,
     diffusion_path,
     fill_order,
+    fill_price,
+    mid_non_positive,
     mid_price,
     noise_step,
+    order_impact,
     reversion_pull,
 )
 
@@ -114,17 +121,24 @@ class Scenario:
         return DayPlan.of(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DayPlan:
     """The parts of a trading day that do not change from day to day.
 
     ``stops`` lists, in tick order, tick 0, every tick with orders and the
-    close, each as ``(tick, full_spread_bps, depth, notionals)``; the
-    notionals are the day-1 signed orders of that tick in agent-list order,
-    to be scaled by ``leg_growth_per_day ** (day - 1)``.
+    close, each as ``(tick, begin, end)``: the day's orders ``begin:end``
+    trade at that tick.  The orders are numbered in booking order (tick
+    order, then agent-list order); ``order_stop`` gives each one's stop,
+    and the arrays ``spreads``, ``depths`` and ``notionals`` its tick's full
+    spread and depth and its day-1 signed notional, to be scaled by
+    ``leg_growth_per_day ** (day - 1)``.
     """
 
-    stops: tuple[tuple[int, float, float, tuple[float, ...]], ...]
+    stops: tuple[tuple[int, int, int], ...]
+    order_stop: tuple[int, ...]
+    spreads: np.ndarray
+    depths: np.ndarray
+    notionals: np.ndarray
     book_per_price: float  # marked book value per unit of price
     pull: float | None  # reversion_pull per tick; None without mean reversion
     diffusion_coef: float  # diffusion_coef per tick; 0.0 without noise
@@ -136,12 +150,16 @@ class DayPlan:
             for tick in (agent.buy_tick, agent.sell_tick):
                 for intent in orders_for_tick(agent, tick):
                     orders.setdefault(tick, []).append(intent.signed_notional)
-        spread = scenario.profile.full_spread_bps.tolist()
-        depth = scenario.profile.depth.tolist()
         ticks = sorted({0, scenario.clock.close_tick, *orders})
+        ends = list(itertools.accumulate(len(orders.get(t, ())) for t in ticks))
+        order_ticks = [t for t in ticks for _ in orders.get(t, ())]
         noise = scenario.noise
         return cls(
-            stops=tuple((t, spread[t], depth[t], tuple(orders.get(t, ()))) for t in ticks),
+            stops=tuple(zip(ticks, [0, *ends[:-1]], ends)),
+            order_stop=tuple(s for s, t in enumerate(ticks) for _ in orders.get(t, ())),
+            spreads=scenario.profile.full_spread_bps[order_ticks],
+            depths=scenario.profile.depth[order_ticks],
+            notionals=np.array([n for t in ticks for n in orders.get(t, ())]),
             book_per_price=scenario.total_book_value / scenario.initial_mid,
             pull=None if noise.half_life_days is None else reversion_pull(noise, scenario.clock.dt_days),
             diffusion_coef=diffusion_coef(noise, scenario.clock.dt_days),
@@ -244,14 +262,17 @@ def run_day(
     """Simulate one day; returns the carried state, the day record, and the ledger.
 
     The day's fills and its mark update the caller's ``book_ledger`` in
-    place, and that same ledger is returned.  This is the one-day case of
-    the run kernel that ``simulate`` uses, so chaining ``run_day`` over a
+    place, and that same ledger is returned.  This is the run kernel that
+    ``simulate`` uses, on a one-day block, so chaining ``run_day`` over a
     run's days gives ``simulate``'s records, ledger and state bit for bit.
     A noisy day draws from its ``day_rng``, which ``simulate`` reproduces
     by re-keying one generator; one day does not pay for ``day_keys``.
     A noiseless day draws no generator and carries ``state.rng`` over.
-    A noise step that leaves the anchor outside (0, inf), or a close
-    outside it, raises ``ValueError``.
+    A noise step that leaves the anchor outside (0, inf), a close outside
+    it, or an order that ``fill_order`` or ``record_fill`` refuses raises
+    the error of the first such check in per-tick order: ``ValueError``,
+    or an ``OverflowError`` such as ``AccountingError``.  A failing day
+    books none of its fills: ``book_ledger`` is left as it was.
     """
     records: list[DayRecord] = []
     new_state = _run_days(state.start_day(), scenario, range(day, day + 1), book_ledger, records)
@@ -268,14 +289,17 @@ class SimResult:
 def simulate(scenario: Scenario) -> SimResult:
     """Run the full scenario, carrying state and accounting across days.
 
-    A noisy run computes every day's substream key up front with
-    ``day_keys`` and re-keys one Philox generator per day, so each day
-    draws the normals of its ``day_rng``; its ``final_state.rng`` has the
-    bit-generator state of ``day_rng(seed, days)`` after that day's
-    ``ticks`` normals.  A seed too wide for ``day_keys`` builds each day's
-    ``day_rng`` instead.  A noiseless run computes no keys and never
-    builds a per-day generator, so its ``final_state.rng`` is the initial
-    state's generator, undrawn.
+    The run kernel computes the days in blocks (see ``_run_days``).  A
+    noisy run computes every day's substream key up front with
+    ``day_keys`` and re-keys one Philox generator per day, drawing each
+    day's normals, those of its ``day_rng``, into the block's array; its
+    ``final_state.rng`` has the bit-generator state of ``day_rng(seed,
+    days)`` after that day's ``ticks`` normals.  A seed too wide for
+    ``day_keys`` builds each day's ``day_rng`` instead.  A noiseless run
+    computes no keys and never builds a per-day generator, so its
+    ``final_state.rng`` is the initial state's generator, undrawn.  A
+    failing day raises ``SimulationError`` naming it, with the error of
+    the first check it fails in per-tick order.
     """
     book_ledger = Ledger()
     records: list[DayRecord] = []
@@ -286,6 +310,9 @@ def simulate(scenario: Scenario) -> SimResult:
     except (ValueError, OverflowError) as exc:
         raise SimulationError(f"day {len(records) + 1}: {exc}") from exc
     return SimResult(tuple(records), book_ledger, state)
+
+
+_BLOCK_DAYS = 64  # days per block: a block of 392-tick days is a 64 x 393 float64 array, 201 KB
 
 
 def _run_days(
@@ -299,31 +326,55 @@ def _run_days(
     """The run kernel: simulate ``days`` in order from ``state``; returns the final state.
 
     ``state`` is at a day boundary: its anchor is the first day's previous
-    close and its permanent impact is zero.  Each finished day's record is
-    appended to ``records``, so after an error ``len(records)`` counts the
-    days that finished.  Between days the anchor and the impacts are
-    carried as floats; the close becomes the next day's anchor, which is
-    ``MarketState.start_day``.
+    close and its permanent impact is zero.  Each finished day is booked
+    into ``book_ledger`` and its record appended to ``records``, so after
+    an error ``len(records)`` counts the days that finished and the ledger
+    holds exactly those days; the failing day books nothing.  Between days
+    the anchor and the impacts are carried as floats; the close becomes the
+    next day's anchor, which is ``MarketState.start_day``.
 
-    The per-tick order of the module docstring is the contract; each day is
-    computed by segments between the stops of ``scenario.plan``.  Without
-    mean reversion the anchor does not depend on trades, so the whole
-    day's diffusion is one ``diffusion_path``; with it, ``noise_step`` runs
-    tick by tick.  Temporary impact decays over each gap at once.  The
-    result is bit-identical to composing ``decay_temporary``,
-    ``advance_noise`` and ``apply_aggressive_trade`` tick by tick, which
-    the test suite checks.  Only a day with noise draws a substream: with
-    ``keys`` (``day_keys`` of ``days``) it re-keys one Philox generator,
-    counter 0 and buffer empty, which is the state of a fresh ``day_rng``;
-    without, it builds the day's ``day_rng``.
+    The days are computed in blocks of ``_BLOCK_DAYS``, in four steps.
+    Only the draw and the chain go day by day:
+
+    1. *Draw.*  Each noisy day draws its normals into a row of one array;
+       ``diffusion_growth`` turns the block's rows into growth factors in
+       place.  With ``keys`` (``day_keys`` of ``days``) a day re-keys one
+       Philox generator, counter 0 and buffer empty, which is the state of
+       a fresh ``day_rng``; without, it builds the day's ``day_rng``.  A
+       day without noise draws nothing.
+    2. *What does not read the price*, as arrays over the block's days:
+       the scaled notionals, ``order_impact`` (costs and impacts), the
+       permanent impact before and after every order, and ``check_fills``
+       and ``mid_non_positive`` over the fills, which find the first day
+       whose orders would raise.
+    3. *The chain*, day by day: without mean reversion the day's anchor
+       path is one ``diffusion_path`` of its row; with it, ``noise_step``
+       runs tick by tick and each stop's anchor is written into the row.
+       The temporary impact decays over each gap at once.
+    4. *Booking*: the opens, ``fill_price`` of every fill and the marks,
+       over the finished days, then ``book_days`` and the records.
+
+    The per-tick order of the module docstring is the contract: the result
+    is bit-identical to composing ``decay_temporary``, ``advance_noise``
+    and ``apply_aggressive_trade`` tick by tick, one day at a time, which
+    the test suite checks at block boundaries.  A day fails with the error
+    that processing it tick by tick raises first: the noise path (or a
+    reversion tick), then each stop's orders in order, replayed through
+    ``fill_order`` and ``record_fill`` to get their error, then the close.
     """
     plan = scenario.plan
-    stops, pull, book_per_price, coef = plan.stops, plan.pull, plan.book_per_price, plan.diffusion_coef
     impact, seed, leg_growth = scenario.impact, scenario.seed, scenario.leg_growth_per_day
-    ticks = scenario.clock.ticks_per_day
+    pull, coef, book_per_price = plan.pull, plan.diffusion_coef, plan.book_per_price
+    stops, order_stop, spreads = plan.stops, plan.order_stop, plan.spreads
+    n_orders = len(order_stop)
     diffuse = coef > 0.0
-    flat = [1.0] * ticks if pull is not None and not diffuse else None
-    close = state.day_anchor
+    # row i: day i's anchor, then its growth factors; after the chain, its anchor after each tick
+    width = scenario.clock.ticks_per_day + 1 if diffuse or pull is not None else 1
+    rows = np.empty((min(len(days), _BLOCK_DAYS), width))
+    stop_col = [t + 1 if width > 1 else 0 for t, _, _ in stops]
+    order_col = [stop_col[s] for s in order_stop]
+    flat = [1.0] * width
+    close = anchor = state.day_anchor
     temp, fund, rng = state.temp_impact_bps, state.fundamental, state.rng
     if keys is not None:
         bits = np.random.Philox(key=0)  # re-keyed before every draw
@@ -339,48 +390,146 @@ def _run_days(
         }
     # an overflow surfaces as a non-finite price, which the checks report
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, day in enumerate(days):
-            prev_close = anchor = close
-            perm = 0.0
-            path = None
-            growth = flat
+        for start in range(0, len(days), _BLOCK_DAYS):
+            block = days[start : start + _BLOCK_DAYS]
+            n = len(block)
+            path = rows[:n]
+
+            # 1. draw
             if diffuse:
-                if keys is None:
-                    rng = day_rng(seed, day)
-                else:
-                    substream["key"] = keys[i]
-                    bits.state = rekeyed
-                growth = diffusion_growth(coef, rng.standard_normal(ticks))
-                if pull is None:
-                    path = diffusion_path(anchor, growth)
-                else:
-                    growth = growth.tolist()
+                for i, day in enumerate(block):
+                    if keys is None:
+                        rng = day_rng(seed, day)
+                    else:
+                        substream["key"] = keys[start + i]
+                        bits.state = rekeyed
+                    rng.standard_normal(out=path[i, 1:])
+                diffusion_growth(coef, path[:, 1:], out=path[:, 1:])
 
-            scale = leg_growth ** (day - 1)
-            last = -1
-            for t, spread, depth, notionals in stops:
-                temp = decayed_temporary(impact, temp, t - last)
-                if path is not None:
-                    anchor = float(path[t + 1])
-                elif pull is not None:
-                    for k in range(last + 1, t + 1):
-                        anchor = noise_step(anchor, perm, fund, pull, growth[k])
-                        check_noise_price(anchor, tick=k)
-                for base in notionals:
-                    notional = base * scale
-                    fill, cost, perm, temp = fill_order(impact, spread, depth, anchor, perm, temp, notional, t)
-                    record_fill(book_ledger, fill, notional, cost)
-                if t == 0:
-                    open_price = mid_price(anchor, perm)
-                last = t
+            # 2. what does not read the price; perm[:, j] is the permanent impact before order j
+            scales, overflow = _leg_scales(leg_growth, block)
+            notionals = plan.notionals * scales[:, None]
+            costs, perm_steps, temp_steps = order_impact(impact, spreads, plan.depths, notionals)
+            perm = np.zeros((n, n_orders + 1))
+            perm[:, 1:] = perm_steps
+            np.add.accumulate(perm, axis=1, out=perm)
+            # where the first failing day raises: at the stop of its first refused order,
+            # or at -1, before its orders and its reversion ticks, when its leg scale overflows
+            refused, notional_micro, cost_micro = check_fills(book_ledger, notionals.ravel(), costs.ravel())
+            guard = mid_non_positive(perm[:, 1:]).ravel()
+            guarded = int(guard.argmax()) if guard.any() else None
+            failures = [(k // n_orders, order_stop[k % n_orders]) for k in (refused, guarded) if k is not None]
+            if overflow < n:
+                failures.append((overflow, -1))
+            bad_day, bad_stop = min(failures, default=(n, -1))
+            refusal = None
+            if bad_day < n:
+                booked = bad_day * n_orders
+                refusal = _refusal(
+                    scenario,
+                    block[bad_day],
+                    book_ledger.cash_micro - sum(notional_micro[:booked]) - sum(cost_micro[:booked]),
+                    book_ledger.cumulative_cost_micro + sum(cost_micro[:booked]),
+                )
 
-            close = mid_price(anchor, perm)
-            if not 0.0 < close < math.inf:
-                raise ValueError(f"close is non-positive or non-finite: {close}")
-            total_cost = from_micro(book_ledger.period_cost_micro)
-            mtm_gain, _ = mark_to_market(book_ledger, book_per_price * prev_close, prev_close, close)
-            records.append(DayRecord(day, prev_close, open_price, close, total_cost, mtm_gain, mtm_gain - total_cost))
-    return MarketState(anchor, fund, perm, temp, rng)
+            # 3. the chain: the inert temporary impact, then the price
+            for steps in temp_steps.tolist():
+                last = -1
+                for t, begin, end in stops:
+                    temp = decayed_temporary(impact, temp, t - last)
+                    for step in steps[begin:end]:
+                        temp += step
+                    last = t
+            tick_perm = perm[:, [begin for _, begin, _ in stops]].T.tolist()
+            close_perm = perm[:, -1].tolist()
+            prev = close
+            closes: list[float] = []
+            try:
+                for i in range(n):
+                    row = path[i]
+                    if pull is None:
+                        row[0] = close
+                        anchor = diffusion_path(row) if diffuse else close
+                        if i == bad_day:
+                            raise refusal
+                    else:
+                        if i == bad_day and bad_stop < 0:
+                            raise refusal
+                        anchor = close
+                        growth = row.tolist() if diffuse else flat
+                        last = -1
+                        for s, (t, _, _) in enumerate(stops):
+                            mid_perm = tick_perm[s][i]
+                            for k in range(last + 1, t + 1):
+                                anchor = noise_step(anchor, mid_perm, fund, pull, growth[k + 1])
+                                check_noise_price(anchor, tick=k)
+                            row[t + 1] = anchor
+                            if i == bad_day and s == bad_stop:
+                                raise refusal
+                            last = t
+                    close = mid_price(anchor, close_perm[i])
+                    if not 0.0 < close < math.inf:
+                        raise ValueError(f"close is non-positive or non-finite: {close}")
+                    closes.append(close)
+
+            # 4. booking the finished days, also when a day fails
+            finally:
+                if closes:
+                    m = len(closes)
+                    now = np.array(closes)
+                    prevs = np.concatenate(([prev], now[:-1]))
+                    opens = mid_price(path[:m, stop_col[0]], perm[:m, stops[0][2]])
+                    prices = fill_price(path[:m, order_col], perm[:m, :-1], spreads, notionals[:m])
+                    day_costs, gains = book_days(
+                        book_ledger,
+                        prices.ravel().tolist(),
+                        notional_micro[: m * n_orders],
+                        cost_micro[: m * n_orders],
+                        book_per_price * prevs,
+                        prevs,
+                        now,
+                    )
+                    nets = [gain - cost for gain, cost in zip(gains, day_costs)]
+                    records += map(DayRecord, block[:m], prevs.tolist(), opens.tolist(), closes, day_costs, gains, nets)
+    return MarketState(anchor, fund, close_perm[-1], temp, rng)
+
+
+def _leg_scales(growth: float, days: range) -> tuple[np.ndarray, int]:
+    """``growth ** (day - 1)`` for each day, and the index of the first that overflows (``len(days)`` if none).
+
+    Python's float power raises ``OverflowError`` where numpy's would give
+    inf; the days from the first overflow on are NaN.
+    """
+    scales = []
+    try:
+        for day in days:
+            scales.append(growth ** (day - 1))
+    except OverflowError:
+        pass
+    overflow = len(scales)
+    return np.array(scales + [math.nan] * (len(days) - overflow)), overflow
+
+
+def _refusal(scenario: Scenario, day: int, cash_micro: int, cost_micro: int) -> Exception:
+    """The error that booking ``day``'s orders one at a time raises, from ledger sums at the day's start.
+
+    The block checks find which day fails first; this replays that day's
+    orders through ``fill_order`` and ``record_fill`` on a scratch ledger
+    to get the error, and message, of the first order they refuse.
+    """
+    plan = scenario.plan
+    orders = zip(plan.order_stop, plan.spreads.tolist(), plan.depths.tolist(), plan.notionals.tolist())
+    ledger = Ledger(cash_micro, cost_micro)
+    perm = temp = 0.0
+    try:
+        scale = scenario.leg_growth_per_day ** (day - 1)
+        for s, spread, depth, base in orders:
+            notional = base * scale
+            fill, cost, perm, temp = fill_order(scenario.impact, spread, depth, 1.0, perm, temp, notional, plan.stops[s][0])
+            record_fill(ledger, fill, notional, cost)
+    except (ValueError, OverflowError) as exc:
+        return exc
+    raise RuntimeError(f"day {day}: the block checks refused an order that record_fill books")
 
 
 def run_sim(scenario: Scenario) -> list[DayRecord]:

@@ -13,24 +13,48 @@ The ledger is a running account, not a value: ``record_fill`` and
 so a run's accounting cost per day does not grow with its length.  Every
 name bound to a ledger sees its later updates; the history properties
 return tuple snapshots that later updates do not change.
+
+The fill trail is kept as ``(price, notional_micro, cost_micro)`` rows;
+``fills`` builds the ``Fill`` records from them when it is read.  The run
+kernel books a block of days at once: ``check_fills`` runs the checks of
+``record_fill`` over the block's fills in order without booking them, and
+``book_days`` then books each day's fills and mark.  Both share
+``to_micro``'s rounding and every range check with ``record_fill`` and
+``mark_to_market``, so a block leaves the ledger as booking its fills and
+marks one at a time would.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
+from itertools import accumulate
+
+import numpy as np
 
 MICRO_PER_UNIT = 10**6
 _MICRO_LIMIT = 2**63 - 1  # ledger halts rather than exceeding i64 micro range
+_MICRO_BOUND = _MICRO_LIMIT + 1  # an amount fits when abs(micro) < this, as an int or a float
 
 
 class AccountingError(OverflowError):
     """A ledger quantity left the representable micro-currency range."""
 
 
+def _rounded_micro(amount):
+    """``amount`` in micro-currency, rounded half to even, as floats; elementwise over an array."""
+    return np.rint(amount * float(MICRO_PER_UNIT))
+
+
+def _fits(micro):
+    """True where an integral micro amount (an int, or floats) is inside the i64 range."""
+    return abs(micro) < _MICRO_BOUND
+
+
 def to_micro(amount: float) -> int:
     """Currency to integer micro-currency, rounding half to even."""
-    micro = round(amount * MICRO_PER_UNIT)
-    if abs(micro) > _MICRO_LIMIT:
+    micro = int(_rounded_micro(amount))  # NaN and inf raise here, as round() would
+    if not _fits(micro):
         raise AccountingError(f"{amount} does not fit in micro-currency range")
     return micro
 
@@ -52,22 +76,23 @@ class Fill:
 class Ledger:
     """Running account updated in place by ``record_fill`` and ``mark_to_market``.
 
-    It holds integer running sums and three append-only lists: every fill,
-    and each marked day's cost and gain.  Operations mutate the ledger they
-    are given, so two names bound to one ledger alias the same account.
+    It holds integer running sums and three append-only lists: every fill
+    as a ``(price, notional_micro, cost_micro)`` row, and each marked day's
+    cost and gain.  Operations mutate the ledger they are given, so two
+    names bound to one ledger alias the same account.
     """
 
     cash_micro: int = 0
     cumulative_cost_micro: int = 0
     book_value_at_mark: float = 0.0
     period_cost_micro: int = 0  # costs accrued since the last mark
-    _fills: list[Fill] = field(default_factory=list, init=False, repr=False)
+    _fills: list[tuple[float, int, int]] = field(default_factory=list, init=False, repr=False)
     _day_costs_micro: list[int] = field(default_factory=list, init=False, repr=False)
     _day_gains: list[float] = field(default_factory=list, init=False, repr=False)
 
     @property
     def fills(self) -> tuple[Fill, ...]:
-        return tuple(self._fills)
+        return tuple(Fill(*row) for row in self._fills)
 
     @property
     def cost_history_micro(self) -> tuple[int, ...]:
@@ -99,7 +124,7 @@ def record_fill(ledger: Ledger, fill_price: float, signed_notional: float, cost:
     notional_micro = to_micro(signed_notional)
     cost_micro = to_micro(cost)
     cash = ledger.cash_micro - notional_micro - cost_micro
-    if abs(cash) > _MICRO_LIMIT:
+    if not _fits(cash):
         raise AccountingError("cash balance left the micro-currency range")
     total_cost = ledger.cumulative_cost_micro + cost_micro
     if total_cost > _MICRO_LIMIT:
@@ -107,7 +132,7 @@ def record_fill(ledger: Ledger, fill_price: float, signed_notional: float, cost:
     ledger.cash_micro = cash
     ledger.cumulative_cost_micro = total_cost
     ledger.period_cost_micro += cost_micro
-    ledger._fills.append(Fill(fill_price, notional_micro, cost_micro))
+    ledger._fills.append((fill_price, notional_micro, cost_micro))
     return ledger
 
 
@@ -120,12 +145,73 @@ def mark_to_market(ledger: Ledger, book_value: float, mid_prev: float, mid_now: 
     """
     if not mid_prev > 0:
         raise ValueError(f"mid_prev must be positive, got {mid_prev}")
-    gain = book_value * ((mid_now - mid_prev) / mid_prev)
+    gain = _gain(book_value, mid_prev, mid_now)
     ledger.book_value_at_mark = book_value
     ledger._day_costs_micro.append(ledger.period_cost_micro)
     ledger._day_gains.append(gain)
     ledger.period_cost_micro = 0
     return gain, ledger
+
+
+def _gain(book_value, mid_prev, mid_now):
+    """Mark-to-market gain of a book over a mid move; elementwise over arrays."""
+    return book_value * ((mid_now - mid_prev) / mid_prev)
+
+
+def check_fills(ledger: Ledger, notionals: np.ndarray, costs: np.ndarray) -> tuple[int | None, list[int], list[int]]:
+    """``record_fill``'s checks over a run of fills, in order, without booking them.
+
+    Returns the index of the first fill that ``record_fill`` would refuse
+    if the fills were booked one by one on ``ledger`` (None if it would
+    book them all), and the notionals and costs in micro-currency of the
+    fills before it.
+    """
+    n_micro, c_micro = _rounded_micro(notionals), _rounded_micro(costs)
+    ok = ~(costs < 0) & _fits(n_micro) & _fits(c_micro)
+    first = None if ok.all() else int(np.argmin(ok))
+    n_list = n_micro[:first].astype(np.int64).tolist()
+    c_list = c_micro[:first].astype(np.int64).tolist()
+    # the running cash and cost sum after each fill; the sum never falls, as costs are >= 0
+    cash = list(accumulate(map(operator.add, n_list, c_list), operator.sub, initial=ledger.cash_micro))[1:]
+    total = list(accumulate(c_list, initial=ledger.cumulative_cost_micro))[1:]
+    if cash and not (_fits(max(cash)) and _fits(min(cash)) and total[-1] <= _MICRO_LIMIT):
+        k = next(k for k, (a, b) in enumerate(zip(cash, total)) if not _fits(a) or b > _MICRO_LIMIT)
+        return k, n_list[:k], c_list[:k]
+    return first, n_list, c_list
+
+
+def book_days(
+    ledger: Ledger,
+    prices: list[float],
+    notional_micro: list[int],
+    cost_micro: list[int],
+    book_values: np.ndarray,
+    mid_prevs: np.ndarray,
+    mid_nows: np.ndarray,
+) -> tuple[list[float], list[float]]:
+    """Book whole days in place: each day's fills, then its mark.
+
+    The fills are in booking order, the same number each day, with their
+    micro amounts as ``check_fills`` returned them for this ledger; the
+    marks are ``mark_to_market``'s, one per day.  The ledger ends as
+    ``record_fill`` and ``mark_to_market`` called in that order would leave
+    it.  Returns each day's sealed cost (currency) and gain.
+    """
+    if not (mid_prevs > 0).all():
+        mid_prev = mid_prevs[np.argmin(mid_prevs > 0)].item()
+        raise ValueError(f"mid_prev must be positive, got {mid_prev}")
+    gains = _gain(book_values, mid_prevs, mid_nows).tolist()
+    day_costs = np.array(cost_micro, dtype=np.int64).reshape(len(gains), -1).sum(axis=1).tolist()
+    day_costs[0] += ledger.period_cost_micro
+    cost_sum = sum(cost_micro)
+    ledger.cash_micro -= sum(notional_micro) + cost_sum
+    ledger.cumulative_cost_micro += cost_sum
+    ledger.period_cost_micro = 0
+    ledger.book_value_at_mark = book_values[-1].item()
+    ledger._fills += zip(prices, notional_micro, cost_micro)
+    ledger._day_costs_micro += day_costs
+    ledger._day_gains += gains
+    return [from_micro(c) for c in day_costs], gains
 
 
 def daily_net_pnl(ledger: Ledger, day: int) -> float:

@@ -15,10 +15,12 @@ trips exactly linear in notional, which is what makes the closed-form
 impact calibration below exact.
 
 Each operation on ``MarketState`` (``decay_temporary``, ``advance_noise``,
-``apply_aggressive_trade``) is the one-tick case of a scalar step function
-below (``decayed_temporary``, ``noise_step``, ``fill_order``).  The
-engine's day kernel calls the same step functions, over whole segments of
-the day, so there is one implementation of the model.
+``apply_aggressive_trade``) is the one-tick case of a step function below
+(``decayed_temporary``, ``noise_step``, ``fill_order``).  The engine's run
+kernel calls the same step functions, over whole segments of a day and,
+where they work elementwise (``mid_price``, ``fill_price``,
+``order_impact``, ``crossing_cost``, ``diffusion_growth``), over arrays of
+a block of days, so there is one implementation of the model.
 """
 
 from __future__ import annotations
@@ -262,11 +264,11 @@ def crossing_cost(notional: float, full_spread_bps: float) -> float:
     """Cost (currency) of one aggressive fill of ``notional`` against a quoted full spread.
 
     The fill executes half the full spread away from mid, so the cost is
-    notional * spread/2.
+    notional * spread/2.  Elementwise over arrays of notionals or spreads.
     """
-    if notional < 0:
+    if np.less(notional, 0).any():
         raise ValueError(f"notional must be >= 0, got {notional}")
-    if full_spread_bps < 0:
+    if np.less(full_spread_bps, 0).any():
         raise ValueError(f"full_spread_bps must be >= 0, got {full_spread_bps}")
     return notional * (full_spread_bps * BPS) / 2.0
 
@@ -288,9 +290,13 @@ def impact_bps(
     return _signed_impact(params, float(profile.full_spread_bps[t]), depth, signed_notional)
 
 
-def _signed_impact(params: ImpactParams, spread_bps: float, depth: float, signed_notional: float) -> float:
-    sign = 1.0 if signed_notional > 0 else -1.0
-    return sign * params.lam * spread_bps * abs(signed_notional) / depth
+def _side(signed_notional):
+    """+1.0 for a buy, -1.0 for anything else (a sell, zero or NaN); elementwise over an array."""
+    return (signed_notional > 0) * 2.0 - 1.0
+
+
+def _signed_impact(params: ImpactParams, spread_bps, depth, signed_notional):
+    return _side(signed_notional) * params.lam * spread_bps * abs(signed_notional) / depth
 
 
 def apply_aggressive_trade(
@@ -337,19 +343,45 @@ def fill_order(
 
     Returns ``(fill_price, cost, perm_bps, temp_bps)``: the fill, its
     spread cost, and the permanent and temporary impact after the trade.
+    It is ``fill_price`` and ``order_impact`` put together, and raises
+    ``ValueError`` where ``mid_non_positive`` holds after the trade.
     """
-    sign = 1.0 if signed_notional > 0 else -1.0
-    fill_price = mid_price(anchor, perm_bps) * (1.0 + sign * (spread_bps / 2.0) * BPS)
-    cost = crossing_cost(abs(signed_notional), spread_bps)
-    total = _signed_impact(params, spread_bps, depth, signed_notional)
-    perm_bps += params.permanent_fraction * total
-    temp_bps += (1.0 - params.permanent_fraction) * total
-    if 1.0 + perm_bps * BPS <= 0.0:
+    price = fill_price(anchor, perm_bps, spread_bps, signed_notional)
+    cost, perm_step, temp_step = order_impact(params, spread_bps, depth, signed_notional)
+    perm_bps += perm_step
+    temp_bps += temp_step
+    if mid_non_positive(perm_bps):
         raise ValueError(
             f"trade of {signed_notional} at tick {t} would drive the mid non-positive "
             f"(cumulative permanent impact {perm_bps} bps)"
         )
-    return fill_price, cost, perm_bps, temp_bps
+    return price, cost, perm_bps, temp_bps
+
+
+def fill_price(anchor, perm_bps, spread_bps, signed_notional):
+    """Price of an aggressive fill: half the full spread off the mid, on the taker's side.
+
+    The only part of an order that reads the price.  Elementwise over
+    arrays of anchors, impacts, spreads and notionals.
+    """
+    return mid_price(anchor, perm_bps) * (1.0 + _side(signed_notional) * (spread_bps / 2.0) * BPS)
+
+
+def order_impact(params: ImpactParams, spread_bps, depth, signed_notional):
+    """The parts of an aggressive order that do not read the price.
+
+    Returns ``(cost, perm_step, temp_step)``: the spread cost and the
+    additions to the permanent and temporary impact (bps).  Elementwise
+    over arrays of spreads, depths and notionals.
+    """
+    total = _signed_impact(params, spread_bps, depth, signed_notional)
+    perm_step = params.permanent_fraction * total
+    return crossing_cost(abs(signed_notional), spread_bps), perm_step, (1.0 - params.permanent_fraction) * total
+
+
+def mid_non_positive(perm_bps):
+    """True where a permanent impact of ``perm_bps`` puts the mid at or below zero; elementwise."""
+    return 1.0 + perm_bps * BPS <= 0.0
 
 
 def calibrate_lambda(
@@ -424,35 +456,37 @@ def diffusion_coef(noise: NoiseParams, dt_days: float) -> float:
     return noise.sigma_daily * math.sqrt(dt_days)
 
 
-def diffusion_growth(coef: float, z: np.ndarray) -> np.ndarray:
+def diffusion_growth(coef: float, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Per-tick growth factors ``exp(coef*z)`` of the anchor for standard normals ``z``.
 
-    ``coef`` is ``diffusion_coef``.  ``np.exp`` gives the same bits for one
-    draw as for a whole day's array.  It overflows to inf for absurd
-    sigmas: call it under ``np.errstate(over="ignore")`` and check the
-    price it produces.
+    ``coef`` is ``diffusion_coef``.  ``np.exp`` gives each element the same
+    bits whatever the array around it: one draw, a day's row, or the rows
+    of a block of days written in place through ``out``.  It overflows to
+    inf for absurd sigmas: call it under ``np.errstate(over="ignore")`` and
+    check the price it produces.
     """
-    return np.exp(coef * z)
+    return np.exp(np.multiply(coef, z, out=out), out=out)
 
 
-def diffusion_path(anchor: float, growth: np.ndarray) -> np.ndarray:
-    """Anchor before and after each tick of pure diffusion: ``path[k]`` after ``k`` ticks.
+def diffusion_path(path: np.ndarray) -> float:
+    """Turn ``[anchor, growth...]`` in place into the anchor after each tick of pure diffusion.
 
-    ``np.multiply.accumulate`` multiplies in order, so ``path[k]`` has the
-    bits of ``k`` successive ``noise_step`` calls without reversion.  A
-    price that leaves (0, inf) never comes back under positive factors, so
-    checking the last entry checks the whole path; ``ValueError`` names the
-    first tick out of range.  Call it under ``np.errstate(over="ignore",
-    invalid="ignore")``: that check, not a warning, reports an overflow.
+    On entry ``path[0]`` is the anchor and ``path[k]`` the growth factor of
+    tick ``k - 1``; on return ``path[k]`` is the anchor after ``k`` ticks,
+    and the last one is returned.  ``np.multiply.accumulate`` multiplies in
+    order, so ``path[k]`` has the bits of ``k`` successive ``noise_step``
+    calls without reversion.  A price that leaves (0, inf) never comes back
+    under positive factors, so checking the last entry checks the whole
+    path; ``ValueError`` names the first tick out of range.  Call it under
+    ``np.errstate(over="ignore", invalid="ignore")``: that check, not a
+    warning, reports an overflow.
     """
-    path = np.empty(len(growth) + 1)
-    path[0] = anchor
-    path[1:] = growth
     np.multiply.accumulate(path, out=path)
-    if not 0.0 < path[-1] < math.inf:
+    end = path.item(-1)
+    if not 0.0 < end < math.inf:
         k = int(np.flatnonzero(~((path > 0.0) & (path < math.inf)))[0])
-        check_noise_price(float(path[k]), tick=k - 1)
-    return path
+        check_noise_price(path.item(k), tick=k - 1)
+    return end
 
 
 def reversion_pull(noise: NoiseParams, dt_days: float) -> float:

@@ -279,10 +279,30 @@ class TestSweep:
         assert code == 0
         assert stanza["ok"] == "1" and stanza["failed"] == "3"
         rows = out.read_text().splitlines()[1:]
-        assert rows[0].startswith("1.0,2.0,") and rows[0].endswith(",")
+        assert rows[0].startswith("1,2,") and rows[0].endswith(",")
         assert "run.days must be an integer, got 2.5" in rows[1]
         assert "run.seed must be an integer, got 1.5" in rows[2] and "run.seed must be" in rows[3]
         assert "run.days must be an integer, got 2.5" in text
+
+    def test_swept_seed_above_two_to_the_53_runs_exactly(self, capsys, noisy_config_path, tmp_path):
+        from dataclasses import replace
+
+        from daydrift import load_config, run_sim, summarize
+
+        seed = 2**64 + 3  # float(seed) is 2**64, a different seed
+        out = tmp_path / "sweep.csv"
+        code, stanza, _, _ = run_cli(
+            capsys, "sweep", "--config", str(noisy_config_path),
+            "--grid", f"run.seed={seed}", "--grid", "run.days=3", "--out", str(out),
+        )
+        assert code == 0 and stanza["ok"] == "1"
+        header, row = (line.split(",") for line in out.read_text().splitlines())
+        cell = dict(zip(header, row))
+        assert cell["run.seed"] == str(seed) and cell["run.days"] == "3"
+        expected = summarize(run_sim(replace(load_config(noisy_config_path).build(), seed=seed, days=3)))
+        for key in ("final_close", "total_cost", "total_mtm_gain", "total_net_pnl"):
+            assert cell[key] == repr(getattr(expected, key))
+        assert expected != summarize(run_sim(replace(load_config(noisy_config_path).build(), seed=2**64, days=3)))
 
     def test_nan_sigma_cell_is_an_error_not_a_noiseless_run(self, capsys, noisy_config_path, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -302,7 +322,7 @@ class TestSweep:
         assert stanza["ok"] == "1" and stanza["failed"] == "1"
         assert "sigma_daily must be finite" in text
         rows = out.read_text().splitlines()
-        assert rows[2].startswith("nan,5.0,,") and "sigma_daily must be finite and >= 0, got nan" in rows[2]
+        assert rows[2].startswith("nan,5,,") and "sigma_daily must be finite and >= 0, got nan" in rows[2]
 
     @pytest.mark.parametrize("key", ["agents.capital", "agents.leverage", "agents.leg_notional", "agents.book_value"])
     @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -323,7 +343,7 @@ class TestSweep:
         assert code == 0
         assert stanza["ok"] == "1" and stanza["failed"] == "1"
         rows = out.read_text().splitlines()
-        assert rows[2].startswith(f"{value},3.0,,") and "ValueError" in rows[2]
+        assert rows[2].startswith(f"{value},3,,") and "ValueError" in rows[2]
 
     def test_all_cells_failing_is_a_runtime_error(self, capsys, reference_config_path, tmp_path):
         code, _, _, _ = run_cli(

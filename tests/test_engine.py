@@ -32,7 +32,9 @@ from daydrift import (
     summarize,
     write_daily_csv,
 )
-from daydrift.engine import day_keys
+from daydrift.engine import _BLOCK_DAYS, _run_days, day_keys
+from daydrift.ledger import AccountingError
+from daydrift.market import diffusion_coef, diffusion_growth
 
 from conftest import NOISY_CONFIG, REFERENCE_CONFIG
 
@@ -198,9 +200,132 @@ class TestRunDayMatchesOperationComposition:
             simulate(scenario)
 
 
+BLOCK_EDGE_DAYS = [1, _BLOCK_DAYS, _BLOCK_DAYS + 1, 2 * _BLOCK_DAYS + 3]
+
+
+def final_bits(state: MarketState) -> tuple[str, str, str]:
+    return state.day_anchor.hex(), state.perm_impact_bps.hex(), state.temp_impact_bps.hex()
+
+
+class TestBlockBoundaries:
+    @pytest.mark.parametrize("days", BLOCK_EDGE_DAYS)
+    @pytest.mark.parametrize(
+        "case",
+        ["noisy-path", "noisy-path-day-rng", "noiseless", "interior-trades-diffusing", "interior-trades-reverting"],
+    )
+    def test_simulate_chained_run_day_and_composition_agree(self, case, days):
+        scenario = replace(bitwise_case(case), days=days)
+        if scenario.leg_growth_per_day != 1.0:  # legs growing 1.5x a day leave the micro range on day 35
+            scenario = replace(scenario, leg_growth_per_day=1.01)
+        result = simulate(scenario)
+        state, ledger, records = scenario.initial_state(), Ledger(), []
+        for day in range(1, days + 1):
+            state, record, ledger = run_day(state, scenario, day, ledger)
+            records.append(record)
+        composed = list(compose_days(scenario))
+        _, composed_ledger, composed_state = composed[-1]
+        assert result.records == tuple(records) == tuple(record for record, _, _ in composed)
+        assert result.ledger == ledger == composed_ledger
+        assert final_bits(result.final_state) == final_bits(state) == final_bits(composed_state)
+
+    @pytest.mark.parametrize("sigma", [0.01, 300.0])
+    def test_block_growth_in_place_over_strided_rows_has_the_per_day_bits(self, sigma):
+        ticks = 392
+        coef = diffusion_coef(NoiseParams(sigma, None), 1.0 / ticks)
+        rows = np.empty((_BLOCK_DAYS, ticks + 1))
+        expected = []
+        with np.errstate(over="ignore"):
+            for i in range(_BLOCK_DAYS):
+                day_rng(7, i + 1).standard_normal(out=rows[i, 1:])
+                expected.append(diffusion_growth(coef, day_rng(7, i + 1).standard_normal(ticks)))
+            diffusion_growth(coef, rows[:, 1:], out=rows[:, 1:])
+        for row, day in zip(rows, expected):
+            assert row[1:].tobytes() == day.tobytes()
+
+
+def spike_on(monkeypatch, spike_day: int, tick: int = 5) -> None:
+    """Make ``day_rng`` draw a normal of 1e300 at ``tick`` of ``spike_day``, so its noise step overflows there."""
+
+    class Spiked:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def standard_normal(self, size=None, out=None):
+            z = self.rng.standard_normal(size, out=out)
+            z[tick] = 1e300
+            return z
+
+    def spiked(seed, day):
+        rng = day_rng(seed, day)
+        return Spiked(rng) if day == spike_day else rng
+
+    monkeypatch.setattr("daydrift.engine.day_rng", spiked)
+
+
+class TestErrorsAtBlockEdges:
+    @pytest.mark.parametrize("half_life", [None, 504.0])
+    @pytest.mark.parametrize("spike_day", [_BLOCK_DAYS, _BLOCK_DAYS + 1])
+    def test_noise_failure_names_its_day_and_books_only_the_days_before(self, monkeypatch, half_life, spike_day):
+        # seeds of 2**96 and more draw through day_rng, which the spike replaces
+        scenario = replace(
+            load_config(NOISY_CONFIG).build(), noise=NoiseParams(0.01, half_life), days=2 * _BLOCK_DAYS, seed=2**96
+        )
+        finished = simulate(replace(scenario, days=spike_day - 1))
+        spike_on(monkeypatch, spike_day)
+        with pytest.raises(SimulationError, match=rf"^day {spike_day}: noise step produced .* at tick 5: inf$"):
+            simulate(scenario)
+        records, ledger = [], Ledger()
+        with pytest.raises(ValueError, match="noise step produced"):
+            _run_days(scenario.initial_state(), scenario, range(1, scenario.days + 1), ledger, records)
+        assert len(records) == len(ledger.cost_history_micro) == spike_day - 1
+        assert tuple(records) == finished.records
+        assert ledger == finished.ledger
+
+    @pytest.mark.parametrize("half_life", [None, 504.0])
+    def test_noise_failure_before_a_failing_fill_reports_the_noise(self, monkeypatch, half_life):
+        # legs growing 1.5x a day leave the micro-currency range on day 35
+        scenario = replace(
+            load_config(NOISY_CONFIG).build(), noise=NoiseParams(0.01, half_life), days=40, seed=2**96,
+            leg_growth_per_day=1.5,
+        )
+        with pytest.raises(SimulationError, match=r"^day 35: .* does not fit in micro-currency range$"):
+            simulate(scenario)
+        spike_on(monkeypatch, 35, tick=0)  # tick 0 steps before the opening fill
+        with pytest.raises(SimulationError, match=r"^day 35: noise step produced .* at tick 0: inf$"):
+            simulate(scenario)
+
+    def test_a_failing_fill_before_a_failing_reversion_tick_reports_the_fill(self, monkeypatch):
+        scenario = replace(
+            load_config(NOISY_CONFIG).build(), noise=NoiseParams(0.01, 504.0), days=40, seed=2**96,
+            leg_growth_per_day=1.5,
+        )
+        spike_on(monkeypatch, 35, tick=200)  # mean reversion steps tick 200 after the opening fill
+        with pytest.raises(SimulationError, match=r"^day 35: .* does not fit in micro-currency range$") as info:
+            simulate(scenario)
+        assert isinstance(info.value.__cause__, AccountingError)
+
+    def test_growing_legs_leave_the_micro_range_on_day_35(self):
+        scenario = replace(load_config(NOISY_CONFIG).build(), days=300, leg_growth_per_day=1.5)
+        with pytest.raises(SimulationError, match=r"^day 35: .* does not fit in micro-currency range$") as info:
+            simulate(scenario)
+        assert isinstance(info.value.__cause__, AccountingError)
+
+    def test_a_failing_day_books_nothing_into_the_callers_ledger(self):
+        scenario = replace(load_config(NOISY_CONFIG).build(), leg_growth_per_day=1.5)
+        state, ledger = scenario.initial_state(), Ledger()
+        for day in range(1, 35):
+            state, _, ledger = run_day(state, scenario, day, ledger)
+        before = (ledger.fills, ledger.cash_micro, ledger.cumulative_cost_micro, ledger.cost_history_micro)
+        with pytest.raises(AccountingError, match="does not fit in micro-currency range"):
+            run_day(state, scenario, 35, ledger)
+        assert (ledger.fills, ledger.cash_micro, ledger.cumulative_cost_micro, ledger.cost_history_micro) == before
+
+
 def bitwise_case(case: str) -> Scenario:
     if case == "noisy-path":  # diffusion without reversion, 392 ticks
         return replace(load_config(NOISY_CONFIG).build(), days=4, seed=3)
+    if case == "noisy-path-day-rng":  # a seed too wide for day_keys draws through day_rng
+        return replace(load_config(NOISY_CONFIG).build(), days=4, seed=2**96 + 3)
     if case == "noiseless":
         return replace(load_config(REFERENCE_CONFIG).build(), days=3)
     # a buy-first and a sell-first agent trading at the same interior tick,
