@@ -18,7 +18,7 @@ from .analysis import (
     ingest_ohlc_csv,
     write_decomposition_csv,
 )
-from .config import ConfigError, ScenarioConfig, load_config
+from .config import ConfigError, ScenarioConfig, check_removed_key, load_config
 from .engine import (
     DAILY_CSV_HEADER,
     SimulationError,
@@ -158,6 +158,7 @@ def _parse_grid(specs: list[str]) -> list[tuple[str, list[float]]]:
             raise ConfigError(f"grid spec {spec!r} is not of the form key=v1,v2,...")
         key, _, raw_values = spec.partition("=")
         key = key.strip()
+        check_removed_key(key)
         try:
             values = [_grid_value(key, v) for v in raw_values.split(",") if v.strip()]
         except ValueError:

@@ -2,7 +2,8 @@
 
 Every key is checked against the owning type's constraints up front, and
 unknown sections or keys are hard errors, so a run either starts with a
-fully valid scenario or not at all.  Error messages name the offending
+fully valid scenario or not at all.  A key the model no longer has gets
+its own message, saying why it went.  Error messages name the offending
 ``section.key``.
 """
 
@@ -24,7 +25,7 @@ class ConfigError(ValueError):
 _SCHEMA: dict[str, tuple[str, ...]] = {
     "clock": ("ticks_per_day", "days_per_year"),
     "profile": ("spread_open_bps", "spread_close_bps", "depth"),
-    "impact": ("lambda", "permanent_fraction", "temporary_decay_per_tick"),
+    "impact": ("lambda", "permanent_fraction"),
     "noise": ("sigma_daily", "mean_reversion_half_life_days"),
     "agents": (
         "count",
@@ -40,6 +41,18 @@ _SCHEMA: dict[str, tuple[str, ...]] = {
     "output": ("daily_csv",),
 }
 
+# keys older configs may set, with why they went
+_REMOVED_KEYS: dict[str, str] = {
+    "impact.temporary_decay_per_tick": "temporary impact reached no price, fill or cost, so the model dropped it",
+}
+
+
+def check_removed_key(name: str) -> None:
+    """Raise ``ConfigError`` when ``name`` (``section.key``) is a removed key."""
+    reason = _REMOVED_KEYS.get(name)
+    if reason is not None:
+        raise ConfigError(f"{name}: removed key; {reason}; delete the setting")
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -52,7 +65,6 @@ class ScenarioConfig:
     depth: float = 1e9
     lam: float = 0.0
     permanent_fraction: float = 0.5
-    temporary_decay_per_tick: float = 0.5
     sigma_daily: float = 0.01
     mean_reversion_half_life_days: float | None = 504.0
     has_agents: bool = True
@@ -75,7 +87,7 @@ class ScenarioConfig:
         profile = SpreadDepthProfile.default(
             self.ticks_per_day, self.spread_open_bps, self.spread_close_bps, self.depth
         )
-        impact = ImpactParams(self.lam, self.permanent_fraction, self.temporary_decay_per_tick)
+        impact = ImpactParams(self.lam, self.permanent_fraction)
         noise = NoiseParams(self.sigma_daily, self.mean_reversion_half_life_days)
         agents: tuple[RoundTripTrader, ...] = ()
         if self.has_agents:
@@ -162,6 +174,7 @@ def load_config(path) -> ScenarioConfig:
             raise ConfigError(f"unknown section [{section}]")
         for key in parser[section]:
             if key not in _SCHEMA[section]:
+                check_removed_key(f"{section}.{key}")
                 raise ConfigError(f"{section}.{key}: unknown key")
 
     def get(section: str, key: str) -> str | None:
@@ -205,12 +218,6 @@ def load_config(path) -> ScenarioConfig:
         if not 0.0 <= pf <= 1.0:
             raise _fail("impact", "permanent_fraction", f"must be in [0, 1], got {pf}")
         values["permanent_fraction"] = pf
-    raw = get("impact", "temporary_decay_per_tick")
-    if raw is not None:
-        decay = _parse_float("impact", "temporary_decay_per_tick", raw)
-        if not 0.0 <= decay < 1.0:
-            raise _fail("impact", "temporary_decay_per_tick", f"must be in [0, 1), got {decay}")
-        values["temporary_decay_per_tick"] = decay
 
     raw = get("noise", "sigma_daily")
     if raw is not None:

@@ -1,8 +1,8 @@
 """Simulation engine: deterministic trading days, runs, and parameter sweeps.
 
-Per-tick processing order is fixed and part of the contract: (1) decay
-temporary impact, (2) apply the noise increment, (3) execute agent orders
-in agent-list order.  The day's open is the mid after tick 0 has been
+Per-tick processing order is fixed and part of the contract: (1) apply
+the noise increment, (2) execute agent orders in agent-list order.  The
+day's open is the mid after tick 0 has been
 fully processed; the close is the mid after the final tick.  Each day
 draws its noise from a Philox substream keyed by (seed, day), so a run is
 bit-reproducible and days can be replayed independently.  ``day_rng`` is
@@ -44,7 +44,6 @@ from .market import (
     NoiseParams,
     SpreadDepthProfile,
     check_noise_price,
-    decayed_temporary,
     diffusion_coef,
     diffusion_growth,
     diffusion_path,
@@ -330,8 +329,8 @@ def _run_days(
     into ``book_ledger`` and its record appended to ``records``, so after
     an error ``len(records)`` counts the days that finished and the ledger
     holds exactly those days; the failing day books nothing.  Between days
-    the anchor and the impacts are carried as floats; the close becomes the
-    next day's anchor, which is ``MarketState.start_day``.
+    the anchor and the permanent impact are carried as floats; the close
+    becomes the next day's anchor, which is ``MarketState.start_day``.
 
     The days are computed in blocks of ``_BLOCK_DAYS``, in four steps.
     Only the draw and the chain go day by day:
@@ -343,21 +342,21 @@ def _run_days(
        a fresh ``day_rng``; without, it builds the day's ``day_rng``.  A
        day without noise draws nothing.
     2. *What does not read the price*, as arrays over the block's days:
-       the scaled notionals, ``order_impact`` (costs and impacts), the
-       permanent impact before and after every order, and ``check_fills``
-       and ``mid_non_positive`` over the fills, which find the first day
-       whose orders would raise.
+       the scaled notionals (a plan without orders computes no leg
+       scales), ``order_impact`` (costs and impacts), the permanent impact
+       before and after every order, and ``check_fills`` and
+       ``mid_non_positive`` over the fills, which find the first day whose
+       orders would raise.
     3. *The chain*, day by day: without mean reversion the day's anchor
        path is one ``diffusion_path`` of its row; with it, ``noise_step``
        runs tick by tick and each stop's anchor is written into the row.
-       The temporary impact decays over each gap at once.
     4. *Booking*: the opens, ``fill_price`` of every fill and the marks,
        over the finished days, then ``book_days`` and the records.
 
     The per-tick order of the module docstring is the contract: the result
-    is bit-identical to composing ``decay_temporary``, ``advance_noise``
-    and ``apply_aggressive_trade`` tick by tick, one day at a time, which
-    the test suite checks at block boundaries.  A day fails with the error
+    is bit-identical to composing ``advance_noise`` and
+    ``apply_aggressive_trade`` tick by tick, one day at a time, which the
+    test suite checks at block boundaries.  A day fails with the error
     that processing it tick by tick raises first: the noise path (or a
     reversion tick), then each stop's orders in order, replayed through
     ``fill_order`` and ``record_fill`` to get their error, then the close.
@@ -375,7 +374,7 @@ def _run_days(
     order_col = [stop_col[s] for s in order_stop]
     flat = [1.0] * width
     close = anchor = state.day_anchor
-    temp, fund, rng = state.temp_impact_bps, state.fundamental, state.rng
+    fund, rng = state.fundamental, state.rng
     if keys is not None:
         bits = np.random.Philox(key=0)  # re-keyed before every draw
         rng = np.random.Generator(bits)
@@ -407,9 +406,9 @@ def _run_days(
                 diffusion_growth(coef, path[:, 1:], out=path[:, 1:])
 
             # 2. what does not read the price; perm[:, j] is the permanent impact before order j
-            scales, overflow = _leg_scales(leg_growth, block)
+            scales, overflow = _leg_scales(leg_growth, block) if n_orders else (np.ones(n), n)
             notionals = plan.notionals * scales[:, None]
-            costs, perm_steps, temp_steps = order_impact(impact, spreads, plan.depths, notionals)
+            costs, perm_steps = order_impact(impact, spreads, plan.depths, notionals)
             perm = np.zeros((n, n_orders + 1))
             perm[:, 1:] = perm_steps
             np.add.accumulate(perm, axis=1, out=perm)
@@ -432,14 +431,7 @@ def _run_days(
                     book_ledger.cumulative_cost_micro + sum(cost_micro[:booked]),
                 )
 
-            # 3. the chain: the inert temporary impact, then the price
-            for steps in temp_steps.tolist():
-                last = -1
-                for t, begin, end in stops:
-                    temp = decayed_temporary(impact, temp, t - last)
-                    for step in steps[begin:end]:
-                        temp += step
-                    last = t
+            # 3. the chain
             tick_perm = perm[:, [begin for _, begin, _ in stops]].T.tolist()
             close_perm = perm[:, -1].tolist()
             prev = close
@@ -491,19 +483,32 @@ def _run_days(
                     )
                     nets = [gain - cost for gain, cost in zip(gains, day_costs)]
                     records += map(DayRecord, block[:m], prevs.tolist(), opens.tolist(), closes, day_costs, gains, nets)
-    return MarketState(anchor, fund, close_perm[-1], temp, rng)
+    return MarketState(anchor, fund, close_perm[-1], rng)
+
+
+def _leg_scale(growth: float, day: int) -> float:
+    """Day ``day``'s scale ``growth ** (day - 1)`` on the day-1 leg notionals.
+
+    Python's float power raises ``OverflowError`` where numpy's would give
+    inf; this one names the key and the exponent.
+    """
+    try:
+        return growth ** (day - 1)
+    except OverflowError:
+        raise OverflowError(
+            f"leg scale agents.leg_growth_per_day ** {day - 1} = {growth!r} ** {day - 1} overflows a float"
+        ) from None
 
 
 def _leg_scales(growth: float, days: range) -> tuple[np.ndarray, int]:
-    """``growth ** (day - 1)`` for each day, and the index of the first that overflows (``len(days)`` if none).
+    """``_leg_scale`` of each day, and the index of the first that overflows (``len(days)`` if none).
 
-    Python's float power raises ``OverflowError`` where numpy's would give
-    inf; the days from the first overflow on are NaN.
+    The days from the first overflow on are NaN.
     """
     scales = []
     try:
         for day in days:
-            scales.append(growth ** (day - 1))
+            scales.append(_leg_scale(growth, day))
     except OverflowError:
         pass
     overflow = len(scales)
@@ -520,12 +525,12 @@ def _refusal(scenario: Scenario, day: int, cash_micro: int, cost_micro: int) -> 
     plan = scenario.plan
     orders = zip(plan.order_stop, plan.spreads.tolist(), plan.depths.tolist(), plan.notionals.tolist())
     ledger = Ledger(cash_micro, cost_micro)
-    perm = temp = 0.0
+    perm = 0.0
     try:
-        scale = scenario.leg_growth_per_day ** (day - 1)
+        scale = _leg_scale(scenario.leg_growth_per_day, day)
         for s, spread, depth, base in orders:
             notional = base * scale
-            fill, cost, perm, temp = fill_order(scenario.impact, spread, depth, 1.0, perm, temp, notional, plan.stops[s][0])
+            fill, cost, perm = fill_order(scenario.impact, spread, depth, 1.0, perm, notional, plan.stops[s][0])
             record_fill(ledger, fill, notional, cost)
     except (ValueError, OverflowError) as exc:
         return exc
@@ -632,7 +637,6 @@ def read_daily_csv(path) -> list[DayRecord]:
 SWEEPABLE_KEYS = (
     "impact.lambda",
     "impact.permanent_fraction",
-    "impact.temporary_decay_per_tick",
     "noise.sigma_daily",
     "noise.mean_reversion_half_life_days",
     "agents.capital",
@@ -666,8 +670,6 @@ def apply_override(scenario: Scenario, key: str, value: float) -> Scenario:
         return replace(scenario, impact=replace(scenario.impact, lam=value))
     if key == "impact.permanent_fraction":
         return replace(scenario, impact=replace(scenario.impact, permanent_fraction=value))
-    if key == "impact.temporary_decay_per_tick":
-        return replace(scenario, impact=replace(scenario.impact, temporary_decay_per_tick=value))
     if key == "noise.sigma_daily":
         return replace(scenario, noise=replace(scenario.noise, sigma_daily=value))
     if key == "noise.mean_reversion_half_life_days":

@@ -7,25 +7,25 @@ does the opposite.  Aggressive orders pay half the full spread versus mid
 and move the mid by an impact proportional to spread(t) / depth(t), so a
 trade of a given size moves the price more early in the day than late.
 
-Impact splits into a permanent part and a temporary part that decays tick
-by tick.  Within one trading day the permanent part accumulates additively
-in basis points against the day's anchor price (the previous close); across
-days the resulting drift compounds multiplicatively.  This keeps round
-trips exactly linear in notional, which is what makes the closed-form
-impact calibration below exact.
+Only the permanent share of an impact, ``permanent_fraction`` of it, moves
+the price; the rest leaves no trace in any price, fill or cost.  Within
+one trading day the permanent part accumulates additively in basis points
+against the day's anchor price (the previous close); across days the
+resulting drift compounds multiplicatively.  This keeps round trips
+exactly linear in notional, which is what makes the closed-form impact
+calibration below exact.
 
-Each operation on ``MarketState`` (``decay_temporary``, ``advance_noise``,
-``apply_aggressive_trade``) is the one-tick case of a step function below
-(``decayed_temporary``, ``noise_step``, ``fill_order``).  The engine's run
-kernel calls the same step functions, over whole segments of a day and,
-where they work elementwise (``mid_price``, ``fill_price``,
+A tick is two steps: noise, then trades.  Each operation on
+``MarketState`` (``advance_noise``, ``apply_aggressive_trade``) is the
+one-tick case of a step function below (``noise_step``, ``fill_order``).
+The engine's run kernel calls the same step functions, over whole segments
+of a day and, where they work elementwise (``mid_price``, ``fill_price``,
 ``order_impact``, ``crossing_cost``, ``diffusion_growth``), over arrays of
 a block of days, so there is one implementation of the model.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -127,26 +127,25 @@ class SpreadDepthProfile:
 
 @dataclass(frozen=True)
 class ImpactParams:
-    """Scale and permanent/temporary split of price impact.
+    """Scale of price impact and the share of it that moves the price.
 
-    ``lam`` is the dimensionless impact coefficient, ``permanent_fraction``
-    the share of each impact that persists, and ``temporary_decay_per_tick``
-    the fraction of outstanding temporary impact removed at every tick.
+    ``lam`` is the dimensionless impact coefficient and
+    ``permanent_fraction`` the share of each impact that persists.  Only
+    their product reaches an output: an order moves the mid by
+    ``permanent_fraction * lam * spread/depth * notional`` bps.  The two are
+    kept apart, and multiplied in that order, so the float products stay
+    as calibrated; ``calibrate_lambda`` solves for ``lam`` given the
+    fraction.
     """
 
     lam: float = 0.0
     permanent_fraction: float = 0.5
-    temporary_decay_per_tick: float = 0.5
 
     def __post_init__(self):
         if not 0.0 <= self.lam < math.inf:
             raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
         if not 0.0 <= self.permanent_fraction <= 1.0:
             raise ValueError(f"permanent_fraction must be in [0, 1], got {self.permanent_fraction}")
-        if not 0.0 <= self.temporary_decay_per_tick < 1.0:
-            raise ValueError(
-                f"temporary_decay_per_tick must be in [0, 1), got {self.temporary_decay_per_tick}"
-            )
 
 
 @dataclass(frozen=True)
@@ -176,14 +175,12 @@ class MarketState:
     The mid is carried as ``day_anchor`` (the reference price for the
     current day, moved only by noise) plus ``perm_impact_bps``, the
     permanent impact accumulated since the day started.  ``mid`` puts the
-    two together.  Temporary impact is tracked separately and never enters
-    recorded prices; it is observable through ``effective_mid``.
+    two together.
     """
 
     day_anchor: float
     fundamental: float
     perm_impact_bps: float = 0.0
-    temp_impact_bps: float = 0.0
     rng: np.random.Generator = field(default_factory=np.random.default_rng, repr=False)
 
     def __post_init__(self):
@@ -209,17 +206,11 @@ class MarketState:
         """Quoted mid: day anchor plus accumulated permanent impact."""
         return mid_price(self.day_anchor, self.perm_impact_bps)
 
-    @property
-    def effective_mid(self) -> float:
-        """Mid including the not-yet-decayed temporary impact (diagnostic)."""
-        return mid_price(self.day_anchor, self.perm_impact_bps + self.temp_impact_bps)
-
     def start_day(self, rng: np.random.Generator | None = None) -> "MarketState":
         """Roll accumulated impact into a fresh anchor at a day boundary.
 
         The current mid becomes the new anchor, so drift earned on one day
-        compounds into the base of the next.  Temporary impact carries over
-        and keeps decaying.
+        compounds into the base of the next.
         """
         return replace(
             self,
@@ -227,12 +218,6 @@ class MarketState:
             perm_impact_bps=0.0,
             rng=rng if rng is not None else self.rng,
         )
-
-    def decay_temporary(self, params: ImpactParams) -> "MarketState":
-        """One tick of temporary-impact decay."""
-        if self.temp_impact_bps == 0.0:
-            return self
-        return replace(self, temp_impact_bps=decayed_temporary(params, self.temp_impact_bps, 1))
 
 
 def mid_price(anchor: float, perm_bps: float) -> float:
@@ -242,16 +227,6 @@ def mid_price(anchor: float, perm_bps: float) -> float:
     then negate the day's relative move bit for bit.
     """
     return anchor + anchor * (perm_bps * BPS)
-
-
-def decayed_temporary(params: ImpactParams, temp_bps: float, n_ticks: int) -> float:
-    """Temporary impact (bps) after ``n_ticks`` ticks of decay.
-
-    The result is the product of ``n_ticks`` successive multiplications by
-    the retained fraction, in order, so any split of a run of ticks into
-    segments gives the same bits as decaying tick by tick.
-    """
-    return math.prod(itertools.repeat(1.0 - params.temporary_decay_per_tick, n_ticks), start=temp_bps)
 
 
 def quoted_half_spread(profile: SpreadDepthProfile, t: int) -> float:
@@ -310,23 +285,21 @@ def apply_aggressive_trade(
 
     The fill happens half the spread away from mid on the taker's side.
     The permanent share of the impact is added to the day's accumulated
-    drift; the rest joins the decaying temporary component.
+    drift.
     """
     _check_tick(profile, t)
     if signed_notional == 0:
         return state.mid, 0.0, state
-    fill_price, cost, perm, temp = fill_order(
+    fill_price, cost, perm = fill_order(
         params,
         float(profile.full_spread_bps[t]),
         float(profile.depth[t]),
         state.day_anchor,
         state.perm_impact_bps,
-        state.temp_impact_bps,
         signed_notional,
         t,
     )
-    new_state = replace(state, perm_impact_bps=perm, temp_impact_bps=temp)
-    return fill_price, cost, new_state
+    return fill_price, cost, replace(state, perm_impact_bps=perm)
 
 
 def fill_order(
@@ -335,27 +308,25 @@ def fill_order(
     depth: float,
     anchor: float,
     perm_bps: float,
-    temp_bps: float,
     signed_notional: float,
     t: int,
-) -> tuple[float, float, float, float]:
+) -> tuple[float, float, float]:
     """One nonzero aggressive order against a tick's full spread and depth.
 
-    Returns ``(fill_price, cost, perm_bps, temp_bps)``: the fill, its
-    spread cost, and the permanent and temporary impact after the trade.
-    It is ``fill_price`` and ``order_impact`` put together, and raises
-    ``ValueError`` where ``mid_non_positive`` holds after the trade.
+    Returns ``(fill_price, cost, perm_bps)``: the fill, its spread cost,
+    and the permanent impact after the trade.  It is ``fill_price`` and
+    ``order_impact`` put together, and raises ``ValueError`` where
+    ``mid_non_positive`` holds after the trade.
     """
     price = fill_price(anchor, perm_bps, spread_bps, signed_notional)
-    cost, perm_step, temp_step = order_impact(params, spread_bps, depth, signed_notional)
+    cost, perm_step = order_impact(params, spread_bps, depth, signed_notional)
     perm_bps += perm_step
-    temp_bps += temp_step
     if mid_non_positive(perm_bps):
         raise ValueError(
             f"trade of {signed_notional} at tick {t} would drive the mid non-positive "
             f"(cumulative permanent impact {perm_bps} bps)"
         )
-    return price, cost, perm_bps, temp_bps
+    return price, cost, perm_bps
 
 
 def fill_price(anchor, perm_bps, spread_bps, signed_notional):
@@ -370,13 +341,12 @@ def fill_price(anchor, perm_bps, spread_bps, signed_notional):
 def order_impact(params: ImpactParams, spread_bps, depth, signed_notional):
     """The parts of an aggressive order that do not read the price.
 
-    Returns ``(cost, perm_step, temp_step)``: the spread cost and the
-    additions to the permanent and temporary impact (bps).  Elementwise
-    over arrays of spreads, depths and notionals.
+    Returns ``(cost, perm_step)``: the spread cost and the addition to the
+    permanent impact (bps).  Elementwise over arrays of spreads, depths
+    and notionals.
     """
-    total = _signed_impact(params, spread_bps, depth, signed_notional)
-    perm_step = params.permanent_fraction * total
-    return crossing_cost(abs(signed_notional), spread_bps), perm_step, (1.0 - params.permanent_fraction) * total
+    perm_step = params.permanent_fraction * _signed_impact(params, spread_bps, depth, signed_notional)
+    return crossing_cost(abs(signed_notional), spread_bps), perm_step
 
 
 def mid_non_positive(perm_bps):

@@ -1,9 +1,14 @@
 import datetime
+import hashlib
 import re
+from dataclasses import fields
 
 import pytest
 
+from daydrift import SpreadDepthProfile, load_config
 from daydrift.cli import main
+from daydrift.config import _SCHEMA, ConfigError
+from daydrift.engine import SWEEPABLE_KEYS, apply_override
 
 from conftest import NOISY_CONFIG, parse_stanza
 
@@ -114,6 +119,94 @@ class TestRun:
         code, _, _, err = run_cli(capsys, "run", "--config", str(config))
         assert code == 1
         assert "output" in err
+
+
+class TestGoldenDigests:
+    def test_noiseless_reference_run_and_report(self, capsys, reference_config_path, tmp_path):
+        # a noiseless run calls no np.exp, so these bytes do not depend on the CPU's SIMD paths
+        daily, report = tmp_path / "daily.csv", tmp_path / "report.csv"
+        code, _, _, _ = run_cli(
+            capsys, "run", "--config", str(reference_config_path), "--days", "8000", "--seed", "0", "--out", str(daily)
+        )
+        assert code == 0
+        code, _, _, _ = run_cli(capsys, "analyze", str(daily), "--out", str(report))
+        assert code == 0
+        assert hashlib.sha256(daily.read_bytes()).hexdigest() == (
+            "35ba75441f671a323e8f951b5b6ca16252d2bf9cb4f48812ce81ed9404d73f66"
+        )
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == (
+            "b164b6d91b7899275af0be547b4b11a847078f0ce77c1234d67e0b845f2c2f4d"
+        )
+
+
+# a value for each sweep key that differs from configs/noisy.ini
+SWEEP_VALUES = {
+    "impact.lambda": 3.0,
+    "impact.permanent_fraction": 0.25,
+    "noise.sigma_daily": 0.02,
+    "noise.mean_reversion_half_life_days": 100.0,
+    "agents.capital": 2e9,
+    "agents.leverage": 5.0,
+    "agents.leg_notional": 2e7,
+    "agents.book_value": 2e10,
+    "profile.spread_open_bps": 20.0,
+    "profile.spread_close_bps": 4.0,
+    "profile.depth": 2e9,
+    "run.days": 3,
+    "run.seed": 8,
+    "run.initial_mid": 50.0,
+    "run.initial_fundamental": 60.0,
+}
+
+
+def scenario_fields(scenario) -> list:
+    """A scenario's fields as comparable values, the profile's tables as bytes."""
+    values = []
+    for f in fields(scenario):
+        value = getattr(scenario, f.name)
+        if isinstance(value, SpreadDepthProfile):
+            value = (value.full_spread_bps.tobytes(), value.depth.tobytes())
+        values.append((f.name, value))
+    return values
+
+
+class TestKeyTables:
+    def test_every_sweep_key_has_a_value_here(self):
+        assert sorted(SWEEP_VALUES) == sorted(SWEEPABLE_KEYS)
+
+    @pytest.mark.parametrize("key", SWEEPABLE_KEYS)
+    def test_sweep_key_changes_the_scenario_and_names_a_config_key(self, noisy_config_path, key):
+        base = load_config(noisy_config_path).build()
+        swept = apply_override(base, key, SWEEP_VALUES[key])
+        assert scenario_fields(swept) != scenario_fields(base)
+        section, _, name = key.partition(".")
+        if key == "agents.book_value":  # capital * leverage: a sweep moves capital at fixed leverage
+            assert {"capital", "leverage"} <= set(_SCHEMA["agents"])
+        else:
+            assert name in _SCHEMA[section]
+
+    def test_removed_key_is_in_no_table(self, noisy_config_path):
+        assert "impact.temporary_decay_per_tick" not in SWEEPABLE_KEYS
+        assert "temporary_decay_per_tick" not in _SCHEMA["impact"]
+        with pytest.raises(ValueError, match="unknown sweep key"):
+            apply_override(load_config(noisy_config_path).build(), "impact.temporary_decay_per_tick", 0.5)
+
+    def test_removed_key_in_a_config_names_it_as_removed(self, capsys, noisy_config_path, tmp_path):
+        config = tmp_path / "old.ini"
+        config.write_text(noisy_config_path.read_text().replace("[impact]\n", "[impact]\ntemporary_decay_per_tick = 0.5\n"))
+        with pytest.raises(ConfigError, match=r"^impact\.temporary_decay_per_tick: removed key; "):
+            load_config(config)
+        code, _, _, err = run_cli(capsys, "run", "--config", str(config), "--days", "3", "--out", str(tmp_path / "x.csv"))
+        assert code == 1
+        assert "impact.temporary_decay_per_tick: removed key; " in err and "unknown" not in err
+
+    def test_removed_key_in_a_sweep_grid_names_it_as_removed(self, capsys, noisy_config_path, tmp_path):
+        code, _, _, err = run_cli(
+            capsys, "sweep", "--config", str(noisy_config_path),
+            "--grid", "impact.temporary_decay_per_tick=0.3,0.5", "--out", str(tmp_path / "sweep.csv"),
+        )
+        assert code == 1
+        assert "impact.temporary_decay_per_tick: removed key; " in err and "unknown" not in err
 
 
 class TestAnalyze:

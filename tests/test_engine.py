@@ -130,7 +130,7 @@ class TestRunDayMatchesOperationComposition:
         ticks = 6
         clock = IntradayClock(ticks_per_day=ticks)
         profile = SpreadDepthProfile.default(ticks, 15.0, 5.0, 1e9)
-        impact = ImpactParams(lam=20.0, permanent_fraction=0.5, temporary_decay_per_tick=0.5)
+        impact = ImpactParams(lam=20.0, permanent_fraction=0.5)
         noise = NoiseParams(0.01, 504.0)
         agent = RoundTripTrader(1e9, 10.0, 1e7, buy_tick=0, sell_tick=ticks - 1)
         scenario = Scenario(
@@ -145,7 +145,6 @@ class TestRunDayMatchesOperationComposition:
             prev = state.day_anchor
             open_price = None
             for t in range(ticks):
-                state = state.decay_temporary(impact)
                 state = advance_noise(state, noise, clock.dt_days)
                 for intent in orders_for_tick(agent, t):
                     _, _, state = apply_aggressive_trade(
@@ -153,17 +152,16 @@ class TestRunDayMatchesOperationComposition:
                     )
                 if t == 0:
                     open_price = state.mid
-            expected.append((prev, open_price, state.mid, state.temp_impact_bps))
+            expected.append((prev, open_price, state.mid))
 
         records = simulate(scenario).records
-        for record, (prev, open_price, close, _) in zip(records, expected):
+        for record, (prev, open_price, close) in zip(records, expected):
             assert record.prev_close == prev
             assert record.open == open_price
             assert record.close == close
         # carried state agrees bit-for-bit too
         final = simulate(scenario).final_state
         assert final.mid == expected[-1][2]
-        assert final.temp_impact_bps == expected[-1][3]
 
     @pytest.mark.parametrize(
         "case",
@@ -179,7 +177,6 @@ class TestRunDayMatchesOperationComposition:
         final = result.final_state
         assert final.day_anchor == state.day_anchor
         assert final.perm_impact_bps == state.perm_impact_bps
-        assert final.temp_impact_bps == state.temp_impact_bps
 
     @pytest.mark.parametrize("half_life", [None, 504.0])
     def test_non_finite_price_names_the_first_day_the_noise_step_fails(self, half_life):
@@ -203,8 +200,8 @@ class TestRunDayMatchesOperationComposition:
 BLOCK_EDGE_DAYS = [1, _BLOCK_DAYS, _BLOCK_DAYS + 1, 2 * _BLOCK_DAYS + 3]
 
 
-def final_bits(state: MarketState) -> tuple[str, str, str]:
-    return state.day_anchor.hex(), state.perm_impact_bps.hex(), state.temp_impact_bps.hex()
+def final_bits(state: MarketState) -> tuple[str, str]:
+    return state.day_anchor.hex(), state.perm_impact_bps.hex()
 
 
 class TestBlockBoundaries:
@@ -310,6 +307,23 @@ class TestErrorsAtBlockEdges:
             simulate(scenario)
         assert isinstance(info.value.__cause__, AccountingError)
 
+    def test_a_run_without_orders_computes_no_leg_scales(self):
+        # 10.0 ** 309 overflows a float, but a disabled trader places no order to scale
+        base = load_config(NOISY_CONFIG).build()
+        scenario = replace(
+            base, agents=tuple(replace(a, enabled=False) for a in base.agents), days=400, leg_growth_per_day=10.0
+        )
+        assert simulate(scenario).records == simulate(replace(scenario, leg_growth_per_day=1.0)).records
+
+    def test_a_leg_scale_overflow_names_the_key(self):
+        # 1e30 ** 11 overflows on day 12, although the scaled legs, 1e-300 * 1e330, would not
+        base = load_config(NOISY_CONFIG).build()
+        scenario = replace(
+            base, agents=tuple(replace(a, leg_notional=1e-300) for a in base.agents), days=20, leg_growth_per_day=1e30
+        )
+        with pytest.raises(SimulationError, match=r"^day 12: .*leg_growth_per_day \*\* 11 "):
+            simulate(scenario)
+
     def test_a_failing_day_books_nothing_into_the_callers_ledger(self):
         scenario = replace(load_config(NOISY_CONFIG).build(), leg_growth_per_day=1.5)
         state, ledger = scenario.initial_state(), Ledger()
@@ -335,14 +349,11 @@ def bitwise_case(case: str) -> Scenario:
         RoundTripTrader(5e8, 10.0, -4e6, buy_tick=5, sell_tick=50, agent_id="B"),
     )
     if case == "interior-trades-diffusing":
-        scenario = make_scenario(days=3, seed=5, sigma=0.01, agents=agents, ticks=64, leg_growth_per_day=1.5)
-    else:
-        scenario = make_scenario(
-            days=3, sigma=0.0, half_life=0.5, agents=agents, ticks=64, fundamental=95.0,
-            leg_growth_per_day=1.5,
-        )
-    # a retained fraction that is not a power of two rounds at every tick
-    return replace(scenario, impact=ImpactParams(lam=20.0, temporary_decay_per_tick=0.3))
+        return make_scenario(days=3, seed=5, sigma=0.01, agents=agents, ticks=64, leg_growth_per_day=1.5)
+    return make_scenario(
+        days=3, sigma=0.0, half_life=0.5, agents=agents, ticks=64, fundamental=95.0,
+        leg_growth_per_day=1.5,
+    )
 
 
 def compose_days(scenario: Scenario):
@@ -359,7 +370,6 @@ def compose_days(scenario: Scenario):
         prev = state.day_anchor
         scale = scenario.leg_growth_per_day ** (day - 1)
         for t in range(clock.ticks_per_day):
-            state = state.decay_temporary(impact)
             state = advance_noise(state, noise, clock.dt_days)
             for agent in scenario.agents:
                 for intent in orders_for_tick(agent, t, scale):
@@ -416,11 +426,7 @@ class TestRunSim:
         assert tuple(records) == result.records
         assert ledger == result.ledger
         final = result.final_state
-        assert (state.day_anchor, state.perm_impact_bps, state.temp_impact_bps) == (
-            final.day_anchor,
-            final.perm_impact_bps,
-            final.temp_impact_bps,
-        )
+        assert (state.day_anchor, state.perm_impact_bps) == (final.day_anchor, final.perm_impact_bps)
 
     @pytest.mark.parametrize("half_life", [None, 0.5])
     def test_noiseless_runs_draw_no_substream(self, monkeypatch, half_life):

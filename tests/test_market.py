@@ -199,8 +199,6 @@ class TestApplyAggressiveTrade:
         _, _, state = apply_aggressive_trade(state, DEFAULT, params, 1e7, 0)
         total = impact_bps(params, DEFAULT, 1e7, 0)
         assert state.perm_impact_bps == pytest.approx(0.25 * total, rel=1e-12)
-        assert state.temp_impact_bps == pytest.approx(0.75 * total, rel=1e-12)
-        assert state.effective_mid > state.mid
 
     def test_pathological_sell_rejected(self):
         params = ImpactParams(lam=1e6)
@@ -328,11 +326,9 @@ class TestAdvanceNoise:
 class TestQuiescence:
     def test_mid_is_bit_constant_without_trades_noise_or_reversion(self):
         state = MarketState.initial(107.3331)
-        params = ImpactParams(lam=20.0)
         noise = NoiseParams(0.0, None)
         start = state.mid
         for _ in range(2000):
-            state = state.decay_temporary(params)
             state = advance_noise(state, noise, 1.0 / 392)
         assert state.mid == start
 
@@ -350,17 +346,7 @@ class TestMarketState:
         rolled = state.start_day()
         assert rolled.day_anchor == mid_before
         assert rolled.perm_impact_bps == 0.0
-        assert rolled.temp_impact_bps == state.temp_impact_bps
         assert rolled.mid == mid_before
-
-    def test_temporary_impact_decays_geometrically(self):
-        state = MarketState.initial(100.0)
-        _, _, state = apply_aggressive_trade(state, DEFAULT, PARAMS_1BP, 1e7, 0)
-        temp = state.temp_impact_bps
-        assert temp == pytest.approx(1.5, rel=1e-12)  # half of the 3 bp open impact
-        state = state.decay_temporary(PARAMS_1BP)
-        assert state.temp_impact_bps == pytest.approx(temp / 2, rel=1e-12)
-        assert state.mid == pytest.approx(100.0 * (1 + 1.5 * BPS), rel=1e-12)  # unaffected
 
 
 def test_bps_constant_is_exact():
