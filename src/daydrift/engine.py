@@ -2,14 +2,14 @@
 
 Per-tick processing order is fixed and part of the contract: (1) apply
 the noise increment, (2) execute agent orders in agent-list order.  The
-day's open is the mid after tick 0 has been
-fully processed; the close is the mid after the final tick.  Each day
-draws its noise from a Philox substream keyed by (seed, day), so a run is
-bit-reproducible and days can be replayed independently.  ``day_rng`` is
-the reference definition of a substream.  ``simulate`` computes the Philox
-keys of all of a run's days at once with ``day_keys``, which gives the bits
-of ``SeedSequence``, and re-keys one generator per day; ``run_day``, and a
-seed too wide for ``day_keys``, build each day's ``day_rng``.
+day's open is the mid after tick 0 has been fully processed; the close is
+the mid after the final tick.  Each day draws its noise from a Philox
+substream keyed by (seed, day), so a run is bit-reproducible and days can
+be replayed independently.  ``day_rng`` is the reference definition of a
+substream.  ``simulate`` computes the Philox keys of all of a run's days
+at once with ``day_keys``, which gives the bits of ``SeedSequence``, and
+re-keys one generator per day; ``run_day``, and a seed too wide for
+``day_keys``, build each day's ``day_rng``.
 
 One run kernel computes every day, for ``simulate`` over a whole run and
 for ``run_day`` over one day.  It works in blocks of days.  Only the noise
@@ -268,8 +268,9 @@ def run_day(
     by re-keying one generator; one day does not pay for ``day_keys``.
     A noiseless day draws no generator and carries ``state.rng`` over.
     A noise step that leaves the anchor outside (0, inf), a close outside
-    it, or an order that ``fill_order`` or ``record_fill`` refuses raises
-    the error of the first such check in per-tick order: ``ValueError``,
+    it, an order that ``fill_order`` or ``record_fill`` refuses, or a leg
+    scale that overflows on a day with orders raises the error of the
+    first such check in per-tick order (noise, then trades): ``ValueError``,
     or an ``OverflowError`` such as ``AccountingError``.  A failing day
     books none of its fills: ``book_ledger`` is left as it was.
     """

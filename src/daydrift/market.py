@@ -131,11 +131,12 @@ class ImpactParams:
 
     ``lam`` is the dimensionless impact coefficient and
     ``permanent_fraction`` the share of each impact that persists.  Only
-    their product reaches an output: an order moves the mid by
-    ``permanent_fraction * lam * spread/depth * notional`` bps.  The two are
-    kept apart, and multiplied in that order, so the float products stay
-    as calibrated; ``calibrate_lambda`` solves for ``lam`` given the
-    fraction.
+    their product ``permanent_fraction * lam`` reaches an output: an order
+    moves the mid by ``permanent_fraction`` times its impact
+    ``lam * spread/depth * |notional|`` bps, and ``calibrate_lambda``
+    solves for ``lam`` given the fraction.  They stay two fields because
+    one product parameter would reorder the float products, which can move
+    output bits.
     """
 
     lam: float = 0.0
