@@ -35,17 +35,17 @@ class RoundTripTrader:
         if not 0.0 < self.leverage < math.inf:
             raise ValueError(f"leverage must be positive and finite, got {self.leverage}")
         if not self.book_value < math.inf:
-            raise ValueError(f"book value capital * leverage overflows: {self.capital} * {self.leverage}")
+            raise ValueError(f"leverage: book value capital * leverage overflows: {self.capital} * {self.leverage}")
         if not math.isfinite(self.leg_notional):
             raise ValueError(f"leg_notional must be finite, got {self.leg_notional}")
         if abs(self.leg_notional) > self.book_value:
             raise ValueError(
                 f"leg_notional {self.leg_notional} exceeds book value {self.book_value}"
             )
-        if not 0 <= self.buy_tick < self.sell_tick:
-            raise ValueError(
-                f"need 0 <= buy_tick < sell_tick, got buy={self.buy_tick} sell={self.sell_tick}"
-            )
+        if self.buy_tick < 0:
+            raise ValueError(f"buy_tick must be >= 0, got {self.buy_tick}")
+        if not self.buy_tick < self.sell_tick:
+            raise ValueError(f"sell_tick must be after buy_tick {self.buy_tick}, got {self.sell_tick}")
 
     @property
     def book_value(self) -> float:
@@ -77,22 +77,23 @@ def orders_for_tick(agent: RoundTripTrader, t: int, notional_scale: float = 1.0)
     return []
 
 
-def split_trader(n: int, template: RoundTripTrader) -> list[RoundTripTrader]:
-    """Split one trader into ``n`` equal smaller ones with the same schedule.
+def split_trader(count: int, template: RoundTripTrader) -> list[RoundTripTrader]:
+    """Split one trader into ``count`` equal smaller ones with the same schedule.
 
-    Each clone carries 1/n of the capital, book, and leg notional; summed
-    over the clones the per-tick order flow equals the template's exactly.
+    Each clone carries 1/count of the capital, book, and leg notional;
+    summed over the clones the per-tick order flow equals the template's
+    exactly.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if n == 1:
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
+    if count == 1:
         return [template]
     return [
         replace(
             template,
-            capital=template.capital / n,
-            leg_notional=template.leg_notional / n,
+            capital=template.capital / count,
+            leg_notional=template.leg_notional / count,
             agent_id=f"{template.agent_id}{i + 1}",
         )
-        for i in range(n)
+        for i in range(count)
     ]

@@ -18,7 +18,7 @@ from .analysis import (
     ingest_ohlc_csv,
     write_decomposition_csv,
 )
-from .config import ConfigError, ScenarioConfig, check_removed_key, load_config
+from .config import KEYS, ConfigError, ScenarioConfig, check_removed_key, load_config
 from .engine import (
     DAILY_CSV_HEADER,
     SimulationError,
@@ -63,12 +63,8 @@ def _summary_pairs(summary) -> dict:
 def _load(args) -> ScenarioConfig:
     cfg = load_config(args.config)
     if getattr(args, "seed", None) is not None:
-        if args.seed < 0:
-            raise ConfigError(f"run.seed: must be >= 0, got {args.seed}")
         cfg = replace(cfg, seed=args.seed)
     if getattr(args, "days", None) is not None:
-        if args.days < 1:
-            raise ConfigError(f"run.days: must be >= 1, got {args.days}")
         cfg = replace(cfg, days=args.days)
     return cfg
 
@@ -78,10 +74,7 @@ def cmd_run(args) -> int:
     out = args.out or cfg.daily_csv
     if out is None:
         raise ConfigError("output.daily_csv: no output path; pass --out or set [output] daily_csv")
-    try:
-        scenario = cfg.build()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    scenario = cfg.build()
     records = run_sim(scenario)
     try:
         write_daily_csv(records, out)
@@ -138,12 +131,9 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-_INTEGER_GRID_KEYS = ("run.days", "run.seed")
-
-
 def _grid_value(key: str, token: str) -> int | float:
     """A grid value; an integer literal of an integer key stays an exact ``int``."""
-    if key in _INTEGER_GRID_KEYS:
+    if key in KEYS and KEYS[key].kind == "int":
         try:
             return int(token)
         except ValueError:
@@ -172,16 +162,9 @@ def _parse_grid(specs: list[str]) -> list[tuple[str, list[float]]]:
 def cmd_sweep(args) -> int:
     import csv as _csv
 
-    cfg = _load(args)
-    try:
-        base = cfg.build()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    base = _load(args).build()
     grid = _parse_grid(args.grid)
-    try:
-        cells = run_sweep(base, grid, workers=args.workers)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    cells = run_sweep(base, grid, workers=args.workers)
 
     keys = [key for key, _ in grid]
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -212,17 +195,13 @@ def cmd_calibrate(args) -> int:
     cfg = _load(args)
     if not cfg.has_agents:
         raise ConfigError("agents: config declares no agents; nothing to calibrate")
-    try:
-        scenario = cfg.build()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    sell_tick = cfg.sell_tick if cfg.sell_tick >= 0 else cfg.ticks_per_day - 1
+    scenario = cfg.build()
     lam = calibrate_lambda(
         scenario.profile,
         scenario.impact,
         cfg.leg_notional,
         cfg.buy_tick,
-        sell_tick,
+        cfg.sell_tick,
         args.target_bps,
     )
     check = replace(

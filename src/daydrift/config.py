@@ -1,17 +1,21 @@
 """Scenario config files: sectioned key=value text, validated before any run.
 
-Every key is checked against the owning type's constraints up front, and
-unknown sections or keys are hard errors, so a run either starts with a
-fully valid scenario or not at all.  A key the model no longer has gets
-its own message, saying why it went.  Error messages name the offending
-``section.key``.
+``KEYS`` is the one table of keys: each ``section.key``, the
+``ScenarioConfig`` field it sets, named as in the type that owns the
+field, and its type.  It drives parsing, error naming, the sweep grid's
+integer literals and ``engine.apply_override``.  This module only parses:
+the owning types check every range when ``build()`` makes the scenario,
+which ``load_config`` does, and ``keyed`` names the key in their errors.
+Unknown sections or keys are hard errors, and a key the model no longer
+has gets its own message, saying why it went.
 """
 
 from __future__ import annotations
 
 import configparser
-import math
+import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .agents import RoundTripTrader, split_trader
 from .engine import Scenario
@@ -22,29 +26,48 @@ class ConfigError(ValueError):
     """Invalid or unknown configuration; message names the key."""
 
 
-_SCHEMA: dict[str, tuple[str, ...]] = {
-    "clock": ("ticks_per_day", "days_per_year"),
-    "profile": ("spread_open_bps", "spread_close_bps", "depth"),
-    "impact": ("lambda", "permanent_fraction"),
-    "noise": ("sigma_daily", "mean_reversion_half_life_days"),
-    "agents": (
-        "count",
-        "capital",
-        "leverage",
-        "leg_notional",
-        "buy_tick",
-        "sell_tick",
-        "enabled",
-        "leg_growth_per_day",
-    ),
-    "run": ("days", "seed", "initial_mid", "initial_fundamental"),
-    "output": ("daily_csv",),
+class Key(NamedTuple):
+    """One key: the field it sets, the field's type, and where it may be set."""
+
+    field: str
+    kind: str  # int, float, bool, str, tick (an int, or open/close) or float-or-none (a float, or none)
+    sweep: bool = False  # a sweep may set it
+    config: bool = True  # a config file may set it
+
+
+KEYS: dict[str, Key] = {
+    "clock.ticks_per_day": Key("ticks_per_day", "int"),
+    "clock.days_per_year": Key("days_per_year", "int"),
+    "profile.spread_open_bps": Key("open_spread_bps", "float", sweep=True),
+    "profile.spread_close_bps": Key("close_spread_bps", "float", sweep=True),
+    "profile.depth": Key("depth", "float", sweep=True),
+    "impact.lambda": Key("lam", "float", sweep=True),
+    "impact.permanent_fraction": Key("permanent_fraction", "float", sweep=True),
+    "noise.sigma_daily": Key("sigma_daily", "float", sweep=True),
+    "noise.mean_reversion_half_life_days": Key("half_life_days", "float-or-none", sweep=True),
+    "agents.count": Key("count", "int"),
+    "agents.capital": Key("capital", "float", sweep=True),
+    "agents.leverage": Key("leverage", "float", sweep=True),
+    # capital * leverage; a sweep moves capital at fixed leverage
+    "agents.book_value": Key("book_value", "float", sweep=True, config=False),
+    "agents.leg_notional": Key("leg_notional", "float", sweep=True),
+    "agents.buy_tick": Key("buy_tick", "tick"),
+    "agents.sell_tick": Key("sell_tick", "tick"),
+    "agents.enabled": Key("enabled", "bool"),
+    "agents.leg_growth_per_day": Key("leg_growth_per_day", "float"),
+    "run.days": Key("days", "int", sweep=True),
+    "run.seed": Key("seed", "int", sweep=True),
+    "run.initial_mid": Key("initial_mid", "float", sweep=True),
+    "run.initial_fundamental": Key("initial_fundamental", "float", sweep=True),
+    "output.daily_csv": Key("daily_csv", "str"),
 }
 
 # keys older configs may set, with why they went
 _REMOVED_KEYS: dict[str, str] = {
     "impact.temporary_decay_per_tick": "temporary impact reached no price, fill or cost, so the model dropped it",
 }
+
+_FIELD_KEYS = {row.field: name for name, row in KEYS.items()}
 
 
 def check_removed_key(name: str) -> None:
@@ -54,26 +77,50 @@ def check_removed_key(name: str) -> None:
         raise ConfigError(f"{name}: removed key; {reason}; delete the setting")
 
 
+def sweep_key(name: str) -> Key:
+    """The row of sweep key ``name``; ``ValueError`` lists the sweep keys when it is none."""
+    row = KEYS.get(name)
+    if row is None or not row.sweep:
+        supported = ", ".join(key for key, r in KEYS.items() if r.sweep)
+        raise ValueError(f"unknown sweep key {name!r}; supported keys: {supported}")
+    return row
+
+
+def keyed(exc: ValueError, key: str | None = None) -> str:
+    """The message of an owning type's ``ValueError``, naming a ``section.key``.
+
+    The message starts with the name of the field it rejects, and that name
+    becomes the field's key.  ``key`` is the key a sweep is setting: a
+    message about another field, or about none, is prefixed with it.
+    """
+    message = str(exc)
+    field = re.match(r"\w*", message).group()
+    named = _FIELD_KEYS.get(field)
+    if named is not None and key in (None, named):
+        return named + message[len(field) :]
+    return message if key is None else f"{key}: {message}"
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Validated scalar view of a config file; ``build()`` makes the Scenario."""
+    """Scalar view of a config file, a field per key; ``build()`` makes the Scenario."""
 
     ticks_per_day: int = 392
     days_per_year: int = 252
-    spread_open_bps: float = 15.0
-    spread_close_bps: float = 5.0
+    open_spread_bps: float = 15.0
+    close_spread_bps: float = 5.0
     depth: float = 1e9
     lam: float = 0.0
     permanent_fraction: float = 0.5
     sigma_daily: float = 0.01
-    mean_reversion_half_life_days: float | None = 504.0
+    half_life_days: float | None = 504.0
     has_agents: bool = True
-    agent_count: int = 1
+    count: int = 1
     capital: float = 1e9
     leverage: float = 10.0
     leg_notional: float = 1e7
     buy_tick: int = 0
-    sell_tick: int = -1  # -1 means the close auction
+    sell_tick: int = 391  # the close auction of the default day
     enabled: bool = True
     leg_growth_per_day: float = 1.0
     days: int = 1
@@ -83,81 +130,68 @@ class ScenarioConfig:
     daily_csv: str | None = None
 
     def build(self) -> Scenario:
-        clock = IntradayClock(self.ticks_per_day, self.days_per_year)
-        profile = SpreadDepthProfile.default(
-            self.ticks_per_day, self.spread_open_bps, self.spread_close_bps, self.depth
-        )
-        impact = ImpactParams(self.lam, self.permanent_fraction)
-        noise = NoiseParams(self.sigma_daily, self.mean_reversion_half_life_days)
-        agents: tuple[RoundTripTrader, ...] = ()
-        if self.has_agents:
-            sell = self.sell_tick if self.sell_tick >= 0 else clock.close_tick
-            template = RoundTripTrader(
-                capital=self.capital,
-                leverage=self.leverage,
-                leg_notional=self.leg_notional,
-                buy_tick=self.buy_tick,
-                sell_tick=sell,
-                enabled=self.enabled,
+        """The scenario; ``ConfigError`` names the key of a value an owning type rejects."""
+        try:
+            clock = IntradayClock(self.ticks_per_day, self.days_per_year)
+            profile = SpreadDepthProfile.default(
+                self.ticks_per_day, self.open_spread_bps, self.close_spread_bps, self.depth
             )
-            agents = tuple(split_trader(self.agent_count, template))
-        return Scenario(
-            clock=clock,
-            profile=profile,
-            impact=impact,
-            noise=noise,
-            agents=agents,
-            days=self.days,
-            seed=self.seed,
-            initial_mid=self.initial_mid,
-            initial_fundamental=(
-                self.initial_fundamental if self.initial_fundamental is not None else self.initial_mid
-            ),
-            leg_growth_per_day=self.leg_growth_per_day,
-        )
+            impact = ImpactParams(self.lam, self.permanent_fraction)
+            noise = NoiseParams(self.sigma_daily, self.half_life_days)
+            agents: tuple[RoundTripTrader, ...] = ()
+            if self.has_agents:
+                template = RoundTripTrader(
+                    capital=self.capital,
+                    leverage=self.leverage,
+                    leg_notional=self.leg_notional,
+                    buy_tick=self.buy_tick,
+                    sell_tick=self.sell_tick,
+                    enabled=self.enabled,
+                )
+                agents = tuple(split_trader(self.count, template))
+            return Scenario(
+                clock=clock,
+                profile=profile,
+                impact=impact,
+                noise=noise,
+                agents=agents,
+                days=self.days,
+                seed=self.seed,
+                initial_mid=self.initial_mid,
+                initial_fundamental=(
+                    self.initial_fundamental if self.initial_fundamental is not None else self.initial_mid
+                ),
+                leg_growth_per_day=self.leg_growth_per_day,
+            )
+        except ValueError as exc:
+            raise ConfigError(keyed(exc)) from exc
 
 
-def _fail(section: str, key: str, message: str) -> ConfigError:
-    return ConfigError(f"{section}.{key}: {message}")
+_BOOLS = {"true": True, "yes": True, "on": True, "1": True, "false": False, "no": False, "off": False, "0": False}
 
 
-def _parse_float(section: str, key: str, raw: str) -> float:
+def _parse(name: str, kind: str, raw: str, ticks_per_day: int):
+    """``raw`` as a value of ``kind``; one that does not parse is a ``ConfigError`` naming ``name``."""
+    word = raw.lower()
+    if kind == "str":
+        return raw
+    if kind == "bool":
+        if word in _BOOLS:
+            return _BOOLS[word]
+        raise ConfigError(f"{name}: not a boolean: {raw!r}")
+    if kind == "tick" and word in ("open", "close"):
+        return 0 if word == "open" else ticks_per_day - 1
+    if kind == "float-or-none" and word == "none":
+        return None
+    integer = kind in ("int", "tick")
     try:
-        return float(raw)
+        return int(raw) if integer else float(raw)
     except ValueError:
-        raise _fail(section, key, f"not a number: {raw!r}") from None
-
-
-def _parse_int(section: str, key: str, raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise _fail(section, key, f"not an integer: {raw!r}") from None
-
-
-def _parse_bool(section: str, key: str, raw: str) -> bool:
-    lowered = raw.strip().lower()
-    if lowered in ("true", "yes", "on", "1"):
-        return True
-    if lowered in ("false", "no", "off", "0"):
-        return False
-    raise _fail(section, key, f"not a boolean: {raw!r}")
-
-
-def _parse_tick(section: str, key: str, raw: str, ticks_per_day: int) -> int:
-    lowered = raw.strip().lower()
-    if lowered == "open":
-        return 0
-    if lowered == "close":
-        return ticks_per_day - 1
-    tick = _parse_int(section, key, raw)
-    if not 0 <= tick < ticks_per_day:
-        raise _fail(section, key, f"tick {tick} outside the {ticks_per_day}-tick day")
-    return tick
+        raise ConfigError(f"{name}: not {'an integer' if integer else 'a number'}: {raw!r}") from None
 
 
 def load_config(path) -> ScenarioConfig:
-    """Parse and fully validate a scenario config file."""
+    """Parse a scenario config file and validate it by building its scenario."""
     parser = configparser.ConfigParser(
         delimiters=("=",), inline_comment_prefixes=("#", ";"), strict=True
     )
@@ -169,144 +203,25 @@ def load_config(path) -> ScenarioConfig:
     except configparser.Error as exc:
         raise ConfigError(f"malformed config {path}: {exc}") from exc
 
+    sections = {name.partition(".")[0] for name in KEYS}
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in sections:
             raise ConfigError(f"unknown section [{section}]")
         for key in parser[section]:
-            if key not in _SCHEMA[section]:
-                check_removed_key(f"{section}.{key}")
-                raise ConfigError(f"{section}.{key}: unknown key")
+            name = f"{section}.{key}"
+            if name not in KEYS or not KEYS[name].config:
+                check_removed_key(name)
+                raise ConfigError(f"{name}: unknown key")
 
-    def get(section: str, key: str) -> str | None:
-        if parser.has_section(section) and key in parser[section]:
-            return parser[section][key].strip()
-        return None
-
-    cfg = ScenarioConfig()
-    values: dict[str, object] = {}
-
-    raw = get("clock", "ticks_per_day")
-    ticks = _parse_int("clock", "ticks_per_day", raw) if raw is not None else cfg.ticks_per_day
-    if ticks < 2:
-        raise _fail("clock", "ticks_per_day", f"must be >= 2, got {ticks}")
-    values["ticks_per_day"] = ticks
-
-    raw = get("clock", "days_per_year")
-    if raw is not None:
-        dpy = _parse_int("clock", "days_per_year", raw)
-        if dpy < 1:
-            raise _fail("clock", "days_per_year", f"must be >= 1, got {dpy}")
-        values["days_per_year"] = dpy
-
-    for key in ("spread_open_bps", "spread_close_bps", "depth"):
-        raw = get("profile", key)
+    values: dict[str, object] = {
+        "has_agents": parser.has_section("agents"),
+        "ticks_per_day": ScenarioConfig.ticks_per_day,
+    }
+    for name, row in KEYS.items():  # the clock comes first: a tick word reads ticks_per_day
+        raw = parser.get(*name.split("."), fallback=None)
         if raw is not None:
-            value = _parse_float("profile", key, raw)
-            if not value > 0:
-                raise _fail("profile", key, f"must be positive, got {value}")
-            values[key] = value
-
-    raw = get("impact", "lambda")
-    if raw is not None:
-        lam = _parse_float("impact", "lambda", raw)
-        if not 0.0 <= lam < math.inf:
-            raise _fail("impact", "lambda", f"must be finite and >= 0, got {lam}")
-        values["lam"] = lam
-    raw = get("impact", "permanent_fraction")
-    if raw is not None:
-        pf = _parse_float("impact", "permanent_fraction", raw)
-        if not 0.0 <= pf <= 1.0:
-            raise _fail("impact", "permanent_fraction", f"must be in [0, 1], got {pf}")
-        values["permanent_fraction"] = pf
-
-    raw = get("noise", "sigma_daily")
-    if raw is not None:
-        sigma = _parse_float("noise", "sigma_daily", raw)
-        if not 0.0 <= sigma < math.inf:
-            raise _fail("noise", "sigma_daily", f"must be finite and >= 0, got {sigma}")
-        values["sigma_daily"] = sigma
-    raw = get("noise", "mean_reversion_half_life_days")
-    if raw is not None:
-        if raw.lower() == "none":
-            values["mean_reversion_half_life_days"] = None
-        else:
-            half_life = _parse_float("noise", "mean_reversion_half_life_days", raw)
-            if not half_life > 0:
-                raise _fail(
-                    "noise", "mean_reversion_half_life_days", f"must be positive or 'none', got {half_life}"
-                )
-            values["mean_reversion_half_life_days"] = half_life
-
-    values["has_agents"] = parser.has_section("agents")
-    if parser.has_section("agents"):
-        raw = get("agents", "count")
-        if raw is not None:
-            count = _parse_int("agents", "count", raw)
-            if count < 1:
-                raise _fail("agents", "count", f"must be >= 1, got {count}")
-            values["agent_count"] = count
-        for key in ("capital", "leverage", "leg_notional"):
-            raw = get("agents", key)
-            if raw is not None:
-                value = _parse_float("agents", key, raw)
-                if key == "leg_notional":  # may be negative (sell-first round trip)
-                    if not math.isfinite(value):
-                        raise _fail("agents", key, f"must be finite, got {value}")
-                elif not 0.0 < value < math.inf:
-                    raise _fail("agents", key, f"must be positive and finite, got {value}")
-                values[key] = value
-        raw = get("agents", "buy_tick")
-        buy = _parse_tick("agents", "buy_tick", raw, ticks) if raw is not None else 0
-        raw = get("agents", "sell_tick")
-        sell = _parse_tick("agents", "sell_tick", raw, ticks) if raw is not None else ticks - 1
-        if not buy < sell:
-            raise _fail("agents", "sell_tick", f"must be after buy_tick {buy}, got {sell}")
-        values["buy_tick"] = buy
-        values["sell_tick"] = sell
-        raw = get("agents", "enabled")
-        if raw is not None:
-            values["enabled"] = _parse_bool("agents", "enabled", raw)
-        raw = get("agents", "leg_growth_per_day")
-        if raw is not None:
-            growth = _parse_float("agents", "leg_growth_per_day", raw)
-            if not 0.0 < growth < math.inf:
-                raise _fail("agents", "leg_growth_per_day", f"must be positive and finite, got {growth}")
-            values["leg_growth_per_day"] = growth
-
-    raw = get("run", "days")
-    if raw is not None:
-        days = _parse_int("run", "days", raw)
-        if days < 1:
-            raise _fail("run", "days", f"must be >= 1, got {days}")
-        values["days"] = days
-    raw = get("run", "seed")
-    if raw is not None:
-        seed = _parse_int("run", "seed", raw)
-        if seed < 0:
-            raise _fail("run", "seed", f"must be >= 0, got {seed}")
-        values["seed"] = seed
-    for key in ("initial_mid", "initial_fundamental"):
-        raw = get("run", key)
-        if raw is not None:
-            value = _parse_float("run", key, raw)
-            if not value > 0:
-                raise _fail("run", key, f"must be positive, got {value}")
-            values[key] = value
-
-    raw = get("output", "daily_csv")
-    if raw is not None:
-        values["daily_csv"] = raw
-
+            values[row.field] = _parse(name, row.kind, raw.strip(), values["ticks_per_day"])
+    values.setdefault("sell_tick", values["ticks_per_day"] - 1)  # the close auction
     config = ScenarioConfig(**values)
-    # book and leg consistency is owned by the agent type; surface it with a key name
-    if config.has_agents and not config.capital * config.leverage < math.inf:
-        raise _fail(
-            "agents", "leverage", f"book value capital * leverage overflows: {config.capital} * {config.leverage}"
-        )
-    if config.has_agents and abs(config.leg_notional) > config.capital * config.leverage:
-        raise _fail(
-            "agents",
-            "leg_notional",
-            f"{config.leg_notional} exceeds book value {config.capital * config.leverage}",
-        )
+    config.build()
     return config

@@ -89,10 +89,10 @@ class Scenario:
             raise ValueError(f"days must be >= 1, got {self.days}")
         if self.seed < 0:  # checked here because a noiseless run never hands it to day_rng
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if not self.initial_mid > 0:
-            raise ValueError(f"initial_mid must be positive, got {self.initial_mid}")
-        if not self.initial_fundamental > 0:
-            raise ValueError(f"initial_fundamental must be positive, got {self.initial_fundamental}")
+        if not 0.0 < self.initial_mid < math.inf:
+            raise ValueError(f"initial_mid must be positive and finite, got {self.initial_mid}")
+        if not 0.0 < self.initial_fundamental < math.inf:
+            raise ValueError(f"initial_fundamental must be positive and finite, got {self.initial_fundamental}")
         if not 0.0 < self.leg_growth_per_day < math.inf:
             raise ValueError(f"leg_growth_per_day must be positive and finite, got {self.leg_growth_per_day}")
         if len(self.profile) != self.clock.ticks_per_day:
@@ -102,7 +102,7 @@ class Scenario:
         for agent in self.agents:
             if agent.sell_tick >= self.clock.ticks_per_day:
                 raise ValueError(
-                    f"agent {agent.agent_id!r} trades at tick {agent.sell_tick}, outside the "
+                    f"sell_tick: agent {agent.agent_id!r} trades at tick {agent.sell_tick}, outside the "
                     f"{self.clock.ticks_per_day}-tick day"
                 )
 
@@ -111,8 +111,8 @@ class Scenario:
         return sum(a.book_value for a in self.agents if a.enabled)
 
     def initial_state(self) -> MarketState:
-        """The state before day 1; its generator is seeded with the run seed."""
-        return MarketState.initial(self.initial_mid, self.initial_fundamental, seed=self.seed)
+        """The state before day 1."""
+        return MarketState.initial(self.initial_mid, self.initial_fundamental)
 
     @cached_property
     def plan(self) -> "DayPlan":
@@ -266,7 +266,6 @@ def run_day(
     run's days gives ``simulate``'s records, ledger and state bit for bit.
     A noisy day draws from its ``day_rng``, which ``simulate`` reproduces
     by re-keying one generator; one day does not pay for ``day_keys``.
-    A noiseless day draws no generator and carries ``state.rng`` over.
     A noise step that leaves the anchor outside (0, inf), a close outside
     it, an order that ``fill_order`` or ``record_fill`` refuses, or a leg
     scale that overflows on a day with orders raises the error of the
@@ -292,14 +291,11 @@ def simulate(scenario: Scenario) -> SimResult:
     The run kernel computes the days in blocks (see ``_run_days``).  A
     noisy run computes every day's substream key up front with
     ``day_keys`` and re-keys one Philox generator per day, drawing each
-    day's normals, those of its ``day_rng``, into the block's array; its
-    ``final_state.rng`` has the bit-generator state of ``day_rng(seed,
-    days)`` after that day's ``ticks`` normals.  A seed too wide for
-    ``day_keys`` builds each day's ``day_rng`` instead.  A noiseless run
-    computes no keys and never builds a per-day generator, so its
-    ``final_state.rng`` is the initial state's generator, undrawn.  A
-    failing day raises ``SimulationError`` naming it, with the error of
-    the first check it fails in per-tick order.
+    day's normals, those of its ``day_rng``, into the block's array.  A
+    seed too wide for ``day_keys`` builds each day's ``day_rng`` instead.
+    A noiseless run computes no keys and builds no generator.  A failing
+    day raises ``SimulationError`` naming it, with the error of the first
+    check it fails in per-tick order.
     """
     book_ledger = Ledger()
     records: list[DayRecord] = []
@@ -375,7 +371,7 @@ def _run_days(
     order_col = [stop_col[s] for s in order_stop]
     flat = [1.0] * width
     close = anchor = state.day_anchor
-    fund, rng = state.fundamental, state.rng
+    fund = state.fundamental
     if keys is not None:
         bits = np.random.Philox(key=0)  # re-keyed before every draw
         rng = np.random.Generator(bits)
@@ -484,7 +480,7 @@ def _run_days(
                     )
                     nets = [gain - cost for gain, cost in zip(gains, day_costs)]
                     records += map(DayRecord, block[:m], prevs.tolist(), opens.tolist(), closes, day_costs, gains, nets)
-    return MarketState(anchor, fund, close_perm[-1], rng)
+    return MarketState(anchor, fund, close_perm[-1])
 
 
 def _leg_scale(growth: float, day: int) -> float:
@@ -635,25 +631,6 @@ def read_daily_csv(path) -> list[DayRecord]:
 
 # --- parameter sweeps -------------------------------------------------------
 
-SWEEPABLE_KEYS = (
-    "impact.lambda",
-    "impact.permanent_fraction",
-    "noise.sigma_daily",
-    "noise.mean_reversion_half_life_days",
-    "agents.capital",
-    "agents.leverage",
-    "agents.leg_notional",
-    "agents.book_value",
-    "profile.spread_open_bps",
-    "profile.spread_close_bps",
-    "profile.depth",
-    "run.days",
-    "run.seed",
-    "run.initial_mid",
-    "run.initial_fundamental",
-)
-
-
 @dataclass(frozen=True)
 class SweepCell:
     params: tuple[tuple[str, float], ...]
@@ -666,48 +643,37 @@ class SweepCell:
 
 
 def apply_override(scenario: Scenario, key: str, value: float) -> Scenario:
-    """Return the scenario with one named numeric field replaced."""
-    if key == "impact.lambda":
-        return replace(scenario, impact=replace(scenario.impact, lam=value))
-    if key == "impact.permanent_fraction":
-        return replace(scenario, impact=replace(scenario.impact, permanent_fraction=value))
-    if key == "noise.sigma_daily":
-        return replace(scenario, noise=replace(scenario.noise, sigma_daily=value))
-    if key == "noise.mean_reversion_half_life_days":
-        return replace(scenario, noise=replace(scenario.noise, half_life_days=value))
-    if key == "agents.capital":
-        return replace(scenario, agents=tuple(replace(a, capital=value) for a in scenario.agents))
-    if key == "agents.leverage":
-        return replace(scenario, agents=tuple(replace(a, leverage=value) for a in scenario.agents))
-    if key == "agents.leg_notional":
-        return replace(scenario, agents=tuple(replace(a, leg_notional=value) for a in scenario.agents))
-    if key == "agents.book_value":
-        # book = capital * leverage; hold leverage fixed and move capital
-        return replace(
-            scenario,
-            agents=tuple(replace(a, capital=value / a.leverage) for a in scenario.agents),
-        )
-    if key in ("profile.spread_open_bps", "profile.spread_close_bps", "profile.depth"):
-        open_bps = float(scenario.profile.full_spread_bps[0])
-        close_bps = float(scenario.profile.full_spread_bps[-1])
-        depth = float(scenario.profile.depth[0])
-        if key == "profile.spread_open_bps":
-            open_bps = value
-        elif key == "profile.spread_close_bps":
-            close_bps = value
-        else:
-            depth = value
-        profile = SpreadDepthProfile.default(scenario.clock.ticks_per_day, open_bps, close_bps, depth)
-        return replace(scenario, profile=profile)
-    if key in ("run.days", "run.seed"):
-        if isinstance(value, float) and not value.is_integer():
-            raise ValueError(f"{key} must be an integer, got {value!r}")
-        return replace(scenario, **{key.removeprefix("run."): int(value)})
-    if key == "run.initial_mid":
-        return replace(scenario, initial_mid=value)
-    if key == "run.initial_fundamental":
-        return replace(scenario, initial_fundamental=value)
-    raise ValueError(f"unknown sweep key {key!r}; supported keys: {', '.join(SWEEPABLE_KEYS)}")
+    """Return the scenario with the field of sweep key ``key`` (``config.KEYS``) set to ``value``.
+
+    An integral float sets an integer field.  ``agents.book_value`` moves
+    each agent's capital at fixed leverage; a profile endpoint rebuilds the
+    default profile.  The owning type's ``ValueError`` names ``key``.
+    """
+    from .config import keyed, sweep_key  # config imports this module
+
+    row = sweep_key(key)
+    section = key.partition(".")[0]
+    if row.kind == "int" and isinstance(value, float) and value.is_integer():
+        value = int(value)
+    try:
+        if key == "agents.book_value":
+            return replace(scenario, agents=tuple(replace(a, capital=value / a.leverage) for a in scenario.agents))
+        if section == "profile":
+            spread = scenario.profile.full_spread_bps
+            ends = {
+                "open_spread_bps": float(spread[0]),
+                "close_spread_bps": float(spread[-1]),
+                "depth": float(scenario.profile.depth[0]),
+                row.field: value,
+            }
+            return replace(scenario, profile=SpreadDepthProfile.default(scenario.clock.ticks_per_day, **ends))
+        if section == "agents":
+            return replace(scenario, agents=tuple(replace(a, **{row.field: value}) for a in scenario.agents))
+        if section == "run":
+            return replace(scenario, **{row.field: value})
+        return replace(scenario, **{section: replace(getattr(scenario, section), **{row.field: value})})
+    except ValueError as exc:
+        raise ValueError(keyed(exc, key)) from exc
 
 
 def _run_cell(args: tuple[Scenario, tuple[tuple[str, float], ...]]) -> SweepCell:
@@ -733,11 +699,12 @@ def run_sweep(
     output is identical whatever the worker count.  A failing cell is
     reported in its row and does not abort the others.
     """
+    from .config import sweep_key  # config imports this module
+
     if not grid:
         raise ValueError("sweep grid is empty")
     for key, values in grid:
-        if key not in SWEEPABLE_KEYS:
-            raise ValueError(f"unknown sweep key {key!r}; supported keys: {', '.join(SWEEPABLE_KEYS)}")
+        sweep_key(key)
         if not values:
             raise ValueError(f"sweep key {key!r} has no values")
     combos = [

@@ -27,7 +27,7 @@ a block of days, so there is one implementation of the model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -105,14 +105,15 @@ class SpreadDepthProfile:
         """Wide-open/tight-close profile: geometric spread decay, constant depth.
 
         Endpoints are pinned exactly to the requested open/close spreads so
-        that costs computed at the auctions are exact.
+        that costs computed at the auctions are exact.  An endpoint outside
+        (0, inf) raises ``ValueError`` naming it, before any arithmetic.
         """
         if n_ticks < 2:
             raise ValueError("n_ticks must be >= 2")
-        if open_spread_bps <= 0 or close_spread_bps <= 0:
-            raise ValueError("spread endpoints must be positive")
-        if depth <= 0:
-            raise ValueError("depth must be positive")
+        ends = {"open_spread_bps": open_spread_bps, "close_spread_bps": close_spread_bps, "depth": depth}
+        for name, value in ends.items():
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         frac = np.arange(n_ticks, dtype=float) / (n_ticks - 1)
         spread = open_spread_bps * (close_spread_bps / open_spread_bps) ** frac
         spread[0] = open_spread_bps
@@ -182,7 +183,6 @@ class MarketState:
     day_anchor: float
     fundamental: float
     perm_impact_bps: float = 0.0
-    rng: np.random.Generator = field(default_factory=np.random.default_rng, repr=False)
 
     def __post_init__(self):
         if not self.day_anchor > 0:
@@ -191,34 +191,21 @@ class MarketState:
             raise ValueError(f"fundamental must be positive, got {self.fundamental}")
 
     @classmethod
-    def initial(
-        cls,
-        mid: float,
-        fundamental: float | None = None,
-        seed: int | None = None,
-        rng: np.random.Generator | None = None,
-    ) -> "MarketState":
-        if rng is None:
-            rng = np.random.default_rng(seed)
-        return cls(day_anchor=float(mid), fundamental=float(fundamental if fundamental is not None else mid), rng=rng)
+    def initial(cls, mid: float, fundamental: float | None = None) -> "MarketState":
+        return cls(day_anchor=float(mid), fundamental=float(fundamental if fundamental is not None else mid))
 
     @property
     def mid(self) -> float:
         """Quoted mid: day anchor plus accumulated permanent impact."""
         return mid_price(self.day_anchor, self.perm_impact_bps)
 
-    def start_day(self, rng: np.random.Generator | None = None) -> "MarketState":
+    def start_day(self) -> "MarketState":
         """Roll accumulated impact into a fresh anchor at a day boundary.
 
         The current mid becomes the new anchor, so drift earned on one day
         compounds into the base of the next.
         """
-        return replace(
-            self,
-            day_anchor=self.mid,
-            perm_impact_bps=0.0,
-            rng=rng if rng is not None else self.rng,
-        )
+        return replace(self, day_anchor=self.mid, perm_impact_bps=0.0)
 
 
 def mid_price(anchor: float, perm_bps: float) -> float:
@@ -258,12 +245,9 @@ def impact_bps(
     order moves the price more where the market is wide and thin.
     """
     _check_tick(profile, t)
-    depth = float(profile.depth[t])
-    if depth <= 0:
-        raise ValueError(f"degenerate market: depth[{t}] = {depth}")
     if signed_notional == 0:
         return 0.0
-    return _signed_impact(params, float(profile.full_spread_bps[t]), depth, signed_notional)
+    return _signed_impact(params, float(profile.full_spread_bps[t]), float(profile.depth[t]), signed_notional)
 
 
 def _side(signed_notional):
@@ -396,14 +380,17 @@ def calibrate_lambda(
     return lam
 
 
-def advance_noise(state: MarketState, noise: NoiseParams, dt_days: float) -> MarketState:
+def advance_noise(
+    state: MarketState, noise: NoiseParams, dt_days: float, rng: np.random.Generator | None = None
+) -> MarketState:
     """One noise step of length ``dt_days``: mean reversion, then diffusion.
 
     Mean reversion shrinks the gap between mid and fundamental by the
     exact exponential factor for the configured half-life; diffusion
-    multiplies the mid by exp(sigma*sqrt(dt)*z) with z drawn from the
-    state's generator, so log returns are centred on zero.  With zero
-    sigma and no half-life the state is returned untouched.
+    multiplies the mid by exp(sigma*sqrt(dt)*z) with z drawn from ``rng``,
+    so log returns are centred on zero; only a step with positive sigma
+    draws, so only it needs ``rng``.  With zero sigma and no half-life the
+    state is returned untouched.
     """
     if not dt_days > 0:
         raise ValueError(f"dt_days must be positive, got {dt_days}")
@@ -415,7 +402,7 @@ def advance_noise(state: MarketState, noise: NoiseParams, dt_days: float) -> Mar
     growth = 1.0
     if diffuse:
         with np.errstate(over="ignore"):
-            growth = diffusion_growth(diffusion_coef(noise, dt_days), state.rng.standard_normal(1)).item()
+            growth = diffusion_growth(diffusion_coef(noise, dt_days), rng.standard_normal(1)).item()
     pull = reversion_pull(noise, dt_days) if revert else None
     anchor = noise_step(state.day_anchor, state.perm_impact_bps, state.fundamental, pull, growth)
     check_noise_price(anchor)

@@ -1,16 +1,26 @@
 import datetime
 import hashlib
+import math
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 
-from daydrift import SpreadDepthProfile, load_config
+from daydrift import (
+    ImpactParams,
+    IntradayClock,
+    NoiseParams,
+    RoundTripTrader,
+    Scenario,
+    SpreadDepthProfile,
+    load_config,
+    run_sweep,
+)
 from daydrift.cli import main
-from daydrift.config import _SCHEMA, ConfigError
-from daydrift.engine import SWEEPABLE_KEYS, apply_override
+from daydrift.config import KEYS, ConfigError
+from daydrift.engine import apply_override
 
-from conftest import NOISY_CONFIG, parse_stanza
+from conftest import NOISY_CONFIG, REFERENCE_CONFIG, parse_stanza
 
 
 def run_cli(capsys, *argv) -> tuple[int, dict, str, str]:
@@ -121,6 +131,28 @@ class TestRun:
         assert "output" in err
 
 
+# sweep key -> (grid values, sha256 of the sweep table over reference.ini at 3 days)
+SWEEP_DIGESTS = {
+    "impact.lambda": ("0,10,20", "ea9fd1dad92d1d01c9e1d94ec4513b11e29fec4e7c4499774a1ca07f9a426183"),
+    "impact.permanent_fraction": ("0.25,1", "de8b60dc54955b858fc233720c9d49b3c2b269193829b68d0c779a6eddb70999"),
+    "noise.sigma_daily": ("0", "cf3fcdc8795ff5f7c1ca597c368e1086a894b99920a5e6f5e2c98d6ab60b18c2"),
+    "noise.mean_reversion_half_life_days": (
+        "0.5,504", "c0e5b0b927cb4154545f921261fee08125a03909f8d3440d9e7eb6917b8b775e"
+    ),
+    "agents.capital": ("5e8,2e9", "173b773b81049c001090af26116fb857f6af5d30bc310f389fb7e59a031aa471"),
+    "agents.leverage": ("2,10", "472caaf9e8fb07d9c3c5982a8a60b50cf2a95f8cf62c5bcffa7f4f7c543ff166"),
+    "agents.leg_notional": ("-1e7,5e6", "7fcc5de15b4b3516c9f460dfd164c5e70bc5312034ce209d0e0577d4096bd79f"),
+    "agents.book_value": ("1e7,1e8,1e10", "88687f635a83cf199a683579f3e68bb57c932cfe00097b9f70627fa6508d3d7c"),
+    "profile.spread_open_bps": ("10,20", "720f36435f65ece52f78789916fbc1f9d55aa6dc3b3e5c87aaee748cd54604e8"),
+    "profile.spread_close_bps": ("2,10", "4410930988513a464bd8c75b7d9e135870d29ac95b9f97bfcb029284130544ae"),
+    "profile.depth": ("5e8,2e9", "00e7f8152698687ae784b6481af1a127699e257024b3fee319149cee660f0ab4"),
+    "run.days": ("1,3", "4569190d34ee99f706cbf2a50ed19a68762e008e2895e8bb73d28087a38b775d"),
+    "run.seed": ("0,18446744073709551619", "60417f85c75df43d43892906da5033530b98039a7c82a4d7549302e81fe5cca5"),
+    "run.initial_mid": ("50,100.5", "374bb7f324bb311777b88da22cc790d1a386d3bdb14a3e3b95e4187d4598643b"),
+    "run.initial_fundamental": ("90,110", "80486ff0d161deeb16e931a391914a57c5d40499c738992f5db225df10a9532d"),
+}
+
+
 class TestGoldenDigests:
     def test_noiseless_reference_run_and_report(self, capsys, reference_config_path, tmp_path):
         # a noiseless run calls no np.exp, so these bytes do not depend on the CPU's SIMD paths
@@ -137,6 +169,37 @@ class TestGoldenDigests:
         assert hashlib.sha256(report.read_bytes()).hexdigest() == (
             "b164b6d91b7899275af0be547b4b11a847078f0ce77c1234d67e0b845f2c2f4d"
         )
+
+    @pytest.mark.parametrize("key", SWEEP_DIGESTS)
+    def test_noiseless_sweep_table(self, capsys, reference_config_path, tmp_path, key):
+        # one grid per sweep key over reference.ini; noiseless, so no np.exp reaches these bytes
+        values, digest = SWEEP_DIGESTS[key]
+        out = tmp_path / "sweep.csv"
+        code, _, _, _ = run_cli(
+            capsys, "sweep", "--config", str(reference_config_path), "--days", "3",
+            "--grid", f"{key}={values}", "--out", str(out),
+        )
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        ("path", "sigma", "days", "seed"), [(REFERENCE_CONFIG, 0.0, 1, 0), (NOISY_CONFIG, 0.01, 2000, 7)]
+    )
+    def test_shipped_configs_build_the_paper_scenario(self, path, sigma, days, seed):
+        expected = Scenario(
+            clock=IntradayClock(392, 252),
+            profile=SpreadDepthProfile.default(392, 15.0, 5.0, 1e9),
+            impact=ImpactParams(20.0, 0.5),
+            noise=NoiseParams(sigma, None),
+            agents=(RoundTripTrader(1e9, 10.0, 1e7, buy_tick=0, sell_tick=391, enabled=True),),
+            days=days,
+            seed=seed,
+            initial_mid=100.0,
+            initial_fundamental=100.0,
+            leg_growth_per_day=1.0,
+        )
+        assert scenario_fields(load_config(path).build()) == scenario_fields(expected)
+
 
 
 # a value for each sweep key that differs from configs/noisy.ini
@@ -170,24 +233,112 @@ def scenario_fields(scenario) -> list:
     return values
 
 
+SWEEP_KEYS = [name for name, row in KEYS.items() if row.sweep]
+
+# a value for each config key that its owning type rejects; any text is a
+# path and any boolean word is valid, so output.daily_csv and agents.enabled have none
+BAD_VALUES = {
+    "clock.ticks_per_day": "1",
+    "clock.days_per_year": "0",
+    "profile.spread_open_bps": "inf",
+    "profile.spread_close_bps": "0",
+    "profile.depth": "inf",
+    "impact.lambda": "-1",
+    "impact.permanent_fraction": "1.5",
+    "noise.sigma_daily": "nan",
+    "noise.mean_reversion_half_life_days": "0",
+    "agents.count": "0",
+    "agents.capital": "0",
+    "agents.leverage": "-2",
+    "agents.leg_notional": "2e10",
+    "agents.buy_tick": "-1",
+    "agents.sell_tick": "392",
+    "agents.leg_growth_per_day": "0",
+    "run.days": "0",
+    "run.seed": "-1",
+    "run.initial_mid": "inf",
+    "run.initial_fundamental": "inf",
+}
+
+# a value for each sweep key that its owning type rejects
+BAD_CELLS = {
+    "impact.lambda": -1.0,
+    "impact.permanent_fraction": 1.5,
+    "noise.sigma_daily": math.nan,
+    "noise.mean_reversion_half_life_days": 0.0,
+    "agents.capital": 0.0,
+    "agents.leverage": math.inf,
+    "agents.leg_notional": 2e11,
+    "agents.book_value": -1.0,
+    "profile.spread_open_bps": math.inf,
+    "profile.spread_close_bps": 0.0,
+    "profile.depth": -1.0,
+    "run.days": 0,
+    "run.seed": -1,
+    "run.initial_mid": math.inf,
+    "run.initial_fundamental": math.inf,
+}
+
+
 class TestKeyTables:
     def test_every_sweep_key_has_a_value_here(self):
-        assert sorted(SWEEP_VALUES) == sorted(SWEEPABLE_KEYS)
+        assert len(SWEEP_KEYS) == 15
+        assert sorted(SWEEP_VALUES) == sorted(BAD_CELLS) == sorted(SWEEP_KEYS)
 
-    @pytest.mark.parametrize("key", SWEEPABLE_KEYS)
-    def test_sweep_key_changes_the_scenario_and_names_a_config_key(self, noisy_config_path, key):
+    def test_every_config_key_with_a_range_has_a_bad_value_here(self):
+        ranged = [name for name, row in KEYS.items() if row.config and row.kind not in ("str", "bool")]
+        assert sorted(BAD_VALUES) == sorted(ranged)
+
+    @pytest.mark.parametrize("key", BAD_VALUES)
+    def test_bad_value_exits_one_naming_the_key(self, capsys, tmp_path, key):
+        section, _, name = key.partition(".")
+        config = tmp_path / "bad.ini"
+        config.write_text(f"[{section}]\n{name} = {BAD_VALUES[key]}\n")
+        out = tmp_path / "x.csv"
+        code, _, _, err = run_cli(capsys, "run", "--config", str(config), "--out", str(out))
+        assert code == 1
+        assert err.startswith(f"error: {key}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", [name for name, row in KEYS.items() if row.config and row.kind != "str"])
+    def test_malformed_value_is_a_parse_error_naming_the_key(self, tmp_path, key):
+        section, _, name = key.partition(".")
+        config = tmp_path / "bad.ini"
+        config.write_text(f"[{section}]\n{name} = 1x\n")
+        with pytest.raises(ConfigError, match=rf"^{re.escape(key)}: not (an integer|a number|a boolean): '1x'$"):
+            load_config(config)
+
+    @pytest.mark.parametrize("key", SWEEP_KEYS)
+    def test_sweep_key_changes_the_scenario_and_names_a_config_key(self, noisy_config_path, tmp_path, key):
+        # the swept scenario is the one a config setting the key to the same value builds
         base = load_config(noisy_config_path).build()
         swept = apply_override(base, key, SWEEP_VALUES[key])
         assert scenario_fields(swept) != scenario_fields(base)
-        section, _, name = key.partition(".")
+        name, value = key.partition(".")[2], SWEEP_VALUES[key]
         if key == "agents.book_value":  # capital * leverage: a sweep moves capital at fixed leverage
-            assert {"capital", "leverage"} <= set(_SCHEMA["agents"])
-        else:
-            assert name in _SCHEMA[section]
+            assert not KEYS[key].config
+            name, value = "capital", value / base.agents[0].leverage
+        config = tmp_path / "swept.ini"
+        config.write_text(re.sub(rf"^{name} = .*$", f"{name} = {value!r}", noisy_config_path.read_text(), flags=re.M))
+        assert scenario_fields(load_config(config).build()) == scenario_fields(swept)
+
+    @pytest.mark.parametrize("key", SWEEP_KEYS)
+    def test_bad_cell_names_the_key(self, noisy_config_path, key):
+        base = replace(load_config(noisy_config_path).build(), days=2)
+        cells = run_sweep(base, [(key, [SWEEP_VALUES[key], BAD_CELLS[key]])])
+        assert [cell.ok for cell in cells] == [True, False]
+        assert cells[1].error.startswith(f"ValueError: {key}")
+
+    @pytest.mark.parametrize("key", [name for name, row in KEYS.items() if row.sweep and row.kind == "int"])
+    def test_integer_key_takes_integral_floats_only(self, noisy_config_path, key):
+        base = replace(load_config(noisy_config_path).build(), days=2)
+        cells = run_sweep(base, [(key, [2.0, 2, 2.5, math.nan, math.inf])])
+        assert [cell.ok for cell in cells] == [True, True, False, False, False]
+        assert cells[0].summary == cells[1].summary
+        assert all(f"{key} must be an integer, got " in cell.error for cell in cells[2:])
 
     def test_removed_key_is_in_no_table(self, noisy_config_path):
-        assert "impact.temporary_decay_per_tick" not in SWEEPABLE_KEYS
-        assert "temporary_decay_per_tick" not in _SCHEMA["impact"]
+        assert "impact.temporary_decay_per_tick" not in KEYS
         with pytest.raises(ValueError, match="unknown sweep key"):
             apply_override(load_config(noisy_config_path).build(), "impact.temporary_decay_per_tick", 0.5)
 

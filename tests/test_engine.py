@@ -141,11 +141,11 @@ class TestRunDayMatchesOperationComposition:
         state = scenario.initial_state()
         expected = []
         for day in range(1, scenario.days + 1):
-            state = state.start_day(day_rng(scenario.seed, day))
+            state, rng = state.start_day(), day_rng(scenario.seed, day)
             prev = state.day_anchor
             open_price = None
             for t in range(ticks):
-                state = advance_noise(state, noise, clock.dt_days)
+                state = advance_noise(state, noise, clock.dt_days, rng)
                 for intent in orders_for_tick(agent, t):
                     _, _, state = apply_aggressive_trade(
                         state, profile, impact, intent.signed_notional, t
@@ -366,11 +366,11 @@ def compose_days(scenario: Scenario):
     state = scenario.initial_state()
     ledger = Ledger()
     for day in range(1, scenario.days + 1):
-        state = state.start_day(day_rng(scenario.seed, day))
+        state, rng = state.start_day(), day_rng(scenario.seed, day)
         prev = state.day_anchor
         scale = scenario.leg_growth_per_day ** (day - 1)
         for t in range(clock.ticks_per_day):
-            state = advance_noise(state, noise, clock.dt_days)
+            state = advance_noise(state, noise, clock.dt_days, rng)
             for agent in scenario.agents:
                 for intent in orders_for_tick(agent, t, scale):
                     fill, cost, state = apply_aggressive_trade(
@@ -383,11 +383,6 @@ def compose_days(scenario: Scenario):
         gain, ledger = mark_to_market(ledger, book, prev, state.mid)
         cost = from_micro(ledger.cost_history_micro[-1])
         yield DayRecord(day, prev, open_price, state.mid, cost, gain, gain - cost), ledger, state
-
-
-def plain(state: dict) -> dict:
-    """A bit-generator state with its arrays as lists, so states compare with ==."""
-    return {k: plain(v) if isinstance(v, dict) else np.asarray(v).tolist() for k, v in state.items()}
 
 
 class TestDayKeys:
@@ -439,8 +434,6 @@ class TestRunSim:
         monkeypatch.setattr("daydrift.engine.day_rng", no_substream)
         result = simulate(scenario)
         assert result.records == expected
-        # the final generator is the initial one, undrawn, so reruns agree on it too
-        assert result.final_state.rng.bit_generator.state == scenario.initial_state().rng.bit_generator.state
         state = scenario.initial_state()
         _, record, _ = run_day(state, scenario, 1, Ledger())
         assert record == expected[0]
@@ -471,14 +464,6 @@ class TestRunSim:
         assert len(calls) == substreams_built
         assert result.records == expected.records
         assert result.ledger == expected.ledger
-
-    @pytest.mark.parametrize("seed", [7, 2**64 + 3, 2**96])
-    def test_noisy_final_generator_is_the_last_days_substream(self, seed):
-        scenario = replace(bitwise_case("noisy-path"), seed=seed)
-        reference = day_rng(seed, scenario.days)
-        reference.standard_normal(scenario.clock.ticks_per_day)
-        final = simulate(scenario).final_state.rng.bit_generator.state
-        assert plain(final) == plain(reference.bit_generator.state)
 
     def test_days_chain_exactly(self):
         records = run_sim(make_scenario(days=40, sigma=0.01, half_life=504.0, seed=3))

@@ -301,20 +301,21 @@ class TestAdvanceNoise:
         assert state.mid / 100.0 == pytest.approx(1.5, rel=1e-9)
 
     def test_diffusion_is_deterministic_given_the_generator(self):
-        a = MarketState.initial(100.0, seed=42)
-        b = MarketState.initial(100.0, seed=42)
+        a = b = MarketState.initial(100.0)
+        rng_a, rng_b = np.random.default_rng(42), np.random.default_rng(42)
         noise = NoiseParams(0.02, None)
         for _ in range(10):
-            a = advance_noise(a, noise, 1.0)
-            b = advance_noise(b, noise, 1.0)
+            a = advance_noise(a, noise, 1.0, rng_a)
+            b = advance_noise(b, noise, 1.0, rng_b)
         assert a.mid == b.mid
         assert a.mid != 100.0
 
     def test_price_stays_positive_under_large_noise(self):
-        state = MarketState.initial(1e-3, seed=1)
+        state = MarketState.initial(1e-3)
+        rng = np.random.default_rng(1)
         noise = NoiseParams(0.5, None)
         for _ in range(200):
-            state = advance_noise(state, noise, 1.0)
+            state = advance_noise(state, noise, 1.0, rng)
             assert state.mid > 0
 
     def test_rejects_non_positive_dt(self):
