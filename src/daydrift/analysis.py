@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import datetime
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,7 @@ import numpy as np
 DECOMPOSITION_CSV_HEADER = "day,overnight_ret,intraday_ret,cum_overnight,cum_intraday,cum_total"
 _TINY, _HUGE = np.finfo(float).tiny, np.finfo(float).max
 _REPORT_BLOCK_ROWS = 1024
+_REPORT_ROW = "%s,%.10f,%.10f,%.10f,%.10f,%.10f\n".__mod__
 
 
 @dataclass(frozen=True)
@@ -194,12 +196,12 @@ def ingest_ohlc_csv(path) -> PriceSeries:
     """Read date-ordered OHLC rows into a price series.
 
     The header must name date, open and close columns (case-insensitive);
-    high/low and anything else are ignored.  Each day's prev_close is the
-    previous row's close, so the first row seeds the chain and contributes
-    no overnight return.  Malformed rows are reported with their file line
-    number.
+    high/low and anything else are ignored, as is a UTF-8 byte-order mark.
+    Each day's prev_close is the previous row's close, so the first row
+    seeds the chain and contributes no overnight return.  Blank rows are
+    skipped; malformed rows are reported with their file line number.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -211,18 +213,21 @@ def ingest_ohlc_csv(path) -> PriceSeries:
             raise ValueError(f"{path}: missing required column(s): {', '.join(missing)}")
         date_i, open_i, close_i = columns["date"], columns["open"], columns["close"]
 
-        days: list[str] = []
-        opens: list[float] = []
-        closes: list[float] = []
+        # rows are streamed, never held; only a row that is short or has an
+        # empty date cell can be blank, so only those pay the blank test
+        last_col, inf, fromisoformat = max(date_i, open_i, close_i), math.inf, datetime.date.fromisoformat
+        days, opens, closes = [], array("d"), array("d")
         last_date = None
         for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) <= max(date_i, open_i, close_i):
+            if len(row) <= last_col:
+                if not any(cell.strip() for cell in row):
+                    continue
                 raise ValueError(f"line {lineno}: row has {len(row)} columns, expected {len(header)}")
             raw_date = row[date_i].strip()
+            if not raw_date and not any(cell.strip() for cell in row):
+                continue
             try:
-                date = datetime.date.fromisoformat(raw_date)
+                date = fromisoformat(raw_date)
             except ValueError:
                 raise ValueError(f"line {lineno}: unparseable ISO date {raw_date!r}") from None
             if last_date is not None and date <= last_date:
@@ -233,7 +238,7 @@ def ingest_ohlc_csv(path) -> PriceSeries:
                 cls_ = float(row[close_i])
             except ValueError:
                 raise ValueError(f"line {lineno}: unparseable price in open/close") from None
-            if not (math.isfinite(opn) and opn > 0) or not (math.isfinite(cls_) and cls_ > 0):
+            if not (0.0 < opn < inf and 0.0 < cls_ < inf):
                 raise ValueError(f"line {lineno}: prices must be positive, got open={opn} close={cls_}")
             days.append(raw_date)
             opens.append(opn)
@@ -253,13 +258,11 @@ def write_decomposition_csv(result: DecompositionResult, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(DECOMPOSITION_CSV_HEADER + "\n")
         columns = (result.overnight_ret, result.intraday_ret, result.cum_overnight, result.cum_intraday, result.cum_total)
-        # Python floats format faster than numpy scalars; converting a block
-        # at a time keeps the report's memory flat in the series length
+        # Python floats format faster than numpy scalars; converting and joining
+        # a block at a time keeps the report's memory flat in the series length
         for start in range(0, len(result.days), _REPORT_BLOCK_ROWS):
             block = slice(start, start + _REPORT_BLOCK_ROWS)
-            rows = zip(result.days[block], *(c[block].tolist() for c in columns))
-            for day, ovn, intra, cum_ovn, cum_intra, cum_total in rows:
-                fh.write(f"{day},{ovn:.10f},{intra:.10f},{cum_ovn:.10f},{cum_intra:.10f},{cum_total:.10f}\n")
+            fh.write("".join(map(_REPORT_ROW, zip(result.days[block], *(c[block].tolist() for c in columns)))))
 
 
 def locate_zero_crossing(xs, ys) -> float:

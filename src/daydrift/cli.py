@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from .analysis import (
     PriceSeries,
@@ -21,8 +21,9 @@ from .analysis import (
 from .config import KEYS, ConfigError, ScenarioConfig, check_removed_key, load_config
 from .engine import (
     DAILY_CSV_HEADER,
+    RunSummary,
     SimulationError,
-    read_daily_csv,
+    read_daily_columns,
     run_sim,
     run_sweep,
     summarize,
@@ -35,19 +36,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_RUNTIME = 2
 
-_SUMMARY_FIELDS = (
-    "days",
-    "initial_mid",
-    "final_close",
-    "total_return",
-    "total_cost",
-    "total_mtm_gain",
-    "total_net_pnl",
-    "cost_per_day",
-    "mtm_gain_per_day",
-    "net_pnl_per_day",
-    "gain_cost_ratio",
-)
+_SUMMARY_FIELDS = tuple(f.name for f in fields(RunSummary))  # run stanza and sweep table, in order
 
 
 def _stanza(pairs: dict) -> None:
@@ -96,12 +85,12 @@ def cmd_run(args) -> int:
 
 def _read_series(path) -> PriceSeries:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().rstrip("\n")
+        fh = open(path, "r", encoding="utf-8-sig")
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
-    if header == DAILY_CSV_HEADER:
-        return PriceSeries.from_day_records(read_daily_csv(path))
+    with fh:
+        if fh.readline().rstrip("\n") == DAILY_CSV_HEADER:
+            return PriceSeries(*read_daily_columns(fh)[:4])
     return ingest_ohlc_csv(path)
 
 

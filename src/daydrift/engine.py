@@ -572,6 +572,11 @@ def intraday_return(record: DayRecord) -> float:
     return (record.close - record.open) / record.open
 
 
+_CSV_BLOCK_ROWS = 1024  # rows formatted, joined and written at a time
+_DAILY_ROW = "%s,%.6f,%.6f,%.6f,%.10f,%.10f,%.2f,%.2f,%.2f\n".__mod__
+_DAILY_FIELDS = operator.attrgetter("day", "prev_close", "open", "close", "total_cost", "mtm_gain", "net_pnl")
+
+
 def write_daily_csv(records, path) -> None:
     """Daily CSV: prices to 6 decimals, returns to 10, currency to 2.
 
@@ -589,44 +594,37 @@ def write_daily_csv(records, path) -> None:
                         f"day {r.day}: {name} {price!r} is non-finite or prints as "
                         "non-positive with 6 decimals; the daily CSV would be unreadable"
                     )
+    # the returns are overnight_return and intraday_return, inlined
+    rows = ((d, p, o, c, (o - p) / p, (c - o) / o, tc, g, n) for d, p, o, c, tc, g, n in map(_DAILY_FIELDS, records))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(DAILY_CSV_HEADER + "\n")
-        for r in records:
-            fh.write(
-                f"{r.day},{r.prev_close:.6f},{r.open:.6f},{r.close:.6f},"
-                f"{overnight_return(r):.10f},{intraday_return(r):.10f},"
-                f"{r.total_cost:.2f},{r.mtm_gain:.2f},{r.net_pnl:.2f}\n"
-            )
+        while block := "".join(map(_DAILY_ROW, itertools.islice(rows, _CSV_BLOCK_ROWS))):
+            fh.write(block)
+
+
+def read_daily_columns(fh) -> list[tuple]:
+    """Columns day, prev_close, open, close, total_cost, mtm_gain, net_pnl of a daily CSV past its header."""
+    rows = []
+    for lineno, line in enumerate(fh, start=2):
+        parts = line.rstrip("\n").split(",")
+        if len(parts) != 9:
+            if not line.strip():
+                continue
+            raise ValueError(f"line {lineno}: expected 9 columns, got {len(parts)}")
+        try:
+            rows.append((int(parts[0]), float(parts[1]), float(parts[2]), float(parts[3]),
+                         float(parts[6]), float(parts[7]), float(parts[8])))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from exc
+    return list(zip(*rows)) or [()] * 7
 
 
 def read_daily_csv(path) -> list[DayRecord]:
     """Parse a daily CSV produced by ``write_daily_csv``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != DAILY_CSV_HEADER:
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        if (header := fh.readline().rstrip("\n")) != DAILY_CSV_HEADER:
             raise ValueError(f"not a daily simulation CSV: header is {header!r}")
-        records = []
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split(",")
-            if len(parts) != 9:
-                raise ValueError(f"line {lineno}: expected 9 columns, got {len(parts)}")
-            try:
-                records.append(
-                    DayRecord(
-                        day=int(parts[0]),
-                        prev_close=float(parts[1]),
-                        open=float(parts[2]),
-                        close=float(parts[3]),
-                        total_cost=float(parts[6]),
-                        mtm_gain=float(parts[7]),
-                        net_pnl=float(parts[8]),
-                    )
-                )
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from exc
-    return records
+        return list(map(DayRecord, *read_daily_columns(fh)))
 
 
 # --- parameter sweeps -------------------------------------------------------

@@ -106,7 +106,8 @@ class SpreadDepthProfile:
 
         Endpoints are pinned exactly to the requested open/close spreads so
         that costs computed at the auctions are exact.  An endpoint outside
-        (0, inf) raises ``ValueError`` naming it, before any arithmetic.
+        (0, inf) raises ``ValueError`` naming it, before any arithmetic; so
+        does a close spread so far from the open one that one between leaves it.
         """
         if n_ticks < 2:
             raise ValueError("n_ticks must be >= 2")
@@ -118,6 +119,9 @@ class SpreadDepthProfile:
         spread = open_spread_bps * (close_spread_bps / open_spread_bps) ** frac
         spread[0] = open_spread_bps
         spread[-1] = close_spread_bps
+        if not np.all((spread > 0.0) & (spread < math.inf)):
+            raise ValueError(f"close_spread_bps {close_spread_bps} is too far from the open spread {open_spread_bps}: "
+                             f"an interpolated spread leaves (0, inf)")
         return cls(spread, np.full(n_ticks, float(depth)))
 
     @classmethod

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -226,6 +227,60 @@ class TestIngestOhlcCsv:
         with pytest.raises(ValueError, match="line 2"):
             ingest_ohlc_csv(path)
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("2024-01-03,101\n", "line 3: row has 2 columns, expected 3"),
+            (",101,102\n", "line 3: unparseable ISO date ''"),
+            ("  ,101,102\n", "line 3: unparseable ISO date ''"),
+            ("2024-13-01,101,102\n", "line 3: unparseable ISO date '2024-13-01'"),
+            ("2024-01-02,101,102\n", "line 3: dates must be strictly increasing, got 2024-01-02"),
+            ("2024-01-03,1o1,102\n", "line 3: unparseable price in open/close"),
+            ('"2024-01-03","1,01",102\n', "line 3: unparseable price in open/close"),
+            ("2024-01-03,nan,102\n", "line 3: prices must be positive, got open=nan close=102.0"),
+            ("2024-01-03,101,inf\n", "line 3: prices must be positive, got open=101.0 close=inf"),
+            ("2024-01-03,101,-inf\n", "line 3: prices must be positive, got open=101.0 close=-inf"),
+            ("2024-01-03,0,102\n", "line 3: prices must be positive, got open=0.0 close=102.0"),
+        ],
+    )
+    def test_bad_row_message_is_pinned(self, tmp_path, body, message):
+        path = self.write(tmp_path, "date,open,close\n2024-01-02,100,100\n" + body)
+        with pytest.raises(ValueError) as info:
+            ingest_ohlc_csv(path)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "date,open,close\n2024-01-02,100,100\n   ,  ,  \n2024-01-03,101,102\n",
+            "date,open,close\n2024-01-02,100,100\n   \n2024-01-03,101,102\n",
+            "date,open,high,low,close\n2024-01-02,100,1,1,100\n , \n2024-01-03,101,1,1,102\n",
+            "date,open,close\r\n2024-01-02,100,100\r\n2024-01-03,101,102\r\n",
+            'date,open,close\n"2024-01-02","100","100"\n"2024-01-03","101",102\n',
+            "date,open,close\n2024-01-02,100,100\n2024-01-03,101,102\n\n",
+            "﻿date,open,close\n2024-01-02,100,100\n2024-01-03,101,102\n",
+        ],
+        ids=["whitespace-row", "whitespace-line", "short-blank-row", "crlf", "quoted", "trailing-blank", "bom"],
+    )
+    def test_tolerated_layouts_read_the_same_day(self, tmp_path, text):
+        s = ingest_ohlc_csv(self.write(tmp_path, text))
+        assert s.days == ("2024-01-03",)
+        assert (s.prev_close.tolist(), s.open.tolist(), s.close.tolist()) == ([100.0], [101.0], [102.0])
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "file is empty"),
+            ("date,close\n2024-01-02,100\n", "missing required column(s): open"),
+            ("date,open,close\n2024-01-02,100,100\n", "need at least 2 rows to form one overnight/intraday day"),
+        ],
+    )
+    def test_whole_file_message_is_pinned(self, tmp_path, text, message):
+        path = self.write(tmp_path, text)
+        with pytest.raises(ValueError) as info:
+            ingest_ohlc_csv(path)
+        assert str(info.value) == f"{path}: {message}"
+
     def test_single_row_cannot_decompose(self, tmp_path):
         path = self.write(tmp_path, "date,open,close\n2024-01-02,100,100.5\n")
         with pytest.raises(ValueError, match="at least 2"):
@@ -307,6 +362,55 @@ class TestDecompositionCsv:
             b"5,0.0000000000,0.0000000000,0.0000950000,0.0947368422,0.0000090000\n"
             b"6,-0.0000000000,0.0000000000,0.0000950000,0.0947368422,0.0000090000\n"
         )
+
+
+class TestCsvMemory:
+    """The OHLC reader streams its rows and the report writer formats a block at a time.
+
+    Bounds on tracemalloc's traced peak, which counts numpy's buffers too, so
+    they hold without timing anything.  On 60,000 rows, holding every parsed
+    row (``list(csv.reader(fh))``) adds about 26 MiB, and converting the
+    whole report at once (``.tolist()`` of its five columns) about 9 MiB.
+    """
+
+    ROWS = 60_000
+
+    @pytest.fixture(scope="class")
+    def ohlc(self, tmp_path_factory):
+        rng = np.random.default_rng(3)
+        close = 100.0 * np.exp(np.cumsum(rng.normal(0.0, 0.01, self.ROWS)))
+        opn = close * np.exp(rng.normal(0.0, 0.003, self.ROWS))
+        dates = (np.datetime64("1900-01-01") + np.arange(self.ROWS)).astype(str)
+        path = tmp_path_factory.mktemp("ohlc") / "prices.csv"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("date,open,high,low,close\n")
+            fh.writelines(f"{d},{o!r},{o!r},{c!r},{c!r}\n" for d, o, c in zip(dates, opn.tolist(), close.tolist()))
+        return path
+
+    @staticmethod
+    def traced(fn, *args):
+        """Result of ``fn(*args)``, its traced peak and what stays allocated, in bytes."""
+        tracemalloc.start()
+        try:
+            result = fn(*args)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return result, peak, retained
+
+    def test_ingest_peak_is_the_series_plus_a_few_mib(self, ohlc):
+        # the series' dates and three float arrays are about 5 MiB; the
+        # reader's own arrays add about 2 MiB
+        series, peak, retained = self.traced(ingest_ohlc_csv, ohlc)
+        assert len(series) == self.ROWS - 1
+        assert retained > 4 * 2**20
+        assert peak - retained < 4 * 2**20
+
+    def test_report_writer_peak_is_a_few_blocks(self, ohlc, tmp_path):
+        # one 1024-row block as floats and formatted text is about 0.3 MiB
+        result = decompose(ingest_ohlc_csv(ohlc))
+        _, peak, _ = self.traced(write_decomposition_csv, result, tmp_path / "report.csv")
+        assert peak < 2**20
 
 
 class TestLocateZeroCrossing:

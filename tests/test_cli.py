@@ -66,6 +66,15 @@ class TestRun:
         assert code == 1
         assert "profile.spread_close_bps" in err
 
+    def test_interior_spread_overflow_names_the_close_key(self, capsys, tmp_path):
+        config = tmp_path / "bad.ini"
+        config.write_text("[profile]\nspread_open_bps = 1e-300\nspread_close_bps = 1e10\n")
+        out = tmp_path / "x.csv"
+        code, _, _, err = run_cli(capsys, "run", "--config", str(config), "--out", str(out))
+        assert code == 1
+        assert err.startswith("error: profile.spread_close_bps 10000000000.0 is too far from the open spread 1e-300")
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "section, key, name",
         [
@@ -410,6 +419,55 @@ class TestAnalyze:
         assert code == 1
         assert "line 3" in err
 
+    def test_ohlc_file_with_a_byte_order_mark(self, capsys, tmp_path):
+        text = "date,open,close\n2024-01-02,100,100\n2024-01-03,101,102\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        reports = []
+        for path in (plain, marked):
+            report = tmp_path / f"{path.stem}.rep.csv"
+            code, stanza, _, err = run_cli(capsys, "analyze", str(path), "--out", str(report))
+            assert code == 0, err
+            assert stanza["days"] == "1"
+            reports.append(report.read_bytes())
+        assert reports[0] == reports[1]
+
+    def test_daily_csv_with_a_byte_order_mark(self, capsys, reference_config_path, tmp_path):
+        daily = tmp_path / "daily.csv"
+        run_cli(capsys, "run", "--config", str(reference_config_path), "--days", "30", "--out", str(daily))
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + daily.read_bytes())
+        reports = []
+        for path in (daily, marked):
+            report = tmp_path / f"{path.stem}.rep.csv"
+            code, stanza, _, err = run_cli(capsys, "analyze", str(path), "--out", str(report))
+            assert code == 0, err
+            assert stanza["days"] == "30" and stanza["continuity_gaps"] == "0"
+            reports.append(report.read_bytes())
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("2,100.0,100.0,100.0\n", "line 3: expected 9 columns, got 4"),
+            (
+                "2,100.010000,100.110000,100.020000,0.0010000000,-0.0009000000,10000.00,0.00,-100abc\n",
+                "line 3: could not convert string to float: '-100abc'",
+            ),
+        ],
+    )
+    def test_bad_daily_row_message_is_pinned(self, capsys, tmp_path, row, message):
+        daily = tmp_path / "daily.csv"
+        daily.write_text(
+            "day,prev_close,open,close,overnight_ret,intraday_ret,total_cost,mtm_gain,net_pnl\n"
+            "1,100.000000,100.000000,100.010000,0.0000000000,0.0001000000,10000.00,0.00,-10000.00\n" + row
+        )
+        code, _, _, err = run_cli(capsys, "analyze", str(daily))
+        assert code == 1
+        assert err == f"error: {message}\n"
+
     def test_report_csv_written(self, capsys, reference_config_path, tmp_path):
         daily = tmp_path / "daily.csv"
         run_cli(capsys, "run", "--config", str(reference_config_path), "--out", str(daily))
@@ -588,6 +646,15 @@ class TestSweep:
         assert stanza["ok"] == "1" and stanza["failed"] == "1"
         rows = out.read_text().splitlines()
         assert rows[2].startswith(f"{value},3,,") and "ValueError" in rows[2]
+
+    def test_interior_spread_underflow_cell_names_the_close_key(self, noisy_config_path):
+        base = replace(load_config(noisy_config_path).build(), days=2)
+        cells = run_sweep(base, [("profile.spread_close_bps", [5.0, 5e-324])])
+        assert [cell.ok for cell in cells] == [True, False]
+        assert cells[1].error == (
+            "ValueError: profile.spread_close_bps 5e-324 is too far from the open spread 15.0: "
+            "an interpolated spread leaves (0, inf)"
+        )
 
     def test_all_cells_failing_is_a_runtime_error(self, capsys, reference_config_path, tmp_path):
         code, _, _, _ = run_cli(

@@ -533,6 +533,11 @@ class TestRunSim:
         assert ledger.period_cost_micro == 0
 
 
+DAILY_HEADER = "day,prev_close,open,close,overnight_ret,intraday_ret,total_cost,mtm_gain,net_pnl\n"
+DAILY_ROW_1 = "1,100.000000,100.000000,100.010000,0.0000000000,0.0001000000,10000.00,0.00,-10000.00\n"
+DAILY_ROW_2 = "2,100.010000,100.110000,100.020000,0.0010000000,-0.0009000000,10000.00,0.00,-10000.00\n"
+
+
 class TestDailyCsv:
     def test_round_trip_preserves_the_six_decimal_schema(self, tmp_path):
         records = run_sim(make_scenario(days=7, sigma=0.01, seed=2))
@@ -550,11 +555,70 @@ class TestDailyCsv:
             assert back.close == pytest.approx(raw.close, abs=5e-7)
             assert back.total_cost == pytest.approx(raw.total_cost, abs=5e-3)
 
+    def test_rows_match_per_row_formatting_across_blocks(self, tmp_path):
+        # several writer blocks and a partial last one; -0.0, the smallest
+        # writable price (the float above 5e-7, which prints as 0.000001),
+        # large values and values halfway between printed digits
+        rng = np.random.default_rng(11)
+        n = 2603
+        low = math.nextafter(5e-7, 1.0)
+        prices = np.exp(rng.uniform(math.log(low), math.log(1e12), (n, 3)))
+        prices[:5] = [[low, low, low], [1.0000005, 2.5000005, 0.0000015], [1e15, 1e15, 1e-6],
+                      [100.0, 100.0, 100.0], [0.125, 0.375, 2.675]]
+        money = rng.normal(0.0, 1e6, (n, 3)) * 10.0 ** rng.integers(-8, 10, (n, 1))
+        money[:5] = [[-0.0, 0.0, -0.0], [0.125, 0.375, 2.675], [1.005, -1.005, 5e-3], [1e18, -1e18, 5e-7],
+                     [-0.004, 0.004, -5e-7]]
+        records = [DayRecord(d, *p, *m) for d, p, m in zip(range(1, n + 1), prices.tolist(), money.tolist())]
+        path = tmp_path / "daily.csv"
+        write_daily_csv(records, path)
+        expected = DAILY_HEADER + "".join(
+            f"{r.day},{r.prev_close:.6f},{r.open:.6f},{r.close:.6f},"
+            f"{(r.open - r.prev_close) / r.prev_close:.10f},{(r.close - r.open) / r.open:.10f},"
+            f"{r.total_cost:.2f},{r.mtm_gain:.2f},{r.net_pnl:.2f}\n"
+            for r in records
+        )
+        assert path.read_text() == expected
+        assert path.read_text().splitlines()[1] == (
+            "1,0.000001,0.000001,0.000001,0.0000000000,0.0000000000,-0.00,0.00,-0.00"
+        )
+
     def test_rejects_foreign_headers(self, tmp_path):
         path = tmp_path / "other.csv"
         path.write_text("date,open,close\n2024-01-02,1,2\n")
         with pytest.raises(ValueError):
             read_daily_csv(path)
+
+    @pytest.mark.parametrize(
+        "last, message",
+        [
+            ("2,100.0,100.0,100.0\n", "line 3: expected 9 columns, got 4"),
+            (DAILY_ROW_2[:-6] + "abc\n", "line 3: could not convert string to float: '-100abc'"),
+            (DAILY_ROW_2[:-6] + "abc\r\n", "line 3: could not convert string to float: '-100abc'"),
+            ("2.0" + DAILY_ROW_2[1:], "line 3: invalid literal for int() with base 10: '2.0'"),
+        ],
+    )
+    def test_bad_row_message_is_pinned(self, tmp_path, last, message):
+        path = tmp_path / "daily.csv"
+        path.write_bytes((DAILY_HEADER + DAILY_ROW_1 + last).encode())
+        with pytest.raises(ValueError) as info:
+            read_daily_csv(path)
+        assert str(info.value) == message
+
+    def test_foreign_header_message_is_pinned(self, tmp_path):
+        path = tmp_path / "other.csv"
+        path.write_text("date,open,close\n")
+        with pytest.raises(ValueError) as info:
+            read_daily_csv(path)
+        assert str(info.value) == "not a daily simulation CSV: header is 'date,open,close'"
+
+    @pytest.mark.parametrize("prefix", ["", "﻿"], ids=["plain", "bom"])
+    def test_blank_lines_are_skipped(self, tmp_path, prefix):
+        path = tmp_path / "daily.csv"
+        path.write_bytes((prefix + DAILY_HEADER + "\n" + DAILY_ROW_1 + "   \n" + DAILY_ROW_2 + "\n").encode())
+        assert read_daily_csv(path) == [
+            DayRecord(1, 100.0, 100.0, 100.01, 10000.0, 0.0, -10000.0),
+            DayRecord(2, 100.01, 100.11, 100.02, 10000.0, 0.0, -10000.0),
+        ]
 
 
 class TestRunSweep:

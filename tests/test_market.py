@@ -51,6 +51,20 @@ class TestProfile:
         assert np.all(np.diff(spread) <= 0)
         assert np.all(spread > 0)
 
+    @pytest.mark.parametrize("open_bps, close_bps", [(1e-300, 1e10), (1e300, 1e-300), (15.0, 5e-324)])
+    def test_interior_spread_out_of_range_names_the_close_spread(self, open_bps, close_bps):
+        # the ratio of the ends overflows to inf or underflows to 0
+        with pytest.raises(ValueError) as info:
+            SpreadDepthProfile.default(392, open_bps, close_bps)
+        assert str(info.value) == (
+            f"close_spread_bps {close_bps} is too far from the open spread {open_bps}: "
+            "an interpolated spread leaves (0, inf)"
+        )
+
+    def test_two_tick_profile_has_no_interior_to_leave_the_range(self):
+        profile = SpreadDepthProfile.default(2, 1e-300, 1e10)
+        assert profile.full_spread_bps.tolist() == [1e-300, 1e10]
+
     def test_constant(self):
         profile = SpreadDepthProfile.constant(10, 10.0, 5e8)
         assert np.all(profile.full_spread_bps == 10.0)
