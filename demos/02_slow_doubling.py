@@ -14,6 +14,8 @@ from dataclasses import replace
 from daydrift import NoiseParams, doubling_time, load_config, run_sim
 from daydrift.market import ImpactParams, calibrate_lambda
 
+DAYS_PER_YEAR = 252  # trading days
+
 cfg = load_config("configs/reference.ini")
 scenario = cfg.build()
 
@@ -21,7 +23,7 @@ lam = calibrate_lambda(scenario.profile, scenario.impact, cfg.leg_notional, 0,
                        scenario.clock.close_tick, target_net_nudge_bps=4.0)
 predicted = doubling_time(4.0)
 print(f"calibrated lambda for +4 bp/day: {lam}")
-print(f"closed-form doubling day: {predicted}  ({predicted / scenario.clock.days_per_year:.2f} years)")
+print(f"closed-form doubling day: {predicted}  ({predicted / DAYS_PER_YEAR:.2f} years)")
 
 scenario = replace(
     scenario,
@@ -35,7 +37,7 @@ print(f"simulated doubling day:   {first.day}  (close {first.close:.6f} vs start
 print()
 for day in (1, 252, 1008, first.day - 1, first.day):
     r = records[day - 1]
-    years = day / scenario.clock.days_per_year
+    years = day / DAYS_PER_YEAR
     print(f"  day {day:>5} ({years:4.1f}y): close {r.close:10.4f}  cumulative {r.close / 100 - 1:+8.2%}")
 print()
 print("every single day of it cost the trader only "

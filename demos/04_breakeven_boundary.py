@@ -12,7 +12,7 @@ from dataclasses import replace
 
 from daydrift import breakeven_book, load_config, locate_zero_crossing, run_sweep
 
-base = replace(load_config("configs/reference.ini").build(), days=20)
+base = replace(load_config("configs/reference.ini"), days=20)
 books = [1e7, 3e7, 1e8, 3e8, 1e9, 1e10]
 cells = run_sweep(base, [("agents.book_value", books)], workers=2)
 

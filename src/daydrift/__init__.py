@@ -11,7 +11,7 @@ the analysis that makes it visible: the decomposition of returns into
 overnight and intraday buckets.
 """
 
-from .agents import OrderIntent, RoundTripTrader, orders_for_tick, split_trader
+from .agents import RoundTripTrader, orders_for_tick, split_trader
 from .analysis import (
     DecompositionResult,
     PriceSeries,

@@ -53,27 +53,17 @@ class RoundTripTrader:
         return self.capital * self.leverage
 
 
-@dataclass(frozen=True)
-class OrderIntent:
-    """A single aggressive order: positive notional buys, negative sells."""
+def orders_for_tick(agent: RoundTripTrader, t: int) -> list[float]:
+    """Signed notionals of the orders the agent submits at tick ``t``: positive buys, negative sells.
 
-    signed_notional: float
-    tick: int
-    agent_id: str
-
-
-def orders_for_tick(agent: RoundTripTrader, t: int, notional_scale: float = 1.0) -> list[OrderIntent]:
-    """Orders the agent submits at tick ``t`` (empty when disabled or off-schedule).
-
-    ``notional_scale`` is a hook for slow book-growth scenarios; at the
-    default of 1.0 the legs are identical every day.
+    Empty when the agent is disabled, has a zero leg or does not trade at ``t``.
     """
     if not agent.enabled or agent.leg_notional == 0:
         return []
     if t == agent.buy_tick:
-        return [OrderIntent(agent.leg_notional * notional_scale, t, agent.agent_id)]
+        return [agent.leg_notional]
     if t == agent.sell_tick:
-        return [OrderIntent(-agent.leg_notional * notional_scale, t, agent.agent_id)]
+        return [-agent.leg_notional]
     return []
 
 

@@ -30,7 +30,7 @@ from .engine import (
     write_daily_csv,
 )
 from .ledger import AccountingError
-from .market import CalibrationError, NoiseParams, calibrate_lambda
+from .market import CalibrationError, calibrate_lambda
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -51,10 +51,9 @@ def _summary_pairs(summary) -> dict:
 
 def _load(args) -> ScenarioConfig:
     cfg = load_config(args.config)
-    if getattr(args, "seed", None) is not None:
-        cfg = replace(cfg, seed=args.seed)
-    if getattr(args, "days", None) is not None:
-        cfg = replace(cfg, days=args.days)
+    for name in ("seed", "days"):
+        if getattr(args, name, None) is not None:
+            cfg = cfg.with_key(f"run.{name}", getattr(args, name))
     return cfg
 
 
@@ -151,7 +150,8 @@ def _parse_grid(specs: list[str]) -> list[tuple[str, list[float]]]:
 def cmd_sweep(args) -> int:
     import csv as _csv
 
-    base = _load(args).build()
+    base = _load(args)
+    base.build()  # a bad base is a config error, not a failure in every cell
     grid = _parse_grid(args.grid)
     cells = run_sweep(base, grid, workers=args.workers)
 
@@ -185,20 +185,16 @@ def cmd_calibrate(args) -> int:
     if not cfg.has_agents:
         raise ConfigError("agents: config declares no agents; nothing to calibrate")
     scenario = cfg.build()
+    trader = scenario.agents[0]
     lam = calibrate_lambda(
         scenario.profile,
         scenario.impact,
         cfg.leg_notional,
-        cfg.buy_tick,
-        cfg.sell_tick,
+        trader.buy_tick,
+        trader.sell_tick,
         args.target_bps,
     )
-    check = replace(
-        scenario,
-        impact=replace(scenario.impact, lam=lam),
-        noise=NoiseParams(0.0, None),
-        days=1,
-    )
+    check = replace(cfg, lam=lam, sigma_daily=0.0, half_life_days=None, days=1).build()
     record = run_sim(check)[0]
     achieved_bps = ((record.close - record.prev_close) / record.prev_close) * 1e4
     print(f"calibrated impact coefficient lambda = {lam!r}")

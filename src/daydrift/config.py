@@ -1,20 +1,21 @@
 """Scenario config files: sectioned key=value text, validated before any run.
 
-``KEYS`` is the one table of keys: each ``section.key``, the
-``ScenarioConfig`` field it sets, named as in the type that owns the
-field, and its type.  It drives parsing, error naming, the sweep grid's
-integer literals and ``engine.apply_override``.  This module only parses:
-the owning types check every range when ``build()`` makes the scenario,
-which ``load_config`` does, and ``keyed`` names the key in their errors.
-Unknown sections or keys are hard errors, and a key the model no longer
-has gets its own message, saying why it went.
+``ScenarioConfig`` declares every key once: each of its fields carries
+its ``section.key``, its type and whether a sweep may set it, and ``KEYS``,
+the table of keys, is read from those fields.  ``ScenarioConfig.with_key``
+is the one setter of a key, for ``load_config``, ``--seed``/``--days`` and
+every sweep cell.  This module only parses: the owning types check every
+range when ``build()`` makes the scenario, which ``load_config`` does, and
+``keyed`` names the key in their errors.  Unknown sections or keys are
+hard errors, and a key the model no longer has gets its own message,
+saying why it went.
 """
 
 from __future__ import annotations
 
 import configparser
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple
 
 from .agents import RoundTripTrader, split_trader
@@ -35,36 +36,123 @@ class Key(NamedTuple):
     config: bool = True  # a config file may set it
 
 
+def _key(name: str, kind: str, default, sweep: bool = False):
+    """A ``ScenarioConfig`` field that key ``name`` of type ``kind`` sets."""
+    return field(default=default, metadata={"key": name, "kind": kind, "sweep": sweep})
+
+
+@dataclass(frozen=True)
+class ScenarioConfig:
+    """Scalar view of a config file, a field per key; ``build()`` makes the Scenario.
+
+    A tick of None is the close, and ``sell_tick`` is the close when
+    unset; ``initial_fundamental`` follows ``initial_mid`` when unset.
+    ``build()`` alone resolves them, as they follow other keys.
+    """
+
+    ticks_per_day: int = _key("clock.ticks_per_day", "int", 392)
+    open_spread_bps: float = _key("profile.spread_open_bps", "float", 15.0, sweep=True)
+    close_spread_bps: float = _key("profile.spread_close_bps", "float", 5.0, sweep=True)
+    depth: float = _key("profile.depth", "float", 1e9, sweep=True)
+    lam: float = _key("impact.lambda", "float", 0.0, sweep=True)
+    permanent_fraction: float = _key("impact.permanent_fraction", "float", 0.5, sweep=True)
+    sigma_daily: float = _key("noise.sigma_daily", "float", 0.01, sweep=True)
+    half_life_days: float | None = _key("noise.mean_reversion_half_life_days", "float-or-none", 504.0, sweep=True)
+    has_agents: bool = True  # the config has an [agents] section
+    count: int = _key("agents.count", "int", 1)
+    capital: float = _key("agents.capital", "float", 1e9, sweep=True)
+    leverage: float = _key("agents.leverage", "float", 10.0, sweep=True)
+    leg_notional: float = _key("agents.leg_notional", "float", 1e7, sweep=True)
+    buy_tick: int | None = _key("agents.buy_tick", "tick", 0)
+    sell_tick: int | None = _key("agents.sell_tick", "tick", None)
+    enabled: bool = _key("agents.enabled", "bool", True)
+    leg_growth_per_day: float = _key("agents.leg_growth_per_day", "float", 1.0)
+    days: int = _key("run.days", "int", 1, sweep=True)
+    seed: int = _key("run.seed", "int", 0, sweep=True)
+    initial_mid: float = _key("run.initial_mid", "float", 100.0, sweep=True)
+    initial_fundamental: float | None = _key("run.initial_fundamental", "float", None, sweep=True)
+    daily_csv: str | None = _key("output.daily_csv", "str", None)
+
+    def with_key(self, name: str, value) -> ScenarioConfig:
+        """This config with key ``name`` (``section.key``) set to ``value``.
+
+        An integral float sets an integer key.  ``agents.book_value`` sets
+        ``capital`` to ``value / leverage``, at the leverage set so far;
+        ``count`` then splits it like any capital.
+        """
+        row = KEYS[name]
+        if row.kind == "int" and isinstance(value, float) and value.is_integer():
+            value = int(value)
+        if name == "agents.book_value":
+            return replace(self, capital=value / self.leverage)
+        return replace(self, **{row.field: value})
+
+    def build(self) -> Scenario:
+        """The scenario; ``ConfigError`` names the key of a value an owning type rejects."""
+        try:
+            return self._scenario()
+        except ValueError as exc:
+            raise ConfigError(keyed(exc)) from exc
+
+    def sweep_cell(self, params: tuple[tuple[str, float], ...]) -> Scenario:
+        """The scenario of a sweep cell: this config with each ``(key, value)`` set in turn, built.
+
+        An owning type's ``ValueError`` is raised again naming the cell's
+        key of the field it rejects, or prefixed with the cell's keys.
+        """
+        config = self
+        for key, value in params:
+            config = config.with_key(key, value)
+        try:
+            return config._scenario()
+        except ValueError as exc:
+            raise ValueError(keyed(exc, [key for key, _ in params])) from exc
+
+    def _scenario(self) -> Scenario:
+        """The scenario, or the ``ValueError`` of the owning type that rejects a value."""
+        clock = IntradayClock(self.ticks_per_day)
+        profile = SpreadDepthProfile.default(
+            self.ticks_per_day, self.open_spread_bps, self.close_spread_bps, self.depth
+        )
+        impact = ImpactParams(self.lam, self.permanent_fraction)
+        noise = NoiseParams(self.sigma_daily, self.half_life_days)
+        agents: tuple[RoundTripTrader, ...] = ()
+        if self.has_agents:
+            template = RoundTripTrader(
+                capital=self.capital,
+                leverage=self.leverage,
+                leg_notional=self.leg_notional,
+                buy_tick=clock.close_tick if self.buy_tick is None else self.buy_tick,
+                sell_tick=clock.close_tick if self.sell_tick is None else self.sell_tick,
+                enabled=self.enabled,
+            )
+            agents = tuple(split_trader(self.count, template))
+        return Scenario(
+            clock=clock,
+            profile=profile,
+            impact=impact,
+            noise=noise,
+            agents=agents,
+            days=self.days,
+            seed=self.seed,
+            initial_mid=self.initial_mid,
+            initial_fundamental=(
+                self.initial_mid if self.initial_fundamental is None else self.initial_fundamental
+            ),
+            leg_growth_per_day=self.leg_growth_per_day,
+        )
+
+
 KEYS: dict[str, Key] = {
-    "clock.ticks_per_day": Key("ticks_per_day", "int"),
-    "clock.days_per_year": Key("days_per_year", "int"),
-    "profile.spread_open_bps": Key("open_spread_bps", "float", sweep=True),
-    "profile.spread_close_bps": Key("close_spread_bps", "float", sweep=True),
-    "profile.depth": Key("depth", "float", sweep=True),
-    "impact.lambda": Key("lam", "float", sweep=True),
-    "impact.permanent_fraction": Key("permanent_fraction", "float", sweep=True),
-    "noise.sigma_daily": Key("sigma_daily", "float", sweep=True),
-    "noise.mean_reversion_half_life_days": Key("half_life_days", "float-or-none", sweep=True),
-    "agents.count": Key("count", "int"),
-    "agents.capital": Key("capital", "float", sweep=True),
-    "agents.leverage": Key("leverage", "float", sweep=True),
-    # capital * leverage; a sweep moves capital at fixed leverage
-    "agents.book_value": Key("book_value", "float", sweep=True, config=False),
-    "agents.leg_notional": Key("leg_notional", "float", sweep=True),
-    "agents.buy_tick": Key("buy_tick", "tick"),
-    "agents.sell_tick": Key("sell_tick", "tick"),
-    "agents.enabled": Key("enabled", "bool"),
-    "agents.leg_growth_per_day": Key("leg_growth_per_day", "float"),
-    "run.days": Key("days", "int", sweep=True),
-    "run.seed": Key("seed", "int", sweep=True),
-    "run.initial_mid": Key("initial_mid", "float", sweep=True),
-    "run.initial_fundamental": Key("initial_fundamental", "float", sweep=True),
-    "output.daily_csv": Key("daily_csv", "str"),
+    f.metadata["key"]: Key(f.name, f.metadata["kind"], f.metadata["sweep"]) for f in fields(ScenarioConfig) if f.metadata
 }
+# capital * leverage; a sweep moves capital at fixed leverage
+KEYS["agents.book_value"] = Key("book_value", "float", sweep=True, config=False)
 
 # keys older configs may set, with why they went
 _REMOVED_KEYS: dict[str, str] = {
     "impact.temporary_decay_per_tick": "temporary impact reached no price, fill or cost, so the model dropped it",
+    "clock.days_per_year": "no output read the trading year's length, so the model dropped it",
 }
 
 _FIELD_KEYS = {row.field: name for name, row in KEYS.items()}
@@ -77,100 +165,26 @@ def check_removed_key(name: str) -> None:
         raise ConfigError(f"{name}: removed key; {reason}; delete the setting")
 
 
-def sweep_key(name: str) -> Key:
-    """The row of sweep key ``name``; ``ValueError`` lists the sweep keys when it is none."""
-    row = KEYS.get(name)
-    if row is None or not row.sweep:
-        supported = ", ".join(key for key, r in KEYS.items() if r.sweep)
-        raise ValueError(f"unknown sweep key {name!r}; supported keys: {supported}")
-    return row
-
-
-def keyed(exc: ValueError, key: str | None = None) -> str:
+def keyed(exc: ValueError, keys: list[str] | None = None) -> str:
     """The message of an owning type's ``ValueError``, naming a ``section.key``.
 
     The message starts with the name of the field it rejects, and that name
-    becomes the field's key.  ``key`` is the key a sweep is setting: a
-    message about another field, or about none, is prefixed with it.
+    becomes the field's key.  ``keys`` are the keys a sweep cell set: a
+    message about the field of another key, or about none, is prefixed
+    with them.
     """
     message = str(exc)
-    field = re.match(r"\w*", message).group()
-    named = _FIELD_KEYS.get(field)
-    if named is not None and key in (None, named):
-        return named + message[len(field) :]
-    return message if key is None else f"{key}: {message}"
-
-
-@dataclass(frozen=True)
-class ScenarioConfig:
-    """Scalar view of a config file, a field per key; ``build()`` makes the Scenario."""
-
-    ticks_per_day: int = 392
-    days_per_year: int = 252
-    open_spread_bps: float = 15.0
-    close_spread_bps: float = 5.0
-    depth: float = 1e9
-    lam: float = 0.0
-    permanent_fraction: float = 0.5
-    sigma_daily: float = 0.01
-    half_life_days: float | None = 504.0
-    has_agents: bool = True
-    count: int = 1
-    capital: float = 1e9
-    leverage: float = 10.0
-    leg_notional: float = 1e7
-    buy_tick: int = 0
-    sell_tick: int = 391  # the close auction of the default day
-    enabled: bool = True
-    leg_growth_per_day: float = 1.0
-    days: int = 1
-    seed: int = 0
-    initial_mid: float = 100.0
-    initial_fundamental: float | None = None
-    daily_csv: str | None = None
-
-    def build(self) -> Scenario:
-        """The scenario; ``ConfigError`` names the key of a value an owning type rejects."""
-        try:
-            clock = IntradayClock(self.ticks_per_day, self.days_per_year)
-            profile = SpreadDepthProfile.default(
-                self.ticks_per_day, self.open_spread_bps, self.close_spread_bps, self.depth
-            )
-            impact = ImpactParams(self.lam, self.permanent_fraction)
-            noise = NoiseParams(self.sigma_daily, self.half_life_days)
-            agents: tuple[RoundTripTrader, ...] = ()
-            if self.has_agents:
-                template = RoundTripTrader(
-                    capital=self.capital,
-                    leverage=self.leverage,
-                    leg_notional=self.leg_notional,
-                    buy_tick=self.buy_tick,
-                    sell_tick=self.sell_tick,
-                    enabled=self.enabled,
-                )
-                agents = tuple(split_trader(self.count, template))
-            return Scenario(
-                clock=clock,
-                profile=profile,
-                impact=impact,
-                noise=noise,
-                agents=agents,
-                days=self.days,
-                seed=self.seed,
-                initial_mid=self.initial_mid,
-                initial_fundamental=(
-                    self.initial_fundamental if self.initial_fundamental is not None else self.initial_mid
-                ),
-                leg_growth_per_day=self.leg_growth_per_day,
-            )
-        except ValueError as exc:
-            raise ConfigError(keyed(exc)) from exc
+    field_name = re.match(r"\w*", message).group()
+    named = _FIELD_KEYS.get(field_name)
+    if named is not None and (keys is None or named in keys):
+        return named + message[len(field_name) :]
+    return message if keys is None else f"{', '.join(keys)}: {message}"
 
 
 _BOOLS = {"true": True, "yes": True, "on": True, "1": True, "false": False, "no": False, "off": False, "0": False}
 
 
-def _parse(name: str, kind: str, raw: str, ticks_per_day: int):
+def _parse(name: str, kind: str, raw: str):
     """``raw`` as a value of ``kind``; one that does not parse is a ``ConfigError`` naming ``name``."""
     word = raw.lower()
     if kind == "str":
@@ -180,7 +194,7 @@ def _parse(name: str, kind: str, raw: str, ticks_per_day: int):
             return _BOOLS[word]
         raise ConfigError(f"{name}: not a boolean: {raw!r}")
     if kind == "tick" and word in ("open", "close"):
-        return 0 if word == "open" else ticks_per_day - 1
+        return 0 if word == "open" else None  # the close
     if kind == "float-or-none" and word == "none":
         return None
     integer = kind in ("int", "tick")
@@ -204,24 +218,15 @@ def load_config(path) -> ScenarioConfig:
         raise ConfigError(f"malformed config {path}: {exc}") from exc
 
     sections = {name.partition(".")[0] for name in KEYS}
+    config = ScenarioConfig(has_agents=parser.has_section("agents"))
     for section in parser.sections():
         if section not in sections:
             raise ConfigError(f"unknown section [{section}]")
-        for key in parser[section]:
+        for key, raw in parser.items(section):
             name = f"{section}.{key}"
             if name not in KEYS or not KEYS[name].config:
                 check_removed_key(name)
                 raise ConfigError(f"{name}: unknown key")
-
-    values: dict[str, object] = {
-        "has_agents": parser.has_section("agents"),
-        "ticks_per_day": ScenarioConfig.ticks_per_day,
-    }
-    for name, row in KEYS.items():  # the clock comes first: a tick word reads ticks_per_day
-        raw = parser.get(*name.split("."), fallback=None)
-        if raw is not None:
-            values[row.field] = _parse(name, row.kind, raw.strip(), values["ticks_per_day"])
-    values.setdefault("sell_tick", values["ticks_per_day"] - 1)  # the close auction
-    config = ScenarioConfig(**values)
+            config = config.with_key(name, _parse(name, KEYS[name].kind, raw.strip()))
     config.build()
     return config

@@ -30,8 +30,9 @@ import itertools
 import math
 import operator
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -55,6 +56,9 @@ from .market import (
     order_impact,
     reversion_pull,
 )
+
+if TYPE_CHECKING:
+    from .config import ScenarioConfig
 
 DAILY_CSV_HEADER = "day,prev_close,open,close,overnight_ret,intraday_ret,total_cost,mtm_gain,net_pnl"
 
@@ -147,8 +151,8 @@ class DayPlan:
         orders: dict[int, list[float]] = {}
         for agent in scenario.agents:
             for tick in (agent.buy_tick, agent.sell_tick):
-                for intent in orders_for_tick(agent, tick):
-                    orders.setdefault(tick, []).append(intent.signed_notional)
+                for notional in orders_for_tick(agent, tick):
+                    orders.setdefault(tick, []).append(notional)
         ticks = sorted({0, scenario.clock.close_tick, *orders})
         ends = list(itertools.accumulate(len(orders.get(t, ())) for t in ticks))
         order_ticks = [t for t in ticks for _ in orders.get(t, ())]
@@ -640,77 +644,45 @@ class SweepCell:
         return self.error is None
 
 
-def apply_override(scenario: Scenario, key: str, value: float) -> Scenario:
-    """Return the scenario with the field of sweep key ``key`` (``config.KEYS``) set to ``value``.
-
-    An integral float sets an integer field.  ``agents.book_value`` moves
-    each agent's capital at fixed leverage; a profile endpoint rebuilds the
-    default profile.  The owning type's ``ValueError`` names ``key``.
-    """
-    from .config import keyed, sweep_key  # config imports this module
-
-    row = sweep_key(key)
-    section = key.partition(".")[0]
-    if row.kind == "int" and isinstance(value, float) and value.is_integer():
-        value = int(value)
-    try:
-        if key == "agents.book_value":
-            return replace(scenario, agents=tuple(replace(a, capital=value / a.leverage) for a in scenario.agents))
-        if section == "profile":
-            spread = scenario.profile.full_spread_bps
-            ends = {
-                "open_spread_bps": float(spread[0]),
-                "close_spread_bps": float(spread[-1]),
-                "depth": float(scenario.profile.depth[0]),
-                row.field: value,
-            }
-            return replace(scenario, profile=SpreadDepthProfile.default(scenario.clock.ticks_per_day, **ends))
-        if section == "agents":
-            return replace(scenario, agents=tuple(replace(a, **{row.field: value}) for a in scenario.agents))
-        if section == "run":
-            return replace(scenario, **{row.field: value})
-        return replace(scenario, **{section: replace(getattr(scenario, section), **{row.field: value})})
-    except ValueError as exc:
-        raise ValueError(keyed(exc, key)) from exc
-
-
-def _run_cell(args: tuple[Scenario, tuple[tuple[str, float], ...]]) -> SweepCell:
+def _run_cell(args: tuple[ScenarioConfig, tuple[tuple[str, float], ...]]) -> SweepCell:
     base, params = args
     try:
-        scenario = base
-        for key, value in params:
-            scenario = apply_override(scenario, key, value)
-        summary = summarize(run_sim(scenario))
+        summary = summarize(run_sim(base.sweep_cell(params)))
         return SweepCell(params, summary, None)
     except Exception as exc:  # cell failures must not abort the sweep
         return SweepCell(params, None, f"{type(exc).__name__}: {exc}")
 
 
 def run_sweep(
-    base: Scenario,
+    base: ScenarioConfig,
     grid: list[tuple[str, list[float]]],
     workers: int = 1,
 ) -> list[SweepCell]:
     """Run one scenario per grid point (cartesian product, row-major order).
 
-    Cells run independently; results are merged in grid order, so the
+    A cell's scenario is ``base`` with each of the cell's keys set, then
+    built (``ScenarioConfig.sweep_cell``): the scenario that a config
+    setting those keys builds.  Cells run independently, the pool with at
+    most one worker per cell; results are merged in grid order, so the
     output is identical whatever the worker count.  A failing cell is
-    reported in its row and does not abort the others.
+    reported in its row and does not abort the others.  A grid that names
+    a key twice is a ``ValueError``: every cell would run its last value.
     """
-    from .config import sweep_key  # config imports this module
+    from .config import KEYS  # config imports this module
 
     if not grid:
         raise ValueError("sweep grid is empty")
+    keys = [key for key, _ in grid]
+    supported = [name for name, row in KEYS.items() if row.sweep]
     for key, values in grid:
-        sweep_key(key)
+        if key not in supported:
+            raise ValueError(f"unknown sweep key {key!r}; supported keys: {', '.join(supported)}")
+        if keys.count(key) > 1:
+            raise ValueError(f"sweep key {key!r} appears more than once in the grid")
         if not values:
             raise ValueError(f"sweep key {key!r} has no values")
-    combos = [
-        tuple(zip((key for key, _ in grid), values))
-        for values in itertools.product(*(values for _, values in grid))
-    ]
-    jobs = [(base, combo) for combo in combos]
+    jobs = [(base, tuple(zip(keys, values))) for values in itertools.product(*(values for _, values in grid))]
     if workers <= 1 or len(jobs) == 1:
         return [_run_cell(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
         return list(pool.map(_run_cell, jobs))

@@ -84,7 +84,6 @@ class Ledger:
 
     cash_micro: int = 0
     cumulative_cost_micro: int = 0
-    book_value_at_mark: float = 0.0
     period_cost_micro: int = 0  # costs accrued since the last mark
     _fills: list[tuple[float, int, int]] = field(default_factory=list, init=False, repr=False)
     _day_costs_micro: list[int] = field(default_factory=list, init=False, repr=False)
@@ -103,10 +102,6 @@ class Ledger:
     def mtm_history(self) -> tuple[tuple[int, float], ...]:
         """``(day, gain)`` for each marked day, days numbered from 1."""
         return tuple(enumerate(self._day_gains, start=1))
-
-    @property
-    def cash(self) -> float:
-        return from_micro(self.cash_micro)
 
     @property
     def cumulative_cost(self) -> float:
@@ -146,7 +141,6 @@ def mark_to_market(ledger: Ledger, book_value: float, mid_prev: float, mid_now: 
     if not mid_prev > 0:
         raise ValueError(f"mid_prev must be positive, got {mid_prev}")
     gain = _gain(book_value, mid_prev, mid_now)
-    ledger.book_value_at_mark = book_value
     ledger._day_costs_micro.append(ledger.period_cost_micro)
     ledger._day_gains.append(gain)
     ledger.period_cost_micro = 0
@@ -207,7 +201,6 @@ def book_days(
     ledger.cash_micro -= sum(notional_micro) + cost_sum
     ledger.cumulative_cost_micro += cost_sum
     ledger.period_cost_micro = 0
-    ledger.book_value_at_mark = book_values[-1].item()
     ledger._fills += zip(prices, notional_micro, cost_micro)
     ledger._day_costs_micro += day_costs
     ledger._day_gains += gains

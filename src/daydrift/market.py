@@ -43,17 +43,10 @@ class IntradayClock:
     """Tick grid for one trading day: open auction, regular ticks, close auction."""
 
     ticks_per_day: int = 392
-    days_per_year: int = 252
 
     def __post_init__(self):
         if self.ticks_per_day < 2:
             raise ValueError(f"ticks_per_day must be >= 2, got {self.ticks_per_day}")
-        if self.days_per_year < 1:
-            raise ValueError(f"days_per_year must be >= 1, got {self.days_per_year}")
-
-    @property
-    def open_tick(self) -> int:
-        return 0
 
     @property
     def close_tick(self) -> int:

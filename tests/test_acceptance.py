@@ -119,8 +119,7 @@ def test_criterion_4_overnight_bucket_carries_the_drift():
 
 def test_criterion_5_breakeven_book_is_one_hundred_million():
     with criterion(5, "net P&L crosses zero at a $100M book (±2%)", 30.0):
-        base = load_config(REFERENCE_CONFIG).build()
-        base = replace(base, days=20)
+        base = replace(load_config(REFERENCE_CONFIG), days=20)
         books = [1e7, 1e8, 1e9, 1e10]
         cells = run_sweep(base, [("agents.book_value", books)])
         assert all(cell.ok for cell in cells)

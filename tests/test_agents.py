@@ -50,15 +50,10 @@ class TestTrader:
 
 class TestOrdersForTick:
     def test_buy_leg(self):
-        orders = orders_for_tick(PAPER_AGENT, 0)
-        assert len(orders) == 1
-        assert orders[0].signed_notional == 1e7
-        assert orders[0].tick == 0
+        assert orders_for_tick(PAPER_AGENT, 0) == [1e7]
 
     def test_sell_leg(self):
-        orders = orders_for_tick(PAPER_AGENT, 391)
-        assert len(orders) == 1
-        assert orders[0].signed_notional == -1e7
+        assert orders_for_tick(PAPER_AGENT, 391) == [-1e7]
 
     @pytest.mark.parametrize("t", [1, 100, 390])
     def test_quiet_between_legs(self, t):
@@ -71,19 +66,11 @@ class TestOrdersForTick:
 
     def test_negative_leg_flips_the_round_trip(self):
         seller = RoundTripTrader(1e9, 10.0, -1e7, 0, 391)
-        assert orders_for_tick(seller, 0)[0].signed_notional == -1e7
-        assert orders_for_tick(seller, 391)[0].signed_notional == 1e7
-
-    def test_notional_scale_hook(self):
-        orders = orders_for_tick(PAPER_AGENT, 0, notional_scale=1.5)
-        assert orders[0].signed_notional == 1.5e7
+        assert orders_for_tick(seller, 0) == [-1e7]
+        assert orders_for_tick(seller, 391) == [1e7]
 
     def test_day_flow_is_exactly_neutral(self):
-        total = sum(
-            intent.signed_notional
-            for t in range(392)
-            for intent in orders_for_tick(PAPER_AGENT, t)
-        )
+        total = sum(notional for t in range(392) for notional in orders_for_tick(PAPER_AGENT, t))
         assert total == 0.0
 
 
@@ -98,7 +85,7 @@ class TestSplitTrader:
             assert half.leg_notional == 5e6
             assert half.book_value == 5e9
             assert (half.buy_tick, half.sell_tick) == (0, 391)
-        flow = sum(o.signed_notional for a in halves for o in orders_for_tick(a, 0))
+        flow = sum(n for a in halves for n in orders_for_tick(a, 0))
         assert flow == 1e7
 
     def test_ten_way_split_shares_the_cost(self):
@@ -119,8 +106,8 @@ class TestSplitTrader:
     def test_aggregate_flow_invariance(self, n):
         parts = split_trader(n, PAPER_AGENT)
         for t in (0, 57, 391):
-            whole = sum(o.signed_notional for o in orders_for_tick(PAPER_AGENT, t))
-            split = sum(o.signed_notional for a in parts for o in orders_for_tick(a, t))
+            whole = sum(orders_for_tick(PAPER_AGENT, t))
+            split = sum(n for a in parts for n in orders_for_tick(a, t))
             assert split == pytest.approx(whole, rel=1e-12, abs=1e-6)
 
     def test_agent_ids_are_distinct(self):

@@ -18,7 +18,6 @@ from daydrift import (
 )
 from daydrift.cli import main
 from daydrift.config import KEYS, ConfigError
-from daydrift.engine import apply_override
 
 from conftest import NOISY_CONFIG, REFERENCE_CONFIG, parse_stanza
 
@@ -196,7 +195,7 @@ class TestGoldenDigests:
     )
     def test_shipped_configs_build_the_paper_scenario(self, path, sigma, days, seed):
         expected = Scenario(
-            clock=IntradayClock(392, 252),
+            clock=IntradayClock(392),
             profile=SpreadDepthProfile.default(392, 15.0, 5.0, 1e9),
             impact=ImpactParams(20.0, 0.5),
             noise=NoiseParams(sigma, None),
@@ -244,11 +243,28 @@ def scenario_fields(scenario) -> list:
 
 SWEEP_KEYS = [name for name, row in KEYS.items() if row.sweep]
 
+# the base configs a sweep cell is checked against: noisy.ini, and a variant
+# in which count splits a swept capital and the fundamental follows the mid
+CONFIG_VARIANTS = {
+    "noisy": NOISY_CONFIG.read_text(),
+    "split-following": re.sub(
+        r"^initial_fundamental = .*\n", "", NOISY_CONFIG.read_text().replace("count = 1\n", "count = 2\n"), flags=re.M
+    ),
+}
+
+
+def with_setting(text: str, key: str, value) -> str:
+    """Config text with ``key`` set to ``value``: its line replaced, or added at the top of its section."""
+    section, _, name = key.partition(".")
+    line = f"{name} = {value!r}"
+    text, n = re.subn(rf"^{name} = .*$", line, text, flags=re.M)
+    return text if n else text.replace(f"[{section}]\n", f"[{section}]\n{line}\n")
+
+
 # a value for each config key that its owning type rejects; any text is a
 # path and any boolean word is valid, so output.daily_csv and agents.enabled have none
 BAD_VALUES = {
     "clock.ticks_per_day": "1",
-    "clock.days_per_year": "0",
     "profile.spread_open_bps": "inf",
     "profile.spread_close_bps": "0",
     "profile.depth": "inf",
@@ -268,6 +284,9 @@ BAD_VALUES = {
     "run.initial_mid": "inf",
     "run.initial_fundamental": "inf",
 }
+
+# each removed key, with a value an old config may set it to
+REMOVED_KEYS = {"impact.temporary_decay_per_tick": 0.5, "clock.days_per_year": 252}
 
 # a value for each sweep key that its owning type rejects
 BAD_CELLS = {
@@ -317,56 +336,62 @@ class TestKeyTables:
         with pytest.raises(ConfigError, match=rf"^{re.escape(key)}: not (an integer|a number|a boolean): '1x'$"):
             load_config(config)
 
+    @pytest.mark.parametrize("variant", CONFIG_VARIANTS)
     @pytest.mark.parametrize("key", SWEEP_KEYS)
-    def test_sweep_key_changes_the_scenario_and_names_a_config_key(self, noisy_config_path, tmp_path, key):
+    def test_sweep_key_changes_the_scenario_and_names_a_config_key(self, tmp_path, key, variant):
         # the swept scenario is the one a config setting the key to the same value builds
-        base = load_config(noisy_config_path).build()
-        swept = apply_override(base, key, SWEEP_VALUES[key])
-        assert scenario_fields(swept) != scenario_fields(base)
-        name, value = key.partition(".")[2], SWEEP_VALUES[key]
+        text = CONFIG_VARIANTS[variant]
+        config = tmp_path / "base.ini"
+        config.write_text(text)
+        base = load_config(config)
+        swept = base.sweep_cell(((key, SWEEP_VALUES[key]),))
+        assert scenario_fields(swept) != scenario_fields(base.build())
+        name, value = key, SWEEP_VALUES[key]
         if key == "agents.book_value":  # capital * leverage: a sweep moves capital at fixed leverage
             assert not KEYS[key].config
-            name, value = "capital", value / base.agents[0].leverage
-        config = tmp_path / "swept.ini"
-        config.write_text(re.sub(rf"^{name} = .*$", f"{name} = {value!r}", noisy_config_path.read_text(), flags=re.M))
+            name, value = "agents.capital", value / base.leverage
+        config.write_text(with_setting(text, name, value))
         assert scenario_fields(load_config(config).build()) == scenario_fields(swept)
 
     @pytest.mark.parametrize("key", SWEEP_KEYS)
     def test_bad_cell_names_the_key(self, noisy_config_path, key):
-        base = replace(load_config(noisy_config_path).build(), days=2)
+        base = replace(load_config(noisy_config_path), days=2)
         cells = run_sweep(base, [(key, [SWEEP_VALUES[key], BAD_CELLS[key]])])
         assert [cell.ok for cell in cells] == [True, False]
         assert cells[1].error.startswith(f"ValueError: {key}")
 
     @pytest.mark.parametrize("key", [name for name, row in KEYS.items() if row.sweep and row.kind == "int"])
     def test_integer_key_takes_integral_floats_only(self, noisy_config_path, key):
-        base = replace(load_config(noisy_config_path).build(), days=2)
+        base = replace(load_config(noisy_config_path), days=2)
         cells = run_sweep(base, [(key, [2.0, 2, 2.5, math.nan, math.inf])])
         assert [cell.ok for cell in cells] == [True, True, False, False, False]
         assert cells[0].summary == cells[1].summary
         assert all(f"{key} must be an integer, got " in cell.error for cell in cells[2:])
 
-    def test_removed_key_is_in_no_table(self, noisy_config_path):
-        assert "impact.temporary_decay_per_tick" not in KEYS
+    @pytest.mark.parametrize("key", REMOVED_KEYS)
+    def test_removed_key_is_in_no_table(self, noisy_config_path, key):
+        assert key not in KEYS
         with pytest.raises(ValueError, match="unknown sweep key"):
-            apply_override(load_config(noisy_config_path).build(), "impact.temporary_decay_per_tick", 0.5)
+            run_sweep(load_config(noisy_config_path), [(key, [0.5])])
 
-    def test_removed_key_in_a_config_names_it_as_removed(self, capsys, noisy_config_path, tmp_path):
+    @pytest.mark.parametrize("key", REMOVED_KEYS)
+    def test_removed_key_in_a_config_names_it_as_removed(self, capsys, noisy_config_path, tmp_path, key):
         config = tmp_path / "old.ini"
-        config.write_text(noisy_config_path.read_text().replace("[impact]\n", "[impact]\ntemporary_decay_per_tick = 0.5\n"))
-        with pytest.raises(ConfigError, match=r"^impact\.temporary_decay_per_tick: removed key; "):
+        config.write_text(with_setting(noisy_config_path.read_text(), key, REMOVED_KEYS[key]))
+        with pytest.raises(ConfigError, match=rf"^{re.escape(key)}: removed key; "):
             load_config(config)
         code, _, _, err = run_cli(capsys, "run", "--config", str(config), "--days", "3", "--out", str(tmp_path / "x.csv"))
         assert code == 1
-        assert "impact.temporary_decay_per_tick: removed key; " in err and "unknown" not in err
+        assert f"{key}: removed key; " in err and "unknown" not in err
 
-    def test_removed_key_in_a_sweep_grid_names_it_as_removed(self, capsys, noisy_config_path, tmp_path):
+    @pytest.mark.parametrize("key", REMOVED_KEYS)
+    def test_removed_key_in_a_sweep_grid_names_it_as_removed(self, capsys, noisy_config_path, tmp_path, key):
         code, _, _, err = run_cli(
             capsys, "sweep", "--config", str(noisy_config_path),
-            "--grid", "impact.temporary_decay_per_tick=0.3,0.5", "--out", str(tmp_path / "sweep.csv"),
+            "--grid", f"{key}=0.3,0.5", "--out", str(tmp_path / "sweep.csv"),
         )
         assert code == 1
-        assert "impact.temporary_decay_per_tick: removed key; " in err and "unknown" not in err
+        assert f"{key}: removed key; " in err and "unknown" not in err
 
 
 class TestAnalyze:
@@ -549,6 +574,16 @@ class TestSweep:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_key_named_twice_exits_one_naming_it(self, capsys, reference_config_path, tmp_path):
+        out = tmp_path / "sweep.csv"
+        code, _, _, err = run_cli(
+            capsys, "sweep", "--config", str(reference_config_path), "--grid", "agents.book_value=1e7,1e10",
+            "--grid", "run.days=1", "--grid", "agents.book_value=1e8", "--out", str(out),
+        )
+        assert code == 1
+        assert err == "error: sweep key 'agents.book_value' appears more than once in the grid\n"
+        assert not out.exists()
+
     def test_bad_cell_is_reported_but_not_fatal(self, capsys, reference_config_path, tmp_path):
         out = tmp_path / "sweep.csv"
         code, stanza, _, _ = run_cli(
@@ -583,7 +618,8 @@ class TestSweep:
         rows = out.read_text().splitlines()[1:]
         assert rows[0].startswith("1,2,") and rows[0].endswith(",")
         assert "run.days must be an integer, got 2.5" in rows[1]
-        assert "run.seed must be an integer, got 1.5" in rows[2] and "run.seed must be" in rows[3]
+        # a cell is built once with all its keys set; Scenario checks days before seed
+        assert "run.seed must be an integer, got 1.5" in rows[2] and "run.days must be an integer, got 2.5" in rows[3]
         assert "run.days must be an integer, got 2.5" in text
 
     def test_swept_seed_above_two_to_the_53_runs_exactly(self, capsys, noisy_config_path, tmp_path):
@@ -648,7 +684,7 @@ class TestSweep:
         assert rows[2].startswith(f"{value},3,,") and "ValueError" in rows[2]
 
     def test_interior_spread_underflow_cell_names_the_close_key(self, noisy_config_path):
-        base = replace(load_config(noisy_config_path).build(), days=2)
+        base = replace(load_config(noisy_config_path), days=2)
         cells = run_sweep(base, [("profile.spread_close_bps", [5.0, 5e-324])])
         assert [cell.ok for cell in cells] == [True, False]
         assert cells[1].error == (

@@ -13,6 +13,7 @@ from daydrift import (
     NoiseParams,
     RoundTripTrader,
     Scenario,
+    ScenarioConfig,
     SimulationError,
     SpreadDepthProfile,
     advance_noise,
@@ -32,6 +33,7 @@ from daydrift import (
     summarize,
     write_daily_csv,
 )
+from daydrift import engine
 from daydrift.engine import _BLOCK_DAYS, _run_days, day_keys
 from daydrift.ledger import AccountingError
 from daydrift.market import diffusion_coef, diffusion_growth
@@ -146,10 +148,8 @@ class TestRunDayMatchesOperationComposition:
             open_price = None
             for t in range(ticks):
                 state = advance_noise(state, noise, clock.dt_days, rng)
-                for intent in orders_for_tick(agent, t):
-                    _, _, state = apply_aggressive_trade(
-                        state, profile, impact, intent.signed_notional, t
-                    )
+                for notional in orders_for_tick(agent, t):
+                    _, _, state = apply_aggressive_trade(state, profile, impact, notional, t)
                 if t == 0:
                     open_price = state.mid
             expected.append((prev, open_price, state.mid))
@@ -372,11 +372,9 @@ def compose_days(scenario: Scenario):
         for t in range(clock.ticks_per_day):
             state = advance_noise(state, noise, clock.dt_days, rng)
             for agent in scenario.agents:
-                for intent in orders_for_tick(agent, t, scale):
-                    fill, cost, state = apply_aggressive_trade(
-                        state, profile, impact, intent.signed_notional, t
-                    )
-                    ledger = record_fill(ledger, fill, intent.signed_notional, cost)
+                for notional in (n * scale for n in orders_for_tick(agent, t)):
+                    fill, cost, state = apply_aggressive_trade(state, profile, impact, notional, t)
+                    ledger = record_fill(ledger, fill, notional, cost)
             if t == 0:
                 open_price = state.mid
         book = scenario.total_book_value / scenario.initial_mid * prev
@@ -621,55 +619,103 @@ class TestDailyCsv:
         ]
 
 
+def make_config(**kwargs) -> ScenarioConfig:
+    """The config of ``make_scenario``'s defaults: the reference trader at lambda 20, noiseless."""
+    return ScenarioConfig(**{"lam": 20.0, "sigma_daily": 0.0, "half_life_days": None, **kwargs})
+
+
 class TestRunSweep:
     def test_single_point_grid_matches_run_sim(self):
-        base = make_scenario(days=3)
+        base = make_config(days=3)
         cells = run_sweep(base, [("impact.lambda", [20.0])])
         assert len(cells) == 1 and cells[0].ok
-        assert cells[0].summary == summarize(run_sim(base))
+        assert cells[0].summary == summarize(run_sim(base.build()))
 
     def test_worker_count_does_not_change_results(self):
-        base = make_scenario(days=2, sigma=0.01, seed=21)
+        base = make_config(days=2, sigma_daily=0.01, seed=21)
         grid = [("agents.book_value", [1e7, 1e8, 1e9, 1e10])]
         serial = run_sweep(base, grid, workers=1)
         parallel = run_sweep(base, grid, workers=4)
         assert serial == parallel
 
+    def test_pool_has_no_more_workers_than_cells(self, monkeypatch):
+        pools = []
+
+        class RecordingPool:  # runs the cells in this process and records the pool size asked for
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", RecordingPool)
+        grid = [("run.seed", [1, 2, 3, 4])]
+        assert all(cell.ok for cell in run_sweep(make_config(), grid, workers=500))
+        run_sweep(make_config(), grid, workers=2)
+        assert pools == [4, 2]
+
+    @pytest.mark.parametrize(
+        ("key", "value", "field", "set_to"),
+        [
+            ("agents.capital", 2e9, "capital", 2e9),
+            ("agents.book_value", 2e10, "capital", 2e9),
+            ("agents.leg_notional", 2e7, "leg_notional", 2e7),
+            ("run.initial_mid", 50.0, "initial_mid", 50.0),
+        ],
+    )
+    def test_cell_is_the_config_with_the_key_set(self, key, value, field, set_to):
+        # count splits a swept capital or leg, and an unset fundamental follows a swept mid
+        base = make_config(days=2, count=2, half_life_days=5.0)
+        cells = run_sweep(base, [(key, [value])])
+        assert cells[0].summary == summarize(run_sim(replace(base, **{field: set_to}).build()))
+
     def test_failed_cells_report_without_aborting(self):
-        base = make_scenario(days=1)
+        base = make_config(days=1)
         cells = run_sweep(base, [("agents.book_value", [1e9, -1.0, 1e10])])
         assert [c.ok for c in cells] == [True, False, True]
         assert "must be positive" in cells[1].error
 
     @pytest.mark.parametrize("sigma", [0.0, 0.01])
     def test_negative_seed_cell_is_an_error_with_or_without_noise(self, sigma):
-        cells = run_sweep(make_scenario(days=1, sigma=sigma), [("run.seed", [-1.0, 1.0])])
+        cells = run_sweep(make_config(days=1, sigma_daily=sigma), [("run.seed", [-1.0, 1.0])])
         assert [c.ok for c in cells] == [False, True]
         assert "seed must be >= 0, got -1" in cells[0].error
 
     @pytest.mark.parametrize("key", ["run.days", "run.seed"])
     @pytest.mark.parametrize("value", [2.5, math.inf, math.nan])
     def test_non_integral_days_or_seed_cell_is_an_error(self, key, value):
-        cells = run_sweep(make_scenario(days=1, sigma=0.01), [(key, [value, 2.0])])
+        cells = run_sweep(make_config(days=1, sigma_daily=0.01), [(key, [value, 2.0])])
         assert [c.ok for c in cells] == [False, True]
         assert f"{key} must be an integer, got {value!r}" in cells[0].error
 
     def test_unknown_key_is_rejected_up_front(self):
         with pytest.raises(ValueError, match="unknown sweep key"):
-            run_sweep(make_scenario(), [("impact.nope", [1.0])])
+            run_sweep(make_config(), [("impact.nope", [1.0])])
+
+    def test_key_named_twice_is_rejected_up_front(self):
+        # every cell would run the last value while the table showed the first
+        grid = [("agents.book_value", [1e7, 1e10]), ("agents.book_value", [1e8])]
+        with pytest.raises(ValueError, match=r"^sweep key 'agents\.book_value' appears more than once in the grid$"):
+            run_sweep(make_config(), grid)
 
     def test_empty_grid_is_rejected(self):
         with pytest.raises(ValueError):
-            run_sweep(make_scenario(), [])
+            run_sweep(make_config(), [])
 
     def test_cartesian_product_order_is_row_major(self):
-        base = make_scenario(days=1)
+        base = make_config(days=1)
         cells = run_sweep(base, [("impact.lambda", [0.0, 20.0]), ("run.seed", [1.0, 2.0])])
         combos = [tuple(v for _, v in c.params) for c in cells]
         assert combos == [(0.0, 1.0), (0.0, 2.0), (20.0, 1.0), (20.0, 2.0)]
 
     def test_breakeven_book_is_at_one_hundred_million(self):
-        base = make_scenario(days=1)
+        base = make_config(days=1)
         cells = run_sweep(base, [("agents.book_value", [1e7, 1e8, 1e9, 1e10])])
         nets = [c.summary.total_net_pnl for c in cells]
         assert nets[0] < 0 < nets[-1]

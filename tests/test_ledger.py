@@ -123,7 +123,6 @@ class TestMarkToMarket:
         gain, led = mark_to_market(Ledger(), 1e10, 100.0, 100.01)
         assert gain == pytest.approx(1_000_000.0, rel=1e-9)
         assert led.mtm_history == ((1, gain),)
-        assert led.book_value_at_mark == 1e10
 
     def test_flat_mid_is_zero_gain(self):
         gain, _ = mark_to_market(Ledger(), 1e10, 100.0, 100.0)

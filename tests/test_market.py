@@ -29,9 +29,7 @@ class TestClock:
     def test_defaults(self):
         clock = IntradayClock()
         assert clock.ticks_per_day == 392
-        assert clock.open_tick == 0
         assert clock.close_tick == 391
-        assert clock.days_per_year == 252
         assert clock.dt_days == pytest.approx(1 / 392)
 
     @pytest.mark.parametrize("ticks", [0, 1, -5])
