@@ -81,6 +81,7 @@ class DecompositionResult:
     days: tuple
     overnight_ret: np.ndarray
     intraday_ret: np.ndarray
+    total_ret: np.ndarray
     cum_overnight: np.ndarray
     cum_intraday: np.ndarray
     cum_total: np.ndarray
@@ -96,6 +97,14 @@ class DecompositionResult:
     @property
     def cumulative_total(self) -> float:
         return float(self.cum_total[-1])
+
+    @property
+    def log_overnight(self) -> np.ndarray:
+        return np.log1p(self.overnight_ret)
+
+    @property
+    def log_intraday(self) -> np.ndarray:
+        return np.log1p(self.intraday_ret)
 
     @property
     def identity_gap(self) -> float:
@@ -140,6 +149,7 @@ def decompose(series: PriceSeries) -> DecompositionResult:
         days=series.days,
         overnight_ret=(opn - prev) / prev,
         intraday_ret=(cls_ - opn) / opn,
+        total_ret=(cls_ - prev) / prev,
         **factors,
     )
 

@@ -95,18 +95,22 @@ class ScenarioConfig:
             raise ConfigError(keyed(exc)) from exc
 
     def sweep_cell(self, params: tuple[tuple[str, float], ...]) -> Scenario:
-        """The scenario of a sweep cell: this config with each ``(key, value)`` set in turn, built.
+        """The scenario of a sweep cell: this config with each of one or more ``(key, value)`` set in turn.
 
-        An owning type's ``ValueError`` is raised again naming the cell's
-        key of the field it rejects, or prefixed with the cell's keys.
+        The leverage and then ``agents.book_value`` are set first, so the
+        book is the cell's.  The config is built after each key, so an owning
+        type's ``ValueError`` is raised again naming the first key whose
+        value it rejects.
         """
+        first = {"agents.leverage": 0, "agents.book_value": 1}
         config = self
-        for key, value in params:
+        for key, value in sorted(params, key=lambda param: first.get(param[0], 2)):
             config = config.with_key(key, value)
-        try:
-            return config._scenario()
-        except ValueError as exc:
-            raise ValueError(keyed(exc, [key for key, _ in params])) from exc
+            try:
+                scenario = config._scenario()
+            except ValueError as exc:
+                raise ValueError(keyed(exc, key)) from exc
+        return scenario
 
     def _scenario(self) -> Scenario:
         """The scenario, or the ``ValueError`` of the owning type that rejects a value."""
@@ -143,11 +147,12 @@ class ScenarioConfig:
         )
 
 
-KEYS: dict[str, Key] = {
-    f.metadata["key"]: Key(f.name, f.metadata["kind"], f.metadata["sweep"]) for f in fields(ScenarioConfig) if f.metadata
-}
-# capital * leverage; a sweep moves capital at fixed leverage
-KEYS["agents.book_value"] = Key("book_value", "float", sweep=True, config=False)
+KEYS: dict[str, Key] = {}
+for _f in fields(ScenarioConfig):
+    if _f.metadata:
+        KEYS[_f.metadata["key"]] = Key(_f.name, _f.metadata["kind"], _f.metadata["sweep"])
+    if _f.name == "leverage":  # capital * leverage; a sweep moves capital at fixed leverage
+        KEYS["agents.book_value"] = Key("book_value", "float", sweep=True, config=False)
 
 # keys older configs may set, with why they went
 _REMOVED_KEYS: dict[str, str] = {
@@ -165,20 +170,19 @@ def check_removed_key(name: str) -> None:
         raise ConfigError(f"{name}: removed key; {reason}; delete the setting")
 
 
-def keyed(exc: ValueError, keys: list[str] | None = None) -> str:
+def keyed(exc: ValueError, key: str | None = None) -> str:
     """The message of an owning type's ``ValueError``, naming a ``section.key``.
 
     The message starts with the name of the field it rejects, and that name
-    becomes the field's key.  ``keys`` are the keys a sweep cell set: a
-    message about the field of another key, or about none, is prefixed
-    with them.
+    becomes the field's key.  ``key`` is the key a sweep is setting: a
+    message about another field, or about none, is prefixed with it.
     """
     message = str(exc)
     field_name = re.match(r"\w*", message).group()
     named = _FIELD_KEYS.get(field_name)
-    if named is not None and (keys is None or named in keys):
+    if named is not None and key in (None, named):
         return named + message[len(field_name) :]
-    return message if keys is None else f"{', '.join(keys)}: {message}"
+    return message if key is None else f"{key}: {message}"
 
 
 _BOOLS = {"true": True, "yes": True, "on": True, "1": True, "false": False, "no": False, "off": False, "0": False}

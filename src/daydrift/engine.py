@@ -666,7 +666,8 @@ def run_sweep(
     most one worker per cell; results are merged in grid order, so the
     output is identical whatever the worker count.  A failing cell is
     reported in its row and does not abort the others.  A grid that names
-    a key twice is a ``ValueError``: every cell would run its last value.
+    a key twice, or both ``agents.book_value`` and ``agents.capital``, is a
+    ``ValueError``: its cells would not run the values their rows show.
     """
     from .config import KEYS  # config imports this module
 
@@ -681,6 +682,8 @@ def run_sweep(
             raise ValueError(f"sweep key {key!r} appears more than once in the grid")
         if not values:
             raise ValueError(f"sweep key {key!r} has no values")
+    if "agents.book_value" in keys and "agents.capital" in keys:
+        raise ValueError("sweep keys 'agents.book_value' and 'agents.capital' both set the capital; sweep one of them")
     jobs = [(base, tuple(zip(keys, values))) for values in itertools.product(*(values for _, values in grid))]
     if workers <= 1 or len(jobs) == 1:
         return [_run_cell(job) for job in jobs]

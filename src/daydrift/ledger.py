@@ -104,6 +104,10 @@ class Ledger:
         return tuple(enumerate(self._day_gains, start=1))
 
     @property
+    def cash(self) -> float:
+        return from_micro(self.cash_micro)
+
+    @property
     def cumulative_cost(self) -> float:
         return from_micro(self.cumulative_cost_micro)
 

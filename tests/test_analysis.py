@@ -138,6 +138,10 @@ class TestDecompose:
         assert result.cumulative_intraday < 1.0
         assert result.cumulative_total == pytest.approx(1.0001**252, rel=1e-9)
 
+    def test_log_columns_match_returns(self):
+        result = decompose(series([(100.0, 101.0, 100.5)]))
+        assert result.log_overnight[0] == pytest.approx(math.log(1.01), rel=1e-12)
+
 
 class TestDoublingTime:
     def brute_force(self, nudge_bps: float) -> int:

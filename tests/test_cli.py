@@ -1,3 +1,4 @@
+import csv
 import datetime
 import hashlib
 import math
@@ -584,6 +585,20 @@ class TestSweep:
         assert err == "error: sweep key 'agents.book_value' appears more than once in the grid\n"
         assert not out.exists()
 
+    def test_cell_error_names_the_key_that_set_the_rejected_value(self, capsys, reference_config_path, tmp_path):
+        out = tmp_path / "sweep.csv"
+        code, _, text, _ = run_cli(
+            capsys, "sweep", "--config", str(reference_config_path), "--grid", "agents.book_value=-1",
+            "--grid", "run.seed=1,2", "--out", str(out),
+        )
+        assert code == 2
+        message = "ValueError: agents.book_value: capital must be positive and finite, got -0.1"
+        assert text.splitlines()[1:3] == [
+            f"  failed cell [agents.book_value=-1.0, run.seed=1]: {message}",
+            f"  failed cell [agents.book_value=-1.0, run.seed=2]: {message}",
+        ]
+        assert [row[-1] for row in csv.reader(out.read_text().splitlines()[1:])] == [message, message]
+
     def test_bad_cell_is_reported_but_not_fatal(self, capsys, reference_config_path, tmp_path):
         out = tmp_path / "sweep.csv"
         code, stanza, _, _ = run_cli(
@@ -618,8 +633,7 @@ class TestSweep:
         rows = out.read_text().splitlines()[1:]
         assert rows[0].startswith("1,2,") and rows[0].endswith(",")
         assert "run.days must be an integer, got 2.5" in rows[1]
-        # a cell is built once with all its keys set; Scenario checks days before seed
-        assert "run.seed must be an integer, got 1.5" in rows[2] and "run.days must be an integer, got 2.5" in rows[3]
+        assert "run.seed must be an integer, got 1.5" in rows[2] and "run.seed must be" in rows[3]
         assert "run.days must be an integer, got 2.5" in text
 
     def test_swept_seed_above_two_to_the_53_runs_exactly(self, capsys, noisy_config_path, tmp_path):

@@ -660,20 +660,18 @@ class TestRunSweep:
         run_sweep(make_config(), grid, workers=2)
         assert pools == [4, 2]
 
-    @pytest.mark.parametrize(
-        ("key", "value", "field", "set_to"),
-        [
-            ("agents.capital", 2e9, "capital", 2e9),
-            ("agents.book_value", 2e10, "capital", 2e9),
-            ("agents.leg_notional", 2e7, "leg_notional", 2e7),
-            ("run.initial_mid", 50.0, "initial_mid", 50.0),
-        ],
-    )
-    def test_cell_is_the_config_with_the_key_set(self, key, value, field, set_to):
-        # count splits a swept capital or leg, and an unset fundamental follows a swept mid
-        base = make_config(days=2, count=2, half_life_days=5.0)
-        cells = run_sweep(base, [(key, [value])])
-        assert cells[0].summary == summarize(run_sim(replace(base, **{field: set_to}).build()))
+    @pytest.mark.parametrize("book_first", [True, False])
+    def test_book_value_is_set_at_the_cells_leverage_in_either_order(self, book_first):
+        grid = [("agents.book_value", [1e8]), ("agents.leverage", [5.0])]
+        cells = run_sweep(make_config(days=2), grid if book_first else grid[::-1])
+        assert cells[0].summary == summarize(run_sim(make_config(days=2, leverage=5.0, capital=2e7).build()))
+
+    def test_book_value_and_capital_together_are_rejected_up_front(self):
+        # the cell would run one of the two capitals while its row showed both
+        grid = [("agents.book_value", [1e8]), ("agents.capital", [1e9])]
+        message = r"^sweep keys 'agents\.book_value' and 'agents\.capital' both set the capital; sweep one of them$"
+        with pytest.raises(ValueError, match=message):
+            run_sweep(make_config(), grid)
 
     def test_failed_cells_report_without_aborting(self):
         base = make_config(days=1)
@@ -695,8 +693,14 @@ class TestRunSweep:
         assert f"{key} must be an integer, got {value!r}" in cells[0].error
 
     def test_unknown_key_is_rejected_up_front(self):
-        with pytest.raises(ValueError, match="unknown sweep key"):
+        with pytest.raises(ValueError) as info:
             run_sweep(make_config(), [("impact.nope", [1.0])])
+        assert str(info.value) == (
+            "unknown sweep key 'impact.nope'; supported keys: profile.spread_open_bps, profile.spread_close_bps, "
+            "profile.depth, impact.lambda, impact.permanent_fraction, noise.sigma_daily, "
+            "noise.mean_reversion_half_life_days, agents.capital, agents.leverage, agents.book_value, "
+            "agents.leg_notional, run.days, run.seed, run.initial_mid, run.initial_fundamental"
+        )
 
     def test_key_named_twice_is_rejected_up_front(self):
         # every cell would run the last value while the table showed the first
