@@ -3,9 +3,15 @@
 Per-tick processing order is fixed and part of the contract: (1) apply
 the noise increment, (2) execute agent orders in agent-list order.  The
 day's open is the mid after tick 0 has been fully processed; the close is
-the mid after the final tick.  Each day draws its noise from a Philox
-substream keyed by (seed, day), so a run is bit-reproducible and days can
-be replayed independently.  ``day_rng`` is the reference definition of a
+the mid after the final tick.  Only tick 0, the ticks where orders trade
+and the close are *stops*, the ticks whose price an output reads.  With
+mean reversion the noise steps tick by tick.  Without it, the noise of
+every tick since the previous stop is one step of the segment's length,
+taken at the stop: a product of per-tick factors ``exp(c*z_i)`` has the
+law of one factor of the summed variance, so a day draws one normal per
+stop and every output keeps its law.  Each day draws its noise from a
+Philox substream keyed by (seed, day), so a run is bit-reproducible and
+days can be replayed independently.  ``day_rng`` is the reference definition of a
 substream.  ``simulate`` computes the Philox keys of all of a run's days
 at once with ``day_keys``, which gives the bits of ``SeedSequence``, and
 re-keys one generator per day; ``run_day``, and a seed too wide for
@@ -17,11 +23,11 @@ draw and the price chain go day by day; the fills' costs and impacts, the
 fill prices, the marks and the ledger are computed over a block at a time
 with the market model's step functions applied to arrays, since none of
 them but the fill prices and the marks reads the price.  Within a day it
-stops only at tick 0, at the ticks where orders trade and at the close,
-and between stops it advances the price over the whole gap.  The result
-has the bits of processing every tick in the order above, one day at a
-time, and a failing day raises the error that doing so raises first.  A
-day without noise builds no substream.
+stops only at the stops and between them advances the price over the
+whole gap.  The result has the bits of composing ``advance_noise`` once
+per noise step and ``apply_aggressive_trade`` once per order, in the
+order above, one day at a time, and a failing day raises the error that
+doing so raises first.  A day without noise builds no substream.
 """
 
 from __future__ import annotations
@@ -135,6 +141,11 @@ class DayPlan:
     and the arrays ``spreads``, ``depths`` and ``notionals`` its tick's full
     spread and depth and its day-1 signed notional, to be scaled by
     ``leg_growth_per_day ** (day - 1)``.
+
+    ``diffusion_coef`` holds the ``diffusion_coef`` of each normal a day
+    draws (see the module docstring): without mean reversion one per stop,
+    over the ticks after the previous stop (from tick -1) up to it; with
+    it, one per tick; without noise, none.
     """
 
     stops: tuple[tuple[int, int, int], ...]
@@ -144,7 +155,7 @@ class DayPlan:
     notionals: np.ndarray
     book_per_price: float  # marked book value per unit of price
     pull: float | None  # reversion_pull per tick; None without mean reversion
-    diffusion_coef: float  # diffusion_coef per tick; 0.0 without noise
+    diffusion_coef: np.ndarray  # per noise step of a day; empty without noise
 
     @classmethod
     def of(cls, scenario: "Scenario") -> "DayPlan":
@@ -156,7 +167,13 @@ class DayPlan:
         ticks = sorted({0, scenario.clock.close_tick, *orders})
         ends = list(itertools.accumulate(len(orders.get(t, ())) for t in ticks))
         order_ticks = [t for t in ticks for _ in orders.get(t, ())]
-        noise = scenario.noise
+        noise, dt = scenario.noise, scenario.clock.dt_days
+        if noise.sigma_daily == 0.0:
+            gaps = []
+        elif noise.half_life_days is None:
+            gaps = [t - last for last, t in zip([-1, *ticks], ticks)]
+        else:
+            gaps = [1] * scenario.clock.ticks_per_day
         return cls(
             stops=tuple(zip(ticks, [0, *ends[:-1]], ends)),
             order_stop=tuple(s for s, t in enumerate(ticks) for _ in orders.get(t, ())),
@@ -164,8 +181,8 @@ class DayPlan:
             depths=scenario.profile.depth[order_ticks],
             notionals=np.array([n for t in ticks for n in orders.get(t, ())]),
             book_per_price=scenario.total_book_value / scenario.initial_mid,
-            pull=None if noise.half_life_days is None else reversion_pull(noise, scenario.clock.dt_days),
-            diffusion_coef=diffusion_coef(noise, scenario.clock.dt_days),
+            pull=None if noise.half_life_days is None else reversion_pull(noise, dt),
+            diffusion_coef=np.array([diffusion_coef(noise, gap * dt) for gap in gaps]),
         )
 
 
@@ -273,7 +290,8 @@ def run_day(
     A noise step that leaves the anchor outside (0, inf), a close outside
     it, an order that ``fill_order`` or ``record_fill`` refuses, or a leg
     scale that overflows on a day with orders raises the error of the
-    first such check in per-tick order (noise, then trades): ``ValueError``,
+    first such check in the order of the module docstring (a stop's noise
+    step, then its trades): ``ValueError``,
     or an ``OverflowError`` such as ``AccountingError``.  A failing day
     books none of its fills: ``book_ledger`` is left as it was.
     """
@@ -299,12 +317,13 @@ def simulate(scenario: Scenario) -> SimResult:
     seed too wide for ``day_keys`` builds each day's ``day_rng`` instead.
     A noiseless run computes no keys and builds no generator.  A failing
     day raises ``SimulationError`` naming it, with the error of the first
-    check it fails in per-tick order.
+    check it fails in the order of the module docstring; a noise step that
+    fails names the tick it ends at.
     """
     book_ledger = Ledger()
     records: list[DayRecord] = []
     days = range(1, scenario.days + 1)
-    keys = day_keys(scenario.seed, days) if scenario.plan.diffusion_coef > 0.0 else None
+    keys = day_keys(scenario.seed, days) if len(scenario.plan.diffusion_coef) else None
     try:
         state = _run_days(scenario.initial_state(), scenario, days, book_ledger, records, keys)
     except (ValueError, OverflowError) as exc:
@@ -312,7 +331,8 @@ def simulate(scenario: Scenario) -> SimResult:
     return SimResult(tuple(records), book_ledger, state)
 
 
-_BLOCK_DAYS = 64  # days per block: a block of 392-tick days is a 64 x 393 float64 array, 201 KB
+# days per block: a 64 x (stops + 1) float64 array, or with mean reversion 64 x 393 (201 KB) for 392-tick days
+_BLOCK_DAYS = 64
 
 
 def _run_days(
@@ -336,12 +356,14 @@ def _run_days(
     The days are computed in blocks of ``_BLOCK_DAYS``, in four steps.
     Only the draw and the chain go day by day:
 
-    1. *Draw.*  Each noisy day draws its normals into a row of one array;
-       ``diffusion_growth`` turns the block's rows into growth factors in
-       place.  With ``keys`` (``day_keys`` of ``days``) a day re-keys one
-       Philox generator, counter 0 and buffer empty, which is the state of
-       a fresh ``day_rng``; without, it builds the day's ``day_rng``.  A
-       day without noise draws nothing.
+    1. *Draw.*  Each noisy day draws its normals, one per noise step (per
+       stop without mean reversion, per tick with it), into a row of one
+       array; ``diffusion_growth`` turns the block's rows into growth
+       factors in place, each column with its step's ``diffusion_coef``.
+       With ``keys`` (``day_keys`` of ``days``) a day re-keys one Philox
+       generator, counter 0 and buffer empty, which is the state of a
+       fresh ``day_rng``; without, it builds the day's ``day_rng``.  A day
+       without noise draws nothing.
     2. *What does not read the price*, as arrays over the block's days:
        the scaled notionals (a plan without orders computes no leg
        scales), ``order_impact`` (costs and impacts), the permanent impact
@@ -349,29 +371,39 @@ def _run_days(
        ``mid_non_positive`` over the fills, which find the first day whose
        orders would raise.
     3. *The chain*, day by day: without mean reversion the day's anchor
-       path is one ``diffusion_path`` of its row; with it, ``noise_step``
-       runs tick by tick and each stop's anchor is written into the row.
+       at each stop is one ``diffusion_path`` of its row; with it,
+       ``noise_step`` runs tick by tick and each stop's anchor is written
+       into the row.
     4. *Booking*: the opens, ``fill_price`` of every fill and the marks,
        over the finished days, then ``book_days`` and the records.
 
-    The per-tick order of the module docstring is the contract: the result
-    is bit-identical to composing ``advance_noise`` and
-    ``apply_aggressive_trade`` tick by tick, one day at a time, which the
-    test suite checks at block boundaries.  A day fails with the error
-    that processing it tick by tick raises first: the noise path (or a
-    reversion tick), then each stop's orders in order, replayed through
-    ``fill_order`` and ``record_fill`` to get their error, then the close.
+    The order of the module docstring is the contract: the result is
+    bit-identical to composing ``advance_noise`` once per noise step (over
+    the segment's ``gap * dt_days`` without mean reversion, over one tick
+    with it) and ``apply_aggressive_trade`` once per order, one day at a
+    time, which the test suite checks at block boundaries.  A day fails
+    with the error that this composition raises first: a leg scale that
+    overflows, then at each stop in turn its noise step (or reversion
+    ticks), which names the stop's tick (or the tick), then its orders,
+    replayed through ``fill_order`` and ``record_fill`` to get their
+    error; then the close.
     """
     plan = scenario.plan
     impact, seed, leg_growth = scenario.impact, scenario.seed, scenario.leg_growth_per_day
     pull, coef, book_per_price = plan.pull, plan.diffusion_coef, plan.book_per_price
     stops, order_stop, spreads = plan.stops, plan.order_stop, plan.spreads
     n_orders = len(order_stop)
-    diffuse = coef > 0.0
-    # row i: day i's anchor, then its growth factors; after the chain, its anchor after each tick
-    width = scenario.clock.ticks_per_day + 1 if diffuse or pull is not None else 1
+    diffuse = len(coef) > 0
+    stop_ticks = [t for t, _, _ in stops]
+    # row i: day i's anchor, then its growth factors; after the chain, its anchor after each
+    # tick with mean reversion, or after each stop without
+    if pull is not None:
+        width = scenario.clock.ticks_per_day + 1
+        stop_col = [t + 1 for t in stop_ticks]
+    else:
+        width = len(coef) + 1
+        stop_col = [s + 1 if diffuse else 0 for s in range(len(stops))]
     rows = np.empty((min(len(days), _BLOCK_DAYS), width))
-    stop_col = [t + 1 if width > 1 else 0 for t, _, _ in stops]
     order_col = [stop_col[s] for s in order_stop]
     flat = [1.0] * width
     close = anchor = state.day_anchor
@@ -442,9 +474,11 @@ def _run_days(
                     row = path[i]
                     if pull is None:
                         row[0] = close
-                        anchor = diffusion_path(row) if diffuse else close
-                        if i == bad_day:
+                        if i == bad_day:  # the segments up to the failing stop, then its refusal
+                            if diffuse:
+                                diffusion_path(row[: bad_stop + 2], stop_ticks)
                             raise refusal
+                        anchor = diffusion_path(row, stop_ticks) if diffuse else close
                     else:
                         if i == bad_day and bad_stop < 0:
                             raise refusal

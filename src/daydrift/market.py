@@ -17,11 +17,13 @@ calibration below exact.
 
 A tick is two steps: noise, then trades.  Each operation on
 ``MarketState`` (``advance_noise``, ``apply_aggressive_trade``) is the
-one-tick case of a step function below (``noise_step``, ``fill_order``).
-The engine's run kernel calls the same step functions, over whole segments
-of a day and, where they work elementwise (``mid_price``, ``fill_price``,
-``order_impact``, ``crossing_cost``, ``diffusion_growth``), over arrays of
-a block of days, so there is one implementation of the model.
+one-step case of a step function below (``noise_step``, ``fill_order``);
+a noise step may span several ticks, as it does without mean reversion
+between two of the engine's stops.  The engine's run kernel calls the
+same step functions, over whole segments of a day and, where they work
+elementwise (``mid_price``, ``fill_price``, ``order_impact``,
+``crossing_cost``, ``diffusion_growth``), over arrays of a block of days,
+so there is one implementation of the model.
 """
 
 from __future__ import annotations
@@ -411,28 +413,30 @@ def diffusion_coef(noise: NoiseParams, dt_days: float) -> float:
     return noise.sigma_daily * math.sqrt(dt_days)
 
 
-def diffusion_growth(coef: float, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Per-tick growth factors ``exp(coef*z)`` of the anchor for standard normals ``z``.
+def diffusion_growth(coef: float | np.ndarray, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Growth factors ``exp(coef*z)`` of the anchor for standard normals ``z``.
 
-    ``coef`` is ``diffusion_coef``.  ``np.exp`` gives each element the same
-    bits whatever the array around it: one draw, a day's row, or the rows
-    of a block of days written in place through ``out``.  It overflows to
-    inf for absurd sigmas: call it under ``np.errstate(over="ignore")`` and
-    check the price it produces.
+    ``coef`` is ``diffusion_coef``: one for every step, or an array with
+    one per column of ``z``, for steps of different lengths.  ``np.exp``
+    gives each element the same bits whatever the array around it: one
+    draw, a day's row, or the rows of a block of days written in place
+    through ``out``.  It overflows to inf for absurd sigmas: call it under
+    ``np.errstate(over="ignore")`` and check the price it produces.
     """
     return np.exp(np.multiply(coef, z, out=out), out=out)
 
 
-def diffusion_path(path: np.ndarray) -> float:
-    """Turn ``[anchor, growth...]`` in place into the anchor after each tick of pure diffusion.
+def diffusion_path(path: np.ndarray, ticks: list[int]) -> float:
+    """Turn ``[anchor, growth...]`` in place into the anchor after each step of pure diffusion.
 
     On entry ``path[0]`` is the anchor and ``path[k]`` the growth factor of
-    tick ``k - 1``; on return ``path[k]`` is the anchor after ``k`` ticks,
-    and the last one is returned.  ``np.multiply.accumulate`` multiplies in
-    order, so ``path[k]`` has the bits of ``k`` successive ``noise_step``
-    calls without reversion.  A price that leaves (0, inf) never comes back
-    under positive factors, so checking the last entry checks the whole
-    path; ``ValueError`` names the first tick out of range.  Call it under
+    the step that ends at tick ``ticks[k - 1]``; on return ``path[k]`` is
+    the anchor after that step, and the last one is returned.
+    ``np.multiply.accumulate`` multiplies in order, so ``path[k]`` has the
+    bits of ``k`` successive ``noise_step`` calls without reversion.  A
+    price that leaves (0, inf) never comes back under positive factors, so
+    checking the last entry checks the whole path; ``ValueError`` names the
+    tick of the first step out of range.  Call it under
     ``np.errstate(over="ignore", invalid="ignore")``: that check, not a
     warning, reports an overflow.
     """
@@ -440,7 +444,7 @@ def diffusion_path(path: np.ndarray) -> float:
     end = path.item(-1)
     if not 0.0 < end < math.inf:
         k = int(np.flatnonzero(~((path > 0.0) & (path < math.inf)))[0])
-        check_noise_price(path.item(k), tick=k - 1)
+        check_noise_price(path.item(k), tick=ticks[k - 1])
     return end
 
 

@@ -165,7 +165,7 @@ class TestRunDayMatchesOperationComposition:
 
     @pytest.mark.parametrize(
         "case",
-        ["noisy-path", "noiseless", "interior-trades-diffusing", "interior-trades-reverting"],
+        ["noisy-path", "noisy-reverting", "noiseless", "interior-trades-diffusing", "interior-trades-reverting"],
     )
     def test_bitwise_equivalence_across_day_shapes(self, case):
         scenario = bitwise_case(case)
@@ -197,6 +197,32 @@ class TestRunDayMatchesOperationComposition:
             simulate(scenario)
 
 
+class TestSegmentLaw:
+    def test_the_tick_0_step_keeps_the_per_tick_bits(self):
+        # the segment ending at tick 0 spans one tick, so the open is one per-tick noise step and the opening fill
+        scenario = bitwise_case("noisy-path")
+        noise, dt = scenario.noise, scenario.clock.dt_days
+        assert scenario.plan.diffusion_coef[0] == diffusion_coef(noise, dt)
+        for record in simulate(scenario).records:
+            state = advance_noise(MarketState.initial(record.prev_close), noise, dt, day_rng(scenario.seed, record.day))
+            for agent in scenario.agents:
+                for notional in orders_for_tick(agent, 0):
+                    _, _, state = apply_aggressive_trade(state, scenario.profile, scenario.impact, notional, 0)
+            assert record.open == state.mid
+
+    def test_segment_variances_are_those_of_the_per_tick_steps(self):
+        # trader off: log(open / prev_close) sums the noise of 1 tick, log(close / open) that of the other 391
+        base = load_config(NOISY_CONFIG).build()
+        days = 20_000
+        control = replace(base, agents=tuple(replace(a, enabled=False) for a in base.agents), days=days, seed=7)
+        prev, opens, closes = map(np.array, zip(*((r.prev_close, r.open, r.close) for r in simulate(control).records)))
+        var, ticks = base.noise.sigma_daily**2, base.clock.ticks_per_day
+        segments = ((np.log(opens / prev), var / ticks), (np.log(closes / opens), var * (ticks - 1) / ticks))
+        for logs, expected in segments:
+            # (n - 1) s^2 / v is chi-square with n - 1 degrees of freedom, so s^2 has standard error v sqrt(2 / (n - 1))
+            assert abs(logs.var(ddof=1) - expected) <= 6 * expected * math.sqrt(2 / (days - 1))
+
+
 BLOCK_EDGE_DAYS = [1, _BLOCK_DAYS, _BLOCK_DAYS + 1, 2 * _BLOCK_DAYS + 3]
 
 
@@ -208,7 +234,14 @@ class TestBlockBoundaries:
     @pytest.mark.parametrize("days", BLOCK_EDGE_DAYS)
     @pytest.mark.parametrize(
         "case",
-        ["noisy-path", "noisy-path-day-rng", "noiseless", "interior-trades-diffusing", "interior-trades-reverting"],
+        [
+            "noisy-path",
+            "noisy-path-day-rng",
+            "noisy-reverting",
+            "noiseless",
+            "interior-trades-diffusing",
+            "interior-trades-reverting",
+        ],
     )
     def test_simulate_chained_run_day_and_composition_agree(self, case, days):
         scenario = replace(bitwise_case(case), days=days)
@@ -240,8 +273,12 @@ class TestBlockBoundaries:
             assert row[1:].tobytes() == day.tobytes()
 
 
-def spike_on(monkeypatch, spike_day: int, tick: int = 5) -> None:
-    """Make ``day_rng`` draw a normal of 1e300 at ``tick`` of ``spike_day``, so its noise step overflows there."""
+def spike_on(monkeypatch, spike_day: int, step: int = 5) -> None:
+    """Make ``day_rng`` draw a normal of 1e300 for noise step ``step`` of ``spike_day``, so that step overflows.
+
+    A day draws one normal per tick with mean reversion, so ``step`` is a
+    tick; without it, one per stop segment, so ``step`` is a segment index.
+    """
 
     class Spiked:
         def __init__(self, rng):
@@ -249,7 +286,7 @@ def spike_on(monkeypatch, spike_day: int, tick: int = 5) -> None:
 
         def standard_normal(self, size=None, out=None):
             z = self.rng.standard_normal(size, out=out)
-            z[tick] = 1e300
+            z[step] = 1e300
             return z
 
     def spiked(seed, day):
@@ -267,9 +304,10 @@ class TestErrorsAtBlockEdges:
         scenario = replace(
             load_config(NOISY_CONFIG).build(), noise=NoiseParams(0.01, half_life), days=2 * _BLOCK_DAYS, seed=2**96
         )
+        step, tick = (5, 5) if half_life else (1, 391)  # without reversion, segment 1 ends at the close
         finished = simulate(replace(scenario, days=spike_day - 1))
-        spike_on(monkeypatch, spike_day)
-        with pytest.raises(SimulationError, match=rf"^day {spike_day}: noise step produced .* at tick 5: inf$"):
+        spike_on(monkeypatch, spike_day, step)
+        with pytest.raises(SimulationError, match=rf"^day {spike_day}: noise step produced .* at tick {tick}: inf$"):
             simulate(scenario)
         records, ledger = [], Ledger()
         with pytest.raises(ValueError, match="noise step produced"):
@@ -287,7 +325,7 @@ class TestErrorsAtBlockEdges:
         )
         with pytest.raises(SimulationError, match=r"^day 35: .* does not fit in micro-currency range$"):
             simulate(scenario)
-        spike_on(monkeypatch, 35, tick=0)  # tick 0 steps before the opening fill
+        spike_on(monkeypatch, 35, step=0)  # the noise step of tick 0 comes before the opening fill
         with pytest.raises(SimulationError, match=r"^day 35: noise step produced .* at tick 0: inf$"):
             simulate(scenario)
 
@@ -296,10 +334,26 @@ class TestErrorsAtBlockEdges:
             load_config(NOISY_CONFIG).build(), noise=NoiseParams(0.01, 504.0), days=40, seed=2**96,
             leg_growth_per_day=1.5,
         )
-        spike_on(monkeypatch, 35, tick=200)  # mean reversion steps tick 200 after the opening fill
+        spike_on(monkeypatch, 35, step=200)  # mean reversion steps tick 200 after the opening fill
         with pytest.raises(SimulationError, match=r"^day 35: .* does not fit in micro-currency range$") as info:
             simulate(scenario)
         assert isinstance(info.value.__cause__, AccountingError)
+
+    def test_a_failing_fill_before_a_failing_segment_reports_the_fill(self, monkeypatch):
+        scenario = replace(load_config(NOISY_CONFIG).build(), days=40, seed=2**96, leg_growth_per_day=1.5)
+        spike_on(monkeypatch, 35, step=1)  # segment 1 ends at the close, after the opening fill
+        with pytest.raises(SimulationError, match=r"^day 35: .* does not fit in micro-currency range$") as info:
+            simulate(scenario)
+        assert isinstance(info.value.__cause__, AccountingError)
+
+    @pytest.mark.parametrize("spike_day", [_BLOCK_DAYS, _BLOCK_DAYS + 1])
+    @pytest.mark.parametrize(("case", "step", "tick"), [("noisy-path", 0, 0), ("interior-trades-diffusing", 2, 40)])
+    def test_a_failing_segment_names_its_stop_tick(self, monkeypatch, case, step, tick, spike_day):
+        # stops at ticks 0 and 391 on noisy-path; at 0, 5, 40, 50 and 63 on interior-trades-diffusing
+        scenario = replace(bitwise_case(case), days=2 * _BLOCK_DAYS, seed=2**96, leg_growth_per_day=1.0)
+        spike_on(monkeypatch, spike_day, step)
+        with pytest.raises(SimulationError, match=rf"^day {spike_day}: noise step produced .* at tick {tick}: inf$"):
+            simulate(scenario)
 
     def test_growing_legs_leave_the_micro_range_on_day_35(self):
         scenario = replace(load_config(NOISY_CONFIG).build(), days=300, leg_growth_per_day=1.5)
@@ -340,6 +394,9 @@ def bitwise_case(case: str) -> Scenario:
         return replace(load_config(NOISY_CONFIG).build(), days=4, seed=3)
     if case == "noisy-path-day-rng":  # a seed too wide for day_keys draws through day_rng
         return replace(load_config(NOISY_CONFIG).build(), days=4, seed=2**96 + 3)
+    if case == "noisy-reverting":  # diffusion with reversion, 392 ticks: the noise steps tick by tick
+        noisy = load_config(NOISY_CONFIG).build()
+        return replace(noisy, noise=replace(noisy.noise, half_life_days=504.0), days=4, seed=3)
     if case == "noiseless":
         return replace(load_config(REFERENCE_CONFIG).build(), days=3)
     # a buy-first and a sell-first agent trading at the same interior tick,
@@ -357,20 +414,30 @@ def bitwise_case(case: str) -> Scenario:
 
 
 def compose_days(scenario: Scenario):
-    """Reference run, one tick at a time through the market operations.
+    """Reference run through the market operations, one day at a time.
 
-    Yields ``(record, ledger, state)`` after each day; fills are booked
-    with ``record_fill`` and each day is sealed with ``mark_to_market``.
+    With mean reversion the noise steps once per tick.  Without it, it
+    steps once per stop (tick 0, each tick with orders and the close),
+    over the ticks since the previous stop, counting from tick -1.  The
+    orders of a tick trade after its noise step.  Yields
+    ``(record, ledger, state)`` after each day; fills are booked with
+    ``record_fill`` and each day is sealed with ``mark_to_market``.
     """
     clock, profile, impact, noise = scenario.clock, scenario.profile, scenario.impact, scenario.noise
+    ticks = range(clock.ticks_per_day)
+    if noise.half_life_days is None:
+        traded = {t for t in ticks for agent in scenario.agents if orders_for_tick(agent, t)}
+        ticks = sorted({0, clock.close_tick, *traded})
     state = scenario.initial_state()
     ledger = Ledger()
     for day in range(1, scenario.days + 1):
         state, rng = state.start_day(), day_rng(scenario.seed, day)
         prev = state.day_anchor
         scale = scenario.leg_growth_per_day ** (day - 1)
-        for t in range(clock.ticks_per_day):
-            state = advance_noise(state, noise, clock.dt_days, rng)
+        last = -1
+        for t in ticks:
+            state = advance_noise(state, noise, (t - last) * clock.dt_days, rng)
+            last = t
             for agent in scenario.agents:
                 for notional in (n * scale for n in orders_for_tick(agent, t)):
                     fill, cost, state = apply_aggressive_trade(state, profile, impact, notional, t)
