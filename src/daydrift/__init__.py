@@ -33,7 +33,6 @@ from .engine import (
     intraday_return,
     overnight_return,
     read_daily_csv,
-    run_day,
     run_sim,
     run_sweep,
     simulate,

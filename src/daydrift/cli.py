@@ -150,6 +150,8 @@ def _parse_grid(specs: list[str]) -> list[tuple[str, list[float]]]:
 def cmd_sweep(args) -> int:
     import csv as _csv
 
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     base = _load(args)
     base.build()  # a bad base is a config error, not a failure in every cell
     grid = _parse_grid(args.grid)

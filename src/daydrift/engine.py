@@ -13,21 +13,20 @@ stop and every output keeps its law.  Each day draws its noise from a
 Philox substream keyed by (seed, day), so a run is bit-reproducible and
 days can be replayed independently.  ``day_rng`` is the reference definition of a
 substream.  ``simulate`` computes the Philox keys of all of a run's days
-at once with ``day_keys``, which gives the bits of ``SeedSequence``, and
-re-keys one generator per day; ``run_day``, and a seed too wide for
-``day_keys``, build each day's ``day_rng``.
+at once with ``day_keys``, which gives the bits of ``SeedSequence`` for a
+seed of any width, and re-keys one generator per day.
 
-One run kernel computes every day, for ``simulate`` over a whole run and
-for ``run_day`` over one day.  It works in blocks of days.  Only the noise
-draw and the price chain go day by day; the fills' costs and impacts, the
-fill prices, the marks and the ledger are computed over a block at a time
-with the market model's step functions applied to arrays, since none of
-them but the fill prices and the marks reads the price.  Within a day it
-stops only at the stops and between them advances the price over the
-whole gap.  The result has the bits of composing ``advance_noise`` once
-per noise step and ``apply_aggressive_trade`` once per order, in the
-order above, one day at a time, and a failing day raises the error that
-doing so raises first.  A day without noise builds no substream.
+One run kernel computes every day of ``simulate``.  It works in blocks of
+days.  Only the noise draw and the price chain go day by day; the fills'
+costs and impacts, the fill prices, the marks and the ledger are computed
+over a block at a time with the market model's step functions applied to
+arrays, since none of them but the fill prices and the marks reads the
+price.  Within a day it stops only at the stops and between them advances
+the price over the whole gap.  The result has the bits of composing
+``advance_noise`` once per noise step and ``apply_aggressive_trade`` once
+per order, in the order above, one day at a time, and a failing day raises
+the error that doing so raises first.  A day without noise builds no
+substream.
 """
 
 from __future__ import annotations
@@ -95,9 +94,9 @@ class Scenario:
                 object.__setattr__(self, name, operator.index(getattr(self, name)))
             except TypeError:
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
-        if self.days < 1:
-            raise ValueError(f"days must be >= 1, got {self.days}")
-        if self.seed < 0:  # checked here because a noiseless run never hands it to day_rng
+        if not 1 <= self.days < 2**32:  # day_keys numbers a day with one uint32 word
+            raise ValueError(f"days must be >= 1 and < 2**32, got {self.days}")
+        if self.seed < 0:  # checked here because a noiseless run never hands it to day_keys
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.initial_mid < math.inf:
             raise ValueError(f"initial_mid must be positive and finite, got {self.initial_mid}")
@@ -235,8 +234,7 @@ def _hash_consts(init: int, mult: int, n: int) -> tuple[tuple[int, int], ...]:
     return tuple(consts)
 
 
-# Hashes do not depend on the data: 4 + 12 to mix the pool, 4 to emit the key.
-_MIX_HASHES = _hash_consts(0x43B0D7E5, 0x931E8875, _POOL * _POOL)
+# The 4 hashes that emit the key do not depend on the entropy's length.
 _KEY_HASHES = _hash_consts(0x8B51F9DD, 0x58F38DED, _POOL)
 
 
@@ -246,58 +244,40 @@ def _hash(words: np.ndarray, consts: tuple[int, int]) -> np.ndarray:
     return words ^ (words >> _XSHIFT)
 
 
-def day_keys(seed: int, days: range) -> np.ndarray | None:
+def _mix(dst: np.ndarray, hashed: np.ndarray) -> np.ndarray:
+    mixed = _MIX_L * dst - _MIX_R * hashed
+    return mixed ^ (mixed >> _XSHIFT)
+
+
+def day_keys(seed: int, days: range) -> np.ndarray:
     """The Philox key of ``day_rng(seed, day)`` for each day, in one vectorised pass.
 
     Row ``i`` of the ``(len(days), 2)`` uint64 result equals
     ``SeedSequence(entropy=(seed, days[i])).generate_state(2, np.uint64)``:
     the entropy is the seed's uint32 words, low first, then the day, and
     the hash is SeedSequence's in uint32 arithmetic over every day at once.
-    Returns None when the entropy does not fit the 4-word pool, that is for
-    a seed of 2**96 or more (or a day of 2**32 or more); such a run uses
-    ``day_rng``.
+    Entropy past the 4-word pool, the words of a seed of 2**96 or more, is
+    mixed into every pool word after the pool is mixed, as SeedSequence
+    does; so the number of hashes grows with the seed's width.  A day is
+    one uint32 word: a day of 2**32 or more raises ``OverflowError``.
     """
-    n_words = (seed.bit_length() + 31) // 32 or 1
-    if n_words >= _POOL or days.stop - 1 > 0xFFFFFFFF:
-        return None
-    words = [seed >> 32 * i & 0xFFFFFFFF for i in range(n_words)]
     n = len(days)
-    pool = [np.full(n, w, dtype=np.uint32) for w in words]
-    pool.append(np.arange(days.start, days.stop, dtype=np.uint32))
-    pool += [np.zeros(n, dtype=np.uint32)] * (_POOL - len(pool))
-    hashes = iter(_MIX_HASHES)
-    pool = [_hash(w, next(hashes)) for w in pool]
+    words = [seed >> 32 * i & 0xFFFFFFFF for i in range((seed.bit_length() + 31) // 32 or 1)]
+    entropy = [np.full(n, w, dtype=np.uint32) for w in words]
+    entropy.append(np.arange(days.start, days.stop, dtype=np.uint32))
+    entropy += [np.zeros(n, dtype=np.uint32)] * (_POOL - len(entropy))
+    # 4 hashes to fill the pool, 12 to mix it, and 4 for each entropy word past it
+    hashes = iter(_hash_consts(0x43B0D7E5, 0x931E8875, _POOL * len(entropy)))
+    pool = [_hash(w, next(hashes)) for w in entropy[:_POOL]]
     for src in range(_POOL):
         for dst in range(_POOL):
             if src != dst:
-                mixed = _MIX_L * pool[dst] - _MIX_R * _hash(pool[src], next(hashes))
-                pool[dst] = mixed ^ (mixed >> _XSHIFT)
+                pool[dst] = _mix(pool[dst], _hash(pool[src], next(hashes)))
+    for word in entropy[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = _mix(pool[dst], _hash(word, next(hashes)))
     key_words = np.stack([_hash(w, c) for w, c in zip(pool, _KEY_HASHES)], axis=1)
     return key_words.astype("<u4").view("<u8").astype(np.uint64)
-
-
-def run_day(
-    state: MarketState, scenario: Scenario, day: int, book_ledger: Ledger
-) -> tuple[MarketState, DayRecord, Ledger]:
-    """Simulate one day; returns the carried state, the day record, and the ledger.
-
-    The day's fills and its mark update the caller's ``book_ledger`` in
-    place, and that same ledger is returned.  This is the run kernel that
-    ``simulate`` uses, on a one-day block, so chaining ``run_day`` over a
-    run's days gives ``simulate``'s records, ledger and state bit for bit.
-    A noisy day draws from its ``day_rng``, which ``simulate`` reproduces
-    by re-keying one generator; one day does not pay for ``day_keys``.
-    A noise step that leaves the anchor outside (0, inf), a close outside
-    it, an order that ``fill_order`` or ``record_fill`` refuses, or a leg
-    scale that overflows on a day with orders raises the error of the
-    first such check in the order of the module docstring (a stop's noise
-    step, then its trades): ``ValueError``,
-    or an ``OverflowError`` such as ``AccountingError``.  A failing day
-    books none of its fills: ``book_ledger`` is left as it was.
-    """
-    records: list[DayRecord] = []
-    new_state = _run_days(state.start_day(), scenario, range(day, day + 1), book_ledger, records)
-    return new_state, records[0], book_ledger
 
 
 @dataclass(frozen=True)
@@ -314,18 +294,15 @@ def simulate(scenario: Scenario) -> SimResult:
     noisy run computes every day's substream key up front with
     ``day_keys`` and re-keys one Philox generator per day, drawing each
     day's normals, those of its ``day_rng``, into the block's array.  A
-    seed too wide for ``day_keys`` builds each day's ``day_rng`` instead.
-    A noiseless run computes no keys and builds no generator.  A failing
+    noiseless run computes no keys and builds no generator.  A failing
     day raises ``SimulationError`` naming it, with the error of the first
     check it fails in the order of the module docstring; a noise step that
     fails names the tick it ends at.
     """
     book_ledger = Ledger()
     records: list[DayRecord] = []
-    days = range(1, scenario.days + 1)
-    keys = day_keys(scenario.seed, days) if len(scenario.plan.diffusion_coef) else None
     try:
-        state = _run_days(scenario.initial_state(), scenario, days, book_ledger, records, keys)
+        state = _run_days(scenario, book_ledger, records)
     except (ValueError, OverflowError) as exc:
         raise SimulationError(f"day {len(records) + 1}: {exc}") from exc
     return SimResult(tuple(records), book_ledger, state)
@@ -335,23 +312,15 @@ def simulate(scenario: Scenario) -> SimResult:
 _BLOCK_DAYS = 64
 
 
-def _run_days(
-    state: MarketState,
-    scenario: Scenario,
-    days: range,
-    book_ledger: Ledger,
-    records: list[DayRecord],
-    keys: np.ndarray | None = None,
-) -> MarketState:
-    """The run kernel: simulate ``days`` in order from ``state``; returns the final state.
+def _run_days(scenario: Scenario, book_ledger: Ledger, records: list[DayRecord]) -> MarketState:
+    """The run kernel: simulate days ``1..scenario.days`` from the initial state; returns the final state.
 
-    ``state`` is at a day boundary: its anchor is the first day's previous
-    close and its permanent impact is zero.  Each finished day is booked
-    into ``book_ledger`` and its record appended to ``records``, so after
-    an error ``len(records)`` counts the days that finished and the ledger
-    holds exactly those days; the failing day books nothing.  Between days
-    the anchor and the permanent impact are carried as floats; the close
-    becomes the next day's anchor, which is ``MarketState.start_day``.
+    Each finished day is booked into ``book_ledger`` and its record
+    appended to ``records``, so after an error ``len(records)`` counts the
+    days that finished and the ledger holds exactly those days; the failing
+    day books nothing.  Between days the anchor and the permanent impact
+    are carried as floats; the close becomes the next day's anchor, which
+    is ``MarketState.start_day``.
 
     The days are computed in blocks of ``_BLOCK_DAYS``, in four steps.
     Only the draw and the chain go day by day:
@@ -360,10 +329,10 @@ def _run_days(
        stop without mean reversion, per tick with it), into a row of one
        array; ``diffusion_growth`` turns the block's rows into growth
        factors in place, each column with its step's ``diffusion_coef``.
-       With ``keys`` (``day_keys`` of ``days``) a day re-keys one Philox
-       generator, counter 0 and buffer empty, which is the state of a
-       fresh ``day_rng``; without, it builds the day's ``day_rng``.  A day
-       without noise draws nothing.
+       A day re-keys one Philox generator with its ``day_keys`` key,
+       counter 0 and buffer empty, which is the state of a fresh
+       ``day_rng``.  A run without noise computes no keys and draws
+       nothing.
     2. *What does not read the price*, as arrays over the block's days:
        the scaled notionals (a plan without orders computes no leg
        scales), ``order_impact`` (costs and impacts), the permanent impact
@@ -389,7 +358,7 @@ def _run_days(
     error; then the close.
     """
     plan = scenario.plan
-    impact, seed, leg_growth = scenario.impact, scenario.seed, scenario.leg_growth_per_day
+    impact, leg_growth = scenario.impact, scenario.leg_growth_per_day
     pull, coef, book_per_price = plan.pull, plan.diffusion_coef, plan.book_per_price
     stops, order_stop, spreads = plan.stops, plan.order_stop, plan.spreads
     n_orders = len(order_stop)
@@ -403,12 +372,15 @@ def _run_days(
     else:
         width = len(coef) + 1
         stop_col = [s + 1 if diffuse else 0 for s in range(len(stops))]
+    days = range(1, scenario.days + 1)
     rows = np.empty((min(len(days), _BLOCK_DAYS), width))
     order_col = [stop_col[s] for s in order_stop]
     flat = [1.0] * width
+    state = scenario.initial_state()
     close = anchor = state.day_anchor
     fund = state.fundamental
-    if keys is not None:
+    if diffuse:
+        keys = day_keys(scenario.seed, days)
         bits = np.random.Philox(key=0)  # re-keyed before every draw
         rng = np.random.Generator(bits)
         substream = {"counter": (0, 0, 0, 0), "key": None}
@@ -429,12 +401,9 @@ def _run_days(
 
             # 1. draw
             if diffuse:
-                for i, day in enumerate(block):
-                    if keys is None:
-                        rng = day_rng(seed, day)
-                    else:
-                        substream["key"] = keys[start + i]
-                        bits.state = rekeyed
+                for i in range(n):
+                    substream["key"] = keys[start + i]
+                    bits.state = rekeyed
                     rng.standard_normal(out=path[i, 1:])
                 diffusion_growth(coef, path[:, 1:], out=path[:, 1:])
 

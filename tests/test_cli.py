@@ -59,6 +59,16 @@ class TestRun:
         run_cli(capsys, "run", "--config", str(noisy_config_path), "--days", "5", "--seed", "2", "--out", str(b))
         assert a.read_bytes() != b.read_bytes()
 
+    def test_days_the_substream_keys_cannot_number_exit_one(self, capsys, noisy_config_path, tmp_path):
+        # a day's key holds the day in one uint32 word; the scenario is refused when built, before any day runs
+        out = tmp_path / "daily.csv"
+        code, _, _, err = run_cli(
+            capsys, "run", "--config", str(noisy_config_path), "--days", "4294967296", "--out", str(out)
+        )
+        assert code == 1
+        assert err == "error: run.days must be >= 1 and < 2**32, got 4294967296\n"
+        assert not out.exists()
+
     def test_negative_spread_names_the_key(self, capsys, tmp_path):
         config = tmp_path / "bad.ini"
         config.write_text("[profile]\nspread_close_bps = -5\n")
@@ -732,6 +742,17 @@ class TestSweep:
         )
         assert code == 1
         assert "impact.zeta" in err
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exit_one_naming_the_option(self, capsys, reference_config_path, tmp_path, workers):
+        out = tmp_path / "sweep.csv"
+        code, _, _, err = run_cli(
+            capsys, "sweep", "--config", str(reference_config_path), "--grid", "run.seed=1,2",
+            "--workers", workers, "--out", str(out),
+        )
+        assert code == 1
+        assert err == f"error: --workers must be >= 1, got {workers}\n"
+        assert not out.exists()
 
 
 class TestCalibrate:

@@ -26,7 +26,6 @@ from daydrift import (
     orders_for_tick,
     read_daily_csv,
     record_fill,
-    run_day,
     run_sim,
     run_sweep,
     simulate,
@@ -236,27 +235,23 @@ class TestBlockBoundaries:
         "case",
         [
             "noisy-path",
-            "noisy-path-day-rng",
+            "noisy-path-wide-seed",
             "noisy-reverting",
             "noiseless",
             "interior-trades-diffusing",
             "interior-trades-reverting",
         ],
     )
-    def test_simulate_chained_run_day_and_composition_agree(self, case, days):
+    def test_simulate_and_composition_agree(self, case, days):
         scenario = replace(bitwise_case(case), days=days)
         if scenario.leg_growth_per_day != 1.0:  # legs growing 1.5x a day leave the micro range on day 35
             scenario = replace(scenario, leg_growth_per_day=1.01)
         result = simulate(scenario)
-        state, ledger, records = scenario.initial_state(), Ledger(), []
-        for day in range(1, days + 1):
-            state, record, ledger = run_day(state, scenario, day, ledger)
-            records.append(record)
         composed = list(compose_days(scenario))
         _, composed_ledger, composed_state = composed[-1]
-        assert result.records == tuple(records) == tuple(record for record, _, _ in composed)
-        assert result.ledger == ledger == composed_ledger
-        assert final_bits(result.final_state) == final_bits(state) == final_bits(composed_state)
+        assert result.records == tuple(record for record, _, _ in composed)
+        assert result.ledger == composed_ledger
+        assert final_bits(result.final_state) == final_bits(composed_state)
 
     @pytest.mark.parametrize("sigma", [0.01, 300.0])
     def test_block_growth_in_place_over_strided_rows_has_the_per_day_bits(self, sigma):
@@ -274,35 +269,40 @@ class TestBlockBoundaries:
 
 
 def spike_on(monkeypatch, spike_day: int, step: int = 5) -> None:
-    """Make ``day_rng`` draw a normal of 1e300 for noise step ``step`` of ``spike_day``, so that step overflows.
+    """Make the growth factor of noise step ``step`` of ``spike_day`` infinite, so that step overflows.
 
-    A day draws one normal per tick with mean reversion, so ``step`` is a
-    tick; without it, one per stop segment, so ``step`` is a segment index.
+    The kernel turns a block's normals into growth factors with one
+    ``diffusion_growth`` call, a row per day; the spike is written into the
+    block that holds ``spike_day``.  Each run has its own block array, so
+    the days are counted afresh for each run.  A day has one noise step
+    per tick with mean reversion, so ``step`` is a tick; without it, one
+    per stop segment, so ``step`` is a segment index.
     """
+    growth = diffusion_growth
+    run = {"rows": None, "days": 0}  # the current run's block array and the days it has drawn
 
-    class Spiked:
-        def __init__(self, rng):
-            self.rng = rng
+    def spiked(coef, z, out=None):
+        factors = growth(coef, z, out=out)
+        if factors.base is not run["rows"]:
+            run.update(rows=factors.base, days=0)
+        first, run["days"] = run["days"], run["days"] + len(factors)
+        if first < spike_day <= run["days"]:
+            factors[spike_day - first - 1, step] = math.inf
+        return factors
 
-        def standard_normal(self, size=None, out=None):
-            z = self.rng.standard_normal(size, out=out)
-            z[step] = 1e300
-            return z
+    monkeypatch.setattr("daydrift.engine.diffusion_growth", spiked)
 
-    def spiked(seed, day):
-        rng = day_rng(seed, day)
-        return Spiked(rng) if day == spike_day else rng
 
-    monkeypatch.setattr("daydrift.engine.day_rng", spiked)
+SPIKE_SEEDS = [7, 2**96]  # a seed within SeedSequence's 4-word pool and one wider
 
 
 class TestErrorsAtBlockEdges:
+    @pytest.mark.parametrize("seed", SPIKE_SEEDS)
     @pytest.mark.parametrize("half_life", [None, 504.0])
     @pytest.mark.parametrize("spike_day", [_BLOCK_DAYS, _BLOCK_DAYS + 1])
-    def test_noise_failure_names_its_day_and_books_only_the_days_before(self, monkeypatch, half_life, spike_day):
-        # seeds of 2**96 and more draw through day_rng, which the spike replaces
+    def test_noise_failure_names_its_day_and_books_only_the_days_before(self, monkeypatch, half_life, spike_day, seed):
         scenario = replace(
-            load_config(NOISY_CONFIG).build(), noise=NoiseParams(0.01, half_life), days=2 * _BLOCK_DAYS, seed=2**96
+            load_config(NOISY_CONFIG).build(), noise=NoiseParams(0.01, half_life), days=2 * _BLOCK_DAYS, seed=seed
         )
         step, tick = (5, 5) if half_life else (1, 391)  # without reversion, segment 1 ends at the close
         finished = simulate(replace(scenario, days=spike_day - 1))
@@ -311,16 +311,17 @@ class TestErrorsAtBlockEdges:
             simulate(scenario)
         records, ledger = [], Ledger()
         with pytest.raises(ValueError, match="noise step produced"):
-            _run_days(scenario.initial_state(), scenario, range(1, scenario.days + 1), ledger, records)
+            _run_days(scenario, ledger, records)
         assert len(records) == len(ledger.cost_history_micro) == spike_day - 1
         assert tuple(records) == finished.records
         assert ledger == finished.ledger
 
+    @pytest.mark.parametrize("seed", SPIKE_SEEDS)
     @pytest.mark.parametrize("half_life", [None, 504.0])
-    def test_noise_failure_before_a_failing_fill_reports_the_noise(self, monkeypatch, half_life):
+    def test_noise_failure_before_a_failing_fill_reports_the_noise(self, monkeypatch, half_life, seed):
         # legs growing 1.5x a day leave the micro-currency range on day 35
         scenario = replace(
-            load_config(NOISY_CONFIG).build(), noise=NoiseParams(0.01, half_life), days=40, seed=2**96,
+            load_config(NOISY_CONFIG).build(), noise=NoiseParams(0.01, half_life), days=40, seed=seed,
             leg_growth_per_day=1.5,
         )
         with pytest.raises(SimulationError, match=r"^day 35: .* does not fit in micro-currency range$"):
@@ -329,9 +330,10 @@ class TestErrorsAtBlockEdges:
         with pytest.raises(SimulationError, match=r"^day 35: noise step produced .* at tick 0: inf$"):
             simulate(scenario)
 
-    def test_a_failing_fill_before_a_failing_reversion_tick_reports_the_fill(self, monkeypatch):
+    @pytest.mark.parametrize("seed", SPIKE_SEEDS)
+    def test_a_failing_fill_before_a_failing_reversion_tick_reports_the_fill(self, monkeypatch, seed):
         scenario = replace(
-            load_config(NOISY_CONFIG).build(), noise=NoiseParams(0.01, 504.0), days=40, seed=2**96,
+            load_config(NOISY_CONFIG).build(), noise=NoiseParams(0.01, 504.0), days=40, seed=seed,
             leg_growth_per_day=1.5,
         )
         spike_on(monkeypatch, 35, step=200)  # mean reversion steps tick 200 after the opening fill
@@ -339,18 +341,20 @@ class TestErrorsAtBlockEdges:
             simulate(scenario)
         assert isinstance(info.value.__cause__, AccountingError)
 
-    def test_a_failing_fill_before_a_failing_segment_reports_the_fill(self, monkeypatch):
-        scenario = replace(load_config(NOISY_CONFIG).build(), days=40, seed=2**96, leg_growth_per_day=1.5)
+    @pytest.mark.parametrize("seed", SPIKE_SEEDS)
+    def test_a_failing_fill_before_a_failing_segment_reports_the_fill(self, monkeypatch, seed):
+        scenario = replace(load_config(NOISY_CONFIG).build(), days=40, seed=seed, leg_growth_per_day=1.5)
         spike_on(monkeypatch, 35, step=1)  # segment 1 ends at the close, after the opening fill
         with pytest.raises(SimulationError, match=r"^day 35: .* does not fit in micro-currency range$") as info:
             simulate(scenario)
         assert isinstance(info.value.__cause__, AccountingError)
 
+    @pytest.mark.parametrize("seed", SPIKE_SEEDS)
     @pytest.mark.parametrize("spike_day", [_BLOCK_DAYS, _BLOCK_DAYS + 1])
     @pytest.mark.parametrize(("case", "step", "tick"), [("noisy-path", 0, 0), ("interior-trades-diffusing", 2, 40)])
-    def test_a_failing_segment_names_its_stop_tick(self, monkeypatch, case, step, tick, spike_day):
+    def test_a_failing_segment_names_its_stop_tick(self, monkeypatch, case, step, tick, spike_day, seed):
         # stops at ticks 0 and 391 on noisy-path; at 0, 5, 40, 50 and 63 on interior-trades-diffusing
-        scenario = replace(bitwise_case(case), days=2 * _BLOCK_DAYS, seed=2**96, leg_growth_per_day=1.0)
+        scenario = replace(bitwise_case(case), days=2 * _BLOCK_DAYS, seed=seed, leg_growth_per_day=1.0)
         spike_on(monkeypatch, spike_day, step)
         with pytest.raises(SimulationError, match=rf"^day {spike_day}: noise step produced .* at tick {tick}: inf$"):
             simulate(scenario)
@@ -379,20 +383,19 @@ class TestErrorsAtBlockEdges:
             simulate(scenario)
 
     def test_a_failing_day_books_nothing_into_the_callers_ledger(self):
-        scenario = replace(load_config(NOISY_CONFIG).build(), leg_growth_per_day=1.5)
-        state, ledger = scenario.initial_state(), Ledger()
-        for day in range(1, 35):
-            state, _, ledger = run_day(state, scenario, day, ledger)
-        before = (ledger.fills, ledger.cash_micro, ledger.cumulative_cost_micro, ledger.cost_history_micro)
+        scenario = replace(load_config(NOISY_CONFIG).build(), days=40, leg_growth_per_day=1.5)
+        finished = simulate(replace(scenario, days=34))
+        records, ledger = [], Ledger()
         with pytest.raises(AccountingError, match="does not fit in micro-currency range"):
-            run_day(state, scenario, 35, ledger)
-        assert (ledger.fills, ledger.cash_micro, ledger.cumulative_cost_micro, ledger.cost_history_micro) == before
+            _run_days(scenario, ledger, records)
+        assert tuple(records) == finished.records
+        assert ledger == finished.ledger
 
 
 def bitwise_case(case: str) -> Scenario:
     if case == "noisy-path":  # diffusion without reversion, 392 ticks
         return replace(load_config(NOISY_CONFIG).build(), days=4, seed=3)
-    if case == "noisy-path-day-rng":  # a seed too wide for day_keys draws through day_rng
+    if case == "noisy-path-wide-seed":  # entropy past SeedSequence's 4-word pool, which day_keys mixes in after it
         return replace(load_config(NOISY_CONFIG).build(), days=4, seed=2**96 + 3)
     if case == "noisy-reverting":  # diffusion with reversion, 392 ticks: the noise steps tick by tick
         noisy = load_config(NOISY_CONFIG).build()
@@ -451,7 +454,9 @@ def compose_days(scenario: Scenario):
 
 
 class TestDayKeys:
-    @pytest.mark.parametrize("seed", [0, 2**31 - 1, 2**32 - 1, 2**32, 2**64 + 3])
+    @pytest.mark.parametrize(
+        "seed", [0, 2**31 - 1, 2**32 - 1, 2**32, 2**64 + 3, 2**96 - 1, 2**96, 2**96 + 3, 2**128 + 5, 2**160 + 7]
+    )
     def test_keys_equal_seed_sequence(self, seed):
         for days in (range(1, 2001), range(2**32 - 1, 2**32)):
             expected = [np.random.SeedSequence(entropy=(seed, d)).generate_state(2, np.uint64) for d in days]
@@ -459,35 +464,12 @@ class TestDayKeys:
             assert keys.dtype == np.uint64 and keys.shape == (len(days), 2)
             assert keys.tolist() == np.array(expected).tolist()
 
-    @pytest.mark.parametrize(("seed", "days"), [(2**96, range(1, 3)), (1, range(2**32 - 1, 2**32 + 1))])
-    def test_entropy_wider_than_the_pool_has_no_keys(self, seed, days):
-        assert day_keys(seed, days) is None
+    def test_a_day_wider_than_one_word_is_refused(self):
+        with pytest.raises(OverflowError):
+            day_keys(1, range(2**32 - 1, 2**32 + 1))
 
 
 class TestRunSim:
-    def test_single_day_reduces_to_run_day(self):
-        scenario = make_scenario()
-        records = run_sim(scenario)
-        state = scenario.initial_state()
-        _, record, _ = run_day(state, scenario, 1, Ledger())
-        assert records == [record]
-
-    @pytest.mark.parametrize(
-        "case",
-        ["noisy-path", "noiseless", "interior-trades-diffusing", "interior-trades-reverting"],
-    )
-    def test_chained_run_days_equal_simulate(self, case):
-        scenario = bitwise_case(case)
-        state, ledger, records = scenario.initial_state(), Ledger(), []
-        for day in range(1, scenario.days + 1):
-            state, record, ledger = run_day(state, scenario, day, ledger)
-            records.append(record)
-        result = simulate(scenario)
-        assert tuple(records) == result.records
-        assert ledger == result.ledger
-        final = result.final_state
-        assert (state.day_anchor, state.perm_impact_bps) == (final.day_anchor, final.perm_impact_bps)
-
     @pytest.mark.parametrize("half_life", [None, 0.5])
     def test_noiseless_runs_draw_no_substream(self, monkeypatch, half_life):
         scenario = make_scenario(days=5, sigma=0.0, half_life=half_life, fundamental=95.0)
@@ -497,11 +479,7 @@ class TestRunSim:
             raise AssertionError(f"day_rng({seed}, {day}) called on a noiseless day")
 
         monkeypatch.setattr("daydrift.engine.day_rng", no_substream)
-        result = simulate(scenario)
-        assert result.records == expected
-        state = scenario.initial_state()
-        _, record, _ = run_day(state, scenario, 1, Ledger())
-        assert record == expected[0]
+        assert simulate(scenario).records == expected
 
     @pytest.mark.parametrize("half_life", [None, 0.5])
     def test_noiseless_runs_compute_no_keys(self, monkeypatch, half_life):
@@ -514,21 +492,18 @@ class TestRunSim:
         monkeypatch.setattr("daydrift.engine.day_keys", no_keys)
         assert simulate(scenario).records == expected
 
-    @pytest.mark.parametrize(("seed", "substreams_built"), [(2**96 - 1, 0), (2**96, 4)])
-    def test_only_a_seed_too_wide_for_the_keys_builds_day_rng(self, monkeypatch, seed, substreams_built):
-        scenario = make_scenario(days=4, sigma=0.01, seed=seed)
-        expected = simulate(scenario)
-        calls = []
+    @pytest.mark.parametrize("half_life", [None, 504.0])
+    @pytest.mark.parametrize("seed", [0, 2**96, 2**160 + 7])
+    def test_simulate_never_builds_day_rng(self, monkeypatch, seed, half_life):
+        # compose_days draws from the reference day_rng; simulate must reach its bits through day_keys alone
+        scenario = make_scenario(days=4, sigma=0.01, half_life=half_life, seed=seed)
+        expected = [record for record, _, _ in compose_days(scenario)]
 
-        def counted(seed, day):
-            calls.append(day)
-            return day_rng(seed, day)
+        def no_substream(seed, day):
+            raise AssertionError(f"day_rng({seed}, {day}) called by simulate")
 
-        monkeypatch.setattr("daydrift.engine.day_rng", counted)
-        result = simulate(scenario)
-        assert len(calls) == substreams_built
-        assert result.records == expected.records
-        assert result.ledger == expected.ledger
+        monkeypatch.setattr("daydrift.engine.day_rng", no_substream)
+        assert list(simulate(scenario).records) == expected
 
     def test_days_chain_exactly(self):
         records = run_sim(make_scenario(days=40, sigma=0.01, half_life=504.0, seed=3))
@@ -819,6 +794,12 @@ class TestScenarioValidation:
     def test_days_must_be_positive(self):
         with pytest.raises(ValueError):
             make_scenario(days=0, agents=())
+
+    def test_days_the_substream_keys_cannot_number_are_refused(self):
+        # a day's key holds the day in one uint32 word; these scenarios are built, never run
+        with pytest.raises(ValueError, match=r"^days must be >= 1 and < 2\*\*32, got 4294967296$"):
+            make_scenario(days=2**32, sigma=0.01)
+        assert make_scenario(days=2**32 - 1, sigma=0.01).days == 2**32 - 1
 
     @pytest.mark.parametrize("field", ["days", "seed"])
     def test_days_and_seed_must_be_integers(self, field):
