@@ -18,7 +18,6 @@ from daydrift import (
     SpreadDepthProfile,
     apply_aggressive_trade,
     calibrate_lambda,
-    daily_net_pnl,
     mark_to_market,
     quoted_half_spread,
     record_fill,
@@ -49,10 +48,10 @@ ledger = record_fill(ledger, fill, -LEG, cost)
 print(f"close: sell ${LEG:,.0f} filled at {fill:.6f}  (cost ${cost:,.2f}), mid now {state.mid:.6f}")
 print()
 
-gain, ledger = mark_to_market(ledger, BOOK, prev_close, state.mid)
+gain = mark_to_market(BOOK, prev_close, state.mid)
 nudge_bps = (state.mid - prev_close) / prev_close * 1e4
 print(f"net drift left by the round trip:    {nudge_bps:+.4f} bp")
 print(f"trading cost for the day:            ${ledger.cumulative_cost:,.2f}")
 print(f"mark-to-market gain on the book:     ${gain:,.2f}")
-print(f"net P&L:                             ${daily_net_pnl(ledger, 1):,.2f}")
+print(f"net P&L:                             ${gain - ledger.cumulative_cost:,.2f}")
 print(f"gain / cost:                         {gain / ledger.cumulative_cost:,.1f}x")

@@ -43,7 +43,6 @@ from .ledger import (
     AccountingError,
     Fill,
     Ledger,
-    daily_net_pnl,
     from_micro,
     mark_to_market,
     record_fill,

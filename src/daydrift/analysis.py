@@ -81,7 +81,6 @@ class DecompositionResult:
     days: tuple
     overnight_ret: np.ndarray
     intraday_ret: np.ndarray
-    total_ret: np.ndarray
     cum_overnight: np.ndarray
     cum_intraday: np.ndarray
     cum_total: np.ndarray
@@ -149,7 +148,6 @@ def decompose(series: PriceSeries) -> DecompositionResult:
         days=series.days,
         overnight_ret=(opn - prev) / prev,
         intraday_ret=(cls_ - opn) / opn,
-        total_ret=(cls_ - prev) / prev,
         **factors,
     )
 

@@ -66,7 +66,6 @@ class ScenarioConfig:
     buy_tick: int | None = _key("agents.buy_tick", "tick", 0)
     sell_tick: int | None = _key("agents.sell_tick", "tick", None)
     enabled: bool = _key("agents.enabled", "bool", True)
-    leg_growth_per_day: float = _key("agents.leg_growth_per_day", "float", 1.0)
     days: int = _key("run.days", "int", 1, sweep=True)
     seed: int = _key("run.seed", "int", 0, sweep=True)
     initial_mid: float = _key("run.initial_mid", "float", 100.0, sweep=True)
@@ -143,7 +142,6 @@ class ScenarioConfig:
             initial_fundamental=(
                 self.initial_mid if self.initial_fundamental is None else self.initial_fundamental
             ),
-            leg_growth_per_day=self.leg_growth_per_day,
         )
 
 
@@ -158,6 +156,7 @@ for _f in fields(ScenarioConfig):
 _REMOVED_KEYS: dict[str, str] = {
     "impact.temporary_decay_per_tick": "temporary impact reached no price, fill or cost, so the model dropped it",
     "clock.days_per_year": "no output read the trading year's length, so the model dropped it",
+    "agents.leg_growth_per_day": "the trader's legs are the same every day, so the model dropped the per-day growth",
 }
 
 _FIELD_KEYS = {row.field: name for name, row in KEYS.items()}

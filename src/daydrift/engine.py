@@ -16,17 +16,17 @@ substream.  ``simulate`` computes the Philox keys of all of a run's days
 at once with ``day_keys``, which gives the bits of ``SeedSequence`` for a
 seed of any width, and re-keys one generator per day.
 
-One run kernel computes every day of ``simulate``.  It works in blocks of
-days.  Only the noise draw and the price chain go day by day; the fills'
-costs and impacts, the fill prices, the marks and the ledger are computed
-over a block at a time with the market model's step functions applied to
-arrays, since none of them but the fill prices and the marks reads the
-price.  Within a day it stops only at the stops and between them advances
-the price over the whole gap.  The result has the bits of composing
-``advance_noise`` once per noise step and ``apply_aggressive_trade`` once
-per order, in the order above, one day at a time, and a failing day raises
-the error that doing so raises first.  A day without noise builds no
-substream.
+One run kernel computes every day of ``simulate``.  Every day places the
+same orders, so the fills' costs and impacts, which do not read the price,
+are computed once per run.  The kernel works in blocks of days.  Only the
+noise draw and the price chain go day by day; the fill prices, the marks
+and the ledger are computed over a block at a time with the market model's
+step functions applied to arrays.  Within a day it stops only at the stops
+and between them advances the price over the whole gap.  The result has
+the bits of composing ``advance_noise`` once per noise step and
+``apply_aggressive_trade`` once per order, in the order above, one day at
+a time, and a failing day raises the error that doing so raises first.  A
+day without noise builds no substream.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .agents import RoundTripTrader, orders_for_tick
-from .ledger import Ledger, book_days, check_fills, record_fill
+from .ledger import Ledger, book_days, check_fills, from_micro, mark_to_market, record_fill
 from .market import (
     ImpactParams,
     IntradayClock,
@@ -85,7 +85,6 @@ class Scenario:
     seed: int
     initial_mid: float
     initial_fundamental: float
-    leg_growth_per_day: float = 1.0  # per-day scale on leg notionals; 1.0 = constant
 
     def __post_init__(self):
         object.__setattr__(self, "agents", tuple(self.agents))
@@ -102,8 +101,6 @@ class Scenario:
             raise ValueError(f"initial_mid must be positive and finite, got {self.initial_mid}")
         if not 0.0 < self.initial_fundamental < math.inf:
             raise ValueError(f"initial_fundamental must be positive and finite, got {self.initial_fundamental}")
-        if not 0.0 < self.leg_growth_per_day < math.inf:
-            raise ValueError(f"leg_growth_per_day must be positive and finite, got {self.leg_growth_per_day}")
         if len(self.profile) != self.clock.ticks_per_day:
             raise ValueError(
                 f"profile has {len(self.profile)} ticks but clock expects {self.clock.ticks_per_day}"
@@ -131,15 +128,14 @@ class Scenario:
 
 @dataclass(frozen=True, eq=False)
 class DayPlan:
-    """The parts of a trading day that do not change from day to day.
+    """A trading day of a scenario; every day of a run is the same but for its noise.
 
     ``stops`` lists, in tick order, tick 0, every tick with orders and the
     close, each as ``(tick, begin, end)``: the day's orders ``begin:end``
     trade at that tick.  The orders are numbered in booking order (tick
     order, then agent-list order); ``order_stop`` gives each one's stop,
     and the arrays ``spreads``, ``depths`` and ``notionals`` its tick's full
-    spread and depth and its day-1 signed notional, to be scaled by
-    ``leg_growth_per_day ** (day - 1)``.
+    spread and depth and its signed notional.
 
     ``diffusion_coef`` holds the ``diffusion_coef`` of each normal a day
     draws (see the module docstring): without mean reversion one per stop,
@@ -322,8 +318,13 @@ def _run_days(scenario: Scenario, book_ledger: Ledger, records: list[DayRecord])
     are carried as floats; the close becomes the next day's anchor, which
     is ``MarketState.start_day``.
 
-    The days are computed in blocks of ``_BLOCK_DAYS``, in four steps.
-    Only the draw and the chain go day by day:
+    What does not read the price is computed once, before the first
+    block, as arrays over the day's orders: ``order_impact`` (costs and
+    impacts), the permanent impact before and after every order, and
+    ``mid_non_positive``, which finds the first order that would drive the
+    mid non-positive, on day 1.  Then the days are computed in blocks of
+    ``_BLOCK_DAYS``, in four steps.  Only the draw and the chain go day by
+    day:
 
     1. *Draw.*  Each noisy day draws its normals, one per noise step (per
        stop without mean reversion, per tick with it), into a row of one
@@ -333,12 +334,9 @@ def _run_days(scenario: Scenario, book_ledger: Ledger, records: list[DayRecord])
        counter 0 and buffer empty, which is the state of a fresh
        ``day_rng``.  A run without noise computes no keys and draws
        nothing.
-    2. *What does not read the price*, as arrays over the block's days:
-       the scaled notionals (a plan without orders computes no leg
-       scales), ``order_impact`` (costs and impacts), the permanent impact
-       before and after every order, and ``check_fills`` and
-       ``mid_non_positive`` over the fills, which find the first day whose
-       orders would raise.
+    2. *The checks*: ``check_fills`` over the block's fills, from the
+       ledger's running sums, which finds the first day whose orders the
+       ledger would refuse.
     3. *The chain*, day by day: without mean reversion the day's anchor
        at each stop is one ``diffusion_path`` of its row; with it,
        ``noise_step`` runs tick by tick and each stop's anchor is written
@@ -351,14 +349,12 @@ def _run_days(scenario: Scenario, book_ledger: Ledger, records: list[DayRecord])
     the segment's ``gap * dt_days`` without mean reversion, over one tick
     with it) and ``apply_aggressive_trade`` once per order, one day at a
     time, which the test suite checks at block boundaries.  A day fails
-    with the error that this composition raises first: a leg scale that
-    overflows, then at each stop in turn its noise step (or reversion
-    ticks), which names the stop's tick (or the tick), then its orders,
-    replayed through ``fill_order`` and ``record_fill`` to get their
-    error; then the close.
+    with the error that this composition raises first: at each stop in
+    turn its noise step (or reversion ticks), which names the stop's tick
+    (or the tick), then its orders, replayed through ``fill_order`` and
+    ``record_fill`` to get their error; then the close.
     """
     plan = scenario.plan
-    impact, leg_growth = scenario.impact, scenario.leg_growth_per_day
     pull, coef, book_per_price = plan.pull, plan.diffusion_coef, plan.book_per_price
     stops, order_stop, spreads = plan.stops, plan.order_stop, plan.spreads
     n_orders = len(order_stop)
@@ -394,6 +390,16 @@ def _run_days(scenario: Scenario, book_ledger: Ledger, records: list[DayRecord])
         }
     # an overflow surfaces as a non-finite price, which the checks report
     with np.errstate(over="ignore", invalid="ignore"):
+        # what does not read the price; perm[j] is the permanent impact before order j
+        costs, perm_steps = order_impact(scenario.impact, spreads, plan.depths, plan.notionals)
+        perm = np.zeros(n_orders + 1)
+        perm[1:] = perm_steps
+        np.add.accumulate(perm, out=perm)
+        guard = mid_non_positive(perm[1:])
+        # (day in the block, stop) of the first order that drives the mid non-positive; it does so on day 1
+        guarded = [(0, order_stop[int(guard.argmax())])] if guard.any() else []
+        tick_perm = perm[[begin for _, begin, _ in stops]].tolist()
+        close_perm = perm[-1].item()
         for start in range(0, len(days), _BLOCK_DAYS):
             block = days[start : start + _BLOCK_DAYS]
             n = len(block)
@@ -407,22 +413,12 @@ def _run_days(scenario: Scenario, book_ledger: Ledger, records: list[DayRecord])
                     rng.standard_normal(out=path[i, 1:])
                 diffusion_growth(coef, path[:, 1:], out=path[:, 1:])
 
-            # 2. what does not read the price; perm[:, j] is the permanent impact before order j
-            scales, overflow = _leg_scales(leg_growth, block) if n_orders else (np.ones(n), n)
-            notionals = plan.notionals * scales[:, None]
-            costs, perm_steps = order_impact(impact, spreads, plan.depths, notionals)
-            perm = np.zeros((n, n_orders + 1))
-            perm[:, 1:] = perm_steps
-            np.add.accumulate(perm, axis=1, out=perm)
-            # where the first failing day raises: at the stop of its first refused order,
-            # or at -1, before its orders and its reversion ticks, when its leg scale overflows
-            refused, notional_micro, cost_micro = check_fills(book_ledger, notionals.ravel(), costs.ravel())
-            guard = mid_non_positive(perm[:, 1:]).ravel()
-            guarded = int(guard.argmax()) if guard.any() else None
-            failures = [(k // n_orders, order_stop[k % n_orders]) for k in (refused, guarded) if k is not None]
-            if overflow < n:
-                failures.append((overflow, -1))
-            bad_day, bad_stop = min(failures, default=(n, -1))
+            # 2. the checks; the first failing day raises at the stop of its first refused order
+            refused, notional_micro, cost_micro = check_fills(
+                book_ledger, np.tile(plan.notionals, n), np.tile(costs, n)
+            )
+            failures = guarded if refused is None else [*guarded, (refused // n_orders, order_stop[refused % n_orders])]
+            bad_day, bad_stop = min(failures, default=(n, 0))
             refusal = None
             if bad_day < n:
                 booked = bad_day * n_orders
@@ -434,8 +430,6 @@ def _run_days(scenario: Scenario, book_ledger: Ledger, records: list[DayRecord])
                 )
 
             # 3. the chain
-            tick_perm = perm[:, [begin for _, begin, _ in stops]].T.tolist()
-            close_perm = perm[:, -1].tolist()
             prev = close
             closes: list[float] = []
             try:
@@ -449,13 +443,11 @@ def _run_days(scenario: Scenario, book_ledger: Ledger, records: list[DayRecord])
                             raise refusal
                         anchor = diffusion_path(row, stop_ticks) if diffuse else close
                     else:
-                        if i == bad_day and bad_stop < 0:
-                            raise refusal
                         anchor = close
                         growth = row.tolist() if diffuse else flat
                         last = -1
                         for s, (t, _, _) in enumerate(stops):
-                            mid_perm = tick_perm[s][i]
+                            mid_perm = tick_perm[s]
                             for k in range(last + 1, t + 1):
                                 anchor = noise_step(anchor, mid_perm, fund, pull, growth[k + 1])
                                 check_noise_price(anchor, tick=k)
@@ -463,7 +455,7 @@ def _run_days(scenario: Scenario, book_ledger: Ledger, records: list[DayRecord])
                             if i == bad_day and s == bad_stop:
                                 raise refusal
                             last = t
-                    close = mid_price(anchor, close_perm[i])
+                    close = mid_price(anchor, close_perm)
                     if not 0.0 < close < math.inf:
                         raise ValueError(f"close is non-positive or non-finite: {close}")
                     closes.append(close)
@@ -474,49 +466,17 @@ def _run_days(scenario: Scenario, book_ledger: Ledger, records: list[DayRecord])
                     m = len(closes)
                     now = np.array(closes)
                     prevs = np.concatenate(([prev], now[:-1]))
-                    opens = mid_price(path[:m, stop_col[0]], perm[:m, stops[0][2]])
-                    prices = fill_price(path[:m, order_col], perm[:m, :-1], spreads, notionals[:m])
-                    day_costs, gains = book_days(
-                        book_ledger,
-                        prices.ravel().tolist(),
-                        notional_micro[: m * n_orders],
-                        cost_micro[: m * n_orders],
-                        book_per_price * prevs,
-                        prevs,
-                        now,
+                    opens = mid_price(path[:m, stop_col[0]], perm[stops[0][2]])
+                    prices = fill_price(path[:m, order_col], perm[:-1], spreads, plan.notionals)
+                    gains = mark_to_market(book_per_price * prevs, prevs, now).tolist()
+                    filled = m * n_orders
+                    book_days(book_ledger, prices.ravel().tolist(), notional_micro[:filled], cost_micro[:filled])
+                    day_cost = from_micro(sum(cost_micro[:n_orders]))  # every day's fills cost the same
+                    nets = [gain - day_cost for gain in gains]
+                    records += map(
+                        DayRecord, block[:m], prevs.tolist(), opens.tolist(), closes, [day_cost] * m, gains, nets
                     )
-                    nets = [gain - cost for gain, cost in zip(gains, day_costs)]
-                    records += map(DayRecord, block[:m], prevs.tolist(), opens.tolist(), closes, day_costs, gains, nets)
-    return MarketState(anchor, fund, close_perm[-1])
-
-
-def _leg_scale(growth: float, day: int) -> float:
-    """Day ``day``'s scale ``growth ** (day - 1)`` on the day-1 leg notionals.
-
-    Python's float power raises ``OverflowError`` where numpy's would give
-    inf; this one names the key and the exponent.
-    """
-    try:
-        return growth ** (day - 1)
-    except OverflowError:
-        raise OverflowError(
-            f"leg scale agents.leg_growth_per_day ** {day - 1} = {growth!r} ** {day - 1} overflows a float"
-        ) from None
-
-
-def _leg_scales(growth: float, days: range) -> tuple[np.ndarray, int]:
-    """``_leg_scale`` of each day, and the index of the first that overflows (``len(days)`` if none).
-
-    The days from the first overflow on are NaN.
-    """
-    scales = []
-    try:
-        for day in days:
-            scales.append(_leg_scale(growth, day))
-    except OverflowError:
-        pass
-    overflow = len(scales)
-    return np.array(scales + [math.nan] * (len(days) - overflow)), overflow
+    return MarketState(anchor, fund, close_perm)
 
 
 def _refusal(scenario: Scenario, day: int, cash_micro: int, cost_micro: int) -> Exception:
@@ -531,9 +491,7 @@ def _refusal(scenario: Scenario, day: int, cash_micro: int, cost_micro: int) -> 
     ledger = Ledger(cash_micro, cost_micro)
     perm = 0.0
     try:
-        scale = _leg_scale(scenario.leg_growth_per_day, day)
-        for s, spread, depth, base in orders:
-            notional = base * scale
+        for s, spread, depth, notional in orders:
             fill, cost, perm = fill_order(scenario.impact, spread, depth, 1.0, perm, notional, plan.stops[s][0])
             record_fill(ledger, fill, notional, cost)
     except (ValueError, OverflowError) as exc:

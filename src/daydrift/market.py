@@ -354,7 +354,8 @@ def calibrate_lambda(
     form.  ``params.lam`` is ignored.
 
     Raises CalibrationError when the schedule has no spread/depth asymmetry
-    (or no permanent component) and the target is nonzero.
+    (or no permanent component) and the target is nonzero, and when the
+    solved ``lam`` is negative or not finite.
     """
     _check_tick(profile, buy_tick)
     _check_tick(profile, sell_tick)
@@ -371,6 +372,10 @@ def calibrate_lambda(
             "zero leg, or zero permanent fraction); no lambda reaches a nonzero drift"
         )
     lam = target_net_nudge_bps / denom
+    if not math.isfinite(lam):
+        raise CalibrationError(
+            f"target of {target_net_nudge_bps} bps needs an impact coefficient of {lam}, which is not finite"
+        )
     if lam < 0:
         raise CalibrationError(
             f"target of {target_net_nudge_bps} bps needs a negative impact coefficient "

@@ -93,7 +93,6 @@ class TestRun:
             ("agents", "capital", "agents.capital"),
             ("agents", "leverage", "agents.leverage"),
             ("agents", "leg_notional", "agents.leg_notional"),
-            ("agents", "leg_growth_per_day", "agents.leg_growth_per_day"),
         ],
     )
     @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -215,7 +214,6 @@ class TestGoldenDigests:
             seed=seed,
             initial_mid=100.0,
             initial_fundamental=100.0,
-            leg_growth_per_day=1.0,
         )
         assert scenario_fields(load_config(path).build()) == scenario_fields(expected)
 
@@ -289,7 +287,6 @@ BAD_VALUES = {
     "agents.leg_notional": "2e10",
     "agents.buy_tick": "-1",
     "agents.sell_tick": "392",
-    "agents.leg_growth_per_day": "0",
     "run.days": "0",
     "run.seed": "-1",
     "run.initial_mid": "inf",
@@ -297,7 +294,7 @@ BAD_VALUES = {
 }
 
 # each removed key, with a value an old config may set it to
-REMOVED_KEYS = {"impact.temporary_decay_per_tick": 0.5, "clock.days_per_year": 252}
+REMOVED_KEYS = {"impact.temporary_decay_per_tick": 0.5, "clock.days_per_year": 252, "agents.leg_growth_per_day": 2.0}
 
 # a value for each sweep key that its owning type rejects
 BAD_CELLS = {
@@ -782,6 +779,14 @@ class TestCalibrate:
         )
         assert code == 1
         assert "asymmetry" in err
+
+    @pytest.mark.parametrize(("target", "lam"), [("nan", "nan"), ("inf", "inf"), ("1e308", "inf")])
+    def test_a_target_without_a_finite_lambda_is_named(self, capsys, reference_config_path, target, lam):
+        code, _, _, err = run_cli(capsys, "calibrate", "--config", str(reference_config_path), "--target-bps", target)
+        assert code == 1
+        assert err == (
+            f"error: target of {float(target)} bps needs an impact coefficient of {lam}, which is not finite\n"
+        )
 
     def test_agentless_config_cannot_calibrate(self, capsys, tmp_path):
         config = tmp_path / "quiet.ini"

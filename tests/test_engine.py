@@ -18,7 +18,6 @@ from daydrift import (
     SpreadDepthProfile,
     advance_noise,
     apply_aggressive_trade,
-    daily_net_pnl,
     day_rng,
     from_micro,
     load_config,
@@ -107,13 +106,6 @@ class TestRunDay:
         scenario = replace(make_scenario(days=3, lam=1e7, agents=(agent,)), profile=profile)
         with pytest.raises(SimulationError, match="day 1"):
             run_sim(scenario)
-
-    def test_leg_growth_hook_scales_costs(self):
-        scenario = make_scenario(days=3, leg_growth_per_day=1.5)
-        records = run_sim(scenario)
-        assert records[0].total_cost == pytest.approx(10_000.0, abs=1e-6)
-        assert records[1].total_cost == pytest.approx(15_000.0, abs=1e-6)
-        assert records[2].total_cost == pytest.approx(22_500.0, abs=1e-6)
 
     def test_multi_agent_day_matches_single_agent_aggregate(self):
         from daydrift import split_trader
@@ -244,8 +236,6 @@ class TestBlockBoundaries:
     )
     def test_simulate_and_composition_agree(self, case, days):
         scenario = replace(bitwise_case(case), days=days)
-        if scenario.leg_growth_per_day != 1.0:  # legs growing 1.5x a day leave the micro range on day 35
-            scenario = replace(scenario, leg_growth_per_day=1.01)
         result = simulate(scenario)
         composed = list(compose_days(scenario))
         _, composed_ledger, composed_state = composed[-1]
@@ -296,6 +286,26 @@ def spike_on(monkeypatch, spike_day: int, step: int = 5) -> None:
 SPIKE_SEEDS = [7, 2**96]  # a seed within SeedSequence's 4-word pool and one wider
 
 
+# flat spreads of the trader's legs, in bps, and the day on which its cash leaves the micro-currency range:
+# the last day of the first block and the first of the second
+CASH_FAILURES = [(1300.0, _BLOCK_DAYS), (1285.0, _BLOCK_DAYS + 1)]
+
+
+def wide_spread_scenario(spread_bps: float, half_life: float | None, seed: int = 7) -> Scenario:
+    """``noisy.ini`` without impact, trading 1e12 legs across a flat spread of ``spread_bps``.
+
+    Each day the opening buy pays its notional and the closing sell
+    returns less, so the cash falls until an opening fill takes it out of
+    the micro-currency range.
+    """
+    config = replace(
+        load_config(NOISY_CONFIG), lam=0.0, capital=1e13, leg_notional=1e12,
+        open_spread_bps=spread_bps, close_spread_bps=spread_bps, half_life_days=half_life, days=2 * _BLOCK_DAYS,
+        seed=seed,
+    )
+    return config.build()
+
+
 class TestErrorsAtBlockEdges:
     @pytest.mark.parametrize("seed", SPIKE_SEEDS)
     @pytest.mark.parametrize("half_life", [None, 504.0])
@@ -312,40 +322,36 @@ class TestErrorsAtBlockEdges:
         records, ledger = [], Ledger()
         with pytest.raises(ValueError, match="noise step produced"):
             _run_days(scenario, ledger, records)
-        assert len(records) == len(ledger.cost_history_micro) == spike_day - 1
+        assert len(records) == spike_day - 1
         assert tuple(records) == finished.records
         assert ledger == finished.ledger
 
     @pytest.mark.parametrize("seed", SPIKE_SEEDS)
     @pytest.mark.parametrize("half_life", [None, 504.0])
-    def test_noise_failure_before_a_failing_fill_reports_the_noise(self, monkeypatch, half_life, seed):
-        # legs growing 1.5x a day leave the micro-currency range on day 35
-        scenario = replace(
-            load_config(NOISY_CONFIG).build(), noise=NoiseParams(0.01, half_life), days=40, seed=seed,
-            leg_growth_per_day=1.5,
-        )
-        with pytest.raises(SimulationError, match=r"^day 35: .* does not fit in micro-currency range$"):
+    @pytest.mark.parametrize(("spread", "day"), CASH_FAILURES)
+    def test_noise_failure_before_a_failing_fill_reports_the_noise(self, monkeypatch, half_life, seed, spread, day):
+        scenario = wide_spread_scenario(spread, half_life, seed)
+        with pytest.raises(SimulationError, match=rf"^day {day}: cash balance left the micro-currency range$"):
             simulate(scenario)
-        spike_on(monkeypatch, 35, step=0)  # the noise step of tick 0 comes before the opening fill
-        with pytest.raises(SimulationError, match=r"^day 35: noise step produced .* at tick 0: inf$"):
+        spike_on(monkeypatch, day, step=0)  # the noise step of tick 0 comes before the opening fill
+        with pytest.raises(SimulationError, match=rf"^day {day}: noise step produced .* at tick 0: inf$"):
             simulate(scenario)
 
     @pytest.mark.parametrize("seed", SPIKE_SEEDS)
-    def test_a_failing_fill_before_a_failing_reversion_tick_reports_the_fill(self, monkeypatch, seed):
-        scenario = replace(
-            load_config(NOISY_CONFIG).build(), noise=NoiseParams(0.01, 504.0), days=40, seed=seed,
-            leg_growth_per_day=1.5,
-        )
-        spike_on(monkeypatch, 35, step=200)  # mean reversion steps tick 200 after the opening fill
-        with pytest.raises(SimulationError, match=r"^day 35: .* does not fit in micro-currency range$") as info:
+    @pytest.mark.parametrize(("spread", "day"), CASH_FAILURES)
+    def test_a_failing_fill_before_a_failing_reversion_tick_reports_the_fill(self, monkeypatch, seed, spread, day):
+        scenario = wide_spread_scenario(spread, 504.0, seed)
+        spike_on(monkeypatch, day, step=200)  # mean reversion steps tick 200 after the opening fill
+        with pytest.raises(SimulationError, match=rf"^day {day}: cash balance left the micro-currency range$") as info:
             simulate(scenario)
         assert isinstance(info.value.__cause__, AccountingError)
 
     @pytest.mark.parametrize("seed", SPIKE_SEEDS)
-    def test_a_failing_fill_before_a_failing_segment_reports_the_fill(self, monkeypatch, seed):
-        scenario = replace(load_config(NOISY_CONFIG).build(), days=40, seed=seed, leg_growth_per_day=1.5)
-        spike_on(monkeypatch, 35, step=1)  # segment 1 ends at the close, after the opening fill
-        with pytest.raises(SimulationError, match=r"^day 35: .* does not fit in micro-currency range$") as info:
+    @pytest.mark.parametrize(("spread", "day"), CASH_FAILURES)
+    def test_a_failing_fill_before_a_failing_segment_reports_the_fill(self, monkeypatch, seed, spread, day):
+        scenario = wide_spread_scenario(spread, None, seed)
+        spike_on(monkeypatch, day, step=1)  # segment 1 ends at the close, after the opening fill
+        with pytest.raises(SimulationError, match=rf"^day {day}: cash balance left the micro-currency range$") as info:
             simulate(scenario)
         assert isinstance(info.value.__cause__, AccountingError)
 
@@ -354,42 +360,28 @@ class TestErrorsAtBlockEdges:
     @pytest.mark.parametrize(("case", "step", "tick"), [("noisy-path", 0, 0), ("interior-trades-diffusing", 2, 40)])
     def test_a_failing_segment_names_its_stop_tick(self, monkeypatch, case, step, tick, spike_day, seed):
         # stops at ticks 0 and 391 on noisy-path; at 0, 5, 40, 50 and 63 on interior-trades-diffusing
-        scenario = replace(bitwise_case(case), days=2 * _BLOCK_DAYS, seed=seed, leg_growth_per_day=1.0)
+        scenario = replace(bitwise_case(case), days=2 * _BLOCK_DAYS, seed=seed)
         spike_on(monkeypatch, spike_day, step)
         with pytest.raises(SimulationError, match=rf"^day {spike_day}: noise step produced .* at tick {tick}: inf$"):
             simulate(scenario)
 
-    def test_growing_legs_leave_the_micro_range_on_day_35(self):
-        scenario = replace(load_config(NOISY_CONFIG).build(), days=300, leg_growth_per_day=1.5)
-        with pytest.raises(SimulationError, match=r"^day 35: .* does not fit in micro-currency range$") as info:
-            simulate(scenario)
+    @pytest.mark.parametrize("half_life", [None, 504.0])
+    @pytest.mark.parametrize(("spread", "day"), CASH_FAILURES)
+    def test_wide_spread_legs_leave_the_micro_range_at_the_block_edge(self, half_life, spread, day):
+        with pytest.raises(SimulationError, match=rf"^day {day}: cash balance left the micro-currency range$") as info:
+            simulate(wide_spread_scenario(spread, half_life))
         assert isinstance(info.value.__cause__, AccountingError)
 
-    def test_a_run_without_orders_computes_no_leg_scales(self):
-        # 10.0 ** 309 overflows a float, but a disabled trader places no order to scale
-        base = load_config(NOISY_CONFIG).build()
-        scenario = replace(
-            base, agents=tuple(replace(a, enabled=False) for a in base.agents), days=400, leg_growth_per_day=10.0
-        )
-        assert simulate(scenario).records == simulate(replace(scenario, leg_growth_per_day=1.0)).records
-
-    def test_a_leg_scale_overflow_names_the_key(self):
-        # 1e30 ** 11 overflows on day 12, although the scaled legs, 1e-300 * 1e330, would not
-        base = load_config(NOISY_CONFIG).build()
-        scenario = replace(
-            base, agents=tuple(replace(a, leg_notional=1e-300) for a in base.agents), days=20, leg_growth_per_day=1e30
-        )
-        with pytest.raises(SimulationError, match=r"^day 12: .*leg_growth_per_day \*\* 11 "):
-            simulate(scenario)
-
-    def test_a_failing_day_books_nothing_into_the_callers_ledger(self):
-        scenario = replace(load_config(NOISY_CONFIG).build(), days=40, leg_growth_per_day=1.5)
-        finished = simulate(replace(scenario, days=34))
+    @pytest.mark.parametrize(("spread", "day"), CASH_FAILURES)
+    def test_a_failing_day_books_nothing_into_the_callers_ledger(self, spread, day):
+        scenario = wide_spread_scenario(spread, None)
+        finished = simulate(replace(scenario, days=day - 1))
         records, ledger = [], Ledger()
-        with pytest.raises(AccountingError, match="does not fit in micro-currency range"):
+        with pytest.raises(AccountingError, match="^cash balance left the micro-currency range$"):
             _run_days(scenario, ledger, records)
         assert tuple(records) == finished.records
         assert ledger == finished.ledger
+        assert len(records) == day - 1 and len(ledger.fills) == 2 * (day - 1)
 
 
 def bitwise_case(case: str) -> Scenario:
@@ -403,17 +395,14 @@ def bitwise_case(case: str) -> Scenario:
     if case == "noiseless":
         return replace(load_config(REFERENCE_CONFIG).build(), days=3)
     # a buy-first and a sell-first agent trading at the same interior tick,
-    # unwinding at different interior ticks, with legs growing 1.5x a day
+    # unwinding at different interior ticks
     agents = (
         RoundTripTrader(1e9, 10.0, 1e7, buy_tick=5, sell_tick=40, agent_id="A"),
         RoundTripTrader(5e8, 10.0, -4e6, buy_tick=5, sell_tick=50, agent_id="B"),
     )
     if case == "interior-trades-diffusing":
-        return make_scenario(days=3, seed=5, sigma=0.01, agents=agents, ticks=64, leg_growth_per_day=1.5)
-    return make_scenario(
-        days=3, sigma=0.0, half_life=0.5, agents=agents, ticks=64, fundamental=95.0,
-        leg_growth_per_day=1.5,
-    )
+        return make_scenario(days=3, seed=5, sigma=0.01, agents=agents, ticks=64)
+    return make_scenario(days=3, sigma=0.0, half_life=0.5, agents=agents, ticks=64, fundamental=95.0)
 
 
 def compose_days(scenario: Scenario):
@@ -424,7 +413,7 @@ def compose_days(scenario: Scenario):
     over the ticks since the previous stop, counting from tick -1.  The
     orders of a tick trade after its noise step.  Yields
     ``(record, ledger, state)`` after each day; fills are booked with
-    ``record_fill`` and each day is sealed with ``mark_to_market``.
+    ``record_fill`` and each day's book is marked with ``mark_to_market``.
     """
     clock, profile, impact, noise = scenario.clock, scenario.profile, scenario.impact, scenario.noise
     ticks = range(clock.ticks_per_day)
@@ -436,20 +425,20 @@ def compose_days(scenario: Scenario):
     for day in range(1, scenario.days + 1):
         state, rng = state.start_day(), day_rng(scenario.seed, day)
         prev = state.day_anchor
-        scale = scenario.leg_growth_per_day ** (day - 1)
+        cost_before = ledger.cumulative_cost_micro
         last = -1
         for t in ticks:
             state = advance_noise(state, noise, (t - last) * clock.dt_days, rng)
             last = t
             for agent in scenario.agents:
-                for notional in (n * scale for n in orders_for_tick(agent, t)):
+                for notional in orders_for_tick(agent, t):
                     fill, cost, state = apply_aggressive_trade(state, profile, impact, notional, t)
                     ledger = record_fill(ledger, fill, notional, cost)
             if t == 0:
                 open_price = state.mid
         book = scenario.total_book_value / scenario.initial_mid * prev
-        gain, ledger = mark_to_market(ledger, book, prev, state.mid)
-        cost = from_micro(ledger.cost_history_micro[-1])
+        gain = mark_to_market(book, prev, state.mid)
+        cost = from_micro(ledger.cumulative_cost_micro - cost_before)
         yield DayRecord(day, prev, open_price, state.mid, cost, gain, gain - cost), ledger, state
 
 
@@ -555,22 +544,31 @@ class TestRunSim:
         assert led.cumulative_cost_micro == sum(f.cost_micro for f in led.fills)
         assert led.cumulative_cost_micro == 30 * 10_000_000_000
 
-    def test_ledger_histories_match_the_day_records(self):
-        # legs grow 1% a day, so every day's cost differs and an off-by-one
-        # between the ledger's day histories and the records shows
+    @pytest.mark.parametrize("days", BLOCK_EDGE_DAYS)
+    def test_simulate_computes_the_order_impacts_once(self, monkeypatch, days):
+        calls, order_impact = [], engine.order_impact
+
+        def counted(*args):
+            calls.append(args)
+            return order_impact(*args)
+
+        monkeypatch.setattr(engine, "order_impact", counted)
+        simulate(replace(load_config(NOISY_CONFIG).build(), days=days))
+        assert len(calls) == 1
+
+    def test_the_fill_trail_matches_the_day_records(self):
         days = 300
-        scenario = replace(load_config(NOISY_CONFIG).build(), days=days, leg_growth_per_day=1.01)
+        scenario = replace(load_config(NOISY_CONFIG).build(), days=days)
         result = simulate(scenario)
-        records, ledger = result.records, result.ledger
-        assert len({r.total_cost for r in records}) == days
-        costs, gains = ledger.cost_history_micro, ledger.mtm_history
-        assert len(costs) == len(gains) == days
-        for d in range(1, days + 1):
-            assert from_micro(costs[d - 1]) == records[d - 1].total_cost
-            assert gains[d - 1] == (d, records[d - 1].mtm_gain)
-            assert daily_net_pnl(ledger, d) == records[d - 1].net_pnl
-        assert len(ledger.fills) == 2 * days
-        assert ledger.period_cost_micro == 0
+        records, fills = result.records, result.ledger.fills
+        assert len(fills) == 2 * days
+        book_per_price = scenario.total_book_value / scenario.initial_mid
+        for record, day_fills in zip(records, zip(fills[::2], fills[1::2])):
+            assert record.total_cost == from_micro(sum(f.cost_micro for f in day_fills))
+            prev = record.prev_close
+            assert record.mtm_gain == mark_to_market(book_per_price * prev, prev, record.close)
+            assert record.net_pnl == record.mtm_gain - record.total_cost
+        assert result.ledger.cumulative_cost_micro == sum(f.cost_micro for f in fills)
 
 
 DAILY_HEADER = "day,prev_close,open,close,overnight_ret,intraday_ret,total_cost,mtm_gain,net_pnl\n"
@@ -810,8 +808,3 @@ class TestScenarioValidation:
         scenario = make_scenario(days=np.int64(3), seed=np.uint32(7), sigma=0.01)
         assert type(scenario.days) is int and type(scenario.seed) is int
         assert simulate(scenario).records == simulate(make_scenario(days=3, seed=7, sigma=0.01)).records
-
-    @pytest.mark.parametrize("growth", [0.0, float("inf"), float("nan")])
-    def test_leg_growth_must_be_positive_and_finite(self, growth):
-        with pytest.raises(ValueError, match="leg_growth_per_day must be positive and finite"):
-            make_scenario(leg_growth_per_day=growth)

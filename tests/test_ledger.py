@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,7 +6,6 @@ from hypothesis import strategies as st
 from daydrift import (
     AccountingError,
     Ledger,
-    daily_net_pnl,
     from_micro,
     mark_to_market,
     record_fill,
@@ -89,30 +89,23 @@ class TestRecordFill:
 class TestRunningAccount:
     def test_operations_update_the_ledger_in_place(self):
         led = Ledger()
+        alias = led
         assert record_fill(led, 100.0, 1e7, 7500.0) is led
-        gain, marked = mark_to_market(led, 1e10, 100.0, 100.01)
-        assert marked is led
-        assert led.mtm_history == ((1, gain),)
-        assert led.cost_history_micro == (7_500_000_000,)
+        assert alias.cumulative_cost_micro == 7_500_000_000 and len(alias.fills) == 1
 
-    def test_returned_histories_are_snapshots(self):
+    def test_returned_fills_are_snapshots(self):
         led = record_fill(Ledger(), 100.0, 1e7, 7500.0)
-        _, led = mark_to_market(led, 1e10, 100.0, 100.01)
-        fills, costs, gains = led.fills, led.cost_history_micro, led.mtm_history
-        assert isinstance(fills, tuple) and isinstance(costs, tuple) and isinstance(gains, tuple)
+        fills = led.fills
+        assert isinstance(fills, tuple)
         with pytest.raises(AttributeError):
             fills.append(fills[0])
-        assert len(led.fills) == 1
         record_fill(led, 100.0, -1e7, 2500.0)
-        _, led = mark_to_market(led, 1e10, 100.01, 100.02)
-        assert len(fills) == 1 and costs == (7_500_000_000,) and len(gains) == 1
-        assert len(led.fills) == 2 and led.cost_history_micro == (7_500_000_000, 2_500_000_000)
+        assert len(fills) == 1 and len(led.fills) == 2
 
     def test_equal_accounts_compare_equal(self):
         a, b = Ledger(), Ledger()
         for led in (a, b):
             record_fill(led, 100.0, 1e7, 7500.0)
-            mark_to_market(led, 1e10, 100.0, 100.01)
         assert a == b
         record_fill(b, 100.0, 0.0, 0.0)
         assert a != b
@@ -120,66 +113,46 @@ class TestRunningAccount:
 
 class TestMarkToMarket:
     def test_one_bp_on_ten_billion(self):
-        gain, led = mark_to_market(Ledger(), 1e10, 100.0, 100.01)
-        assert gain == pytest.approx(1_000_000.0, rel=1e-9)
-        assert led.mtm_history == ((1, gain),)
+        assert mark_to_market(1e10, 100.0, 100.01) == pytest.approx(1_000_000.0, rel=1e-9)
 
     def test_flat_mid_is_zero_gain(self):
-        gain, _ = mark_to_market(Ledger(), 1e10, 100.0, 100.0)
-        assert gain == 0.0
+        assert mark_to_market(1e10, 100.0, 100.0) == 0.0
 
     def test_four_bp_gain_scales_linearly(self):
-        gain, _ = mark_to_market(Ledger(), 1e10, 100.0, 100.04)
-        assert gain == pytest.approx(4_000_000.0, rel=1e-9)
+        assert mark_to_market(1e10, 100.0, 100.04) == pytest.approx(4_000_000.0, rel=1e-9)
 
     def test_non_positive_prev_mid_rejected(self):
-        with pytest.raises(ValueError):
-            mark_to_market(Ledger(), 1e10, 0.0, 100.0)
+        with pytest.raises(ValueError, match=r"^mid_prev must be positive, got 0\.0$"):
+            mark_to_market(1e10, 0.0, 100.0)
 
-    def test_marks_seal_the_cost_period(self):
-        led = record_fill(Ledger(), 100.0, 1e7, 7500.0)
-        led = record_fill(led, 100.0, -1e7, 2500.0)
-        _, led = mark_to_market(led, 1e10, 100.0, 100.01)
-        assert led.cost_history_micro == (10_000_000_000,)
-        assert led.period_cost_micro == 0
-        led = record_fill(led, 100.0, 1e7, 7500.0)
-        _, led = mark_to_market(led, 1e10, 100.01, 100.02)
-        assert led.cost_history_micro[1] == 7_500_000_000
+    def test_arrays_are_marked_elementwise(self):
+        books, prevs, nows = [1e10, 5e9, 2e10], [100.0, 99.5, 101.25], [100.01, 99.0, 101.3]
+        gains = mark_to_market(np.array(books), np.array(prevs), np.array(nows))
+        assert gains.tolist() == [mark_to_market(*args) for args in zip(books, prevs, nows)]
+
+    def test_the_first_non_positive_prev_mid_of_an_array_is_named(self):
+        with pytest.raises(ValueError, match=r"^mid_prev must be positive, got -1\.0$"):
+            mark_to_market(np.full(4, 1e10), np.array([100.0, -1.0, 0.0, np.nan]), np.full(4, 100.0))
 
     def test_telescoping_over_a_drifting_path(self):
         # constant share count: book value at each mark moves with the mid
         mids = [100.0 * (1.001**d) for d in range(0, 61)]
-        book0, led, total = 1e10, Ledger(), 0.0
-        for prev, now in zip(mids, mids[1:]):
-            gain, led = mark_to_market(led, book0 * (prev / mids[0]), prev, now)
-            total += gain
+        book0 = 1e10
+        total = sum(mark_to_market(book0 * (prev / mids[0]), prev, now) for prev, now in zip(mids, mids[1:]))
         expected = book0 * (mids[-1] / mids[0] - 1.0)
         assert abs(total - expected) / expected <= 1e-9
 
 
-class TestDailyNetPnl:
-    def _reference_day(self) -> Ledger:
+class TestReferenceDay:
+    def _reference_day(self) -> tuple[float, Ledger]:
         led = record_fill(Ledger(), 100.075, 1e7, 7500.0)
         led = record_fill(led, 100.0025, -1e7, 2500.0)
-        _, led = mark_to_market(led, 1e10, 100.0, 100.01)
-        return led
+        return mark_to_market(1e10, 100.0, 100.01), led
 
     def test_reference_day_nets_990k(self):
-        led = self._reference_day()
-        assert daily_net_pnl(led, 1) == pytest.approx(990_000.0, rel=1e-9)
+        gain, led = self._reference_day()
+        assert gain - led.cumulative_cost == pytest.approx(990_000.0, rel=1e-9)
 
     def test_gain_cost_ratio_is_two_orders_of_magnitude(self):
-        led = self._reference_day()
-        _, gain = led.mtm_history[0]
-        assert gain / from_micro(led.cost_history_micro[0]) == pytest.approx(100.0, rel=1e-9)
-
-    def test_quiet_day_is_zero(self):
-        _, led = mark_to_market(Ledger(), 1e10, 100.0, 100.0)
-        assert daily_net_pnl(led, 1) == 0.0
-
-    def test_unknown_day_rejected(self):
-        led = self._reference_day()
-        with pytest.raises(KeyError):
-            daily_net_pnl(led, 2)
-        with pytest.raises(KeyError):
-            daily_net_pnl(led, 0)
+        gain, led = self._reference_day()
+        assert gain / from_micro(led.cumulative_cost_micro) == pytest.approx(100.0, rel=1e-9)
