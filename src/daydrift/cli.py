@@ -196,8 +196,14 @@ def cmd_calibrate(args) -> int:
         trader.sell_tick,
         args.target_bps,
     )
-    check = replace(cfg, lam=lam, sigma_daily=0.0, half_life_days=None, days=1).build()
-    record = run_sim(check)[0]
+    # the check day trades whether or not the config enables the trader
+    check = replace(cfg, lam=lam, sigma_daily=0.0, half_life_days=None, days=1, enabled=True).build()
+    try:
+        record = run_sim(check)[0]
+    except SimulationError as exc:
+        raise CalibrationError(
+            f"target of {args.target_bps} bps needs an impact coefficient of {lam}, at which the check day fails: {exc}"
+        ) from exc
     achieved_bps = ((record.close - record.prev_close) / record.prev_close) * 1e4
     print(f"calibrated impact coefficient lambda = {lam!r}")
     print(f"  target nudge    {args.target_bps:.4f} bp/day")

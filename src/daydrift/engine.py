@@ -42,7 +42,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .agents import RoundTripTrader, orders_for_tick
-from .ledger import Ledger, book_days, check_fills, from_micro, mark_to_market, record_fill
+from .ledger import Ledger, book_days, first_refused_day, from_micro, mark_to_market, record_fill, to_micro
 from .market import (
     ImpactParams,
     IntradayClock,
@@ -55,7 +55,6 @@ from .market import (
     diffusion_path,
     fill_order,
     fill_price,
-    mid_non_positive,
     mid_price,
     noise_step,
     order_impact,
@@ -320,11 +319,15 @@ def _run_days(scenario: Scenario, book_ledger: Ledger, records: list[DayRecord])
 
     What does not read the price is computed once, before the first
     block, as arrays over the day's orders: ``order_impact`` (costs and
-    impacts), the permanent impact before and after every order, and
-    ``mid_non_positive``, which finds the first order that would drive the
-    mid non-positive, on day 1.  Then the days are computed in blocks of
-    ``_BLOCK_DAYS``, in four steps.  Only the draw and the chain go day by
-    day:
+    impacts) and the permanent impact before and after every order.  So
+    is the first day that fails an order: ``_refusal`` replays day 1 from
+    the ledger's sums, one order at a time, which meets an order that
+    drives the mid non-positive or that the ledger refuses.  If day 1
+    books, every day books the same micro amounts, ``first_refused_day``
+    finds the first day the ledger refuses, and ``_refusal`` replays it
+    for its stop and error.  Then the days are computed in blocks of
+    ``_BLOCK_DAYS``, in three steps.  Only the draw and the chain go day
+    by day:
 
     1. *Draw.*  Each noisy day draws its normals, one per noise step (per
        stop without mean reversion, per tick with it), into a row of one
@@ -334,14 +337,11 @@ def _run_days(scenario: Scenario, book_ledger: Ledger, records: list[DayRecord])
        counter 0 and buffer empty, which is the state of a fresh
        ``day_rng``.  A run without noise computes no keys and draws
        nothing.
-    2. *The checks*: ``check_fills`` over the block's fills, from the
-       ledger's running sums, which finds the first day whose orders the
-       ledger would refuse.
-    3. *The chain*, day by day: without mean reversion the day's anchor
+    2. *The chain*, day by day: without mean reversion the day's anchor
        at each stop is one ``diffusion_path`` of its row; with it,
        ``noise_step`` runs tick by tick and each stop's anchor is written
-       into the row.
-    4. *Booking*: the opens, ``fill_price`` of every fill and the marks,
+       into the row.  The failing day raises its refusal at its stop.
+    3. *Booking*: the opens, ``fill_price`` of every fill and the marks,
        over the finished days, then ``book_days`` and the records.
 
     The order of the module docstring is the contract: the result is
@@ -395,11 +395,23 @@ def _run_days(scenario: Scenario, book_ledger: Ledger, records: list[DayRecord])
         perm = np.zeros(n_orders + 1)
         perm[1:] = perm_steps
         np.add.accumulate(perm, out=perm)
-        guard = mid_non_positive(perm[1:])
-        # (day in the block, stop) of the first order that drives the mid non-positive; it does so on day 1
-        guarded = [(0, order_stop[int(guard.argmax())])] if guard.any() else []
         tick_perm = perm[[begin for _, begin, _ in stops]].tolist()
         close_perm = perm[-1].item()
+        # the first day that fails, counted from 0 (len(days) if none), and its (stop, error)
+        cash, spent = book_ledger.cash_micro, book_ledger.cumulative_cost_micro
+        refused, refusal = 0, _refusal(scenario, cash, spent)
+        if refusal is None:  # day 1 books, so every day books the same micro amounts
+            notional_micro = list(map(to_micro, plan.notionals.tolist()))
+            cost_micro = list(map(to_micro, costs.tolist()))
+            day_cost = from_micro(sum(cost_micro))
+            refused = first_refused_day(book_ledger, notional_micro, cost_micro)
+            if refused is None or refused >= len(days):
+                refused = len(days)
+            else:
+                out, cost = sum(notional_micro) + sum(cost_micro), sum(cost_micro)
+                refusal = _refusal(scenario, cash - refused * out, spent + refused * cost)
+                if refusal is None:
+                    raise RuntimeError(f"day {refused + 1}: first_refused_day refused an order that record_fill books")
         for start in range(0, len(days), _BLOCK_DAYS):
             block = days[start : start + _BLOCK_DAYS]
             n = len(block)
@@ -413,23 +425,8 @@ def _run_days(scenario: Scenario, book_ledger: Ledger, records: list[DayRecord])
                     rng.standard_normal(out=path[i, 1:])
                 diffusion_growth(coef, path[:, 1:], out=path[:, 1:])
 
-            # 2. the checks; the first failing day raises at the stop of its first refused order
-            refused, notional_micro, cost_micro = check_fills(
-                book_ledger, np.tile(plan.notionals, n), np.tile(costs, n)
-            )
-            failures = guarded if refused is None else [*guarded, (refused // n_orders, order_stop[refused % n_orders])]
-            bad_day, bad_stop = min(failures, default=(n, 0))
-            refusal = None
-            if bad_day < n:
-                booked = bad_day * n_orders
-                refusal = _refusal(
-                    scenario,
-                    block[bad_day],
-                    book_ledger.cash_micro - sum(notional_micro[:booked]) - sum(cost_micro[:booked]),
-                    book_ledger.cumulative_cost_micro + sum(cost_micro[:booked]),
-                )
-
-            # 3. the chain
+            # 2. the chain; the failing day raises at the stop of its first refused order
+            bad_day = refused - start
             prev = close
             closes: list[float] = []
             try:
@@ -439,8 +436,8 @@ def _run_days(scenario: Scenario, book_ledger: Ledger, records: list[DayRecord])
                         row[0] = close
                         if i == bad_day:  # the segments up to the failing stop, then its refusal
                             if diffuse:
-                                diffusion_path(row[: bad_stop + 2], stop_ticks)
-                            raise refusal
+                                diffusion_path(row[: refusal[0] + 2], stop_ticks)
+                            raise refusal[1]
                         anchor = diffusion_path(row, stop_ticks) if diffuse else close
                     else:
                         anchor = close
@@ -452,15 +449,15 @@ def _run_days(scenario: Scenario, book_ledger: Ledger, records: list[DayRecord])
                                 anchor = noise_step(anchor, mid_perm, fund, pull, growth[k + 1])
                                 check_noise_price(anchor, tick=k)
                             row[t + 1] = anchor
-                            if i == bad_day and s == bad_stop:
-                                raise refusal
+                            if i == bad_day and s == refusal[0]:
+                                raise refusal[1]
                             last = t
                     close = mid_price(anchor, close_perm)
                     if not 0.0 < close < math.inf:
                         raise ValueError(f"close is non-positive or non-finite: {close}")
                     closes.append(close)
 
-            # 4. booking the finished days, also when a day fails
+            # 3. booking the finished days, also when a day fails
             finally:
                 if closes:
                     m = len(closes)
@@ -469,9 +466,7 @@ def _run_days(scenario: Scenario, book_ledger: Ledger, records: list[DayRecord])
                     opens = mid_price(path[:m, stop_col[0]], perm[stops[0][2]])
                     prices = fill_price(path[:m, order_col], perm[:-1], spreads, plan.notionals)
                     gains = mark_to_market(book_per_price * prevs, prevs, now).tolist()
-                    filled = m * n_orders
-                    book_days(book_ledger, prices.ravel().tolist(), notional_micro[:filled], cost_micro[:filled])
-                    day_cost = from_micro(sum(cost_micro[:n_orders]))  # every day's fills cost the same
+                    book_days(book_ledger, prices.ravel().tolist(), m, notional_micro, cost_micro)
                     nets = [gain - day_cost for gain in gains]
                     records += map(
                         DayRecord, block[:m], prevs.tolist(), opens.tolist(), closes, [day_cost] * m, gains, nets
@@ -479,12 +474,12 @@ def _run_days(scenario: Scenario, book_ledger: Ledger, records: list[DayRecord])
     return MarketState(anchor, fund, close_perm)
 
 
-def _refusal(scenario: Scenario, day: int, cash_micro: int, cost_micro: int) -> Exception:
-    """The error that booking ``day``'s orders one at a time raises, from ledger sums at the day's start.
+def _refusal(scenario: Scenario, cash_micro: int, cost_micro: int) -> tuple[int, Exception] | None:
+    """The stop and error of the first order that booking a day's orders one at a time refuses; None if it books them.
 
-    The block checks find which day fails first; this replays that day's
-    orders through ``fill_order`` and ``record_fill`` on a scratch ledger
-    to get the error, and message, of the first order they refuse.
+    Replays the day's orders, from ledger sums at the day's start, through
+    ``fill_order`` and ``record_fill`` on a scratch ledger, so the error
+    and its message are theirs.
     """
     plan = scenario.plan
     orders = zip(plan.order_stop, plan.spreads.tolist(), plan.depths.tolist(), plan.notionals.tolist())
@@ -495,8 +490,8 @@ def _refusal(scenario: Scenario, day: int, cash_micro: int, cost_micro: int) -> 
             fill, cost, perm = fill_order(scenario.impact, spread, depth, 1.0, perm, notional, plan.stops[s][0])
             record_fill(ledger, fill, notional, cost)
     except (ValueError, OverflowError) as exc:
-        return exc
-    raise RuntimeError(f"day {day}: the block checks refused an order that record_fill books")
+        return s, exc
+    return None
 
 
 def run_sim(scenario: Scenario) -> list[DayRecord]:

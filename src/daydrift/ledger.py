@@ -15,11 +15,12 @@ do not change.
 
 The fill trail is kept as ``(price, notional_micro, cost_micro)`` rows;
 ``fills`` builds the ``Fill`` records from them when it is read.  The run
-kernel books a block of days at once: ``check_fills`` runs the checks of
-``record_fill`` over the block's fills in order without booking them, and
-``book_days`` then books them.  Both share ``to_micro``'s rounding and
-every range check with ``record_fill``, so a block leaves the ledger as
-booking its fills one at a time would.
+kernel books days that all have the same fills, in micro-currency, so
+after ``d`` whole days the sums are exact ints, ``cash - d*outflow`` and
+``cost + d*day_cost``.  ``first_refused_day`` solves those for the first
+day whose fills ``record_fill`` would refuse, once per run, and
+``book_days`` books a run of whole days before it; the ledger ends as
+booking their fills one at a time would.
 """
 
 from __future__ import annotations
@@ -32,27 +33,16 @@ import numpy as np
 
 MICRO_PER_UNIT = 10**6
 _MICRO_LIMIT = 2**63 - 1  # ledger halts rather than exceeding i64 micro range
-_MICRO_BOUND = _MICRO_LIMIT + 1  # an amount fits when abs(micro) < this, as an int or a float
 
 
 class AccountingError(OverflowError):
     """A ledger quantity left the representable micro-currency range."""
 
 
-def _rounded_micro(amount):
-    """``amount`` in micro-currency, rounded half to even, as floats; elementwise over an array."""
-    return np.rint(amount * float(MICRO_PER_UNIT))
-
-
-def _fits(micro):
-    """True where an integral micro amount (an int, or floats) is inside the i64 range."""
-    return abs(micro) < _MICRO_BOUND
-
-
 def to_micro(amount: float) -> int:
     """Currency to integer micro-currency, rounding half to even."""
-    micro = int(_rounded_micro(amount))  # NaN and inf raise here, as round() would
-    if not _fits(micro):
+    micro = int(np.rint(amount * float(MICRO_PER_UNIT)))  # NaN and inf raise here, as round() would
+    if abs(micro) > _MICRO_LIMIT:
         raise AccountingError(f"{amount} does not fit in micro-currency range")
     return micro
 
@@ -104,7 +94,7 @@ def record_fill(ledger: Ledger, fill_price: float, signed_notional: float, cost:
     notional_micro = to_micro(signed_notional)
     cost_micro = to_micro(cost)
     cash = ledger.cash_micro - notional_micro - cost_micro
-    if not _fits(cash):
+    if abs(cash) > _MICRO_LIMIT:
         raise AccountingError("cash balance left the micro-currency range")
     total_cost = ledger.cumulative_cost_micro + cost_micro
     if total_cost > _MICRO_LIMIT:
@@ -126,35 +116,37 @@ def mark_to_market(book_value, mid_prev, mid_now):
     return book_value * ((mid_now - mid_prev) / mid_prev)
 
 
-def check_fills(ledger: Ledger, notionals: np.ndarray, costs: np.ndarray) -> tuple[int | None, list[int], list[int]]:
-    """``record_fill``'s checks over a run of fills, in order, without booking them.
+def first_refused_day(ledger: Ledger, notional_micro: list[int], cost_micro: list[int]) -> int | None:
+    """The first day, counted from 0, that ``record_fill`` refuses if every day books these fills; None if none.
 
-    Returns the index of the first fill that ``record_fill`` would refuse
-    if the fills were booked one by one on ``ledger`` (None if it would
-    book them all), and the notionals and costs in micro-currency of the
-    fills before it.
+    Each day books, from the ledger's sums and in order, fills of the
+    micro amounts ``notional_micro`` and ``cost_micro`` (each in range,
+    costs >= 0).  A fill is refused where it takes the cash out of the
+    micro range or the cost sum past it.
     """
-    n_micro, c_micro = _rounded_micro(notionals), _rounded_micro(costs)
-    ok = ~(costs < 0) & _fits(n_micro) & _fits(c_micro)
-    first = None if ok.all() else int(np.argmin(ok))
-    n_list = n_micro[:first].astype(np.int64).tolist()
-    c_list = c_micro[:first].astype(np.int64).tolist()
-    # the running cash and cost sum after each fill; the sum never falls, as costs are >= 0
-    cash = list(accumulate(map(operator.add, n_list, c_list), operator.sub, initial=ledger.cash_micro))[1:]
-    total = list(accumulate(c_list, initial=ledger.cumulative_cost_micro))[1:]
-    if cash and not (_fits(max(cash)) and _fits(min(cash)) and total[-1] <= _MICRO_LIMIT):
-        k = next(k for k, (a, b) in enumerate(zip(cash, total)) if not _fits(a) or b > _MICRO_LIMIT)
-        return k, n_list[:k], c_list[:k]
-    return first, n_list, c_list
+    outflows = list(map(operator.add, notional_micro, cost_micro))
+    day_out, day_cost = sum(outflows), sum(cost_micro)
+    days = []
+    for paid, spent in zip(accumulate(outflows), accumulate(cost_micro)):
+        cash, cost = ledger.cash_micro - paid, ledger.cumulative_cost_micro + spent
+        # on day d the fill is refused where cash - d*day_out > LIMIT or < -LIMIT, or cost + d*day_cost > LIMIT:
+        # where over + d*step > 0 for one of these (over, step)
+        for over, step in ((cash - _MICRO_LIMIT, -day_out), (-_MICRO_LIMIT - cash, day_out), (cost - _MICRO_LIMIT, day_cost)):
+            if over > 0:
+                days.append(0)
+            elif step > 0:
+                days.append(-over // step + 1)
+    return min(days, default=None)
 
 
-def book_days(ledger: Ledger, prices: list[float], notional_micro: list[int], cost_micro: list[int]) -> None:
-    """Book fills in place, in booking order, with their micro amounts as ``check_fills`` returned them.
+def book_days(ledger: Ledger, prices: list[float], days: int, notional_micro: list[int], cost_micro: list[int]) -> None:
+    """Book ``days`` whole days in place, each of fills of the micro amounts ``notional_micro`` and ``cost_micro``.
 
-    The ledger ends as ``record_fill`` called on each fill in turn would
-    leave it.
+    ``prices`` holds every fill's price in booking order.  The days must
+    come before ``first_refused_day``; the ledger then ends as
+    ``record_fill`` called on each fill in turn would leave it.
     """
     cost_sum = sum(cost_micro)
-    ledger.cash_micro -= sum(notional_micro) + cost_sum
-    ledger.cumulative_cost_micro += cost_sum
-    ledger._fills += zip(prices, notional_micro, cost_micro)
+    ledger.cash_micro -= days * (sum(notional_micro) + cost_sum)
+    ledger.cumulative_cost_micro += days * cost_sum
+    ledger._fills += zip(prices, notional_micro * days, cost_micro * days)

@@ -299,13 +299,13 @@ def fill_order(
 
     Returns ``(fill_price, cost, perm_bps)``: the fill, its spread cost,
     and the permanent impact after the trade.  It is ``fill_price`` and
-    ``order_impact`` put together, and raises ``ValueError`` where
-    ``mid_non_positive`` holds after the trade.
+    ``order_impact`` put together, and raises ``ValueError`` where the
+    permanent impact after the trade puts the mid at or below zero.
     """
     price = fill_price(anchor, perm_bps, spread_bps, signed_notional)
     cost, perm_step = order_impact(params, spread_bps, depth, signed_notional)
     perm_bps += perm_step
-    if mid_non_positive(perm_bps):
+    if 1.0 + perm_bps * BPS <= 0.0:
         raise ValueError(
             f"trade of {signed_notional} at tick {t} would drive the mid non-positive "
             f"(cumulative permanent impact {perm_bps} bps)"
@@ -331,11 +331,6 @@ def order_impact(params: ImpactParams, spread_bps, depth, signed_notional):
     """
     perm_step = params.permanent_fraction * _signed_impact(params, spread_bps, depth, signed_notional)
     return crossing_cost(abs(signed_notional), spread_bps), perm_step
-
-
-def mid_non_positive(perm_bps):
-    """True where a permanent impact of ``perm_bps`` puts the mid at or below zero; elementwise."""
-    return 1.0 + perm_bps * BPS <= 0.0
 
 
 def calibrate_lambda(

@@ -788,6 +788,26 @@ class TestCalibrate:
             f"error: target of {float(target)} bps needs an impact coefficient of {lam}, which is not finite\n"
         )
 
+    def test_a_target_whose_check_day_fails_names_the_target_and_lambda(self, capsys, reference_config_path):
+        code, _, out, err = run_cli(capsys, "calibrate", "--config", str(reference_config_path), "--target-bps", "1e300")
+        assert code == 1
+        assert out == ""
+        m = re.fullmatch(
+            r"error: target of 1e\+300 bps needs an impact coefficient of (\S+), at which the check day fails: "
+            r"day 1: close is non-positive or non-finite: nan\n",
+            err,
+        )
+        assert m and float(m.group(1)) == pytest.approx(2e301, rel=1e-12)
+
+    def test_a_disabled_trader_is_calibrated_as_if_it_traded(self, capsys, tmp_path, reference_config_path):
+        config = tmp_path / "disabled.ini"
+        config.write_text(reference_config_path.read_text().replace("enabled = true", "enabled = false"))
+        code, stanza, text, _ = run_cli(capsys, "calibrate", "--config", str(config), "--target-bps", "1")
+        assert code == 0
+        assert float(stanza["lambda"]) == pytest.approx(20.0, rel=1e-12)
+        assert float(stanza["achieved_nudge_bps"]) == pytest.approx(1.0, rel=1e-9)
+        assert "verified nudge  1.0000 bp" in text
+
     def test_agentless_config_cannot_calibrate(self, capsys, tmp_path):
         config = tmp_path / "quiet.ini"
         config.write_text("[run]\ndays = 1\n")

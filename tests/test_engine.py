@@ -372,15 +372,27 @@ class TestErrorsAtBlockEdges:
             simulate(wide_spread_scenario(spread, half_life))
         assert isinstance(info.value.__cause__, AccountingError)
 
-    @pytest.mark.parametrize(("spread", "day"), CASH_FAILURES)
-    def test_a_failing_day_books_nothing_into_the_callers_ledger(self, spread, day):
+    @pytest.mark.parametrize(
+        ("spread", "day", "sums"),
+        [
+            *((spread, day, (0, 0)) for spread, day in CASH_FAILURES),
+            # from 3e18 micro above the cash bound, days of 1.3e17 (1.285e17) micro of costs leave too little
+            # for the next opening buy of 1e18 plus its cost after 15 (16) days
+            (1300.0, 16, (-(2**63 - 1) + 3 * 10**18, 10**17)),
+            (1285.0, 17, (-(2**63 - 1) + 3 * 10**18, 10**17)),
+            (1300.0, 1, (-(2**63 - 1) + 10**18, 0)),  # the first opening buy
+        ],
+    )
+    def test_a_failing_day_books_nothing_into_the_callers_ledger(self, spread, day, sums):
         scenario = wide_spread_scenario(spread, None)
-        finished = simulate(replace(scenario, days=day - 1))
-        records, ledger = [], Ledger()
+        finished, finished_records = Ledger(*sums), []
+        if day > 1:
+            _run_days(replace(scenario, days=day - 1), finished, finished_records)
+        records, ledger = [], Ledger(*sums)
         with pytest.raises(AccountingError, match="^cash balance left the micro-currency range$"):
             _run_days(scenario, ledger, records)
-        assert tuple(records) == finished.records
-        assert ledger == finished.ledger
+        assert records == finished_records
+        assert ledger == finished
         assert len(records) == day - 1 and len(ledger.fills) == 2 * (day - 1)
 
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from daydrift import (
@@ -11,6 +11,9 @@ from daydrift import (
     record_fill,
     to_micro,
 )
+from daydrift.ledger import book_days, first_refused_day
+
+LIMIT = 2**63 - 1
 
 
 class TestMicroConversion:
@@ -109,6 +112,64 @@ class TestRunningAccount:
         assert a == b
         record_fill(b, 100.0, 0.0, 0.0)
         assert a != b
+
+
+def book_day_by_day(ledger: Ledger, fills, days: int) -> int | None:
+    """Book ``fills`` once a day with ``record_fill``: the index of the first day refused, None after ``days`` days."""
+    for day in range(days):
+        try:
+            for fill in fills:
+                record_fill(ledger, *fill)
+        except AccountingError:
+            return day
+    return None
+
+
+class TestFirstRefusedDay:
+    DAYS = 60  # booked one at a time; a later refused day must be reported as such
+
+    @given(
+        cash=st.integers(-LIMIT, LIMIT),
+        cost=st.integers(0, LIMIT),
+        legs=st.tuples(st.integers(0, 2**62), st.integers(0, 2**62)),
+        costs=st.tuples(st.integers(0, 2**62), st.integers(0, 2**62)),
+        buy_first=st.booleans(),
+    )
+    @example(cash=-LIMIT, cost=0, legs=(1, 1), costs=(0, 0), buy_first=True)  # the first buy is refused
+    @example(cash=0, cost=LIMIT, legs=(0, 0), costs=(0, 1), buy_first=False)  # the second fill's cost is refused
+    @example(cash=LIMIT, cost=0, legs=(5, 5), costs=(0, 0), buy_first=False)  # the first sell is refused
+    @example(cash=0, cost=0, legs=(10**18, 10**18), costs=(10**17, 10**17), buy_first=True)  # refused on day 41
+    @example(cash=0, cost=0, legs=(2**62, 2**62), costs=(0, 0), buy_first=False)  # never refused
+    @settings(max_examples=300, deadline=None)
+    def test_matches_booking_day_after_day(self, cash, cost, legs, costs, buy_first):
+        side = 1.0 if buy_first else -1.0
+        fills = [(100.0, side * legs[0] / 1e6, costs[0] / 1e6), (101.0, -side * legs[1] / 1e6, costs[1] / 1e6)]
+        notional_micro = [to_micro(notional) for _, notional, _ in fills]
+        cost_micro = [to_micro(c) for _, _, c in fills]
+        refused = first_refused_day(Ledger(cash, cost), notional_micro, cost_micro)
+        expected = book_day_by_day(Ledger(cash, cost), fills, self.DAYS)
+        if expected is None:
+            assert refused is None or refused >= self.DAYS
+        else:
+            assert refused == expected
+        # book_days books the whole days before it as record_fill does
+        whole = self.DAYS if expected is None else expected
+        booked, reference = Ledger(cash, cost), Ledger(cash, cost)
+        book_days(booked, [100.0, 101.0] * whole, whole, notional_micro, cost_micro)
+        assert book_day_by_day(reference, fills, whole) is None
+        assert booked == reference
+
+    def test_a_day_that_moves_no_sum_is_never_refused(self):
+        assert first_refused_day(Ledger(-LIMIT, LIMIT), [-(10**18), 10**18], [0, 0]) is None
+        assert first_refused_day(Ledger(), [], []) is None
+
+    def test_counts_whole_days_from_the_ledgers_sums(self):
+        # a buy of 10 and a sell of 10, costing 1 each: the cash falls by 2 a day, the buy first takes it below -LIMIT
+        assert first_refused_day(Ledger(-LIMIT + 10, 0), [10, -10], [1, 1]) == 0
+        assert first_refused_day(Ledger(-LIMIT + 11, 0), [10, -10], [1, 1]) == 1
+        assert first_refused_day(Ledger(-LIMIT + 13, 0), [10, -10], [1, 1]) == 2
+        # the cost sum passes LIMIT on the second fill of day 3
+        assert first_refused_day(Ledger(0, LIMIT - 5), [0, 0], [1, 1]) == 2
 
 
 class TestMarkToMarket:
