@@ -24,8 +24,8 @@ from .engine import (
     RunSummary,
     SimulationError,
     read_daily_columns,
-    run_sim,
     run_sweep,
+    simulate,
     summarize,
     write_daily_csv,
 )
@@ -63,12 +63,12 @@ def cmd_run(args) -> int:
     if out is None:
         raise ConfigError("output.daily_csv: no output path; pass --out or set [output] daily_csv")
     scenario = cfg.build()
-    records = run_sim(scenario)
+    days = simulate(scenario).columns
     try:
-        write_daily_csv(records, out)
+        write_daily_csv(days, out)
     except ValueError as exc:  # the run produced prices the CSV cannot carry
         raise SimulationError(str(exc)) from exc
-    summary = summarize(records)
+    summary = summarize(days)
     print(f"simulated {summary.days} day(s), seed {scenario.seed}; daily records -> {out}")
     print(f"  final close       {summary.final_close:.6f}  (total return {summary.total_return * 100:+.6f}%)")
     print(f"  total cost        ${summary.total_cost:,.2f}  (${summary.cost_per_day:,.2f}/day)")
@@ -199,7 +199,7 @@ def cmd_calibrate(args) -> int:
     # the check day trades whether or not the config enables the trader
     check = replace(cfg, lam=lam, sigma_daily=0.0, half_life_days=None, days=1, enabled=True).build()
     try:
-        record = run_sim(check)[0]
+        record = simulate(check).records[0]
     except SimulationError as exc:
         raise CalibrationError(
             f"target of {args.target_bps} bps needs an impact coefficient of {lam}, at which the check day fails: {exc}"

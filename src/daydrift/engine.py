@@ -12,8 +12,8 @@ law of one factor of the summed variance, so a day draws one normal per
 stop and every output keeps its law.  Each day draws its noise from a
 Philox substream keyed by (seed, day), so a run is bit-reproducible and
 days can be replayed independently.  ``day_rng`` is the reference definition of a
-substream.  ``simulate`` computes the Philox keys of all of a run's days
-at once with ``day_keys``, which gives the bits of ``SeedSequence`` for a
+substream.  ``simulate`` computes the Philox keys of 4096 days at a time
+with ``day_keys``, which gives the bits of ``SeedSequence`` for a
 seed of any width, and re-keys one generator per day.
 
 One run kernel computes every day of ``simulate``.  Every day places the
@@ -34,8 +34,9 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from array import array
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import TYPE_CHECKING
 
@@ -180,7 +181,7 @@ class DayPlan:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DayRecord:
     """One simulated day: the price triple plus that day's economics."""
 
@@ -275,43 +276,83 @@ def day_keys(seed: int, days: range) -> np.ndarray:
     return key_words.astype("<u4").view("<u8").astype(np.uint64)
 
 
-@dataclass(frozen=True)
+_DAY_COLUMNS = ("prev_close", "open", "close", "total_cost", "mtm_gain")
+
+
+class DayColumns:
+    """A run's per-day numbers as float64 columns named by ``_DAY_COLUMNS``; row ``i`` is day ``i + 1``.
+
+    The run kernel appends each booked block of days with ``extend``.  The
+    net P&L (gain minus cost) and the ``DayRecord``s are computed when read.
+    """
+
+    def __init__(self):
+        for name in _DAY_COLUMNS:
+            setattr(self, name, array("d"))
+
+    def __len__(self) -> int:
+        return len(self.close)
+
+    def extend(self, *blocks: np.ndarray) -> None:
+        """Append a block of days: a float64 array per column, in order."""
+        for name, block in zip(_DAY_COLUMNS, blocks):
+            getattr(self, name).frombytes(block.tobytes())
+
+    def records(self) -> list[DayRecord]:
+        return list(map(DayRecord, *(column.tolist() for column in _table(self))))
+
+
+def _table(days: "DayColumns | list[DayRecord] | tuple[DayRecord, ...]") -> list[np.ndarray]:
+    """The columns of ``DayRecord`` (day, prev_close, ..., net_pnl) of ``DayColumns`` or of ``DayRecord``s."""
+    if isinstance(days, DayColumns):
+        prev, opens, close, cost, gain = (np.frombuffer(getattr(days, name)) for name in _DAY_COLUMNS)
+        return [np.arange(1, len(close) + 1), prev, opens, close, cost, gain, gain - cost]
+    return [np.array([getattr(r, f.name) for r in days]) for f in fields(DayRecord)]
+
+
+@dataclass(frozen=True, eq=False)
 class SimResult:
-    records: tuple[DayRecord, ...]
+    """A run's ``DayColumns``, its ledger and its final state; ``records`` builds the ``DayRecord``s when read."""
+
+    columns: DayColumns
     ledger: Ledger
     final_state: MarketState
+
+    @property
+    def records(self) -> tuple[DayRecord, ...]:
+        return tuple(self.columns.records())
 
 
 def simulate(scenario: Scenario) -> SimResult:
     """Run the full scenario, carrying state and accounting across days.
 
-    The run kernel computes the days in blocks (see ``_run_days``).  A
-    noisy run computes every day's substream key up front with
-    ``day_keys`` and re-keys one Philox generator per day, drawing each
-    day's normals, those of its ``day_rng``, into the block's array.  A
-    noiseless run computes no keys and builds no generator.  A failing
-    day raises ``SimulationError`` naming it, with the error of the first
-    check it fails in the order of the module docstring; a noise step that
-    fails names the tick it ends at.
+    The run kernel computes the days in blocks (see ``_run_days``) into
+    ``DayColumns``.  A noisy run computes its substream keys with
+    ``day_keys``, 4096 days at a time, and re-keys one Philox generator
+    per day, drawing each day's normals, those of its ``day_rng``, into
+    the block's array.  A noiseless run computes no keys and builds no
+    generator.  A failing day raises ``SimulationError`` naming it, with
+    the error of the first check it fails in the order of the module
+    docstring; a noise step that fails names the tick it ends at.
     """
-    book_ledger = Ledger()
-    records: list[DayRecord] = []
+    book_ledger, columns = Ledger(), DayColumns()
     try:
-        state = _run_days(scenario, book_ledger, records)
+        state = _run_days(scenario, book_ledger, columns)
     except (ValueError, OverflowError) as exc:
-        raise SimulationError(f"day {len(records) + 1}: {exc}") from exc
-    return SimResult(tuple(records), book_ledger, state)
+        raise SimulationError(f"day {len(columns) + 1}: {exc}") from exc
+    return SimResult(columns, book_ledger, state)
 
 
 # days per block: a 64 x (stops + 1) float64 array, or with mean reversion 64 x 393 (201 KB) for 392-tick days
 _BLOCK_DAYS = 64
+_KEY_DAYS = 64 * _BLOCK_DAYS  # days per day_keys call, whole blocks: 64 KB of keys; one call up to 4096 days
 
 
-def _run_days(scenario: Scenario, book_ledger: Ledger, records: list[DayRecord]) -> MarketState:
+def _run_days(scenario: Scenario, book_ledger: Ledger, columns: DayColumns) -> MarketState:
     """The run kernel: simulate days ``1..scenario.days`` from the initial state; returns the final state.
 
-    Each finished day is booked into ``book_ledger`` and its record
-    appended to ``records``, so after an error ``len(records)`` counts the
+    Each finished day is booked into ``book_ledger`` and its numbers
+    appended to ``columns``, so after an error ``len(columns)`` counts the
     days that finished and the ledger holds exactly those days; the failing
     day books nothing.  Between days the anchor and the permanent impact
     are carried as floats; the close becomes the next day's anchor, which
@@ -335,14 +376,14 @@ def _run_days(scenario: Scenario, book_ledger: Ledger, records: list[DayRecord])
        factors in place, each column with its step's ``diffusion_coef``.
        A day re-keys one Philox generator with its ``day_keys`` key,
        counter 0 and buffer empty, which is the state of a fresh
-       ``day_rng``.  A run without noise computes no keys and draws
-       nothing.
+       ``day_rng``; the keys are computed for ``_KEY_DAYS`` days at a
+       time.  A run without noise computes no keys and draws nothing.
     2. *The chain*, day by day: without mean reversion the day's anchor
        at each stop is one ``diffusion_path`` of its row; with it,
        ``noise_step`` runs tick by tick and each stop's anchor is written
        into the row.  The failing day raises its refusal at its stop.
     3. *Booking*: the opens, ``fill_price`` of every fill and the marks,
-       over the finished days, then ``book_days`` and the records.
+       over the finished days, then ``book_days`` and the columns.
 
     The order of the module docstring is the contract: the result is
     bit-identical to composing ``advance_noise`` once per noise step (over
@@ -376,7 +417,6 @@ def _run_days(scenario: Scenario, book_ledger: Ledger, records: list[DayRecord])
     close = anchor = state.day_anchor
     fund = state.fundamental
     if diffuse:
-        keys = day_keys(scenario.seed, days)
         bits = np.random.Philox(key=0)  # re-keyed before every draw
         rng = np.random.Generator(bits)
         substream = {"counter": (0, 0, 0, 0), "key": None}
@@ -413,14 +453,15 @@ def _run_days(scenario: Scenario, book_ledger: Ledger, records: list[DayRecord])
                 if refusal is None:
                     raise RuntimeError(f"day {refused + 1}: first_refused_day refused an order that record_fill books")
         for start in range(0, len(days), _BLOCK_DAYS):
-            block = days[start : start + _BLOCK_DAYS]
-            n = len(block)
+            n = min(_BLOCK_DAYS, len(days) - start)
             path = rows[:n]
 
             # 1. draw
             if diffuse:
+                if start % _KEY_DAYS == 0:
+                    keys = day_keys(scenario.seed, days[start : start + _KEY_DAYS])
                 for i in range(n):
-                    substream["key"] = keys[start + i]
+                    substream["key"] = keys[start % _KEY_DAYS + i]
                     bits.state = rekeyed
                     rng.standard_normal(out=path[i, 1:])
                 diffusion_growth(coef, path[:, 1:], out=path[:, 1:])
@@ -465,12 +506,9 @@ def _run_days(scenario: Scenario, book_ledger: Ledger, records: list[DayRecord])
                     prevs = np.concatenate(([prev], now[:-1]))
                     opens = mid_price(path[:m, stop_col[0]], perm[stops[0][2]])
                     prices = fill_price(path[:m, order_col], perm[:-1], spreads, plan.notionals)
-                    gains = mark_to_market(book_per_price * prevs, prevs, now).tolist()
-                    book_days(book_ledger, prices.ravel().tolist(), m, notional_micro, cost_micro)
-                    nets = [gain - day_cost for gain in gains]
-                    records += map(
-                        DayRecord, block[:m], prevs.tolist(), opens.tolist(), closes, [day_cost] * m, gains, nets
-                    )
+                    gains = mark_to_market(book_per_price * prevs, prevs, now)
+                    book_days(book_ledger, prices.ravel(), m, notional_micro, cost_micro)
+                    columns.extend(prevs, opens, now, np.full(m, day_cost), gains)
     return MarketState(anchor, fund, close_perm)
 
 
@@ -496,18 +534,16 @@ def _refusal(scenario: Scenario, cash_micro: int, cost_micro: int) -> tuple[int,
 
 def run_sim(scenario: Scenario) -> list[DayRecord]:
     """Day records for one scenario; bit-identical for identical (scenario, seed)."""
-    return list(simulate(scenario).records)
+    return simulate(scenario).columns.records()
 
 
-def summarize(records: list[DayRecord] | tuple[DayRecord, ...]) -> RunSummary:
-    if not records:
+def summarize(days: DayColumns | list[DayRecord] | tuple[DayRecord, ...]) -> RunSummary:
+    """The totals of a run's ``DayColumns`` or of a sequence of ``DayRecord``s, each summed left to right."""
+    _, prev, _, close, cost, gain, net = _table(days)
+    if not (n := len(close)):
         raise ValueError("cannot summarize an empty run")
-    initial = records[0].prev_close
-    final = records[-1].close
-    total_cost = sum(r.total_cost for r in records)
-    total_mtm = sum(r.mtm_gain for r in records)
-    total_net = sum(r.net_pnl for r in records)
-    n = len(records)
+    initial, final = prev[0].item(), close[-1].item()
+    total_cost, total_mtm, total_net = (sum(column.tolist()) for column in (cost, gain, net))
     ratio = total_mtm / total_cost if total_cost != 0 else math.inf * (1 if total_mtm > 0 else -1 if total_mtm < 0 else math.nan)
     return RunSummary(
         days=n,
@@ -534,32 +570,32 @@ def intraday_return(record: DayRecord) -> float:
 
 _CSV_BLOCK_ROWS = 1024  # rows formatted, joined and written at a time
 _DAILY_ROW = "%s,%.6f,%.6f,%.6f,%.10f,%.10f,%.2f,%.2f,%.2f\n".__mod__
-_DAILY_FIELDS = operator.attrgetter("day", "prev_close", "open", "close", "total_cost", "mtm_gain", "net_pnl")
 
 
-def write_daily_csv(records, path) -> None:
-    """Daily CSV: prices to 6 decimals, returns to 10, currency to 2.
+def write_daily_csv(days, path) -> None:
+    """Daily CSV of ``DayColumns`` or ``DayRecord``s: prices to 6 decimals, returns to 10, currency to 2.
 
-    Before the file is opened, a price that is non-finite or would print
-    as zero or less raises ``ValueError`` naming the day: ``read_daily_csv``
-    and ``analyze`` could not use such a file.
+    Both are formatted from the columns that ``_table`` gives.  Before
+    the file is opened, a price that is non-finite or would print as
+    zero or less raises ``ValueError`` naming the first such day and
+    field: ``read_daily_csv`` and ``analyze`` could not use such a file.
     """
-    inf = math.inf
-    for r in records:
-        if not (1e-6 <= r.prev_close < inf and 1e-6 <= r.open < inf and 1e-6 <= r.close < inf):
-            for name in ("prev_close", "open", "close"):
-                price = getattr(r, name)
-                if not 0.0 < float(f"{price:.6f}") < inf:
-                    raise ValueError(
-                        f"day {r.day}: {name} {price!r} is non-finite or prints as "
-                        "non-positive with 6 decimals; the daily CSV would be unreadable"
-                    )
-    # the returns are overnight_return and intraday_return, inlined
-    rows = ((d, p, o, c, (o - p) / p, (c - o) / o, tc, g, n) for d, p, o, c, tc, g, n in map(_DAILY_FIELDS, records))
+    day, prev, opens, close, cost, gain, net = _table(days)
+    prices = np.stack([prev, opens, close], axis=1)
+    for i, j in zip(*np.nonzero(~((prices >= 1e-6) & (prices < math.inf)))):  # day by day, field by field
+        price = prices[i, j].item()
+        if not 0.0 < float(f"{price:.6f}") < math.inf:
+            raise ValueError(
+                f"day {day[i]}: {_DAY_COLUMNS[j]} {price!r} is non-finite or prints as "
+                "non-positive with 6 decimals; the daily CSV would be unreadable"
+            )
+    with np.errstate(over="ignore"):  # the returns are overnight_return and intraday_return, elementwise
+        columns = [day, prev, opens, close, (opens - prev) / prev, (close - opens) / opens, cost, gain, net]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(DAILY_CSV_HEADER + "\n")
-        while block := "".join(map(_DAILY_ROW, itertools.islice(rows, _CSV_BLOCK_ROWS))):
-            fh.write(block)
+        for start in range(0, len(day), _CSV_BLOCK_ROWS):
+            rows = zip(*(column[start : start + _CSV_BLOCK_ROWS].tolist() for column in columns))
+            fh.write("".join(map(_DAILY_ROW, rows)))
 
 
 def read_daily_columns(fh) -> list[tuple]:
@@ -603,7 +639,7 @@ class SweepCell:
 def _run_cell(args: tuple[ScenarioConfig, tuple[tuple[str, float], ...]]) -> SweepCell:
     base, params = args
     try:
-        summary = summarize(run_sim(base.sweep_cell(params)))
+        summary = summarize(simulate(base.sweep_cell(params)).columns)
         return SweepCell(params, summary, None)
     except Exception as exc:  # cell failures must not abort the sweep
         return SweepCell(params, None, f"{type(exc).__name__}: {exc}")

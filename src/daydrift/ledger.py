@@ -13,12 +13,12 @@ per day does not grow with its length.  Every name bound to a ledger sees
 its later updates; ``fills`` returns a tuple snapshot that later updates
 do not change.
 
-The fill trail is kept as ``(price, notional_micro, cost_micro)`` rows;
-``fills`` builds the ``Fill`` records from them when it is read.  The run
-kernel books days that all have the same fills, in micro-currency, so
-after ``d`` whole days the sums are exact ints, ``cash - d*outflow`` and
-``cost + d*day_cost``.  ``first_refused_day`` solves those for the first
-day whose fills ``record_fill`` would refuse, once per run, and
+The fill trail is kept as typed columns (float64 prices, int64 micro
+amounts); ``fills`` builds the ``Fill`` records from them when it is read.
+The run kernel books days that all have the same fills, in micro-currency,
+so after ``d`` whole days the sums are exact ints, ``cash - d*outflow``
+and ``cost + d*day_cost``.  ``first_refused_day`` solves those for the
+first day whose fills ``record_fill`` would refuse, once per run, and
 ``book_days`` books a run of whole days before it; the ledger ends as
 booking their fills one at a time would.
 """
@@ -26,6 +26,7 @@ booking their fills one at a time would.
 from __future__ import annotations
 
 import operator
+from array import array
 from dataclasses import dataclass, field
 from itertools import accumulate
 
@@ -64,19 +65,19 @@ class Fill:
 class Ledger:
     """Running account updated in place by ``record_fill``.
 
-    It holds integer running sums and an append-only list of every fill as
-    a ``(price, notional_micro, cost_micro)`` row.  Operations mutate the
-    ledger they are given, so two names bound to one ledger alias the same
-    account.
+    It holds integer running sums and the fill trail, three append-only
+    columns: each fill's price, notional and cost, the last two in micro.
+    Operations mutate the ledger they are given, so two names bound to one
+    ledger alias the same account.
     """
 
     cash_micro: int = 0
     cumulative_cost_micro: int = 0
-    _fills: list[tuple[float, int, int]] = field(default_factory=list, init=False, repr=False)
+    _trail: tuple[array, ...] = field(default_factory=lambda: (array("d"), array("q"), array("q")), init=False, repr=False)
 
     @property
     def fills(self) -> tuple[Fill, ...]:
-        return tuple(Fill(*row) for row in self._fills)
+        return tuple(map(Fill, *self._trail))
 
     @property
     def cumulative_cost(self) -> float:
@@ -99,9 +100,10 @@ def record_fill(ledger: Ledger, fill_price: float, signed_notional: float, cost:
     total_cost = ledger.cumulative_cost_micro + cost_micro
     if total_cost > _MICRO_LIMIT:
         raise AccountingError("cumulative cost left the micro-currency range")
+    for column, value in zip(ledger._trail, (fill_price, notional_micro, cost_micro)):
+        column.append(value)  # only the price can be refused, and it comes first
     ledger.cash_micro = cash
     ledger.cumulative_cost_micro = total_cost
-    ledger._fills.append((fill_price, notional_micro, cost_micro))
     return ledger
 
 
@@ -139,14 +141,16 @@ def first_refused_day(ledger: Ledger, notional_micro: list[int], cost_micro: lis
     return min(days, default=None)
 
 
-def book_days(ledger: Ledger, prices: list[float], days: int, notional_micro: list[int], cost_micro: list[int]) -> None:
+def book_days(ledger: Ledger, prices, days: int, notional_micro: list[int], cost_micro: list[int]) -> None:
     """Book ``days`` whole days in place, each of fills of the micro amounts ``notional_micro`` and ``cost_micro``.
 
-    ``prices`` holds every fill's price in booking order.  The days must
-    come before ``first_refused_day``; the ledger then ends as
-    ``record_fill`` called on each fill in turn would leave it.
+    ``prices``, a sequence or an array, holds every fill's price in booking
+    order.  The days must come before ``first_refused_day``; the ledger
+    then ends as ``record_fill`` called on each fill in turn would leave it.
     """
     cost_sum = sum(cost_micro)
     ledger.cash_micro -= days * (sum(notional_micro) + cost_sum)
     ledger.cumulative_cost_micro += days * cost_sum
-    ledger._fills += zip(prices, notional_micro * days, cost_micro * days)
+    ledger._trail[0].frombytes(np.asarray(prices, dtype=np.float64).tobytes())
+    ledger._trail[1].extend(array("q", notional_micro) * days)
+    ledger._trail[2].extend(array("q", cost_micro) * days)

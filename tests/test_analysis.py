@@ -19,7 +19,7 @@ from daydrift import (
 )
 from daydrift.analysis import DECOMPOSITION_CSV_HEADER
 
-from test_engine import make_scenario
+from composition import make_scenario
 
 
 LOG_TINY = math.log(np.finfo(float).tiny)

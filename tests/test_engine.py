@@ -1,8 +1,11 @@
 import math
-from dataclasses import replace
+import tracemalloc
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from daydrift import (
     DayRecord,
@@ -24,7 +27,6 @@ from daydrift import (
     mark_to_market,
     orders_for_tick,
     read_daily_csv,
-    record_fill,
     run_sim,
     run_sweep,
     simulate,
@@ -32,39 +34,12 @@ from daydrift import (
     write_daily_csv,
 )
 from daydrift import engine
-from daydrift.engine import _BLOCK_DAYS, _run_days, day_keys
+from daydrift.engine import _BLOCK_DAYS, _CSV_BLOCK_ROWS, _KEY_DAYS, DayColumns, _run_days, day_keys
 from daydrift.ledger import AccountingError
 from daydrift.market import diffusion_coef, diffusion_growth
 
-from conftest import NOISY_CONFIG, REFERENCE_CONFIG
-
-
-def make_scenario(
-    days=1,
-    seed=0,
-    lam=20.0,
-    sigma=0.0,
-    half_life=None,
-    agents=None,
-    ticks=392,
-    initial_mid=100.0,
-    fundamental=None,
-    **kwargs,
-):
-    if agents is None:
-        agents = (RoundTripTrader(1e9, 10.0, 1e7, buy_tick=0, sell_tick=ticks - 1),)
-    return Scenario(
-        clock=IntradayClock(ticks_per_day=ticks),
-        profile=SpreadDepthProfile.default(ticks),
-        impact=ImpactParams(lam=lam),
-        noise=NoiseParams(sigma, half_life),
-        agents=tuple(agents),
-        days=days,
-        seed=seed,
-        initial_mid=initial_mid,
-        initial_fundamental=fundamental if fundamental is not None else initial_mid,
-        **kwargs,
-    )
+from composition import bitwise_case, compose_days, make_scenario
+from conftest import NOISY_CONFIG
 
 
 def nudge_bps(record: DayRecord) -> float:
@@ -258,6 +233,39 @@ class TestBlockBoundaries:
             assert row[1:].tobytes() == day.tobytes()
 
 
+@st.composite
+def composed_scenarios(draw) -> Scenario:
+    """2 to 64 ticks, 0 to 2 traders at any ticks, noise or none, mean reversion or none, 1 to 3 blocks plus a day."""
+    ticks = draw(st.integers(2, 64))
+    agents = []
+    for agent_id in "AB"[: draw(st.integers(0, 2))]:
+        buy = draw(st.integers(0, ticks - 2))
+        sell = draw(st.integers(buy + 1, ticks - 1))
+        leg = draw(st.floats(-1e8, 1e8))
+        agents.append(RoundTripTrader(1e9, 10.0, leg, buy_tick=buy, sell_tick=sell, agent_id=agent_id))
+    return make_scenario(
+        days=draw(st.integers(1, 3 * _BLOCK_DAYS + 1)),
+        seed=draw(st.integers(0, 2**96 - 1) | st.integers(2**96, 2**160)),
+        sigma=draw(st.just(0.0) | st.floats(1e-4, 0.05)),
+        half_life=draw(st.none() | st.floats(0.5, 1000.0)),
+        agents=agents,
+        ticks=ticks,
+        fundamental=draw(st.sampled_from([100.0, 95.0])),
+    )
+
+
+class TestComposedRuns:
+    @given(scenario=composed_scenarios())
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    def test_simulate_has_the_bits_of_the_composition(self, scenario):
+        result = simulate(scenario)
+        composed = list(compose_days(scenario))
+        _, composed_ledger, composed_state = composed[-1]
+        assert result.records == tuple(record for record, _, _ in composed)
+        assert result.ledger == composed_ledger
+        assert final_bits(result.final_state) == final_bits(composed_state)
+
+
 def spike_on(monkeypatch, spike_day: int, step: int = 5) -> None:
     """Make the growth factor of noise step ``step`` of ``spike_day`` infinite, so that step overflows.
 
@@ -319,11 +327,11 @@ class TestErrorsAtBlockEdges:
         spike_on(monkeypatch, spike_day, step)
         with pytest.raises(SimulationError, match=rf"^day {spike_day}: noise step produced .* at tick {tick}: inf$"):
             simulate(scenario)
-        records, ledger = [], Ledger()
+        columns, ledger = DayColumns(), Ledger()
         with pytest.raises(ValueError, match="noise step produced"):
-            _run_days(scenario, ledger, records)
-        assert len(records) == spike_day - 1
-        assert tuple(records) == finished.records
+            _run_days(scenario, ledger, columns)
+        assert len(columns) == spike_day - 1
+        assert tuple(columns.records()) == finished.records
         assert ledger == finished.ledger
 
     @pytest.mark.parametrize("seed", SPIKE_SEEDS)
@@ -385,73 +393,15 @@ class TestErrorsAtBlockEdges:
     )
     def test_a_failing_day_books_nothing_into_the_callers_ledger(self, spread, day, sums):
         scenario = wide_spread_scenario(spread, None)
-        finished, finished_records = Ledger(*sums), []
+        finished, finished_columns = Ledger(*sums), DayColumns()
         if day > 1:
-            _run_days(replace(scenario, days=day - 1), finished, finished_records)
-        records, ledger = [], Ledger(*sums)
+            _run_days(replace(scenario, days=day - 1), finished, finished_columns)
+        columns, ledger = DayColumns(), Ledger(*sums)
         with pytest.raises(AccountingError, match="^cash balance left the micro-currency range$"):
-            _run_days(scenario, ledger, records)
-        assert records == finished_records
+            _run_days(scenario, ledger, columns)
+        assert columns.records() == finished_columns.records()
         assert ledger == finished
-        assert len(records) == day - 1 and len(ledger.fills) == 2 * (day - 1)
-
-
-def bitwise_case(case: str) -> Scenario:
-    if case == "noisy-path":  # diffusion without reversion, 392 ticks
-        return replace(load_config(NOISY_CONFIG).build(), days=4, seed=3)
-    if case == "noisy-path-wide-seed":  # entropy past SeedSequence's 4-word pool, which day_keys mixes in after it
-        return replace(load_config(NOISY_CONFIG).build(), days=4, seed=2**96 + 3)
-    if case == "noisy-reverting":  # diffusion with reversion, 392 ticks: the noise steps tick by tick
-        noisy = load_config(NOISY_CONFIG).build()
-        return replace(noisy, noise=replace(noisy.noise, half_life_days=504.0), days=4, seed=3)
-    if case == "noiseless":
-        return replace(load_config(REFERENCE_CONFIG).build(), days=3)
-    # a buy-first and a sell-first agent trading at the same interior tick,
-    # unwinding at different interior ticks
-    agents = (
-        RoundTripTrader(1e9, 10.0, 1e7, buy_tick=5, sell_tick=40, agent_id="A"),
-        RoundTripTrader(5e8, 10.0, -4e6, buy_tick=5, sell_tick=50, agent_id="B"),
-    )
-    if case == "interior-trades-diffusing":
-        return make_scenario(days=3, seed=5, sigma=0.01, agents=agents, ticks=64)
-    return make_scenario(days=3, sigma=0.0, half_life=0.5, agents=agents, ticks=64, fundamental=95.0)
-
-
-def compose_days(scenario: Scenario):
-    """Reference run through the market operations, one day at a time.
-
-    With mean reversion the noise steps once per tick.  Without it, it
-    steps once per stop (tick 0, each tick with orders and the close),
-    over the ticks since the previous stop, counting from tick -1.  The
-    orders of a tick trade after its noise step.  Yields
-    ``(record, ledger, state)`` after each day; fills are booked with
-    ``record_fill`` and each day's book is marked with ``mark_to_market``.
-    """
-    clock, profile, impact, noise = scenario.clock, scenario.profile, scenario.impact, scenario.noise
-    ticks = range(clock.ticks_per_day)
-    if noise.half_life_days is None:
-        traded = {t for t in ticks for agent in scenario.agents if orders_for_tick(agent, t)}
-        ticks = sorted({0, clock.close_tick, *traded})
-    state = scenario.initial_state()
-    ledger = Ledger()
-    for day in range(1, scenario.days + 1):
-        state, rng = state.start_day(), day_rng(scenario.seed, day)
-        prev = state.day_anchor
-        cost_before = ledger.cumulative_cost_micro
-        last = -1
-        for t in ticks:
-            state = advance_noise(state, noise, (t - last) * clock.dt_days, rng)
-            last = t
-            for agent in scenario.agents:
-                for notional in orders_for_tick(agent, t):
-                    fill, cost, state = apply_aggressive_trade(state, profile, impact, notional, t)
-                    ledger = record_fill(ledger, fill, notional, cost)
-            if t == 0:
-                open_price = state.mid
-        book = scenario.total_book_value / scenario.initial_mid * prev
-        gain = mark_to_market(book, prev, state.mid)
-        cost = from_micro(ledger.cumulative_cost_micro - cost_before)
-        yield DayRecord(day, prev, open_price, state.mid, cost, gain, gain - cost), ledger, state
+        assert len(columns) == day - 1 and len(ledger.fills) == 2 * (day - 1)
 
 
 class TestDayKeys:
@@ -468,6 +418,33 @@ class TestDayKeys:
     def test_a_day_wider_than_one_word_is_refused(self):
         with pytest.raises(OverflowError):
             day_keys(1, range(2**32 - 1, 2**32 + 1))
+
+    @staticmethod
+    def key_calls(monkeypatch) -> list[range]:
+        calls, keys = [], engine.day_keys
+
+        def recorded(seed, days):
+            calls.append(days)
+            return keys(seed, days)
+
+        monkeypatch.setattr(engine, "day_keys", recorded)
+        return calls
+
+    @pytest.mark.parametrize("days", [1, _KEY_DAYS])
+    def test_a_run_of_up_to_4096_days_computes_its_keys_in_one_call(self, monkeypatch, days):
+        calls = self.key_calls(monkeypatch)
+        simulate(replace(bitwise_case("noisy-path"), days=days))
+        assert calls == [range(1, days + 1)]
+
+    def test_a_longer_run_computes_the_keys_of_4096_days_at_a_time(self, monkeypatch):
+        scenario = replace(bitwise_case("noisy-path"), days=2 * _KEY_DAYS + 1)
+        calls = self.key_calls(monkeypatch)
+        records = simulate(scenario).records
+        assert calls == [range(1, 4097), range(4097, 8193), range(8193, 8194)]
+        assert all(len(days) <= 4096 for days in calls)
+        edges = {_KEY_DAYS - 1, _KEY_DAYS, _KEY_DAYS + 1, 2 * _KEY_DAYS, 2 * _KEY_DAYS + 1}
+        composed = [record for record, _, _ in compose_days(scenario) if record.day in edges]
+        assert composed == [records[day - 1] for day in sorted(edges)]
 
 
 class TestRunSim:
@@ -582,6 +559,20 @@ class TestRunSim:
             assert record.net_pnl == record.mtm_gain - record.total_cost
         assert result.ledger.cumulative_cost_micro == sum(f.cost_micro for f in fills)
 
+    def test_a_finished_run_retains_at_most_100_bytes_per_day(self):
+        # the run's five float64 columns and the fill trail's 24 bytes per fill, two fills a day: 88 B/day
+        days = 8000
+        scenario = replace(load_config(NOISY_CONFIG).build(), days=days)
+        simulate(replace(scenario, days=2))
+        tracemalloc.start()
+        try:
+            result = simulate(scenario)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(result.columns) == days
+        assert retained / days <= 100
+
 
 DAILY_HEADER = "day,prev_close,open,close,overnight_ret,intraday_ret,total_cost,mtm_gain,net_pnl\n"
 DAILY_ROW_1 = "1,100.000000,100.000000,100.010000,0.0000000000,0.0001000000,10000.00,0.00,-10000.00\n"
@@ -631,6 +622,46 @@ class TestDailyCsv:
         assert path.read_text().splitlines()[1] == (
             "1,0.000001,0.000001,0.000001,0.0000000000,0.0000000000,-0.00,0.00,-0.00"
         )
+
+    @pytest.mark.parametrize("days", [_CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1, 2 * _CSV_BLOCK_ROWS + 1])
+    def test_records_and_columns_write_the_same_bytes(self, tmp_path, days):
+        result = simulate(replace(load_config(NOISY_CONFIG).build(), days=days, seed=7))
+        from_columns, from_records = tmp_path / "columns.csv", tmp_path / "records.csv"
+        write_daily_csv(result.columns, from_columns)
+        write_daily_csv(list(result.records), from_records)
+        assert from_columns.read_bytes() == from_records.read_bytes()
+        assert from_columns.read_text().count("\n") == days + 1
+
+    @pytest.mark.parametrize("days", [1, _CSV_BLOCK_ROWS + 1])
+    def test_records_and_columns_summarize_to_the_same_bits(self, days):
+        result = simulate(replace(load_config(NOISY_CONFIG).build(), days=days, seed=1))
+        by_columns, by_records = (astuple(summarize(run)) for run in (result.columns, result.records))
+        assert [float(x).hex() for x in by_columns] == [float(x).hex() for x in by_records]
+
+    @pytest.mark.parametrize(
+        ("bad", "message"),
+        [
+            ((1, 1, math.nan), "day 2: open nan"),
+            ((1, 1, 4e-7), "day 2: open 4e-07"),
+            ((1, 0, -1.0), "day 2: prev_close -1.0"),
+            ((2, 2, math.inf), "day 3: close inf"),
+        ],
+    )
+    def test_records_and_columns_refuse_a_bad_price_alike(self, tmp_path, bad, message):
+        # day 2's prev_close of 7e-7 prints as 0.000001, so its row is readable up to the bad field
+        prices = np.array([[100.0, 100.0, 100.0], [7e-7, 100.0, 100.0], [100.0, 100.0, 100.0]])
+        prices[bad[0], bad[1]] = bad[2]
+        columns = DayColumns()
+        columns.extend(*prices.T, np.full(3, 10.0), np.zeros(3))
+        messages = []
+        for days in (columns, columns.records()):
+            with pytest.raises(ValueError) as info:
+                write_daily_csv(days, tmp_path / "daily.csv")
+            messages.append(str(info.value))
+        assert messages[0] == messages[1] == (
+            f"{message} is non-finite or prints as non-positive with 6 decimals; the daily CSV would be unreadable"
+        )
+        assert not (tmp_path / "daily.csv").exists()
 
     def test_rejects_foreign_headers(self, tmp_path):
         path = tmp_path / "other.csv"
