@@ -4,11 +4,11 @@ Per-tick processing order is fixed and part of the contract: (1) apply
 the noise increment, (2) execute agent orders in agent-list order.  The
 day's open is the mid after tick 0 has been fully processed; the close is
 the mid after the final tick.  Only tick 0, the ticks where orders trade
-and the close are *stops*, the ticks whose price an output reads.  With
-mean reversion the noise steps tick by tick.  Without it, the noise of
-every tick since the previous stop is one step of the segment's length,
-taken at the stop: a product of per-tick factors ``exp(c*z_i)`` has the
-law of one factor of the summed variance, so a day draws one normal per
+and the close are *stops*, the ticks whose price an output reads.  The
+noise of every tick since the previous stop is one step of the segment's
+length, taken at the stop: the noise is an Ornstein-Uhlenbeck process in
+the log of the mid (``market``), whose step over any length is exact, and
+the permanent impact moves only at stops, so a day draws one normal per
 stop and every output keeps its law.  Each day draws its noise from a
 Philox substream keyed by (seed, day), so a run is bit-reproducible and
 days can be replayed independently.  ``day_rng`` is the reference definition of a
@@ -53,7 +53,6 @@ from .market import (
     check_noise_price,
     diffusion_coef,
     diffusion_growth,
-    diffusion_path,
     fill_order,
     fill_price,
     mid_price,
@@ -137,10 +136,10 @@ class DayPlan:
     and the arrays ``spreads``, ``depths`` and ``notionals`` its tick's full
     spread and depth and its signed notional.
 
-    ``diffusion_coef`` holds the ``diffusion_coef`` of each normal a day
-    draws (see the module docstring): without mean reversion one per stop,
-    over the ticks after the previous stop (from tick -1) up to it; with
-    it, one per tick; without noise, none.
+    A day takes one noise step per stop, over the ticks after the previous
+    stop (from tick -1) up to it.  ``pull`` holds each step's
+    ``reversion_pull`` and ``diffusion_coef`` its ``diffusion_coef``, the
+    coefficient of the one normal it draws.
     """
 
     stops: tuple[tuple[int, int, int], ...]
@@ -149,8 +148,8 @@ class DayPlan:
     depths: np.ndarray
     notionals: np.ndarray
     book_per_price: float  # marked book value per unit of price
-    pull: float | None  # reversion_pull per tick; None without mean reversion
-    diffusion_coef: np.ndarray  # per noise step of a day; empty without noise
+    pull: tuple[float, ...] | None  # per stop; None without mean reversion
+    diffusion_coef: np.ndarray  # per stop; empty without noise
 
     @classmethod
     def of(cls, scenario: "Scenario") -> "DayPlan":
@@ -163,12 +162,7 @@ class DayPlan:
         ends = list(itertools.accumulate(len(orders.get(t, ())) for t in ticks))
         order_ticks = [t for t in ticks for _ in orders.get(t, ())]
         noise, dt = scenario.noise, scenario.clock.dt_days
-        if noise.sigma_daily == 0.0:
-            gaps = []
-        elif noise.half_life_days is None:
-            gaps = [t - last for last, t in zip([-1, *ticks], ticks)]
-        else:
-            gaps = [1] * scenario.clock.ticks_per_day
+        gaps = [t - last for last, t in zip([-1, *ticks], ticks)]
         return cls(
             stops=tuple(zip(ticks, [0, *ends[:-1]], ends)),
             order_stop=tuple(s for s, t in enumerate(ticks) for _ in orders.get(t, ())),
@@ -176,8 +170,8 @@ class DayPlan:
             depths=scenario.profile.depth[order_ticks],
             notionals=np.array([n for t in ticks for n in orders.get(t, ())]),
             book_per_price=scenario.total_book_value / scenario.initial_mid,
-            pull=None if noise.half_life_days is None else reversion_pull(noise, dt),
-            diffusion_coef=np.array([diffusion_coef(noise, gap * dt) for gap in gaps]),
+            pull=None if noise.half_life_days is None else tuple(reversion_pull(noise, gap * dt) for gap in gaps),
+            diffusion_coef=np.array([diffusion_coef(noise, gap * dt) for gap in gaps if noise.sigma_daily > 0.0]),
         )
 
 
@@ -343,7 +337,7 @@ def simulate(scenario: Scenario) -> SimResult:
     return SimResult(columns, book_ledger, state)
 
 
-# days per block: a 64 x (stops + 1) float64 array, or with mean reversion 64 x 393 (201 KB) for 392-tick days
+# days per block: a 64 x (stops + 1) float64 array
 _BLOCK_DAYS = 64
 _KEY_DAYS = 64 * _BLOCK_DAYS  # days per day_keys call, whole blocks: 64 KB of keys; one call up to 4096 days
 
@@ -370,29 +364,27 @@ def _run_days(scenario: Scenario, book_ledger: Ledger, columns: DayColumns) -> M
     ``_BLOCK_DAYS``, in three steps.  Only the draw and the chain go day
     by day:
 
-    1. *Draw.*  Each noisy day draws its normals, one per noise step (per
-       stop without mean reversion, per tick with it), into a row of one
-       array; ``diffusion_growth`` turns the block's rows into growth
+    1. *Draw.*  Each noisy day draws its normals, one per stop, into a
+       row of one array; ``diffusion_growth`` turns the block's rows into growth
        factors in place, each column with its step's ``diffusion_coef``.
        A day re-keys one Philox generator with its ``day_keys`` key,
        counter 0 and buffer empty, which is the state of a fresh
        ``day_rng``; the keys are computed for ``_KEY_DAYS`` days at a
        time.  A run without noise computes no keys and draws nothing.
-    2. *The chain*, day by day: without mean reversion the day's anchor
-       at each stop is one ``diffusion_path`` of its row; with it,
-       ``noise_step`` runs tick by tick and each stop's anchor is written
-       into the row.  The failing day raises its refusal at its stop.
+    2. *The chain*, day by day: ``noise_step`` runs stop by stop and
+       writes each stop's anchor into the row; a run with neither noise
+       nor mean reversion keeps the day's anchor at every stop.  The
+       failing day raises its refusal at its stop.
     3. *Booking*: the opens, ``fill_price`` of every fill and the marks,
        over the finished days, then ``book_days`` and the columns.
 
     The order of the module docstring is the contract: the result is
-    bit-identical to composing ``advance_noise`` once per noise step (over
-    the segment's ``gap * dt_days`` without mean reversion, over one tick
-    with it) and ``apply_aggressive_trade`` once per order, one day at a
-    time, which the test suite checks at block boundaries.  A day fails
-    with the error that this composition raises first: at each stop in
-    turn its noise step (or reversion ticks), which names the stop's tick
-    (or the tick), then its orders, replayed through ``fill_order`` and
+    bit-identical to composing ``advance_noise`` once per stop (over the
+    segment's ``gap * dt_days``) and ``apply_aggressive_trade`` once per
+    order, one day at a time, which the test suite checks at block
+    boundaries.  A day fails with the error that this composition raises
+    first: at each stop in turn its noise step, which names the stop's
+    tick, then its orders, replayed through ``fill_order`` and
     ``record_fill`` to get their error; then the close.
     """
     plan = scenario.plan
@@ -400,15 +392,12 @@ def _run_days(scenario: Scenario, book_ledger: Ledger, columns: DayColumns) -> M
     stops, order_stop, spreads = plan.stops, plan.order_stop, plan.spreads
     n_orders = len(order_stop)
     diffuse = len(coef) > 0
+    steps = diffuse or pull is not None
     stop_ticks = [t for t, _, _ in stops]
-    # row i: day i's anchor, then its growth factors; after the chain, its anchor after each
-    # tick with mean reversion, or after each stop without
-    if pull is not None:
-        width = scenario.clock.ticks_per_day + 1
-        stop_col = [t + 1 for t in stop_ticks]
-    else:
-        width = len(coef) + 1
-        stop_col = [s + 1 if diffuse else 0 for s in range(len(stops))]
+    pulls = pull or [None] * len(stops)
+    # row i: day i's anchor, then its growth factors; after the chain, its anchor after each stop
+    width = len(stops) + 1
+    stop_col = [s + 1 if steps else 0 for s in range(len(stops))]
     days = range(1, scenario.days + 1)
     rows = np.empty((min(len(days), _BLOCK_DAYS), width))
     order_col = [stop_col[s] for s in order_stop]
@@ -473,26 +462,17 @@ def _run_days(scenario: Scenario, book_ledger: Ledger, columns: DayColumns) -> M
             try:
                 for i in range(n):
                     row = path[i]
-                    if pull is None:
-                        row[0] = close
-                        if i == bad_day:  # the segments up to the failing stop, then its refusal
-                            if diffuse:
-                                diffusion_path(row[: refusal[0] + 2], stop_ticks)
-                            raise refusal[1]
-                        anchor = diffusion_path(row, stop_ticks) if diffuse else close
-                    else:
-                        anchor = close
+                    row[0] = anchor = close
+                    if steps:
                         growth = row.tolist() if diffuse else flat
-                        last = -1
-                        for s, (t, _, _) in enumerate(stops):
-                            mid_perm = tick_perm[s]
-                            for k in range(last + 1, t + 1):
-                                anchor = noise_step(anchor, mid_perm, fund, pull, growth[k + 1])
-                                check_noise_price(anchor, tick=k)
-                            row[t + 1] = anchor
+                        for s, tick in enumerate(stop_ticks):
+                            anchor = noise_step(anchor, tick_perm[s], fund, pulls[s], growth[s + 1])
+                            check_noise_price(anchor, tick=tick)
+                            row[s + 1] = anchor
                             if i == bad_day and s == refusal[0]:
                                 raise refusal[1]
-                            last = t
+                    elif i == bad_day:
+                        raise refusal[1]
                     close = mid_price(anchor, close_perm)
                     if not 0.0 < close < math.inf:
                         raise ValueError(f"close is non-positive or non-finite: {close}")

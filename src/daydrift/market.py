@@ -15,15 +15,22 @@ resulting drift compounds multiplicatively.  This keeps round trips
 exactly linear in notional, which is what makes the closed-form impact
 calibration below exact.
 
+Noise is an Ornstein-Uhlenbeck process in the log of the mid: a
+zero-drift diffusion plus an optional pull of ``log(mid)`` toward
+``log(fundamental)`` that halves the log deviation every half-life.  A
+step of any length is exact (Gillespie 1996, Phys. Rev. E 54, 2084): the
+deviation shrinks by ``reversion_pull`` and one normal carries the
+step's variance, ``diffusion_coef`` squared.
+
 A tick is two steps: noise, then trades.  Each operation on
 ``MarketState`` (``advance_noise``, ``apply_aggressive_trade``) is the
 one-step case of a step function below (``noise_step``, ``fill_order``);
-a noise step may span several ticks, as it does without mean reversion
-between two of the engine's stops.  The engine's run kernel calls the
-same step functions, over whole segments of a day and, where they work
-elementwise (``mid_price``, ``fill_price``, ``order_impact``,
-``crossing_cost``, ``diffusion_growth``), over arrays of a block of days,
-so there is one implementation of the model.
+a noise step may span several ticks, as it does between two of the
+engine's stops.  The engine's run kernel calls the same step functions,
+over whole segments of a day and, where they work elementwise
+(``mid_price``, ``fill_price``, ``order_impact``, ``crossing_cost``,
+``diffusion_growth``), over arrays of a block of days, so there is one
+implementation of the model.
 """
 
 from __future__ import annotations
@@ -153,7 +160,8 @@ class ImpactParams:
 class NoiseParams:
     """Exogenous price noise and a deliberately weak pull toward fundamental.
 
-    ``half_life_days=None`` disables mean reversion entirely.  The default
+    ``half_life_days=None`` disables mean reversion entirely, and so does
+    an infinite half-life, which is stored as None.  The default
     half-life of two trading years makes the anchor almost irrelevant on
     trading horizons, which is the point: nothing in the model snaps the
     price back to fundamental value.
@@ -165,6 +173,8 @@ class NoiseParams:
     def __post_init__(self):
         if not 0.0 <= self.sigma_daily < math.inf:
             raise ValueError(f"sigma_daily must be finite and >= 0, got {self.sigma_daily}")
+        if self.half_life_days == math.inf:
+            object.__setattr__(self, "half_life_days", None)
         if self.half_life_days is not None and not self.half_life_days > 0:
             raise ValueError(f"half_life_days must be positive or None, got {self.half_life_days}")
 
@@ -384,12 +394,12 @@ def advance_noise(
 ) -> MarketState:
     """One noise step of length ``dt_days``: mean reversion, then diffusion.
 
-    Mean reversion shrinks the gap between mid and fundamental by the
+    Mean reversion shrinks the log of the mid's ratio to fundamental by the
     exact exponential factor for the configured half-life; diffusion
-    multiplies the mid by exp(sigma*sqrt(dt)*z) with z drawn from ``rng``,
-    so log returns are centred on zero; only a step with positive sigma
-    draws, so only it needs ``rng``.  With zero sigma and no half-life the
-    state is returned untouched.
+    multiplies the mid by exp(c*z) with c the step's ``diffusion_coef``
+    and z drawn from ``rng``, so log returns are centred on zero; only a
+    step with positive sigma draws, so only it needs ``rng``.  With zero
+    sigma and no half-life the state is returned untouched.
     """
     if not dt_days > 0:
         raise ValueError(f"dt_days must be positive, got {dt_days}")
@@ -409,8 +419,17 @@ def advance_noise(
 
 
 def diffusion_coef(noise: NoiseParams, dt_days: float) -> float:
-    """Log-price diffusion per standard normal over a step of ``dt_days``: ``sigma*sqrt(dt)``."""
-    return noise.sigma_daily * math.sqrt(dt_days)
+    """Log-price diffusion per standard normal over a step of ``dt_days``.
+
+    ``sigma*sqrt(dt)`` without mean reversion; with it, the standard
+    deviation of the exact OU step, ``sigma*sqrt((1 - exp(-2*theta*dt))/(2*theta))``
+    with ``theta = ln2/half_life``, computed with ``expm1`` because
+    ``theta*dt`` is tiny for a weak pull.
+    """
+    if noise.half_life_days is None:
+        return noise.sigma_daily * math.sqrt(dt_days)
+    theta = math.log(2.0) / noise.half_life_days
+    return noise.sigma_daily * math.sqrt(-math.expm1(-2.0 * theta * dt_days) / (2.0 * theta))
 
 
 def diffusion_growth(coef: float | np.ndarray, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -426,39 +445,21 @@ def diffusion_growth(coef: float | np.ndarray, z: np.ndarray, out: np.ndarray | 
     return np.exp(np.multiply(coef, z, out=out), out=out)
 
 
-def diffusion_path(path: np.ndarray, ticks: list[int]) -> float:
-    """Turn ``[anchor, growth...]`` in place into the anchor after each step of pure diffusion.
-
-    On entry ``path[0]`` is the anchor and ``path[k]`` the growth factor of
-    the step that ends at tick ``ticks[k - 1]``; on return ``path[k]`` is
-    the anchor after that step, and the last one is returned.
-    ``np.multiply.accumulate`` multiplies in order, so ``path[k]`` has the
-    bits of ``k`` successive ``noise_step`` calls without reversion.  A
-    price that leaves (0, inf) never comes back under positive factors, so
-    checking the last entry checks the whole path; ``ValueError`` names the
-    tick of the first step out of range.  Call it under
-    ``np.errstate(over="ignore", invalid="ignore")``: that check, not a
-    warning, reports an overflow.
-    """
-    np.multiply.accumulate(path, out=path)
-    end = path.item(-1)
-    if not 0.0 < end < math.inf:
-        k = int(np.flatnonzero(~((path > 0.0) & (path < math.inf)))[0])
-        check_noise_price(path.item(k), tick=ticks[k - 1])
-    return end
-
-
 def reversion_pull(noise: NoiseParams, dt_days: float) -> float:
-    """Fraction of the mid's gap to fundamental left after ``dt_days`` of mean reversion."""
+    """Fraction of the log of the mid's ratio to fundamental left after ``dt_days`` of mean reversion."""
     return math.exp(-math.log(2.0) * dt_days / noise.half_life_days)
 
 
 def noise_step(anchor: float, perm_bps: float, fundamental: float, pull: float | None, growth: float) -> float:
-    """The anchor after one noise tick: reversion by ``pull`` (None: off), then diffusion by ``growth``."""
+    """The anchor after one noise step: reversion by ``pull`` (None: off), then diffusion by ``growth``.
+
+    Reversion moves the mid to ``fundamental * (mid/fundamental)**pull``,
+    holding the permanent impact ``perm_bps``; a mid at fundamental stays.
+    """
     if pull is not None:
-        deviation = mid_price(anchor, perm_bps) - fundamental
-        if deviation != 0.0:
-            anchor = (fundamental + deviation * pull) / (1.0 + perm_bps * BPS)
+        mid = mid_price(anchor, perm_bps)
+        if mid != fundamental:
+            anchor = fundamental * (mid / fundamental) ** pull / (1.0 + perm_bps * BPS)
     return anchor * growth
 
 

@@ -63,7 +63,7 @@ def bitwise_case(case: str) -> Scenario:
         return replace(load_config(NOISY_CONFIG).build(), days=4, seed=3)
     if case == "noisy-path-wide-seed":  # entropy past SeedSequence's 4-word pool, which day_keys mixes in after it
         return replace(load_config(NOISY_CONFIG).build(), days=4, seed=2**96 + 3)
-    if case == "noisy-reverting":  # diffusion with reversion, 392 ticks: the noise steps tick by tick
+    if case == "noisy-reverting":  # diffusion with reversion, 392 ticks
         noisy = load_config(NOISY_CONFIG).build()
         return replace(noisy, noise=replace(noisy.noise, half_life_days=504.0), days=4, seed=3)
     if case == "noiseless":
@@ -79,23 +79,22 @@ def bitwise_case(case: str) -> Scenario:
     return make_scenario(days=3, sigma=0.0, half_life=0.5, agents=agents, ticks=64, fundamental=95.0)
 
 
-def compose_days(scenario: Scenario):
-    """Reference run through the market operations, one day at a time.
+def compose_days(scenario: Scenario, sums: tuple[int, int] = (0, 0)):
+    """Reference run through the market operations, one day at a time, from a ledger of ``sums``.
 
-    With mean reversion the noise steps once per tick.  Without it, it
-    steps once per stop (tick 0, each tick with orders and the close),
-    over the ticks since the previous stop, counting from tick -1.  The
-    orders of a tick trade after its noise step.  Yields
+    The noise steps once per stop (tick 0, each tick with orders and the
+    close), over the ticks since the previous stop, counting from tick -1.
+    The orders of a tick trade after its noise step.  Yields
     ``(record, ledger, state)`` after each day; fills are booked with
-    ``record_fill`` and each day's book is marked with ``mark_to_market``.
+    ``record_fill`` into one ledger, which starts at ``sums`` (cash and
+    cumulative cost, in micro), and each day's book is marked with
+    ``mark_to_market``.
     """
     clock, profile, impact, noise = scenario.clock, scenario.profile, scenario.impact, scenario.noise
-    ticks = range(clock.ticks_per_day)
-    if noise.half_life_days is None:
-        traded = {t for t in ticks for agent in scenario.agents if orders_for_tick(agent, t)}
-        ticks = sorted({0, clock.close_tick, *traded})
+    traded = {t for t in range(clock.ticks_per_day) for agent in scenario.agents if orders_for_tick(agent, t)}
+    ticks = sorted({0, clock.close_tick, *traded})
     state = scenario.initial_state()
-    ledger = Ledger()
+    ledger = Ledger(*sums)
     for day in range(1, scenario.days + 1):
         state, rng = state.start_day(), day_rng(scenario.seed, day)
         prev = state.day_anchor

@@ -16,10 +16,12 @@ from daydrift import (
     SpreadDepthProfile,
     load_config,
     run_sweep,
+    summarize,
 )
 from daydrift.cli import main
 from daydrift.config import KEYS, ConfigError
 
+from composition import compose_days
 from conftest import NOISY_CONFIG, REFERENCE_CONFIG, parse_stanza
 
 
@@ -106,6 +108,17 @@ class TestRun:
         assert name in err
         assert not out.exists()
 
+    def test_an_infinite_half_life_runs_as_none(self, capsys, noisy_config_path, tmp_path):
+        text = noisy_config_path.read_text()
+        daily = []
+        for value in ("inf", "none"):
+            config, out = tmp_path / f"{value}.ini", tmp_path / f"{value}.csv"
+            config.write_text(text.replace("mean_reversion_half_life_days = none", f"mean_reversion_half_life_days = {value}"))
+            code, _, _, _ = run_cli(capsys, "run", "--config", str(config), "--days", "5", "--out", str(out))
+            assert code == 0
+            daily.append(out.read_bytes())
+        assert daily[0] == daily[1]
+
     def test_book_value_overflow_names_the_key(self, capsys, tmp_path):
         config = tmp_path / "bad.ini"
         config.write_text("[agents]\ncapital = 1e200\nleverage = 1e200\n")
@@ -155,7 +168,7 @@ SWEEP_DIGESTS = {
     "impact.permanent_fraction": ("0.25,1", "de8b60dc54955b858fc233720c9d49b3c2b269193829b68d0c779a6eddb70999"),
     "noise.sigma_daily": ("0", "cf3fcdc8795ff5f7c1ca597c368e1086a894b99920a5e6f5e2c98d6ab60b18c2"),
     "noise.mean_reversion_half_life_days": (
-        "0.5,504", "c0e5b0b927cb4154545f921261fee08125a03909f8d3440d9e7eb6917b8b775e"
+        "0.5,504", "91d6b496b43fd746f552cb0c0071e39d9b219f89b013d7cb83109752f6cb5d46"
     ),
     "agents.capital": ("5e8,2e9", "173b773b81049c001090af26116fb857f6af5d30bc310f389fb7e59a031aa471"),
     "agents.leverage": ("2,10", "472caaf9e8fb07d9c3c5982a8a60b50cf2a95f8cf62c5bcffa7f4f7c543ff166"),
@@ -199,6 +212,16 @@ class TestGoldenDigests:
         )
         assert code == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_the_reversion_sweep_cells_summarize_the_composed_days(self):
+        # the one digest above that runs mean reversion: each cell is the step-by-step composition's summary
+        base = load_config(REFERENCE_CONFIG).with_key("run.days", 3)
+        key, values = "noise.mean_reversion_half_life_days", [0.5, 504.0]
+        cells = run_sweep(base, [(key, values)])
+        assert [cell.params for cell in cells] == [((key, value),) for value in values]
+        for cell in cells:
+            composed = [record for record, _, _ in compose_days(base.sweep_cell(cell.params))]
+            assert cell.summary == summarize(composed)
 
     @pytest.mark.parametrize(
         ("path", "sigma", "days", "seed"), [(REFERENCE_CONFIG, 0.0, 1, 0), (NOISY_CONFIG, 0.01, 2000, 7)]

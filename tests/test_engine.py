@@ -1,10 +1,12 @@
+import copy
 import math
+import re
 import tracemalloc
 from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from daydrift import (
@@ -106,14 +108,15 @@ class TestRunDayMatchesOperationComposition:
             initial_mid=100.0, initial_fundamental=95.0,
         )
 
+        # the stops are the open and the close: one noise step over tick 0, one over ticks 1..5
         state = scenario.initial_state()
         expected = []
         for day in range(1, scenario.days + 1):
             state, rng = state.start_day(), day_rng(scenario.seed, day)
             prev = state.day_anchor
             open_price = None
-            for t in range(ticks):
-                state = advance_noise(state, noise, clock.dt_days, rng)
+            for t, gap in ((0, 1), (ticks - 1, ticks - 1)):
+                state = advance_noise(state, noise, gap * clock.dt_days, rng)
                 for notional in orders_for_tick(agent, t):
                     _, _, state = apply_aggressive_trade(state, profile, impact, notional, t)
                 if t == 0:
@@ -189,6 +192,61 @@ class TestSegmentLaw:
             assert abs(logs.var(ddof=1) - expected) <= 6 * expected * math.sqrt(2 / (days - 1))
 
 
+HALF_LIFE, LAW_DAYS = 5.0, 20_000
+
+
+class TestReversionLaw:
+    @pytest.fixture(scope="class")
+    def log_deviations(self) -> np.ndarray:
+        # trader off: the log of the close's ratio to fundamental is the OU process sampled once a day
+        base = load_config(NOISY_CONFIG).build()
+        control = replace(
+            base, agents=tuple(replace(a, enabled=False) for a in base.agents),
+            noise=NoiseParams(base.noise.sigma_daily, HALF_LIFE), days=LAW_DAYS, seed=7,
+        )
+        return np.log(np.frombuffer(simulate(control).columns.close) / control.initial_fundamental)
+
+    def test_lag_1_autocorrelation_is_the_daily_pull(self, log_deviations):
+        x = log_deviations - log_deviations.mean()
+        phi = 2 ** (-1 / HALF_LIFE)
+        # the lag-1 sample autocorrelation of an AR(1) has standard error sqrt((1 - phi^2) / n)
+        assert abs((x[:-1] @ x[1:]) / (x @ x) - phi) <= 6 * math.sqrt((1 - phi**2) / LAW_DAYS)
+
+    def test_stationary_variance(self, log_deviations):
+        theta, phi = math.log(2.0) / HALF_LIFE, 2 ** (-1 / HALF_LIFE)
+        expected = 0.01**2 / (2 * theta)
+        # the sample variance of an AR(1) has standard error v sqrt(2 (1 + phi^2) / ((1 - phi^2) n))
+        error = expected * math.sqrt(2 * (1 + phi**2) / ((1 - phi**2) * LAW_DAYS))
+        assert abs(log_deviations.var(ddof=1) - expected) <= 6 * error
+
+    @pytest.mark.parametrize("half_life", [0.5, 5.0, 504.0])
+    def test_a_noiseless_run_closes_on_the_log_law(self, half_life):
+        scenario = make_scenario(days=50, sigma=0.0, half_life=half_life, agents=(), fundamental=95.0)
+        for record in run_sim(scenario):
+            expected = 95.0 * (100.0 / 95.0) ** (2 ** (-record.day / half_life))
+            assert record.close == pytest.approx(expected, rel=1e-12)
+
+    def test_a_reverting_noisy_day_draws_one_normal_per_stop(self, monkeypatch):
+        scenario = bitwise_case("noisy-reverting")
+        shapes, growth = [], diffusion_growth
+
+        def spy(coef, z, out=None):
+            shapes.append(z.shape)
+            return growth(coef, z, out=out)
+
+        monkeypatch.setattr("daydrift.engine.diffusion_growth", spy)
+        simulate(scenario)
+        assert shapes == [(scenario.days, len(scenario.plan.stops))] == [(4, 2)]
+
+    def test_an_infinite_half_life_runs_as_none(self):
+        scenario = bitwise_case("noisy-path")
+        endless = simulate(replace(scenario, noise=NoiseParams(scenario.noise.sigma_daily, math.inf)))
+        result = simulate(scenario)
+        assert endless.records == result.records
+        assert endless.ledger == result.ledger
+        assert final_bits(endless.final_state) == final_bits(result.final_state)
+
+
 BLOCK_EDGE_DAYS = [1, _BLOCK_DAYS, _BLOCK_DAYS + 1, 2 * _BLOCK_DAYS + 3]
 
 
@@ -235,35 +293,80 @@ class TestBlockBoundaries:
 
 @st.composite
 def composed_scenarios(draw) -> Scenario:
-    """2 to 64 ticks, 0 to 2 traders at any ticks, noise or none, mean reversion or none, 1 to 3 blocks plus a day."""
+    """2 to 64 ticks, 0 to 3 traders at any ticks (some disabled), a default or constant profile, any ``lam``,
+    noise (up to an overflowing sigma) or none, mean reversion or none, 1 to 3 blocks plus a day."""
     ticks = draw(st.integers(2, 64))
     agents = []
-    for agent_id in "AB"[: draw(st.integers(0, 2))]:
+    for agent_id in "ABC"[: draw(st.integers(0, 3))]:
         buy = draw(st.integers(0, ticks - 2))
         sell = draw(st.integers(buy + 1, ticks - 1))
         leg = draw(st.floats(-1e8, 1e8))
-        agents.append(RoundTripTrader(1e9, 10.0, leg, buy_tick=buy, sell_tick=sell, agent_id=agent_id))
-    return make_scenario(
+        enabled = draw(st.integers(0, 3)) > 0
+        agents.append(RoundTripTrader(1e9, 10.0, leg, buy, sell, enabled=enabled, agent_id=agent_id))
+    scenario = make_scenario(
         days=draw(st.integers(1, 3 * _BLOCK_DAYS + 1)),
         seed=draw(st.integers(0, 2**96 - 1) | st.integers(2**96, 2**160)),
-        sigma=draw(st.just(0.0) | st.floats(1e-4, 0.05)),
+        lam=draw(st.floats(0.0, 2e4)),
+        sigma=draw(st.just(0.0) | st.floats(1e-4, 0.05) | st.just(300.0)),
         half_life=draw(st.none() | st.floats(0.5, 1000.0)),
         agents=agents,
         ticks=ticks,
         fundamental=draw(st.sampled_from([100.0, 95.0])),
     )
+    if draw(st.booleans()):
+        scenario = replace(scenario, profile=SpreadDepthProfile.constant(ticks, draw(st.floats(1.0, 20.0)), 1e9))
+    return scenario
+
+
+_LIMIT = 2**63 - 1  # the ledger's micro-currency bound
+
+# a ledger's starting (cash, cumulative cost) in micro: zero, or near a bound, within a few days' legs and costs
+ledger_sums = st.tuples(
+    st.just(0) | st.integers(-_LIMIT, -_LIMIT + 2 * 10**14) | st.integers(_LIMIT - 2 * 10**14, _LIMIT),
+    st.just(0) | st.integers(_LIMIT - 10**13, _LIMIT),
+)
+
+
+def composed_run(scenario: Scenario, sums: tuple[int, int]):
+    """``compose_days`` up to its first failing day: the records, the ledger and state after them, and the error."""
+    records, ledger, state = [], Ledger(*sums), None
+    try:
+        for record, day_ledger, state in compose_days(scenario, sums):
+            records.append(record)
+            ledger = copy.deepcopy(day_ledger)
+    except (ValueError, OverflowError) as exc:
+        return records, ledger, state, exc
+    return records, ledger, state, None
+
+
+def one_trader_day(lam: float, leg: float, **kwargs) -> Scenario:
+    """A 2-tick day: one trader buys ``leg`` at the open and sells it at the close."""
+    return make_scenario(lam=lam, ticks=2, agents=(RoundTripTrader(1e9, 10.0, leg, 0, 1, agent_id="A"),), **kwargs)
 
 
 class TestComposedRuns:
-    @given(scenario=composed_scenarios())
-    @settings(max_examples=50, deadline=None, derandomize=True)
-    def test_simulate_has_the_bits_of_the_composition(self, scenario):
-        result = simulate(scenario)
-        composed = list(compose_days(scenario))
-        _, composed_ledger, composed_state = composed[-1]
-        assert result.records == tuple(record for record, _, _ in composed)
-        assert result.ledger == composed_ledger
-        assert final_bits(result.final_state) == final_bits(composed_state)
+    @given(scenario=composed_scenarios(), sums=ledger_sums)
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    # shapes that failed: a refusal day one too early, stops swapped, a day booked twice
+    @example(one_trader_day(19999.0, 51546392.0, days=193, seed=37719116, fundamental=95.0), (0, 9_223_362_036_854_775_932))
+    @example(one_trader_day(1.0, 1.0), (0, 0))
+    @example(one_trader_day(0.0, 1.0), (0, 0))
+    def test_the_kernel_has_the_bits_and_the_failing_day_of_the_composition(self, scenario, sums):
+        records, composed_ledger, composed_state, composed_error = composed_run(scenario, sums)
+        columns, ledger = DayColumns(), Ledger(*sums)
+        try:
+            state, error = _run_days(scenario, ledger, columns), None
+        except (ValueError, OverflowError) as exc:
+            error = exc
+        assert columns.records() == records
+        assert ledger == composed_ledger
+        if composed_error is None:
+            assert error is None
+            assert final_bits(state) == final_bits(composed_state)
+        else:
+            # the kernel also names the tick that a failing noise step ends at
+            assert type(error) is type(composed_error)
+            assert re.sub(r" at tick \d+:", ":", str(error)) == str(composed_error)
 
 
 def spike_on(monkeypatch, spike_day: int, step: int = 5) -> None:
@@ -273,7 +376,6 @@ def spike_on(monkeypatch, spike_day: int, step: int = 5) -> None:
     ``diffusion_growth`` call, a row per day; the spike is written into the
     block that holds ``spike_day``.  Each run has its own block array, so
     the days are counted afresh for each run.  A day has one noise step
-    per tick with mean reversion, so ``step`` is a tick; without it, one
     per stop segment, so ``step`` is a segment index.
     """
     growth = diffusion_growth
@@ -322,10 +424,9 @@ class TestErrorsAtBlockEdges:
         scenario = replace(
             load_config(NOISY_CONFIG).build(), noise=NoiseParams(0.01, half_life), days=2 * _BLOCK_DAYS, seed=seed
         )
-        step, tick = (5, 5) if half_life else (1, 391)  # without reversion, segment 1 ends at the close
         finished = simulate(replace(scenario, days=spike_day - 1))
-        spike_on(monkeypatch, spike_day, step)
-        with pytest.raises(SimulationError, match=rf"^day {spike_day}: noise step produced .* at tick {tick}: inf$"):
+        spike_on(monkeypatch, spike_day, step=1)  # segment 1 ends at the close
+        with pytest.raises(SimulationError, match=rf"^day {spike_day}: noise step produced .* at tick 391: inf$"):
             simulate(scenario)
         columns, ledger = DayColumns(), Ledger()
         with pytest.raises(ValueError, match="noise step produced"):
@@ -346,18 +447,10 @@ class TestErrorsAtBlockEdges:
             simulate(scenario)
 
     @pytest.mark.parametrize("seed", SPIKE_SEEDS)
+    @pytest.mark.parametrize("half_life", [None, 504.0])
     @pytest.mark.parametrize(("spread", "day"), CASH_FAILURES)
-    def test_a_failing_fill_before_a_failing_reversion_tick_reports_the_fill(self, monkeypatch, seed, spread, day):
-        scenario = wide_spread_scenario(spread, 504.0, seed)
-        spike_on(monkeypatch, day, step=200)  # mean reversion steps tick 200 after the opening fill
-        with pytest.raises(SimulationError, match=rf"^day {day}: cash balance left the micro-currency range$") as info:
-            simulate(scenario)
-        assert isinstance(info.value.__cause__, AccountingError)
-
-    @pytest.mark.parametrize("seed", SPIKE_SEEDS)
-    @pytest.mark.parametrize(("spread", "day"), CASH_FAILURES)
-    def test_a_failing_fill_before_a_failing_segment_reports_the_fill(self, monkeypatch, seed, spread, day):
-        scenario = wide_spread_scenario(spread, None, seed)
+    def test_a_failing_fill_before_a_failing_segment_reports_the_fill(self, monkeypatch, half_life, seed, spread, day):
+        scenario = wide_spread_scenario(spread, half_life, seed)
         spike_on(monkeypatch, day, step=1)  # segment 1 ends at the close, after the opening fill
         with pytest.raises(SimulationError, match=rf"^day {day}: cash balance left the micro-currency range$") as info:
             simulate(scenario)

@@ -295,14 +295,13 @@ class TestAdvanceNoise:
         assert out.mid == 100.0
 
     def test_half_life_daily_steps(self):
-        # start 2x above fundamental; after one half-life the gap has halved
+        # start 2x above fundamental; after one half-life the log of the ratio has halved
         state = MarketState.initial(200.0, 100.0)
         noise = NoiseParams(0.0, 504.0)
         for _ in range(504):
             state = advance_noise(state, noise, 1.0)
         ratio = state.mid / 100.0
-        assert 1.49 <= ratio <= 1.51
-        assert ratio == pytest.approx(1.5, rel=1e-12)
+        assert ratio == pytest.approx(math.sqrt(2.0), rel=1e-12)
 
     def test_half_life_is_step_size_invariant(self):
         state = MarketState.initial(200.0, 100.0)
@@ -310,7 +309,7 @@ class TestAdvanceNoise:
         dt = 1.0 / 392
         for _ in range(504 * 392):
             state = advance_noise(state, noise, dt)
-        assert state.mid / 100.0 == pytest.approx(1.5, rel=1e-9)
+        assert state.mid / 100.0 == pytest.approx(math.sqrt(2.0), rel=1e-9)
 
     def test_diffusion_is_deterministic_given_the_generator(self):
         a = b = MarketState.initial(100.0)
@@ -329,6 +328,9 @@ class TestAdvanceNoise:
         for _ in range(200):
             state = advance_noise(state, noise, 1.0, rng)
             assert state.mid > 0
+
+    def test_an_infinite_half_life_is_none(self):
+        assert NoiseParams(0.01, math.inf) == NoiseParams(0.01, None)
 
     def test_rejects_non_positive_dt(self):
         state = MarketState.initial(100.0)
