@@ -17,16 +17,19 @@ with ``day_keys``, which gives the bits of ``SeedSequence`` for a
 seed of any width, and re-keys one generator per day.
 
 One run kernel computes every day of ``simulate``.  Every day places the
-same orders, so the fills' costs and impacts, which do not read the price,
-are computed once per run.  The kernel works in blocks of days.  Only the
-noise draw and the price chain go day by day; the fill prices, the marks
-and the ledger are computed over a block at a time with the market model's
-step functions applied to arrays.  Within a day it stops only at the stops
-and between them advances the price over the whole gap.  The result has
-the bits of composing ``advance_noise`` once per noise step and
-``apply_aggressive_trade`` once per order, in the order above, one day at
-a time, and a failing day raises the error that doing so raises first.  A
-day without noise builds no substream.
+same orders, so the kernel computes the run's set-up once, at its start:
+the day's orders and stops, the orders' costs and impacts, which do not
+read the price, and each stop's noise coefficients.  The kernel works in
+blocks of days.  Only the noise draw and the price chain go day by day;
+the fill prices, the marks and the ledger are computed over a block at a
+time with the market model's step functions applied to arrays.  Within a
+day it stops only at the stops and between them advances the price over
+the whole gap.  The result has the bits of composing ``advance_noise``
+once per noise step and ``apply_aggressive_trade`` once per order, in the
+order above, one day at a time, and a failing day raises the error that
+doing so raises first.  After the close, the day's fills in booking order
+and then its open must be in (0, inf): the first that is not fails the
+day.  A day without noise builds no substream.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ import operator
 from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
-from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -118,61 +120,6 @@ class Scenario:
     def initial_state(self) -> MarketState:
         """The state before day 1."""
         return MarketState.initial(self.initial_mid, self.initial_fundamental)
-
-    @cached_property
-    def plan(self) -> "DayPlan":
-        """What every day of this scenario shares; built on first use."""
-        return DayPlan.of(self)
-
-
-@dataclass(frozen=True, eq=False)
-class DayPlan:
-    """A trading day of a scenario; every day of a run is the same but for its noise.
-
-    ``stops`` lists, in tick order, tick 0, every tick with orders and the
-    close, each as ``(tick, begin, end)``: the day's orders ``begin:end``
-    trade at that tick.  The orders are numbered in booking order (tick
-    order, then agent-list order); ``order_stop`` gives each one's stop,
-    and the arrays ``spreads``, ``depths`` and ``notionals`` its tick's full
-    spread and depth and its signed notional.
-
-    A day takes one noise step per stop, over the ticks after the previous
-    stop (from tick -1) up to it.  ``pull`` holds each step's
-    ``reversion_pull`` and ``diffusion_coef`` its ``diffusion_coef``, the
-    coefficient of the one normal it draws.
-    """
-
-    stops: tuple[tuple[int, int, int], ...]
-    order_stop: tuple[int, ...]
-    spreads: np.ndarray
-    depths: np.ndarray
-    notionals: np.ndarray
-    book_per_price: float  # marked book value per unit of price
-    pull: tuple[float, ...] | None  # per stop; None without mean reversion
-    diffusion_coef: np.ndarray  # per stop; empty without noise
-
-    @classmethod
-    def of(cls, scenario: "Scenario") -> "DayPlan":
-        orders: dict[int, list[float]] = {}
-        for agent in scenario.agents:
-            for tick in (agent.buy_tick, agent.sell_tick):
-                for notional in orders_for_tick(agent, tick):
-                    orders.setdefault(tick, []).append(notional)
-        ticks = sorted({0, scenario.clock.close_tick, *orders})
-        ends = list(itertools.accumulate(len(orders.get(t, ())) for t in ticks))
-        order_ticks = [t for t in ticks for _ in orders.get(t, ())]
-        noise, dt = scenario.noise, scenario.clock.dt_days
-        gaps = [t - last for last, t in zip([-1, *ticks], ticks)]
-        return cls(
-            stops=tuple(zip(ticks, [0, *ends[:-1]], ends)),
-            order_stop=tuple(s for s, t in enumerate(ticks) for _ in orders.get(t, ())),
-            spreads=scenario.profile.full_spread_bps[order_ticks],
-            depths=scenario.profile.depth[order_ticks],
-            notionals=np.array([n for t in ticks for n in orders.get(t, ())]),
-            book_per_price=scenario.total_book_value / scenario.initial_mid,
-            pull=None if noise.half_life_days is None else tuple(reversion_pull(noise, gap * dt) for gap in gaps),
-            diffusion_coef=np.array([diffusion_coef(noise, gap * dt) for gap in gaps if noise.sigma_daily > 0.0]),
-        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -352,17 +299,25 @@ def _run_days(scenario: Scenario, book_ledger: Ledger, columns: DayColumns) -> M
     are carried as floats; the close becomes the next day's anchor, which
     is ``MarketState.start_day``.
 
-    What does not read the price is computed once, before the first
-    block, as arrays over the day's orders: ``order_impact`` (costs and
-    impacts) and the permanent impact before and after every order.  So
-    is the first day that fails an order: ``_refusal`` replays day 1 from
-    the ledger's sums, one order at a time, which meets an order that
-    drives the mid non-positive or that the ledger refuses.  If day 1
-    books, every day books the same micro amounts, ``first_refused_day``
-    finds the first day the ledger refuses, and ``_refusal`` replays it
-    for its stop and error.  Then the days are computed in blocks of
-    ``_BLOCK_DAYS``, in three steps.  Only the draw and the chain go day
-    by day:
+    Every day is the same but for its noise, so the set-up is computed
+    once, before the first block.  The day's orders are numbered in
+    booking order (tick order, then agent-list order) and tabled as
+    ``(stop, tick, spread, depth, notional)`` rows: the order's stop, its
+    tick, its tick's full spread and depth and its signed notional.  The
+    stops are, in tick order, tick 0, every tick with orders and the
+    close.  A day takes one noise step per stop, over the ticks after the
+    previous stop (from tick -1) up to it: its ``reversion_pull`` and the
+    ``diffusion_coef`` of the one normal it draws are computed per stop.
+    What does not read the price is computed as arrays over the orders:
+    ``order_impact`` (costs and impacts) and the permanent impact before
+    and after every order.  So is the first day that fails an order:
+    ``_refusal`` replays day 1's orders from the ledger's sums, one at a
+    time, which meets an order that drives the mid non-positive or that
+    the ledger refuses.  If day 1 books, every day books the same micro
+    amounts, ``first_refused_day`` finds the first day the ledger
+    refuses, and ``_refusal`` replays it for its stop and error.  Then
+    the days are computed in blocks of ``_BLOCK_DAYS``, in three steps.
+    Only the draw and the chain go day by day:
 
     1. *Draw.*  Each noisy day draws its normals, one per stop, into a
        row of one array; ``diffusion_growth`` turns the block's rows into growth
@@ -370,13 +325,17 @@ def _run_days(scenario: Scenario, book_ledger: Ledger, columns: DayColumns) -> M
        A day re-keys one Philox generator with its ``day_keys`` key,
        counter 0 and buffer empty, which is the state of a fresh
        ``day_rng``; the keys are computed for ``_KEY_DAYS`` days at a
-       time.  A run without noise computes no keys and draws nothing.
+       time and read as ints a block at a time.  A run without noise
+       computes no keys and draws nothing.
     2. *The chain*, day by day: ``noise_step`` runs stop by stop and
        writes each stop's anchor into the row; a run with neither noise
        nor mean reversion keeps the day's anchor at every stop.  The
        failing day raises its refusal at its stop.
-    3. *Booking*: the opens, ``fill_price`` of every fill and the marks,
-       over the finished days, then ``book_days`` and the columns.
+    3. *Booking*: ``fill_price`` of every fill and of the open, a fill of
+       zero spread after tick 0's orders, over the finished days, checked
+       with one min and one max; then the marks, ``book_days`` and the
+       columns for the days before the first day with a price outside
+       (0, inf), which then fails.
 
     The order of the module docstring is the contract: the result is
     bit-identical to composing ``advance_noise`` once per stop (over the
@@ -385,22 +344,33 @@ def _run_days(scenario: Scenario, book_ledger: Ledger, columns: DayColumns) -> M
     boundaries.  A day fails with the error that this composition raises
     first: at each stop in turn its noise step, which names the stop's
     tick, then its orders, replayed through ``fill_order`` and
-    ``record_fill`` to get their error; then the close.
+    ``record_fill`` to get their error; then the close, then the fills
+    in booking order, then the open.  A day that fails on a price of
+    step 3 comes before the block's failing chain day, so it wins.
     """
-    plan = scenario.plan
-    pull, coef, book_per_price = plan.pull, plan.diffusion_coef, plan.book_per_price
-    stops, order_stop, spreads = plan.stops, plan.order_stop, plan.spreads
-    n_orders = len(order_stop)
-    diffuse = len(coef) > 0
-    steps = diffuse or pull is not None
-    stop_ticks = [t for t, _, _ in stops]
-    pulls = pull or [None] * len(stops)
+    noise, dt, profile = scenario.noise, scenario.clock.dt_days, scenario.profile
+    placed = sorted(
+        ((tick, notional) for agent in scenario.agents for tick in (agent.buy_tick, agent.sell_tick)
+         for notional in orders_for_tick(agent, tick)),
+        key=operator.itemgetter(0),
+    )
+    order_ticks = [tick for tick, _ in placed]
+    stop_ticks = sorted({0, scenario.clock.close_tick, *order_ticks})
+    firsts = np.searchsorted(order_ticks, stop_ticks)  # each stop's first order; firsts[1] ends tick 0's orders
+    order_stop = [stop_ticks.index(tick) for tick in order_ticks]
+    spreads, depths = profile.full_spread_bps[order_ticks], profile.depth[order_ticks]
+    notionals = np.array([notional for _, notional in placed])
+    orders = list(zip(order_stop, order_ticks, spreads.tolist(), depths.tolist(), notionals.tolist()))
+    gaps = [tick - last for last, tick in zip([-1, *stop_ticks], stop_ticks)]
+    revert, diffuse = noise.half_life_days is not None, noise.sigma_daily > 0.0
+    pulls = [reversion_pull(noise, gap * dt) if revert else None for gap in gaps]
+    coef = np.array([diffusion_coef(noise, gap * dt) for gap in gaps]) if diffuse else None
+    steps = diffuse or revert
+    book_per_price = scenario.total_book_value / scenario.initial_mid  # marked book value per unit of price
     # row i: day i's anchor, then its growth factors; after the chain, its anchor after each stop
-    width = len(stops) + 1
-    stop_col = [s + 1 if steps else 0 for s in range(len(stops))]
+    width = len(stop_ticks) + 1
     days = range(1, scenario.days + 1)
     rows = np.empty((min(len(days), _BLOCK_DAYS), width))
-    order_col = [stop_col[s] for s in order_stop]
     flat = [1.0] * width
     state = scenario.initial_state()
     close = anchor = state.day_anchor
@@ -420,17 +390,22 @@ def _run_days(scenario: Scenario, book_ledger: Ledger, columns: DayColumns) -> M
     # an overflow surfaces as a non-finite price, which the checks report
     with np.errstate(over="ignore", invalid="ignore"):
         # what does not read the price; perm[j] is the permanent impact before order j
-        costs, perm_steps = order_impact(scenario.impact, spreads, plan.depths, plan.notionals)
-        perm = np.zeros(n_orders + 1)
+        costs, perm_steps = order_impact(scenario.impact, spreads, depths, notionals)
+        perm = np.zeros(len(orders) + 1)
         perm[1:] = perm_steps
         np.add.accumulate(perm, out=perm)
-        tick_perm = perm[[begin for _, begin, _ in stops]].tolist()
+        tick_perm = perm[firsts].tolist()
+        # the prices a day books: every order's fill, then the open, a zero-spread fill after tick 0's orders;
+        # each reads the anchor of its stop's column
+        price_col = [s + 1 if steps else 0 for s in [*order_stop, 0]]
+        price_perm = np.append(perm[:-1], perm[firsts[1]])
+        price_spreads, price_sides = np.append(spreads, 0.0), np.append(notionals, 1.0)
         close_perm = perm[-1].item()
         # the first day that fails, counted from 0 (len(days) if none), and its (stop, error)
         cash, spent = book_ledger.cash_micro, book_ledger.cumulative_cost_micro
-        refused, refusal = 0, _refusal(scenario, cash, spent)
+        refused, refusal = 0, _refusal(scenario.impact, orders, cash, spent)
         if refusal is None:  # day 1 books, so every day books the same micro amounts
-            notional_micro = list(map(to_micro, plan.notionals.tolist()))
+            notional_micro = list(map(to_micro, notionals.tolist()))
             cost_micro = list(map(to_micro, costs.tolist()))
             day_cost = from_micro(sum(cost_micro))
             refused = first_refused_day(book_ledger, notional_micro, cost_micro)
@@ -438,7 +413,7 @@ def _run_days(scenario: Scenario, book_ledger: Ledger, columns: DayColumns) -> M
                 refused = len(days)
             else:
                 out, cost = sum(notional_micro) + sum(cost_micro), sum(cost_micro)
-                refusal = _refusal(scenario, cash - refused * out, spent + refused * cost)
+                refusal = _refusal(scenario.impact, orders, cash - refused * out, spent + refused * cost)
                 if refusal is None:
                     raise RuntimeError(f"day {refused + 1}: first_refused_day refused an order that record_fill books")
         for start in range(0, len(days), _BLOCK_DAYS):
@@ -449,8 +424,9 @@ def _run_days(scenario: Scenario, book_ledger: Ledger, columns: DayColumns) -> M
             if diffuse:
                 if start % _KEY_DAYS == 0:
                     keys = day_keys(scenario.seed, days[start : start + _KEY_DAYS])
-                for i in range(n):
-                    substream["key"] = keys[start % _KEY_DAYS + i]
+                block_keys = keys[start % _KEY_DAYS : start % _KEY_DAYS + n].tolist()
+                for i, key in enumerate(block_keys):
+                    substream["key"] = key
                     bits.state = rekeyed
                     rng.standard_normal(out=path[i, 1:])
                 diffusion_growth(coef, path[:, 1:], out=path[:, 1:])
@@ -478,34 +454,39 @@ def _run_days(scenario: Scenario, book_ledger: Ledger, columns: DayColumns) -> M
                         raise ValueError(f"close is non-positive or non-finite: {close}")
                     closes.append(close)
 
-            # 3. booking the finished days, also when a day fails
+            # 3. booking the finished days before the first with a price out of range, also when a day fails
             finally:
                 if closes:
                     m = len(closes)
                     now = np.array(closes)
                     prevs = np.concatenate(([prev], now[:-1]))
-                    opens = mid_price(path[:m, stop_col[0]], perm[stops[0][2]])
-                    prices = fill_price(path[:m, order_col], perm[:-1], spreads, plan.notionals)
-                    gains = mark_to_market(book_per_price * prevs, prevs, now)
-                    book_days(book_ledger, prices.ravel(), m, notional_micro, cost_micro)
-                    columns.extend(prevs, opens, now, np.full(m, day_cost), gains)
+                    priced = fill_price(path[:m, price_col], price_perm, price_spreads, price_sides)
+                    if not (0.0 < priced.min() and priced.max() < math.inf):  # a NaN fails this too
+                        bad = ~((priced > 0.0) & (priced < math.inf))
+                        m = bad.any(axis=1).argmax().item()  # the first day with a price out of range fails
+                    gains = mark_to_market(book_per_price * prevs[:m], prevs[:m], now[:m])
+                    book_days(book_ledger, priced[:m, :-1], m, notional_micro, cost_micro)
+                    columns.extend(prevs[:m], priced[:m, -1], now[:m], np.full(m, day_cost), gains)
+                    if m < len(closes):
+                        j = bad[m].argmax()
+                        name = "open" if j == len(orders) else f"fill at tick {order_ticks[j]}"
+                        raise ValueError(f"{name} is non-positive or non-finite: {priced[m, j].item()}")
     return MarketState(anchor, fund, close_perm)
 
 
-def _refusal(scenario: Scenario, cash_micro: int, cost_micro: int) -> tuple[int, Exception] | None:
+def _refusal(impact: ImpactParams, orders: list[tuple], cash_micro: int, cost_micro: int) -> tuple[int, Exception] | None:
     """The stop and error of the first order that booking a day's orders one at a time refuses; None if it books them.
 
-    Replays the day's orders, from ledger sums at the day's start, through
-    ``fill_order`` and ``record_fill`` on a scratch ledger, so the error
-    and its message are theirs.
+    Replays the day's ``(stop, tick, spread, depth, notional)`` order rows,
+    from ledger sums at the day's start, through ``fill_order`` and
+    ``record_fill`` on a scratch ledger, so the error and its message are
+    theirs.
     """
-    plan = scenario.plan
-    orders = zip(plan.order_stop, plan.spreads.tolist(), plan.depths.tolist(), plan.notionals.tolist())
     ledger = Ledger(cash_micro, cost_micro)
     perm = 0.0
     try:
-        for s, spread, depth, notional in orders:
-            fill, cost, perm = fill_order(scenario.impact, spread, depth, 1.0, perm, notional, plan.stops[s][0])
+        for s, tick, spread, depth, notional in orders:
+            fill, cost, perm = fill_order(impact, spread, depth, 1.0, perm, notional, tick)
             record_fill(ledger, fill, notional, cost)
     except (ValueError, OverflowError) as exc:
         return s, exc

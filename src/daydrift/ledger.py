@@ -144,9 +144,10 @@ def first_refused_day(ledger: Ledger, notional_micro: list[int], cost_micro: lis
 def book_days(ledger: Ledger, prices, days: int, notional_micro: list[int], cost_micro: list[int]) -> None:
     """Book ``days`` whole days in place, each of fills of the micro amounts ``notional_micro`` and ``cost_micro``.
 
-    ``prices``, a sequence or an array, holds every fill's price in booking
-    order.  The days must come before ``first_refused_day``; the ledger
-    then ends as ``record_fill`` called on each fill in turn would leave it.
+    ``prices``, a sequence or an array read in C order (a row per day),
+    holds every fill's price in booking order.  The days must come before
+    ``first_refused_day``; the ledger then ends as ``record_fill`` called
+    on each fill in turn would leave it.
     """
     cost_sum = sum(cost_micro)
     ledger.cash_micro -= days * (sum(notional_micro) + cost_sum)

@@ -194,10 +194,10 @@ class MarketState:
     perm_impact_bps: float = 0.0
 
     def __post_init__(self):
-        if not self.day_anchor > 0:
-            raise ValueError(f"day anchor price must be positive, got {self.day_anchor}")
-        if not self.fundamental > 0:
-            raise ValueError(f"fundamental must be positive, got {self.fundamental}")
+        if not 0.0 < self.day_anchor < math.inf:
+            raise ValueError(f"day anchor price must be positive and finite, got {self.day_anchor}")
+        if not 0.0 < self.fundamental < math.inf:
+            raise ValueError(f"fundamental must be positive and finite, got {self.fundamental}")
 
     @classmethod
     def initial(cls, mid: float, fundamental: float | None = None) -> "MarketState":

@@ -6,6 +6,7 @@ names the scenarios the kernel is checked on, and ``make_scenario``
 builds a small scenario around the reference trader.
 """
 
+import math
 from dataclasses import replace
 
 from daydrift import (
@@ -88,7 +89,9 @@ def compose_days(scenario: Scenario, sums: tuple[int, int] = (0, 0)):
     ``(record, ledger, state)`` after each day; fills are booked with
     ``record_fill`` into one ledger, which starts at ``sums`` (cash and
     cumulative cost, in micro), and each day's book is marked with
-    ``mark_to_market``.
+    ``mark_to_market``.  A day whose close, then whose fills in booking
+    order, then whose open is outside (0, inf) raises ``ValueError``
+    naming the first such price.
     """
     clock, profile, impact, noise = scenario.clock, scenario.profile, scenario.impact, scenario.noise
     traded = {t for t in range(clock.ticks_per_day) for agent in scenario.agents if orders_for_tick(agent, t)}
@@ -100,6 +103,7 @@ def compose_days(scenario: Scenario, sums: tuple[int, int] = (0, 0)):
         prev = state.day_anchor
         cost_before = ledger.cumulative_cost_micro
         last = -1
+        prices = []
         for t in ticks:
             state = advance_noise(state, noise, (t - last) * clock.dt_days, rng)
             last = t
@@ -107,8 +111,12 @@ def compose_days(scenario: Scenario, sums: tuple[int, int] = (0, 0)):
                 for notional in orders_for_tick(agent, t):
                     fill, cost, state = apply_aggressive_trade(state, profile, impact, notional, t)
                     ledger = record_fill(ledger, fill, notional, cost)
+                    prices.append((f"fill at tick {t}", fill))
             if t == 0:
                 open_price = state.mid
+        for name, price in [("close", state.mid), *prices, ("open", open_price)]:
+            if not 0.0 < price < math.inf:
+                raise ValueError(f"{name} is non-positive or non-finite: {price}")
         book = scenario.total_book_value / scenario.initial_mid * prev
         gain = mark_to_market(book, prev, state.mid)
         cost = from_micro(ledger.cumulative_cost_micro - cost_before)

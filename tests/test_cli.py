@@ -3,6 +3,7 @@ import datetime
 import hashlib
 import math
 import re
+import sys
 from dataclasses import fields, replace
 
 import pytest
@@ -152,6 +153,33 @@ class TestRun:
         )
         assert code == 2
         assert re.search(r"day \d+: ", err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        ("edits", "message"),
+        [
+            ({"initial_mid = 100.0": "initial_mid = 1.7976e308"}, "close is non-positive or non-finite: inf"),
+            (
+                {"initial_mid = 100.0": f"initial_mid = {sys.float_info.max / (1 + 1.25e-4)!r}"},
+                "fill at tick 0 is non-positive or non-finite: inf",
+            ),
+            (
+                {"spread_open_bps = 15": "spread_open_bps = 30000", "spread_close_bps = 5": "spread_close_bps = 30000",
+                 "leg_notional = 1e7": "leg_notional = -1e7"},
+                "fill at tick 0 is non-positive or non-finite: -50.0",
+            ),
+        ],
+    )
+    def test_a_price_out_of_range_is_a_runtime_error(self, capsys, tmp_path, edits, message):
+        text = REFERENCE_CONFIG.read_text()
+        for old, new in edits.items():
+            assert old in text
+            text = text.replace(old, new)
+        config, out = tmp_path / "edge.ini", tmp_path / "daily.csv"
+        config.write_text(text)
+        code, _, _, err = run_cli(capsys, "run", "--config", str(config), "--days", "2", "--out", str(out))
+        assert code == 2
+        assert err == f"runtime error: day 1: {message}\n"
         assert not out.exists()
 
     def test_no_output_path_is_a_config_error(self, capsys, tmp_path):

@@ -1,6 +1,7 @@
 import copy
 import math
 import re
+import sys
 import tracemalloc
 from dataclasses import astuple, replace
 
@@ -41,7 +42,7 @@ from daydrift.ledger import AccountingError
 from daydrift.market import diffusion_coef, diffusion_growth
 
 from composition import bitwise_case, compose_days, make_scenario
-from conftest import NOISY_CONFIG
+from conftest import NOISY_CONFIG, REFERENCE_CONFIG
 
 
 def nudge_bps(record: DayRecord) -> float:
@@ -167,12 +168,20 @@ class TestRunDayMatchesOperationComposition:
 
 
 class TestSegmentLaw:
-    def test_the_tick_0_step_keeps_the_per_tick_bits(self):
+    def test_the_tick_0_step_keeps_the_per_tick_bits(self, monkeypatch):
         # the segment ending at tick 0 spans one tick, so the open is one per-tick noise step and the opening fill
         scenario = bitwise_case("noisy-path")
         noise, dt = scenario.noise, scenario.clock.dt_days
-        assert scenario.plan.diffusion_coef[0] == diffusion_coef(noise, dt)
-        for record in simulate(scenario).records:
+        coefs, growth = [], diffusion_growth
+
+        def spy(coef, z, out=None):
+            coefs.append(coef)
+            return growth(coef, z, out=out)
+
+        monkeypatch.setattr("daydrift.engine.diffusion_growth", spy)
+        records = simulate(scenario).records
+        assert coefs[0][0] == diffusion_coef(noise, dt)
+        for record in records:
             state = advance_noise(MarketState.initial(record.prev_close), noise, dt, day_rng(scenario.seed, record.day))
             for agent in scenario.agents:
                 for notional in orders_for_tick(agent, 0):
@@ -236,7 +245,7 @@ class TestReversionLaw:
 
         monkeypatch.setattr("daydrift.engine.diffusion_growth", spy)
         simulate(scenario)
-        assert shapes == [(scenario.days, len(scenario.plan.stops))] == [(4, 2)]
+        assert shapes == [(4, 2)]  # 4 days, stops at ticks 0 and 391
 
     def test_an_infinite_half_life_runs_as_none(self):
         scenario = bitwise_case("noisy-path")
@@ -294,7 +303,8 @@ class TestBlockBoundaries:
 @st.composite
 def composed_scenarios(draw) -> Scenario:
     """2 to 64 ticks, 0 to 3 traders at any ticks (some disabled), a default or constant profile, any ``lam``,
-    noise (up to an overflowing sigma) or none, mean reversion or none, 1 to 3 blocks plus a day."""
+    noise (up to an overflowing sigma) or none, mean reversion or none, 1 to 3 blocks plus a day, and an
+    initial mid of 100 or one near the float maximum, where fills, opens and closes overflow."""
     ticks = draw(st.integers(2, 64))
     agents = []
     for agent_id in "ABC"[: draw(st.integers(0, 3))]:
@@ -311,6 +321,7 @@ def composed_scenarios(draw) -> Scenario:
         half_life=draw(st.none() | st.floats(0.5, 1000.0)),
         agents=agents,
         ticks=ticks,
+        initial_mid=draw(st.just(100.0) | st.floats(1e300, sys.float_info.max)),
         fundamental=draw(st.sampled_from([100.0, 95.0])),
     )
     if draw(st.booleans()):
@@ -351,6 +362,11 @@ class TestComposedRuns:
     @example(one_trader_day(19999.0, 51546392.0, days=193, seed=37719116, fundamental=95.0), (0, 9_223_362_036_854_775_932))
     @example(one_trader_day(1.0, 1.0), (0, 0))
     @example(one_trader_day(0.0, 1.0), (0, 0))
+    # prices out of range: an infinite close, an infinite fill and a negative one
+    @example(make_scenario(days=2, initial_mid=1.7976e308), (0, 0))
+    @example(make_scenario(days=1, initial_mid=sys.float_info.max / (1 + 1.25e-4)), (0, 0))
+    @example(replace(one_trader_day(20.0, -1e7), profile=SpreadDepthProfile.constant(2, 30000.0, 1e9)), (0, 0))
+    @example(one_trader_day(2e4, 1e8, initial_mid=sys.float_info.max / 2.2, half_life=1e-6), (0, 0))  # the open
     def test_the_kernel_has_the_bits_and_the_failing_day_of_the_composition(self, scenario, sums):
         records, composed_ledger, composed_state, composed_error = composed_run(scenario, sums)
         columns, ledger = DayColumns(), Ledger(*sums)
@@ -495,6 +511,67 @@ class TestErrorsAtBlockEdges:
         assert columns.records() == finished_columns.records()
         assert ledger == finished
         assert len(columns) == day - 1 and len(ledger.fills) == 2 * (day - 1)
+
+
+# a scenario whose day 1 has a price out of range, and the error naming it
+PRICE_FAILURES = [
+    (make_scenario(days=2, initial_mid=1.7976e308), "close is non-positive or non-finite: inf"),
+    (make_scenario(days=1, initial_mid=sys.float_info.max / (1 + 1.25e-4)), "fill at tick 0 is non-positive or non-finite: inf"),
+    (
+        replace(
+            make_scenario(agents=(RoundTripTrader(1e9, 10.0, -1e7, buy_tick=0, sell_tick=391),)),
+            profile=SpreadDepthProfile.constant(392, 30000.0, 1e9),  # half the spread is 1.5 mids: a sell fills below 0
+        ),
+        "fill at tick 0 is non-positive or non-finite: -50.0",
+    ),
+    # the opening buy lifts the mid 150% past the float maximum; a full reversion at the closing stop brings it back
+    (one_trader_day(2e4, 1e8, initial_mid=sys.float_info.max / 2.2, half_life=1e-6), "open is non-positive or non-finite: inf"),
+]
+
+
+def overflowing_reference(day: int) -> Scenario:
+    """``reference.ini`` over two blocks from a mid whose 1 bp/day drift makes day ``day``'s opening fill overflow.
+
+    The opening buy fills 7.5 bps above the anchor and the close is 1 bp
+    above it, so the day's anchor, 0.5 bp above ``float max / (1 + 7.5e-4)``,
+    overflows the fill but not the close, and the day before's does neither.
+    """
+    mid = sys.float_info.max / (1 + 7.5e-4) * (1 + 5e-5) / 1.0001 ** (day - 1)
+    return replace(load_config(REFERENCE_CONFIG).build(), days=2 * _BLOCK_DAYS, initial_mid=mid, initial_fundamental=100.0)
+
+
+class TestPriceRange:
+    @pytest.mark.parametrize(("scenario", "message"), PRICE_FAILURES)
+    def test_a_price_out_of_range_fails_day_1_in_the_kernel_and_the_composition(self, scenario, message):
+        with pytest.raises(SimulationError, match=f"^day 1: {re.escape(message)}$"):
+            simulate(scenario)
+        columns, ledger = DayColumns(), Ledger()
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            _run_days(scenario, ledger, columns)
+        assert len(columns) == 0 and ledger == Ledger()
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            next(compose_days(scenario))
+
+    @pytest.mark.parametrize("day", [_BLOCK_DAYS, _BLOCK_DAYS + 1])
+    def test_a_drift_into_overflow_fails_that_day_and_books_the_days_before(self, day):
+        scenario = overflowing_reference(day)
+        message = "fill at tick 0 is non-positive or non-finite: inf"
+        with pytest.raises(SimulationError, match=f"^day {day}: {message}$"):
+            simulate(scenario)
+        columns, ledger = DayColumns(), Ledger()
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            _run_days(scenario, ledger, columns)
+        records, composed_ledger, _, error = composed_run(scenario, (0, 0))
+        assert str(error) == message
+        assert columns.records() == records and len(records) == day - 1
+        assert ledger == composed_ledger and len(ledger.fills) == 2 * (day - 1)
+
+    def test_an_earlier_price_failure_wins_over_a_later_noise_failure_in_its_block(self, monkeypatch):
+        # noise too weak to move the drift out of its 6.5 bp overflow window
+        scenario = replace(overflowing_reference(_BLOCK_DAYS - 1), noise=NoiseParams(1e-9, None))
+        spike_on(monkeypatch, _BLOCK_DAYS, step=0)  # too late: the day before's opening fill already overflows
+        with pytest.raises(SimulationError, match=rf"^day {_BLOCK_DAYS - 1}: fill at tick 0 .*: inf$"):
+            simulate(scenario)
 
 
 class TestDayKeys:

@@ -354,6 +354,14 @@ class TestMarketState:
         with pytest.raises(ValueError):
             MarketState.initial(mid, fundamental)
 
+    @pytest.mark.parametrize(
+        ("mid", "fundamental", "name"),
+        [(math.inf, 1.0, "day anchor"), (math.nan, 1.0, "day anchor"), (1.0, math.inf, "fundamental")],
+    )
+    def test_rejects_non_finite_prices(self, mid, fundamental, name):
+        with pytest.raises(ValueError, match=f"^{name}.* must be positive and finite"):
+            MarketState(mid, fundamental)
+
     def test_start_day_rolls_drift_into_the_anchor(self):
         state = MarketState.initial(100.0)
         _, _, state = apply_aggressive_trade(state, DEFAULT, PARAMS_1BP, 1e7, 0)
