@@ -155,15 +155,19 @@ def decompose(series: PriceSeries) -> DecompositionResult:
 def doubling_time(nudge_bps: float) -> int:
     """Trading days for a constant per-day drift to double the price.
 
-    Smallest integer n with (1 + nudge)**n >= 2.
+    Smallest integer n with (1 + nudge)**n >= 2, the power taken of the
+    float ``1 + nudge``; a nudge too small to change that float from 1.0
+    never doubles and raises ``ValueError``.
     """
     if not nudge_bps > 0:
         raise ValueError(f"nudge must be positive to double, got {nudge_bps} bps")
-    r = nudge_bps * 1e-4
-    n = max(1, math.ceil(math.log(2.0) / math.log1p(r)))
-    while n > 1 and (1.0 + r) ** (n - 1) >= 2.0:
+    base = 1.0 + nudge_bps * 1e-4
+    if base == 1.0:
+        raise ValueError(f"nudge of {nudge_bps} bps is lost in 1 + nudge == 1.0: the price never doubles")
+    n = max(1, math.ceil(math.log(2.0) / math.log(base)))
+    while n > 1 and base ** (n - 1) >= 2.0:
         n -= 1
-    while (1.0 + r) ** n < 2.0:
+    while base ** n < 2.0:
         n += 1
     return n
 

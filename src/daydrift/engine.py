@@ -12,8 +12,8 @@ the permanent impact moves only at stops, so a day draws one normal per
 stop and every output keeps its law.  Each day draws its noise from a
 Philox substream keyed by (seed, day), so a run is bit-reproducible and
 days can be replayed independently.  ``day_rng`` is the reference definition of a
-substream.  ``simulate`` computes the Philox keys of 4096 days at a time
-with ``day_keys``, which gives the bits of ``SeedSequence`` for a
+substream.  ``simulate`` computes the Philox keys of a block of days in
+one ``day_keys`` call, which gives the bits of ``SeedSequence`` for a
 seed of any width, and re-keys one generator per day.
 
 One run kernel computes every day of ``simulate``.  Every day places the
@@ -37,6 +37,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import os
 from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
@@ -268,10 +269,10 @@ def simulate(scenario: Scenario) -> SimResult:
     """Run the full scenario, carrying state and accounting across days.
 
     The run kernel computes the days in blocks (see ``_run_days``) into
-    ``DayColumns``.  A noisy run computes its substream keys with
-    ``day_keys``, 4096 days at a time, and re-keys one Philox generator
-    per day, drawing each day's normals, those of its ``day_rng``, into
-    the block's array.  A noiseless run computes no keys and builds no
+    ``DayColumns``.  A noisy run computes its substream keys with one
+    ``day_keys`` call per block and re-keys one Philox generator per day,
+    drawing each day's normals, those of its ``day_rng``, into the
+    block's array.  A noiseless run computes no keys and builds no
     generator.  A failing day raises ``SimulationError`` naming it, with
     the error of the first check it fails in the order of the module
     docstring; a noise step that fails names the tick it ends at.
@@ -284,9 +285,8 @@ def simulate(scenario: Scenario) -> SimResult:
     return SimResult(columns, book_ledger, state)
 
 
-# days per block: a 64 x (stops + 1) float64 array
-_BLOCK_DAYS = 64
-_KEY_DAYS = 64 * _BLOCK_DAYS  # days per day_keys call, whole blocks: 64 KB of keys; one call up to 4096 days
+# days per block: a 4096 x (stops + 1) float64 array and one day_keys call of 64 KB
+_BLOCK_DAYS = 4096
 
 
 def _run_days(scenario: Scenario, book_ledger: Ledger, columns: DayColumns) -> MarketState:
@@ -324,9 +324,10 @@ def _run_days(scenario: Scenario, book_ledger: Ledger, columns: DayColumns) -> M
        factors in place, each column with its step's ``diffusion_coef``.
        A day re-keys one Philox generator with its ``day_keys`` key,
        counter 0 and buffer empty, which is the state of a fresh
-       ``day_rng``; the keys are computed for ``_KEY_DAYS`` days at a
-       time and read as ints a block at a time.  A run without noise
-       computes no keys and draws nothing.
+       ``day_rng``; the block's keys come from one ``day_keys`` call,
+       read as two columns of ints and paired one day at a time, so the
+       draw keeps no tracked object per day alive for the collector to
+       walk.  A run without noise computes no keys and draws nothing.
     2. *The chain*, day by day: ``noise_step`` runs stop by stop and
        writes each stop's anchor into the row; a run with neither noise
        nor mean reversion keeps the day's anchor at every stop.  The
@@ -422,10 +423,7 @@ def _run_days(scenario: Scenario, book_ledger: Ledger, columns: DayColumns) -> M
 
             # 1. draw
             if diffuse:
-                if start % _KEY_DAYS == 0:
-                    keys = day_keys(scenario.seed, days[start : start + _KEY_DAYS])
-                block_keys = keys[start % _KEY_DAYS : start % _KEY_DAYS + n].tolist()
-                for i, key in enumerate(block_keys):
+                for i, key in enumerate(zip(*day_keys(scenario.seed, days[start : start + n]).T.tolist())):
                     substream["key"] = key
                     bits.state = rekeyed
                     rng.standard_normal(out=path[i, 1:])
@@ -616,8 +614,9 @@ def run_sweep(
     A cell's scenario is ``base`` with each of the cell's keys set, then
     built (``ScenarioConfig.sweep_cell``): the scenario that a config
     setting those keys builds.  Cells run independently, the pool with at
-    most one worker per cell; results are merged in grid order, so the
-    output is identical whatever the worker count.  A failing cell is
+    most one worker per cell and per CPU this process may run on, since
+    it starts all its workers at once; results are merged in grid order,
+    so the output is identical whatever the worker count.  A failing cell is
     reported in its row and does not abort the others.  A grid that names
     a key twice, or both ``agents.book_value`` and ``agents.capital``, is a
     ``ValueError``: its cells would not run the values their rows show.
@@ -638,7 +637,9 @@ def run_sweep(
     if "agents.book_value" in keys and "agents.capital" in keys:
         raise ValueError("sweep keys 'agents.book_value' and 'agents.capital' both set the capital; sweep one of them")
     jobs = [(base, tuple(zip(keys, values))) for values in itertools.product(*(values for _, values in grid))]
-    if workers <= 1 or len(jobs) == 1:
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(workers, len(jobs), cpus)
+    if workers <= 1:
         return [_run_cell(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_run_cell, jobs))

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -20,6 +23,7 @@ from daydrift import (
 from daydrift.analysis import DECOMPOSITION_CSV_HEADER
 
 from composition import make_scenario
+from conftest import REPO_ROOT
 
 
 LOG_TINY = math.log(np.finfo(float).tiny)
@@ -171,6 +175,28 @@ class TestDoublingTime:
     def test_non_positive_nudge_rejected(self, nudge):
         with pytest.raises(ValueError):
             doubling_time(nudge)
+
+    def test_tiny_nudges_return_or_raise_at_once(self):
+        # in a child with a timeout, so that a hang fails this test, not the suite: from an estimate that is not
+        # taken of the float 1 + r, stepping n by one takes ~7.7e-17 / r**2 steps, and never ends if 1 + r == 1.0
+        nudges = [1e-8, 1e-9, 1.2e-12, 1e-12, 1e-13]
+        code = (
+            "from daydrift import doubling_time\n"
+            f"for nudge in {nudges!r}:\n"
+            "    try:\n"
+            "        print(doubling_time(nudge))\n"
+            "    except ValueError as exc:\n"
+            "        print(exc)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        *doubled, small, smaller = proc.stdout.splitlines()
+        for nudge, n in zip(nudges, map(int, doubled)):
+            base = 1.0 + nudge * 1e-4
+            assert base ** n >= 2.0 > base ** (n - 1)
+        assert small == "nudge of 1e-12 bps is lost in 1 + nudge == 1.0: the price never doubles"
+        assert smaller == "nudge of 1e-13 bps is lost in 1 + nudge == 1.0: the price never doubles"
 
 
 class TestBreakevenBook:

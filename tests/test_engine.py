@@ -1,5 +1,7 @@
 import copy
+import gc
 import math
+import os
 import re
 import sys
 import tracemalloc
@@ -37,12 +39,22 @@ from daydrift import (
     write_daily_csv,
 )
 from daydrift import engine
-from daydrift.engine import _BLOCK_DAYS, _CSV_BLOCK_ROWS, _KEY_DAYS, DayColumns, _run_days, day_keys
+from daydrift.engine import _BLOCK_DAYS, _CSV_BLOCK_ROWS, DayColumns, _run_days, day_keys
 from daydrift.ledger import AccountingError
 from daydrift.market import diffusion_coef, diffusion_growth
 
 from composition import bitwise_case, compose_days, make_scenario
 from conftest import NOISY_CONFIG, REFERENCE_CONFIG
+
+# Every test here runs the kernel with a 64-day block, except in the classes that override ``edge_block``
+# to run the kernel's own ``_BLOCK_DAYS``: so the block-edge tests cross edges in runs of a few hundred days,
+# and their hand-tuned data fail on the edge days 64 and 65.
+TEST_BLOCK_DAYS = 64
+
+
+@pytest.fixture(autouse=True)
+def edge_block(monkeypatch):
+    monkeypatch.setattr(engine, "_BLOCK_DAYS", TEST_BLOCK_DAYS)
 
 
 def nudge_bps(record: DayRecord) -> float:
@@ -256,14 +268,32 @@ class TestReversionLaw:
         assert final_bits(endless.final_state) == final_bits(result.final_state)
 
 
-BLOCK_EDGE_DAYS = [1, _BLOCK_DAYS, _BLOCK_DAYS + 1, 2 * _BLOCK_DAYS + 3]
+BLOCK_EDGE_DAYS = [1, TEST_BLOCK_DAYS, TEST_BLOCK_DAYS + 1, 2 * TEST_BLOCK_DAYS + 3]
 
 
 def final_bits(state: MarketState) -> tuple[str, str]:
     return state.day_anchor.hex(), state.perm_impact_bps.hex()
 
 
+def key_calls(monkeypatch) -> list[range]:
+    """The day ranges of every ``day_keys`` call the kernel makes from now on, in order."""
+    calls, keys = [], engine.day_keys
+
+    def recorded(seed, days):
+        calls.append(days)
+        return keys(seed, days)
+
+    monkeypatch.setattr(engine, "day_keys", recorded)
+    return calls
+
+
 class TestBlockBoundaries:
+    def test_the_kernel_runs_the_test_block(self, monkeypatch):
+        # one day_keys call per block: were the block not patched, the edge tests would run inside one block
+        calls = key_calls(monkeypatch)
+        simulate(replace(bitwise_case("noisy-path"), days=2 * TEST_BLOCK_DAYS + 1))
+        assert calls == [range(1, 65), range(65, 129), range(129, 130)]
+
     @pytest.mark.parametrize("days", BLOCK_EDGE_DAYS)
     @pytest.mark.parametrize(
         "case",
@@ -289,10 +319,10 @@ class TestBlockBoundaries:
     def test_block_growth_in_place_over_strided_rows_has_the_per_day_bits(self, sigma):
         ticks = 392
         coef = diffusion_coef(NoiseParams(sigma, None), 1.0 / ticks)
-        rows = np.empty((_BLOCK_DAYS, ticks + 1))
+        rows = np.empty((TEST_BLOCK_DAYS, ticks + 1))
         expected = []
         with np.errstate(over="ignore"):
-            for i in range(_BLOCK_DAYS):
+            for i in range(TEST_BLOCK_DAYS):
                 day_rng(7, i + 1).standard_normal(out=rows[i, 1:])
                 expected.append(diffusion_growth(coef, day_rng(7, i + 1).standard_normal(ticks)))
             diffusion_growth(coef, rows[:, 1:], out=rows[:, 1:])
@@ -314,7 +344,7 @@ def composed_scenarios(draw) -> Scenario:
         enabled = draw(st.integers(0, 3)) > 0
         agents.append(RoundTripTrader(1e9, 10.0, leg, buy, sell, enabled=enabled, agent_id=agent_id))
     scenario = make_scenario(
-        days=draw(st.integers(1, 3 * _BLOCK_DAYS + 1)),
+        days=draw(st.integers(1, 3 * TEST_BLOCK_DAYS + 1)),
         seed=draw(st.integers(0, 2**96 - 1) | st.integers(2**96, 2**160)),
         lam=draw(st.floats(0.0, 2e4)),
         sigma=draw(st.just(0.0) | st.floats(1e-4, 0.05) | st.just(300.0)),
@@ -414,7 +444,7 @@ SPIKE_SEEDS = [7, 2**96]  # a seed within SeedSequence's 4-word pool and one wid
 
 # flat spreads of the trader's legs, in bps, and the day on which its cash leaves the micro-currency range:
 # the last day of the first block and the first of the second
-CASH_FAILURES = [(1300.0, _BLOCK_DAYS), (1285.0, _BLOCK_DAYS + 1)]
+CASH_FAILURES = [(1300.0, TEST_BLOCK_DAYS), (1285.0, TEST_BLOCK_DAYS + 1)]
 
 
 def wide_spread_scenario(spread_bps: float, half_life: float | None, seed: int = 7) -> Scenario:
@@ -426,7 +456,7 @@ def wide_spread_scenario(spread_bps: float, half_life: float | None, seed: int =
     """
     config = replace(
         load_config(NOISY_CONFIG), lam=0.0, capital=1e13, leg_notional=1e12,
-        open_spread_bps=spread_bps, close_spread_bps=spread_bps, half_life_days=half_life, days=2 * _BLOCK_DAYS,
+        open_spread_bps=spread_bps, close_spread_bps=spread_bps, half_life_days=half_life, days=2 * TEST_BLOCK_DAYS,
         seed=seed,
     )
     return config.build()
@@ -435,10 +465,10 @@ def wide_spread_scenario(spread_bps: float, half_life: float | None, seed: int =
 class TestErrorsAtBlockEdges:
     @pytest.mark.parametrize("seed", SPIKE_SEEDS)
     @pytest.mark.parametrize("half_life", [None, 504.0])
-    @pytest.mark.parametrize("spike_day", [_BLOCK_DAYS, _BLOCK_DAYS + 1])
+    @pytest.mark.parametrize("spike_day", [TEST_BLOCK_DAYS, TEST_BLOCK_DAYS + 1])
     def test_noise_failure_names_its_day_and_books_only_the_days_before(self, monkeypatch, half_life, spike_day, seed):
         scenario = replace(
-            load_config(NOISY_CONFIG).build(), noise=NoiseParams(0.01, half_life), days=2 * _BLOCK_DAYS, seed=seed
+            load_config(NOISY_CONFIG).build(), noise=NoiseParams(0.01, half_life), days=2 * TEST_BLOCK_DAYS, seed=seed
         )
         finished = simulate(replace(scenario, days=spike_day - 1))
         spike_on(monkeypatch, spike_day, step=1)  # segment 1 ends at the close
@@ -473,11 +503,11 @@ class TestErrorsAtBlockEdges:
         assert isinstance(info.value.__cause__, AccountingError)
 
     @pytest.mark.parametrize("seed", SPIKE_SEEDS)
-    @pytest.mark.parametrize("spike_day", [_BLOCK_DAYS, _BLOCK_DAYS + 1])
+    @pytest.mark.parametrize("spike_day", [TEST_BLOCK_DAYS, TEST_BLOCK_DAYS + 1])
     @pytest.mark.parametrize(("case", "step", "tick"), [("noisy-path", 0, 0), ("interior-trades-diffusing", 2, 40)])
     def test_a_failing_segment_names_its_stop_tick(self, monkeypatch, case, step, tick, spike_day, seed):
         # stops at ticks 0 and 391 on noisy-path; at 0, 5, 40, 50 and 63 on interior-trades-diffusing
-        scenario = replace(bitwise_case(case), days=2 * _BLOCK_DAYS, seed=seed)
+        scenario = replace(bitwise_case(case), days=2 * TEST_BLOCK_DAYS, seed=seed)
         spike_on(monkeypatch, spike_day, step)
         with pytest.raises(SimulationError, match=rf"^day {spike_day}: noise step produced .* at tick {tick}: inf$"):
             simulate(scenario)
@@ -513,6 +543,23 @@ class TestErrorsAtBlockEdges:
         assert len(columns) == day - 1 and len(ledger.fills) == 2 * (day - 1)
 
 
+class TestErrorsAtTheKernelsBlockEdge:
+    @pytest.fixture(autouse=True)
+    def edge_block(self):
+        """These tests run the kernel's own block."""
+
+    @pytest.mark.parametrize("spike_day", [_BLOCK_DAYS, _BLOCK_DAYS + 1])
+    def test_a_noise_failure_books_only_the_days_before(self, monkeypatch, spike_day):
+        scenario = replace(load_config(NOISY_CONFIG).build(), days=_BLOCK_DAYS + 1)
+        spike_on(monkeypatch, spike_day, step=1)  # segment 1 ends at the close
+        calls = key_calls(monkeypatch)
+        columns, ledger = DayColumns(), Ledger()
+        with pytest.raises(ValueError, match=r"^noise step produced .* at tick 391: inf$"):
+            _run_days(scenario, ledger, columns)
+        assert calls[0] == range(1, _BLOCK_DAYS + 1)
+        assert len(columns) == spike_day - 1 and len(ledger.fills) == 2 * (spike_day - 1)
+
+
 # a scenario whose day 1 has a price out of range, and the error naming it
 PRICE_FAILURES = [
     (make_scenario(days=2, initial_mid=1.7976e308), "close is non-positive or non-finite: inf"),
@@ -537,7 +584,9 @@ def overflowing_reference(day: int) -> Scenario:
     overflows the fill but not the close, and the day before's does neither.
     """
     mid = sys.float_info.max / (1 + 7.5e-4) * (1 + 5e-5) / 1.0001 ** (day - 1)
-    return replace(load_config(REFERENCE_CONFIG).build(), days=2 * _BLOCK_DAYS, initial_mid=mid, initial_fundamental=100.0)
+    return replace(
+        load_config(REFERENCE_CONFIG).build(), days=2 * TEST_BLOCK_DAYS, initial_mid=mid, initial_fundamental=100.0
+    )
 
 
 class TestPriceRange:
@@ -552,7 +601,7 @@ class TestPriceRange:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             next(compose_days(scenario))
 
-    @pytest.mark.parametrize("day", [_BLOCK_DAYS, _BLOCK_DAYS + 1])
+    @pytest.mark.parametrize("day", [TEST_BLOCK_DAYS, TEST_BLOCK_DAYS + 1])
     def test_a_drift_into_overflow_fails_that_day_and_books_the_days_before(self, day):
         scenario = overflowing_reference(day)
         message = "fill at tick 0 is non-positive or non-finite: inf"
@@ -568,13 +617,17 @@ class TestPriceRange:
 
     def test_an_earlier_price_failure_wins_over_a_later_noise_failure_in_its_block(self, monkeypatch):
         # noise too weak to move the drift out of its 6.5 bp overflow window
-        scenario = replace(overflowing_reference(_BLOCK_DAYS - 1), noise=NoiseParams(1e-9, None))
-        spike_on(monkeypatch, _BLOCK_DAYS, step=0)  # too late: the day before's opening fill already overflows
-        with pytest.raises(SimulationError, match=rf"^day {_BLOCK_DAYS - 1}: fill at tick 0 .*: inf$"):
+        scenario = replace(overflowing_reference(TEST_BLOCK_DAYS - 1), noise=NoiseParams(1e-9, None))
+        spike_on(monkeypatch, TEST_BLOCK_DAYS, step=0)  # too late: the day before's opening fill already overflows
+        with pytest.raises(SimulationError, match=rf"^day {TEST_BLOCK_DAYS - 1}: fill at tick 0 .*: inf$"):
             simulate(scenario)
 
 
 class TestDayKeys:
+    @pytest.fixture(autouse=True)
+    def edge_block(self):
+        """These tests run the kernel's own block."""
+
     @pytest.mark.parametrize(
         "seed", [0, 2**31 - 1, 2**32 - 1, 2**32, 2**64 + 3, 2**96 - 1, 2**96, 2**96 + 3, 2**128 + 5, 2**160 + 7]
     )
@@ -589,32 +642,39 @@ class TestDayKeys:
         with pytest.raises(OverflowError):
             day_keys(1, range(2**32 - 1, 2**32 + 1))
 
-    @staticmethod
-    def key_calls(monkeypatch) -> list[range]:
-        calls, keys = [], engine.day_keys
-
-        def recorded(seed, days):
-            calls.append(days)
-            return keys(seed, days)
-
-        monkeypatch.setattr(engine, "day_keys", recorded)
-        return calls
-
-    @pytest.mark.parametrize("days", [1, _KEY_DAYS])
+    @pytest.mark.parametrize("days", [1, _BLOCK_DAYS])
     def test_a_run_of_up_to_4096_days_computes_its_keys_in_one_call(self, monkeypatch, days):
-        calls = self.key_calls(monkeypatch)
+        calls = key_calls(monkeypatch)
         simulate(replace(bitwise_case("noisy-path"), days=days))
         assert calls == [range(1, days + 1)]
 
     def test_a_longer_run_computes_the_keys_of_4096_days_at_a_time(self, monkeypatch):
-        scenario = replace(bitwise_case("noisy-path"), days=2 * _KEY_DAYS + 1)
-        calls = self.key_calls(monkeypatch)
+        scenario = replace(bitwise_case("noisy-path"), days=2 * _BLOCK_DAYS + 1)
+        calls = key_calls(monkeypatch)
         records = simulate(scenario).records
         assert calls == [range(1, 4097), range(4097, 8193), range(8193, 8194)]
         assert all(len(days) <= 4096 for days in calls)
-        edges = {_KEY_DAYS - 1, _KEY_DAYS, _KEY_DAYS + 1, 2 * _KEY_DAYS, 2 * _KEY_DAYS + 1}
+        edges = {_BLOCK_DAYS - 1, _BLOCK_DAYS, _BLOCK_DAYS + 1, 2 * _BLOCK_DAYS, 2 * _BLOCK_DAYS + 1}
         composed = [record for record, _, _ in compose_days(scenario) if record.day in edges]
         assert composed == [records[day - 1] for day in sorted(edges)]
+
+    def test_the_draw_starts_no_collection(self, monkeypatch):
+        # a list per day's key, alive through the draw, would start collector passes that grow with the block
+        log, keys, growth = [], engine.day_keys, engine.diffusion_growth
+        monkeypatch.setattr(engine, "day_keys", lambda seed, days: log.append("keys") or keys(seed, days))
+        monkeypatch.setattr(engine, "diffusion_growth", lambda *args, **kw: log.append("growth") or growth(*args, **kw))
+
+        def collection(phase, info):
+            if phase == "start":
+                log.append(f"collection of generation {info['generation']}")
+
+        gc.collect()
+        gc.callbacks.append(collection)
+        try:
+            simulate(replace(bitwise_case("noisy-path"), days=_BLOCK_DAYS))
+        finally:
+            gc.callbacks.remove(collection)
+        assert log[log.index("keys") :] == ["keys", "growth"]
 
 
 class TestRunSim:
@@ -891,7 +951,9 @@ class TestRunSweep:
         parallel = run_sweep(base, grid, workers=4)
         assert serial == parallel
 
-    def test_pool_has_no_more_workers_than_cells(self, monkeypatch):
+    @staticmethod
+    def recorded_pools(monkeypatch, cpus: int) -> list[int]:
+        """The pool sizes that ``run_sweep`` asks for from now on, on ``cpus`` CPUs; it starts no process."""
         pools = []
 
         class RecordingPool:  # runs the cells in this process and records the pool size asked for
@@ -908,10 +970,23 @@ class TestRunSweep:
                 return map(fn, jobs)
 
         monkeypatch.setattr(engine, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        return pools
+
+    def test_pool_has_no_more_workers_than_cells(self, monkeypatch):
+        pools = self.recorded_pools(monkeypatch, cpus=8)
         grid = [("run.seed", [1, 2, 3, 4])]
         assert all(cell.ok for cell in run_sweep(make_config(), grid, workers=500))
         run_sweep(make_config(), grid, workers=2)
         assert pools == [4, 2]
+
+    def test_pool_has_no_more_workers_than_cpus(self, monkeypatch):
+        # the pool starts all its workers at once, so --workers 500 would start 500 processes
+        base, grid = make_config(days=2, sigma_daily=0.01), [("run.seed", [1, 2, 3, 4])]
+        serial = run_sweep(base, grid, workers=1)
+        pools = self.recorded_pools(monkeypatch, cpus=2)
+        assert run_sweep(base, grid, workers=64) == serial
+        assert pools == [2]
 
     @pytest.mark.parametrize("book_first", [True, False])
     def test_book_value_is_set_at_the_cells_leverage_in_either_order(self, book_first):
