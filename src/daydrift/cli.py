@@ -23,6 +23,7 @@ from .engine import (
     DAILY_CSV_HEADER,
     RunSummary,
     SimulationError,
+    pool_workers,
     read_daily_columns,
     run_sweep,
     simulate,
@@ -178,7 +179,8 @@ def cmd_sweep(args) -> int:
         if not cell.ok:
             label = ", ".join(f"{k}={v!r}" for k, v in cell.params)
             print(f"  failed cell [{label}]: {cell.error}")
-    _stanza({"cells": len(cells), "ok": ok, "failed": failed, "workers": args.workers, "out": args.out})
+    _stanza({"cells": len(cells), "ok": ok, "failed": failed, "workers": args.workers,
+            "pool_workers": pool_workers(args.workers, len(cells)), "out": args.out})
     return EXIT_OK if ok else EXIT_RUNTIME
 
 

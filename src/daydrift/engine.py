@@ -12,19 +12,21 @@ the permanent impact moves only at stops, so a day draws one normal per
 stop and every output keeps its law.  Each day draws its noise from a
 Philox substream keyed by (seed, day), so a run is bit-reproducible and
 days can be replayed independently.  ``day_rng`` is the reference definition of a
-substream.  ``simulate`` computes the Philox keys of a block of days in
-one ``day_keys`` call, which gives the bits of ``SeedSequence`` for a
-seed of any width, and re-keys one generator per day.
+substream.  ``simulate`` draws a block of days at once with ``_draw``:
+the Philox keys from one ``day_keys`` call, which gives the bits of
+``SeedSequence`` for a seed of any width, then Philox4x64-10 and the fast
+path of numpy's ziggurat over every day; a day the fast path rejects is
+drawn again by numpy, so every day has its ``day_rng`` bits.
 
 One run kernel computes every day of ``simulate``.  Every day places the
 same orders, so the kernel computes the run's set-up once, at its start:
 the day's orders and stops, the orders' costs and impacts, which do not
 read the price, and each stop's noise coefficients.  The kernel works in
-blocks of days.  Only the noise draw and the price chain go day by day;
+blocks of days.  Only the price chain goes day by day; the noise draw,
 the fill prices, the marks and the ledger are computed over a block at a
-time with the market model's step functions applied to arrays.  Within a
-day it stops only at the stops and between them advances the price over
-the whole gap.  The result has the bits of composing ``advance_noise``
+time, the last three with the market model's step functions applied to
+arrays.  Within a day it stops only at the stops and between them
+advances the price over the whole gap.  The result has the bits of composing ``advance_noise``
 once per noise step and ``apply_aggressive_trade`` once per order, in the
 order above, one day at a time, and a failing day raises the error that
 doing so raises first.  After the close, the day's fills in booking order
@@ -218,6 +220,99 @@ def day_keys(seed: int, days: range) -> np.ndarray:
     return key_words.astype("<u4").view("<u8").astype(np.uint64)
 
 
+# Philox4x64-10 (Salmon et al. 2011, "Parallel random numbers: as easy as 1, 2, 3", SC11), as numpy runs it:
+# the multipliers of counter words 0 and 2 and the Weyl increments of key words 0 and 1, as columns
+_PHILOX_M = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], dtype=np.uint64)[:, None]
+_PHILOX_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=np.uint64)[:, None]
+_LOW32, _SHIFT32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+_PHILOX_M_HI, _PHILOX_M_LO = _PHILOX_M >> _SHIFT32, _PHILOX_M & _LOW32
+# a ziggurat word: layer in bits 0-7, sign in bit 8, magnitude in bits 9-60
+_LAYER, _SIGN, _MAGNITUDE_SHIFT, _MAGNITUDE = np.uint64(0xFF), np.uint64(0x100), np.uint64(9), np.uint64(2**52 - 1)
+
+
+def _mulhilo(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The high and low uint64 words of each 128-bit product of ``x``'s rows with ``_PHILOX_M``; overwrites ``x``."""
+    lo = x * _PHILOX_M
+    x_hi = x >> _SHIFT32
+    x &= _LOW32
+    mid = x_hi * _PHILOX_M_LO
+    mid += (x * _PHILOX_M_LO) >> _SHIFT32  # below 2**64 - 2**32: no wrap
+    x *= _PHILOX_M_HI
+    x += mid & _LOW32
+    x >>= _SHIFT32
+    x_hi *= _PHILOX_M_HI
+    x_hi += mid >> _SHIFT32
+    x_hi += x
+    return x_hi, lo
+
+
+def _philox(keys: np.ndarray, blocks: int) -> np.ndarray:
+    """The first ``4 * blocks`` words of a fresh ``Philox`` under each row's key, as an ``(n, 4 * blocks)`` uint64 array.
+
+    After numpy's re-key (counter 0, buffer empty) a generator's words
+    ``4(c-1)`` to ``4c-1`` are the Philox4x64-10 block at counter
+    ``(c, 0, 0, 0)``.  The counter words are carried as pairs: rows
+    (0, 2), which the round multiplies, and rows (1, 3).
+    """
+    n = len(keys)
+    key = np.repeat(keys.T, blocks, axis=1)
+    even = np.zeros((2, n * blocks), dtype=np.uint64)
+    even[0] = np.tile(np.arange(1, blocks + 1, dtype=np.uint64), n)
+    odd = np.zeros_like(even)
+    for round_ in range(10):
+        if round_:
+            key += _PHILOX_W
+        hi, lo = _mulhilo(even)
+        # counter words 0, 1, 2, 3 become hi(2) ^ 1 ^ key 0, lo(2), hi(0) ^ 3 ^ key 1, lo(0)
+        even = hi[::-1]
+        even ^= odd
+        even ^= key
+        odd = lo[::-1]
+    return np.stack([even[0], odd[0], even[1], odd[1]], axis=-1).reshape(n, 4 * blocks)
+
+
+def _draw(seed: int, days: range, coef: np.ndarray, out: np.ndarray) -> None:
+    """Fill ``out`` with the growth factors of the noise of ``days``: row ``i`` for ``days[i]``, a column per stop.
+
+    Row ``i`` first holds, bit for bit, the normals that
+    ``day_rng(seed, days[i]).standard_normal(out=row)`` draws; then
+    ``diffusion_growth`` turns them into growth factors in place, each
+    column with its ``coef``.  The normals are computed for the whole
+    block at once: the keys come from one ``day_keys`` call and every
+    day's words from ``_philox``.  numpy's ziggurat takes one word per
+    normal when the word's magnitude is below its layer's ``_ZIG_KI``,
+    and the normal is then the magnitude times the layer's ``_ZIG_WI``,
+    negated if the sign bit is set.  A day with a word that this fast
+    path rejects draws further words, so it is drawn again as numpy draws
+    it: one generator, re-keyed with the day's key at counter 0 with its
+    buffer empty, which is the state of a fresh ``day_rng``, draws its row.
+    """
+    stops = out.shape[1]
+    keys = day_keys(seed, days)
+    words = _philox(keys, -(-stops // 4))[:, :stops]
+    layers = words & _LAYER
+    magnitudes = (words >> _MAGNITUDE_SHIFT) & _MAGNITUDE
+    np.multiply(magnitudes, _ZIG_WI[layers], out=out)
+    np.negative(out, out=out, where=(words & _SIGN).astype(bool))
+    rejected = np.flatnonzero((magnitudes >= _ZIG_KI[layers]).any(axis=1))
+    if rejected.size:
+        rng = np.random.Generator(np.random.Philox(key=0))
+        substream = {"counter": (0, 0, 0, 0), "key": None}
+        rekeyed = {
+            "bit_generator": "Philox",
+            "state": substream,
+            "buffer": (0, 0, 0, 0),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        for i in rejected.tolist():
+            substream["key"] = keys[i].tolist()
+            rng.bit_generator.state = rekeyed
+            rng.standard_normal(out=out[i])
+    diffusion_growth(coef, out, out=out)
+
+
 _DAY_COLUMNS = ("prev_close", "open", "close", "total_cost", "mtm_gain")
 
 
@@ -269,13 +364,14 @@ def simulate(scenario: Scenario) -> SimResult:
     """Run the full scenario, carrying state and accounting across days.
 
     The run kernel computes the days in blocks (see ``_run_days``) into
-    ``DayColumns``.  A noisy run computes its substream keys with one
-    ``day_keys`` call per block and re-keys one Philox generator per day,
-    drawing each day's normals, those of its ``day_rng``, into the
-    block's array.  A noiseless run computes no keys and builds no
-    generator.  A failing day raises ``SimulationError`` naming it, with
-    the error of the first check it fails in the order of the module
-    docstring; a noise step that fails names the tick it ends at.
+    ``DayColumns``.  A noisy run draws each block's normals, those of
+    each day's ``day_rng``, with one ``_draw`` call: one ``day_keys``
+    call, then Philox and the ziggurat's fast path over the block, and
+    numpy's own draw for the few days the fast path rejects.  A noiseless
+    run computes no keys and builds no generator.  A failing day raises
+    ``SimulationError`` naming it, with the error of the first check it
+    fails in the order of the module docstring; a noise step that fails
+    names the tick it ends at.
     """
     book_ledger, columns = Ledger(), DayColumns()
     try:
@@ -317,17 +413,17 @@ def _run_days(scenario: Scenario, book_ledger: Ledger, columns: DayColumns) -> M
     amounts, ``first_refused_day`` finds the first day the ledger
     refuses, and ``_refusal`` replays it for its stop and error.  Then
     the days are computed in blocks of ``_BLOCK_DAYS``, in three steps.
-    Only the draw and the chain go day by day:
+    Only the chain goes day by day:
 
-    1. *Draw.*  Each noisy day draws its normals, one per stop, into a
-       row of one array; ``diffusion_growth`` turns the block's rows into growth
-       factors in place, each column with its step's ``diffusion_coef``.
-       A day re-keys one Philox generator with its ``day_keys`` key,
-       counter 0 and buffer empty, which is the state of a fresh
-       ``day_rng``; the block's keys come from one ``day_keys`` call,
-       read as two columns of ints and paired one day at a time, so the
-       draw keeps no tracked object per day alive for the collector to
-       walk.  A run without noise computes no keys and draws nothing.
+    1. *Draw.*  ``_draw`` fills the block's rows with each noisy day's
+       normals, one per stop, those of its ``day_rng``, and
+       ``diffusion_growth`` turns them into growth factors in place, each
+       column with its step's ``diffusion_coef``.  It computes them as
+       arrays over the block, from one ``day_keys`` call, and makes a
+       per-day call only for a day that the ziggurat's fast path rejects,
+       so the draw keeps no tracked object per day alive for the
+       collector to walk.  A run without noise computes no keys and draws
+       nothing.
     2. *The chain*, day by day: ``noise_step`` runs stop by stop and
        writes each stop's anchor into the row; a run with neither noise
        nor mean reversion keeps the day's anchor at every stop.  The
@@ -376,18 +472,6 @@ def _run_days(scenario: Scenario, book_ledger: Ledger, columns: DayColumns) -> M
     state = scenario.initial_state()
     close = anchor = state.day_anchor
     fund = state.fundamental
-    if diffuse:
-        bits = np.random.Philox(key=0)  # re-keyed before every draw
-        rng = np.random.Generator(bits)
-        substream = {"counter": (0, 0, 0, 0), "key": None}
-        rekeyed = {
-            "bit_generator": "Philox",
-            "state": substream,
-            "buffer": (0, 0, 0, 0),
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
     # an overflow surfaces as a non-finite price, which the checks report
     with np.errstate(over="ignore", invalid="ignore"):
         # what does not read the price; perm[j] is the permanent impact before order j
@@ -423,11 +507,7 @@ def _run_days(scenario: Scenario, book_ledger: Ledger, columns: DayColumns) -> M
 
             # 1. draw
             if diffuse:
-                for i, key in enumerate(zip(*day_keys(scenario.seed, days[start : start + n]).T.tolist())):
-                    substream["key"] = key
-                    bits.state = rekeyed
-                    rng.standard_normal(out=path[i, 1:])
-                diffusion_growth(coef, path[:, 1:], out=path[:, 1:])
+                _draw(scenario.seed, days[start : start + n], coef, path[:, 1:])
 
             # 2. the chain; the failing day raises at the stop of its first refused order
             bad_day = refused - start
@@ -604,6 +684,16 @@ def _run_cell(args: tuple[ScenarioConfig, tuple[tuple[str, float], ...]]) -> Swe
         return SweepCell(params, None, f"{type(exc).__name__}: {exc}")
 
 
+def pool_workers(workers: int, cells: int) -> int:
+    """The processes a sweep of ``cells`` cells runs on when ``workers`` are asked for; 1 runs them in this one.
+
+    At most one per cell and per CPU this process may run on, since the
+    pool starts all its workers at once.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return max(1, min(workers, cells, cpus))
+
+
 def run_sweep(
     base: ScenarioConfig,
     grid: list[tuple[str, list[float]]],
@@ -613,11 +703,10 @@ def run_sweep(
 
     A cell's scenario is ``base`` with each of the cell's keys set, then
     built (``ScenarioConfig.sweep_cell``): the scenario that a config
-    setting those keys builds.  Cells run independently, the pool with at
-    most one worker per cell and per CPU this process may run on, since
-    it starts all its workers at once; results are merged in grid order,
-    so the output is identical whatever the worker count.  A failing cell is
-    reported in its row and does not abort the others.  A grid that names
+    setting those keys builds.  Cells run independently, on
+    ``pool_workers(workers, cells)`` processes; results are merged in grid
+    order, so the output is identical whatever the worker count.  A failing
+    cell is reported in its row and does not abort the others.  A grid that names
     a key twice, or both ``agents.book_value`` and ``agents.capital``, is a
     ``ValueError``: its cells would not run the values their rows show.
     """
@@ -637,9 +726,106 @@ def run_sweep(
     if "agents.book_value" in keys and "agents.capital" in keys:
         raise ValueError("sweep keys 'agents.book_value' and 'agents.capital' both set the capital; sweep one of them")
     jobs = [(base, tuple(zip(keys, values))) for values in itertools.product(*(values for _, values in grid))]
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    workers = min(workers, len(jobs), cpus)
-    if workers <= 1:
+    workers = pool_workers(workers, len(jobs))
+    if workers == 1:
         return [_run_cell(job) for job in jobs]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_run_cell, jobs))
+
+
+# --- the ziggurat tables -------------------------------------------------------
+
+# numpy's ziggurat for the standard normal (Marsaglia & Tsang 2000, "The ziggurat method for generating
+# random variables", J. Stat. Softw. 5(8)): its 256-layer tables wi_double and ki_double, from numpy's
+# ziggurat_constants.h, as little-endian bytes.  A layer's normal is its word's magnitude times _ZIG_WI,
+# taken at once when the magnitude is below _ZIG_KI.
+_ZIG_WI = np.frombuffer(bytes.fromhex(
+    "79d915783b49cf3cc6f6fde30b8d8b3cb45b2c3caf50923c613b4438b97c953c0ca72fe8fc01983cbcd04c2e0c239a3c"
+    "f761382f4d009c3c7472745a2fac9d3cc3d54c2d48329f3cadbb8e27324da03c435d023b05f5a03c77364197a692a13c"
+    "f51a7a8fa227a23c80d863382eb5a23cf59157c03f3ca33c2fb1a2c19ebda33c559bff8def39a43ca7fe3d36bbb1a43c"
+    "74d31a627525a53c96ce07a78095a53cea7ed9cf3102a63c3d7ca361d26ba63c70050092a2d2a63ca6f846d3da36a73c"
+    "772ab310ad98a73c43f546ad45f8a73c770a4353cc55a83c9a767b9e64b1a83c98cf4ea92e0ba93cea1e2c824763a93c"
+    "46c5388ec9b9a93c2ca7a4dccc0eaa3c59cd776d6762aa3c3016106eadb4aa3c9c6c136db105ab3c297a42878455ab3c"
+    "3a9f528e36a4ab3c3282bf2ad6f1ab3cf34e59f9703eac3c613b32a5138aac3c8b2672fec9d4ac3c48b7800e9f1ead3c"
+    "101fe4299d67ad3cc3b82300ceafad3c5376f1a93af7ad3cfeedd2b5eb3dae3c006f7a33e983ae3cce82f9bd3ac9ae3c"
+    "2662f084e70daf3c88f6d854f651af3caed7879e6d95af3cac2efa7d53d8af3cec3442e0560db03c9a8f39f5402eb03c"
+    "fca5169eea4eb03c10a0725b566fb03c0bf47190868fb03c1361bc847dafb03c7fcc4b663dcfb03c6b08164bc8eeb03c"
+    "ee159532200eb13cbe0f3107472db13c41918e9f3e4cb13c1e20c4bf086bb13c34da781aa789b13c886dee511ba8b13c"
+    "cb2af8f866c6b13c2ed4e0938be4b13c9fa040998a02b23ce9c6c4726520b23c1fc3e97d1d3eb23cfb6ba90cb45bb23c"
+    "7fd31d662a79b23c1bd719c78196b23cda2eb862bbb3b23c53b8e162d8d0b23c8ea9cbe8d9edb23cd7486e0dc10ab33c"
+    "30b9f4e18e27b33ca15e26704444b33cd552cabae260b33c6a5805be6a7db33c64b2b26fdd99b33c033db8bf3bb6b33c"
+    "e01d569886d2b33c835a72debeeeb33c749ee071e50ab43c5d74a62dfb26b43ca4303ce80043b43c5dc7ca73f75eb43c"
+    "36c3669edf7ab43c2f8f4832ba96b43c5d4102f687b2b43cdc11b3ac49ceb43c05a6381600eab43c62555eefab05b53c"
+    "5a8b0af24d21b53c4f666ad5e63cb53cc8b21b4e7758b53c785f550e0074b53c14850ec6818fb53c591b2423fdaab53c"
+    "3d737dd172c6b53cd38c2f7be3e1b53c385e9fc84ffdb53cc31fa360b818b63ca2b0a2e81d34b63c0b26b704814fb63c"
+    "7296c957e26ab63c3731b1834286b63cb1b25029a2a1b63cbb43b3e801bdb63c52d3286162d8b63c54f86131c4f3b63c"
+    "eb688bf7270fb73cc61469518e2ab73cdcee70dcf745b73c1f73e5356561b73c49f4effad67cb73c93bdbac84d98b73c"
+    "09148b3ccab3b73cfb22dbf34ccfb73ce7de738cd6eab73c1fea86a46706b83c7686c8da0022b83c159f89cea23db83c"
+    "bdf5d11f4e59b83cc57e7a6f0375b83c2df7475fc390b83c43c005928eacb83c9c0ca1ab65c8b83c276a445149e4b83c"
+    "8fb573293a00b93c478328dc381cb93cfc0aef124638b93c8aa203796254b93ceed570bb8e70b93c312a2e89cb8cb93c"
+    "bf993f9319a9b93c2cd9d58c79c5b93c11746f2bece1b93c4ad2fa2672feb93c9236f9390c1bba3c5bc8a221bb37ba3c"
+    "88bb0b9e7f54ba3ca4a94a725a71ba3c3d31a0644c8eba3c08f19f3e56abba3ccef55acd78c8ba3c36b38be1b4e5ba3c"
+    "1aa1c34f0b03bb3c5b989af07c20bb3c000ce0a00a3ebb3c033dce41b55bbb3c27893fb97d79bb3c3cf7e5f16497bb3c"
+    "6e2585db6bb5bb3ca2c02e6b93d3bb3c83ae819bdcf1bb3ca016ec6c4810bc3c2d7af0e5d72ebc3c1c0d6e138c4dbc3c"
+    "0587ec08666cbc3c17a6ebe0668bbc3caba236bd8faabc3c90d63bc7e1c9bc3c37e068305ee9bc3c6e8f8b320609bd3c"
+    "20ef3710db28bd3c47c63315de48bd3c23f1e7961069bd3ca5fbd7f47389bd3c706e209909aabd3c0e49fcf8d2cabd3c"
+    "372e5295d1ebbd3c1cd249fb060dbe3cf646eac4742ebe3c88d1c1991c50be3c25fe972f0072be3c0abf2a4b2194be3c"
+    "086ff7c081b6be3c3aa7107623d9be3ca9ec016108fcbe3c2153c28a321fbf3c6d4db70fa442bf3c6801c9205f66bf3c"
+    "82978904668abf3cbf227118bbaebf3c85e72fd260d3bf3c0bf618c159f8bf3c75a0d347d40ec03c47c98f02a821c03c"
+    "ab02a983a934c03cc7f53e4eda47c03c7eb3adf63b5bc03c6826a723d06ec03c172e638f9882c03c54a2e8089796c03c"
+    "c4c07175cdaac03c48d4eed13dbfc03c303daa34ead3c03c936511cfd4e8c03cb69fa6effffdc03c417020046e13c13c"
+    "355dbb9b2129c13c6d09c4691d3fc13c3b2e60486455c13cf3ee9d3bf96bc13c6112d274df82c13caceb4e561a9ac13c"
+    "8e2f7f77adb1c13c94a671a99cc9c13c39aee4fbebe1c13c01d9e2c29ffac13c81cc049dbc13c23ceed36f7a472dc23c"
+    "249caca44547c23ce05876c7bc61c23c2e59a8fab27cc23c780e77cd2e98c23c520a2a5337b4c23c97db9631d4d0c23c"
+    "f578a9b10deec23ceeae56d2ec0bc33ca3a4685e7b2ac33ca312ae05c449c33c40a8337ad269c33c0a415692b38ac33c"
+    "fa88ae7075acc33ca60417b327cfc33c75f460aadbf2c33cdae5b99ca417c43c945e5415983dc43c153aa744ce64c43c"
+    "bc439c75628dc43c275a6b9d73b7c43c0289cd0d25e3c43c41ace9539f10c53c427e3a521140c53c1be44aa9b171c53c"
+    "d98d718bc0a5c53cfed03a248adcc53c4c1e86cf6916c63cea6a007bce53c63cc3e59fbe4095c63c32e2098d6bdbc63c"
+    "347a5ff02827c73c730609569579c73c8cced6f42dd4c73c34f229050339c83c147caabf0fabc83c96446f94e02ec93c"
+    "ab574001eecbc93c5a779478dc8fca3cb1fd78381f98cb3c33ad0982b43bcd3c"
+), dtype="<f8")
+_ZIG_KI = np.frombuffer(bytes.fromhex(
+    "6aef25803df30e000000000000000000a8c6fb98be080c004281bdfa54a30d00eaeec17ef6510e007ef7d3e955b20e00"
+    "b9ca7e814bef0e00aa44fa0a47190f0018cbff61ed370f005c256195464f0f0096a31be4a5610f00a49653757a700f00"
+    "9a4428ecb27c0f00d357630cf1860f00de258357a68f0f00dad04dc724970f0009f5db07a99d0f0074fa81f560a30f00"
+    "f84b5bde6fa80f00dc54d360f1ac0f000fb91867fbb00f00c674538d9fb40f0077fe6623ecb70f000ee5a1e9ecba0f00"
+    "ed0b049dabbd0f00576cff6030c00f0048a2371082c20f00d15be27aa6c40f0031ee7a97a2c60f00a49628a97ac80f00"
+    "85de4b5e32ca0f001a2302e9cccb0f00c439f8124dcd0f0099ec8f4db5ce0f0030c91dbf07d00f00e6c4d64d46d10f00"
+    "50f4e2a872d20f001ec9f04f8ed30f0078b490999ad40f00530f92b898d50f00ec998ec089d60f0032e8c8a96ed70f00"
+    "e8087b5448d80f008c2cad8b17d90f00d2ada707ddd90f008c5e107099da0f00202ec05d4ddb0f00d0fc5b5cf9db0f00"
+    "7d9ab9eb9ddc0f009d7218813bdd0f00902f3488d2dd0f00649f366463de0f004e518d70eede0f002eb4a60174df0f00"
+    "40ed9965f4df0f00f224bce46fe00f0058a225c2e6e00f004cb8283c59e10f00993fbc8cc7e10f00aa1cdbe931e20f00"
+    "911bda8598e20f008641b58ffbe20f004a8d55335be30f002a00d099b7e30f007fad9ee910e40f003477d44667e40f00"
+    "5c094cd3bae40f002495d2ae0be50f0078bc4ef759e50f001212e4c8a5e50f008986133eefe50f007810d96f36e60f00"
+    "78d5c6757be60f00aa111e66bee60f00f2f4e555ffe60f0002a700593ee70f00399e3e827be70f00a27070e3b6e70f00"
+    "4342778df0e70f008cf0539028e80f003a1735fb5ee80f00640884dc93e80f00bccef041c7e80f00f64e7d38f9e80f00"
+    "1d9b87cc29e90f00ea88d30959e90f00a29a93fb86e90f00664871acb3e90f00d5b69426dfe90f007ce6ab7309ea0f00"
+    "a466f19c32ea0f002c9532ab5aea0f001a74d5a681ea0f00f01cde97a7ea0f0020d9f385ccea0f003ce66578f0ea0f00"
+    "13ec2f7613eb0f004a2afe8535eb0f00b46231ae56eb0f00fa84e2f476eb0f001420e65f96eb0f007c9dcff4b4eb0f00"
+    "d049f4b8d2eb0f003e2e6eb1efeb0f00e8bd1ee30bec0f00155ab15227ec0f00d3af9d0442ec0f0096f129fd5bec0f00"
+    "f4ee6c4075ec0f00b40c50d28dec0f00121f91b6a5ec0f00fe27c4f0bcec0f0015fb5484d3ec0f00b3c88874e9ec0f00"
+    "b7917fc4feec0f002885357713ed0f000349848f27ed0f004c2f24103bed0f006e58adfb4ded0f00ddc3985460ed0f00"
+    "e84f411d72ed0f0082a9e45783ed0f00c82ca40694ed0f0004b7852ba4ed0f00b46a74c8b3ed0f00526641dfc2ed0f00"
+    "526ea471d1ed0f00d38a3c81dfed0f008099900feded0f0014d40f1efaed0f00c44b12ae06ee0f00065ad9c012ee0f00"
+    "e00690571eee0f0024654b7329ee0f00bce40a1534ee0f003c9bb83d3eee0f00f48229ee47ee0f0086b01d2751ee0f00"
+    "417f40e959ee0f002eb4283562ee0f00f197580b6aee0f007a073e6c71ee0f00827b325878ee0f00ba067bcf7eee0f00"
+    "b24a48d284ee0f004363b6608aee0f0051c8cc7a8fee0f00da257e2094ee0f00ea29a85198ee0f005c48130e9cee0f00"
+    "f47372559fee0f00aecc6227a2ee0f00ac426b83a4ee0f00712dfc68a6ee0f00fad66ed7a7ee0f000afa04cea8ee0f00"
+    "3b33e84ba9ee0f0010642950a9ee0f005e07c0d9a8ee0f00547689e7a7ee0f00241d4878a6ee0f00839ea28aa4ee0f00"
+    "dae4221da2ee0f002420352e9fee0f002eaf26bc9bee0f00e4f224c597ee0f003a0a3c4793ee0f00167555408eee0f00"
+    "7a9c36ae88ee0f00fd3d7f8e82ee0f0088b8a7de7bee0f00ff37ff9b74ee0f005ebda9c36cee0f007e009e5264ee0f00"
+    "8828a3455bee0f00b6574e9951ee0f00cf06004a47ee0f00502ce1533cee0f00d82ae0b230ee0f000582ad6224ee0f00"
+    "5a3cb85e17ee0f0047142aa209ee0f00cc49e327fbed0f006c2176eaebed0f007e0422e4dbed0f00d339ce0ecbed0f00"
+    "f42c0464b9ed0f00c938e9dca6ed0f008de9377293ed0f0036a8381c7fed0f002bc0b9d269ed0f0000ae068d53ed0f00"
+    "22a4de413ced0f00d82f6ae723ed0f0044e62f730aed0f0034fe07daefec0f00b8b70e10d4ec0f00b46e9508b7ec0f00"
+    "c13012b698ec0f0078a90d0a79ec0f00fe310ff557ec0f0062c9866635ec0f0035b3b44c11ec0f00d06f8e94ebeb0f00"
+    "92b6a029c4eb0f00dc0ceef59aeb0f004285c9e16feb0f009e1fadd342eb0f004b2d0bb013eb0f00e9021a59e2ea0f00"
+    "572299aeaeea0f0026e38e8d78ea0f00e573fdcf3fea0f00f6d98d4c04ea0f003b562fd6c5e90f00a447a93b84e90f00"
+    "28471d473fe90f00d6c576bdf6e80f00e6e8c45daae80f00eab17ae059e80f0040a990f604e80f00c0338248abe70f00"
+    "a56a1f754ce70f0002a22a10e8e60f00d8abb6a07de60f007e30389f0ce60f0042f7387394e50f008072977014e50f00"
+    "58f436d48be40f00371efdbff9e30f009cb1ee355de30f00fee42f12b5e20f005755990300e20f00148378823ce10f00"
+    "b067eec468e00f00aa712bb082df0f00aafe7ec587de0f00fd3bc60975dd0f0013bf29e546dc0f0082022ef8f8da0f00"
+    "75bab2e185d90f0004cf48efe6d70f000b65bdad13d60f0012f0e24901d40f00acc7b4a7a1d10f009e1f7604e2ce0f00"
+    "b2115ed8a8cb0f00222dcd6ed2c70f00ed221e2f2bc30f003ab8c08165bd0f00345400c406b60f0074282a5840ac0f00"
+    "9845011e979e0f00fc1da448fa890f002c30f0f7c5660f004a1c334b5a1a0f00"
+), dtype="<u8")

@@ -2,6 +2,7 @@ import csv
 import datetime
 import hashlib
 import math
+import os
 import re
 import sys
 from dataclasses import fields, replace
@@ -632,6 +633,15 @@ class TestSweep:
             assert code == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_the_stanza_reports_the_pool_size_next_to_the_request(self, capsys, monkeypatch, reference_config_path, tmp_path):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)  # one usable CPU
+        code, stanza, _, _ = run_cli(
+            capsys, "sweep", "--config", str(reference_config_path), "--grid", "run.seed=1,2,3,4", "--days", "2",
+            "--workers", "64", "--out", str(tmp_path / "sweep.csv"),
+        )
+        assert code == 0
+        assert (stanza["workers"], stanza["pool_workers"]) == ("64", "1")
 
     def test_key_named_twice_exits_one_naming_it(self, capsys, reference_config_path, tmp_path):
         out = tmp_path / "sweep.csv"

@@ -677,6 +677,87 @@ class TestDayKeys:
         assert log[log.index("keys") :] == ["keys", "growth"]
 
 
+def words_used(rng: np.random.Generator) -> int:
+    """The uint64 words a Philox generator has taken since ``day_rng`` built it: counter 0, buffer empty."""
+    state = rng.bit_generator.state
+    return 4 * (int(state["state"]["counter"][0]) - 1) + state["buffer_pos"]
+
+
+def reference_draw(seed: int, days: range, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each day's ``width`` normals from its own ``day_rng``, and the index of its first normal that took more than one word.
+
+    numpy's ziggurat takes one word per normal on its fast path, so a day
+    whose normals took ``width`` words took it for each; its index is then
+    ``width``.
+    """
+    normals, first_slow = np.empty((len(days), width)), np.full(len(days), width)
+    for i, day in enumerate(days):
+        rng = day_rng(seed, day)
+        rng.standard_normal(out=normals[i])
+        if words_used(rng) > width:
+            rng = day_rng(seed, day)
+            for j in range(width):
+                rng.standard_normal()
+                if words_used(rng) > j + 1:
+                    first_slow[i] = j
+                    break
+    return normals, first_slow
+
+
+def drawn_normals(monkeypatch, seed: int, days: range, width: int) -> np.ndarray:
+    """The normals that ``_draw`` hands to ``diffusion_growth`` for a block of ``days``, ``width`` per day."""
+    seen = []
+    growth = diffusion_growth
+
+    def spy(coef, z, out=None):
+        seen.append(z.copy())
+        return growth(coef, z, out=out)
+
+    monkeypatch.setattr(engine, "diffusion_growth", spy)
+    out = np.empty((len(days), width + 1))[:, 1:]  # the kernel draws into the columns after a day's anchor
+    coef = np.full(width, 0.01)
+    engine._draw(seed, days, coef, out)
+    (normals,) = seen
+    assert out.tobytes() == growth(coef, normals).tobytes()
+    return normals
+
+
+# the stop widths of a day: 1 to 4 normals take Philox counter 1, 5 to 8 counter 2 too, 9 counter 3 too
+DRAW_WIDTHS = [1, 2, 4, 5, 8, 9]
+
+
+class TestDraw:
+    @pytest.fixture(autouse=True)
+    def edge_block(self):
+        """These tests draw the kernel's own block."""
+
+    @pytest.mark.parametrize("seed", [*range(1, 21), 7, 2**32, 2**96 + 3])
+    def test_the_draw_has_the_bits_of_day_rng(self, monkeypatch, seed):
+        days = range(1, _BLOCK_DAYS + 1)
+        expected, first_slow = reference_draw(seed, days, max(DRAW_WIDTHS))
+        for width in DRAW_WIDTHS:
+            normals = drawn_normals(monkeypatch, seed, days, width)
+            assert normals.tobytes() == expected[:, :width].tobytes(), width
+            # fast-path days and redrawn days both occur, and some redrawn day took the fast path for its first normal
+            assert (first_slow >= width).any() and (first_slow < width).any()
+            assert width == 1 or ((0 < first_slow) & (first_slow < width)).any()
+
+    @pytest.mark.parametrize(
+        ("seed", "day", "tick", "price", "path"),
+        [(1, 4, 391, "0.0", "fast"), (15, 9, 0, "inf", "fast"), (7, 4, 391, "inf", "redrawn")],
+    )
+    @pytest.mark.parametrize("half_life", [None, 504.0])
+    def test_an_overflowing_noise_fails_the_day_and_tick_of_the_per_day_draw(self, seed, day, tick, price, path, half_life):
+        scenario = replace(load_config(NOISY_CONFIG).build(), noise=NoiseParams(300.0, half_life), days=200, seed=seed)
+        failure = "noise step produced a non-positive or non-finite price"
+        with pytest.raises(SimulationError, match=f"^day {day}: {failure} at tick {tick}: {price}$"):
+            simulate(scenario)
+        _, first_slow = reference_draw(seed, range(day, day + 1), 2)
+        assert path == ("fast" if first_slow[0] == 2 else "redrawn")
+        records, _, _, error = composed_run(scenario, (0, 0))
+        assert len(records) == day - 1 and str(error) == f"{failure}: {price}"
+
+
 class TestRunSim:
     @pytest.mark.parametrize("half_life", [None, 0.5])
     def test_noiseless_runs_draw_no_substream(self, monkeypatch, half_life):
