@@ -28,10 +28,10 @@ time, the last three with the market model's step functions applied to
 arrays.  Within a day it stops only at the stops and between them
 advances the price over the whole gap.  The result has the bits of composing ``advance_noise``
 once per noise step and ``apply_aggressive_trade`` once per order, in the
-order above, one day at a time, and a failing day raises the error that
-doing so raises first.  After the close, the day's fills in booking order
-and then its open must be in (0, inf): the first that is not fails the
-day.  A day without noise builds no substream.
+order above, one day at a time; after the close, the day's fills in
+booking order and then its open must be in (0, inf).  Array checks find
+a block's first failing day, and ``_fail_day`` replays that day alone
+to raise its error.  A day without noise builds no substream.
 """
 
 from __future__ import annotations
@@ -43,13 +43,14 @@ import os
 from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NoReturn
 
 import numpy as np
 
 from .agents import RoundTripTrader, orders_for_tick
 from .ledger import Ledger, book_days, first_refused_day, from_micro, mark_to_market, record_fill, to_micro
 from .market import (
+    BPS,
     ImpactParams,
     IntradayClock,
     MarketState,
@@ -369,9 +370,9 @@ def simulate(scenario: Scenario) -> SimResult:
     call, then Philox and the ziggurat's fast path over the block, and
     numpy's own draw for the few days the fast path rejects.  A noiseless
     run computes no keys and builds no generator.  A failing day raises
-    ``SimulationError`` naming it, with the error of the first check it
-    fails in the order of the module docstring; a noise step that fails
-    names the tick it ends at.
+    ``SimulationError`` naming it, with the error that ``_fail_day``
+    raises when it replays the day; a noise step that fails names the
+    tick it ends at.
     """
     book_ledger, columns = Ledger(), DayColumns()
     try:
@@ -398,22 +399,20 @@ def _run_days(scenario: Scenario, book_ledger: Ledger, columns: DayColumns) -> M
     Every day is the same but for its noise, so the set-up is computed
     once, before the first block.  The day's orders are numbered in
     booking order (tick order, then agent-list order) and tabled as
-    ``(stop, tick, spread, depth, notional)`` rows: the order's stop, its
-    tick, its tick's full spread and depth and its signed notional.  The
-    stops are, in tick order, tick 0, every tick with orders and the
-    close.  A day takes one noise step per stop, over the ticks after the
-    previous stop (from tick -1) up to it: its ``reversion_pull`` and the
-    ``diffusion_coef`` of the one normal it draws are computed per stop.
-    What does not read the price is computed as arrays over the orders:
-    ``order_impact`` (costs and impacts) and the permanent impact before
-    and after every order.  So is the first day that fails an order:
-    ``_refusal`` replays day 1's orders from the ledger's sums, one at a
-    time, which meets an order that drives the mid non-positive or that
-    the ledger refuses.  If day 1 books, every day books the same micro
-    amounts, ``first_refused_day`` finds the first day the ledger
-    refuses, and ``_refusal`` replays it for its stop and error.  Then
-    the days are computed in blocks of ``_BLOCK_DAYS``, in three steps.
-    Only the chain goes day by day:
+    ``(stop, spread, depth, notional)`` rows: the order's stop, its tick's
+    full spread and depth and its signed notional.  The stops are, in tick
+    order, tick 0, every tick with orders and the close.  A day takes one
+    noise step per stop, over the ticks after the previous stop (from tick
+    -1) up to it: its ``reversion_pull`` and the ``diffusion_coef`` of the
+    one normal it draws are computed per stop.  What does not read the
+    price is computed as arrays over the orders: ``order_impact`` (costs
+    and impacts) and the permanent impact before and after every order.
+    So is the first day whose orders are refused: day 1 if an amount does
+    not fit ``to_micro`` or an order puts ``1 + perm*BPS`` at or below 0,
+    as ``fill_order`` refuses it; otherwise ``first_refused_day``, since
+    every day books the same micro amounts.  Then the days are computed in
+    blocks of ``_BLOCK_DAYS``, in three steps.  Only the chain goes day by
+    day:
 
     1. *Draw.*  ``_draw`` fills the block's rows with each noisy day's
        normals, one per stop, those of its ``day_rng``, and
@@ -424,26 +423,24 @@ def _run_days(scenario: Scenario, book_ledger: Ledger, columns: DayColumns) -> M
        so the draw keeps no tracked object per day alive for the
        collector to walk.  A run without noise computes no keys and draws
        nothing.
-    2. *The chain*, day by day: ``noise_step`` runs stop by stop and
-       writes each stop's anchor into the row; a run with neither noise
-       nor mean reversion keeps the day's anchor at every stop.  The
-       failing day raises its refusal at its stop.
+    2. *The chain*, plain arithmetic over the days before the refused
+       day: ``noise_step`` runs stop by stop and writes each stop's anchor
+       into an array of its own, so the growth factors stay as drawn; a
+       run with neither noise nor mean reversion keeps the day's anchor at
+       every stop.  It stops after the first close outside (0, inf).
     3. *Booking*: ``fill_price`` of every fill and of the open, a fill of
-       zero spread after tick 0's orders, over the finished days, checked
+       zero spread after tick 0's orders, over the chained days, checked
        with one min and one max; then the marks, ``book_days`` and the
-       columns for the days before the first day with a price outside
-       (0, inf), which then fails.
+       columns for the days before the first failing day: the first day
+       with a price outside (0, inf), with a close outside it, or refused.
 
-    The order of the module docstring is the contract: the result is
-    bit-identical to composing ``advance_noise`` once per stop (over the
-    segment's ``gap * dt_days``) and ``apply_aggressive_trade`` once per
-    order, one day at a time, which the test suite checks at block
-    boundaries.  A day fails with the error that this composition raises
-    first: at each stop in turn its noise step, which names the stop's
-    tick, then its orders, replayed through ``fill_order`` and
-    ``record_fill`` to get their error; then the close, then the fills
-    in booking order, then the open.  A day that fails on a price of
-    step 3 comes before the block's failing chain day, so it wins.
+    That day goes to ``_fail_day``, which holds the error order.  The
+    noise steps need no check of their own: a stop's anchor outside
+    (0, inf) puts the price that reads it outside too, the open at tick 0,
+    the fills at an order's stop and the close at the close.  The result
+    is bit-identical to composing ``advance_noise`` once per stop (over
+    the segment's ``gap * dt_days``) and ``apply_aggressive_trade`` once
+    per order, one day at a time, which the tests check at block edges.
     """
     noise, dt, profile = scenario.noise, scenario.clock.dt_days, scenario.profile
     placed = sorted(
@@ -457,18 +454,18 @@ def _run_days(scenario: Scenario, book_ledger: Ledger, columns: DayColumns) -> M
     order_stop = [stop_ticks.index(tick) for tick in order_ticks]
     spreads, depths = profile.full_spread_bps[order_ticks], profile.depth[order_ticks]
     notionals = np.array([notional for _, notional in placed])
-    orders = list(zip(order_stop, order_ticks, spreads.tolist(), depths.tolist(), notionals.tolist()))
+    orders = list(zip(order_stop, spreads.tolist(), depths.tolist(), notionals.tolist()))
     gaps = [tick - last for last, tick in zip([-1, *stop_ticks], stop_ticks)]
     revert, diffuse = noise.half_life_days is not None, noise.sigma_daily > 0.0
     pulls = [reversion_pull(noise, gap * dt) if revert else None for gap in gaps]
     coef = np.array([diffusion_coef(noise, gap * dt) for gap in gaps]) if diffuse else None
     steps = diffuse or revert
     book_per_price = scenario.total_book_value / scenario.initial_mid  # marked book value per unit of price
-    # row i: day i's anchor, then its growth factors; after the chain, its anchor after each stop
-    width = len(stop_ticks) + 1
     days = range(1, scenario.days + 1)
-    rows = np.empty((min(len(days), _BLOCK_DAYS), width))
-    flat = [1.0] * width
+    block = min(len(days), _BLOCK_DAYS)
+    anchors = np.empty((block, len(stop_ticks) + 1))  # row i: day i's anchor, then its anchor after each stop
+    growth = np.empty((block, len(stop_ticks))) if diffuse else None  # row i: day i's growth factors
+    flat = [1.0] * len(stop_ticks)
     state = scenario.initial_state()
     close = anchor = state.day_anchor
     fund = state.fundamental
@@ -486,89 +483,84 @@ def _run_days(scenario: Scenario, book_ledger: Ledger, columns: DayColumns) -> M
         price_perm = np.append(perm[:-1], perm[firsts[1]])
         price_spreads, price_sides = np.append(spreads, 0.0), np.append(notionals, 1.0)
         close_perm = perm[-1].item()
-        # the first day that fails, counted from 0 (len(days) if none), and its (stop, error)
-        cash, spent = book_ledger.cash_micro, book_ledger.cumulative_cost_micro
-        refused, refusal = 0, _refusal(scenario.impact, orders, cash, spent)
-        if refusal is None:  # day 1 books, so every day books the same micro amounts
+        # the first day whose orders are refused, counted from 0; len(days) if none
+        refused = 0 if (1.0 + perm * BPS <= 0.0).any() else len(days)
+        try:
             notional_micro = list(map(to_micro, notionals.tolist()))
             cost_micro = list(map(to_micro, costs.tolist()))
+        except (ValueError, OverflowError):
+            refused = 0
+        else:
             day_cost = from_micro(sum(cost_micro))
-            refused = first_refused_day(book_ledger, notional_micro, cost_micro)
-            if refused is None or refused >= len(days):
-                refused = len(days)
-            else:
-                out, cost = sum(notional_micro) + sum(cost_micro), sum(cost_micro)
-                refusal = _refusal(scenario.impact, orders, cash - refused * out, spent + refused * cost)
-                if refusal is None:
-                    raise RuntimeError(f"day {refused + 1}: first_refused_day refused an order that record_fill books")
+            first = first_refused_day(book_ledger, notional_micro, cost_micro)
+            refused = refused if first is None else min(refused, first)
         for start in range(0, len(days), _BLOCK_DAYS):
             n = min(_BLOCK_DAYS, len(days) - start)
-            path = rows[:n]
 
             # 1. draw
             if diffuse:
-                _draw(scenario.seed, days[start : start + n], coef, path[:, 1:])
+                _draw(scenario.seed, days[start : start + n], coef, growth[:n])
 
-            # 2. the chain; the failing day raises at the stop of its first refused order
-            bad_day = refused - start
-            prev = close
-            closes: list[float] = []
-            try:
-                for i in range(n):
-                    row = path[i]
-                    row[0] = anchor = close
-                    if steps:
-                        growth = row.tolist() if diffuse else flat
-                        for s, tick in enumerate(stop_ticks):
-                            anchor = noise_step(anchor, tick_perm[s], fund, pulls[s], growth[s + 1])
-                            check_noise_price(anchor, tick=tick)
-                            row[s + 1] = anchor
-                            if i == bad_day and s == refusal[0]:
-                                raise refusal[1]
-                    elif i == bad_day:
-                        raise refusal[1]
-                    close = mid_price(anchor, close_perm)
-                    if not 0.0 < close < math.inf:
-                        raise ValueError(f"close is non-positive or non-finite: {close}")
-                    closes.append(close)
+            # 2. the chain, over the days before the refused day, up to the first close outside (0, inf)
+            m = min(n, refused - start)
+            closes = [close]
+            for i in range(m):
+                row = anchors[i]
+                row[0] = anchor = close
+                if steps:
+                    factors = growth[i].tolist() if diffuse else flat
+                    for s, pull in enumerate(pulls):
+                        anchor = noise_step(anchor, tick_perm[s], fund, pull, factors[s])
+                        row[s + 1] = anchor
+                close = mid_price(anchor, close_perm)
+                closes.append(close)
+                if not 0.0 < close < math.inf:
+                    m = i
+                    break
 
-            # 3. booking the finished days before the first with a price out of range, also when a day fails
-            finally:
-                if closes:
-                    m = len(closes)
-                    now = np.array(closes)
-                    prevs = np.concatenate(([prev], now[:-1]))
-                    priced = fill_price(path[:m, price_col], price_perm, price_spreads, price_sides)
-                    if not (0.0 < priced.min() and priced.max() < math.inf):  # a NaN fails this too
-                        bad = ~((priced > 0.0) & (priced < math.inf))
-                        m = bad.any(axis=1).argmax().item()  # the first day with a price out of range fails
-                    gains = mark_to_market(book_per_price * prevs[:m], prevs[:m], now[:m])
-                    book_days(book_ledger, priced[:m, :-1], m, notional_micro, cost_micro)
-                    columns.extend(prevs[:m], priced[:m, -1], now[:m], np.full(m, day_cost), gains)
-                    if m < len(closes):
-                        j = bad[m].argmax()
-                        name = "open" if j == len(orders) else f"fill at tick {order_ticks[j]}"
-                        raise ValueError(f"{name} is non-positive or non-finite: {priced[m, j].item()}")
+            # 3. booking the days before the first failing day, which is then replayed for its error
+            priced = fill_price(anchors[:m, price_col], price_perm, price_spreads, price_sides)
+            if m and not (0.0 < priced.min() and priced.max() < math.inf):  # a NaN fails this too
+                m = (~((priced > 0.0) & (priced < math.inf))).any(axis=1).argmax().item()
+            if m:
+                path = np.array(closes[: m + 1])
+                prevs, now = path[:-1], path[1:]
+                gains = mark_to_market(book_per_price * prevs, prevs, now)
+                book_days(book_ledger, priced[:m, :-1], m, notional_micro, cost_micro)
+                columns.extend(prevs, priced[:m, -1], now, np.full(m, day_cost), gains)
+            if m < n:
+                factors = growth[m].tolist() if diffuse else flat
+                _fail_day(scenario.impact, orders, stop_ticks, pulls, fund, closes[m], factors, book_ledger)
     return MarketState(anchor, fund, close_perm)
 
 
-def _refusal(impact: ImpactParams, orders: list[tuple], cash_micro: int, cost_micro: int) -> tuple[int, Exception] | None:
-    """The stop and error of the first order that booking a day's orders one at a time refuses; None if it books them.
+def _fail_day(impact: ImpactParams, orders: list[tuple], stop_ticks: list[int], pulls: list, fund: float,
+              anchor: float, growth: list[float], ledger: Ledger) -> NoReturn:
+    """Replay a day that the kernel's checks fail and raise its error, the first that its composition raises.
 
-    Replays the day's ``(stop, tick, spread, depth, notional)`` order rows,
-    from ledger sums at the day's start, through ``fill_order`` and
-    ``record_fill`` on a scratch ledger, so the error and its message are
-    theirs.
+    The day starts from ``anchor``, its ``growth`` factors and the sums of
+    ``ledger``.  At each stop in turn it runs ``noise_step`` and
+    ``check_noise_price``, which names the stop's tick, then the stop's
+    ``(stop, spread, depth, notional)`` order rows through ``fill_order``
+    and ``record_fill`` on a scratch ledger; then it checks the close, the
+    fills in booking order and the open.  A day that raises nothing raises
+    ``RuntimeError``.
     """
-    ledger = Ledger(cash_micro, cost_micro)
-    perm = 0.0
-    try:
-        for s, tick, spread, depth, notional in orders:
-            fill, cost, perm = fill_order(impact, spread, depth, 1.0, perm, notional, tick)
-            record_fill(ledger, fill, notional, cost)
-    except (ValueError, OverflowError) as exc:
-        return s, exc
-    return None
+    scratch = Ledger(ledger.cash_micro, ledger.cumulative_cost_micro)
+    perm, prices = 0.0, []
+    for s, tick in enumerate(stop_ticks):
+        anchor = noise_step(anchor, perm, fund, pulls[s], growth[s])
+        check_noise_price(anchor, tick=tick)
+        for _, spread, depth, notional in (order for order in orders if order[0] == s):
+            fill, cost, perm = fill_order(impact, spread, depth, anchor, perm, notional, tick)
+            record_fill(scratch, fill, notional, cost)
+            prices.append((f"fill at tick {tick}", fill))
+        if not s:
+            open_price = mid_price(anchor, perm)
+    for name, price in [("close", mid_price(anchor, perm)), *prices, ("open", open_price)]:
+        if not 0.0 < price < math.inf:
+            raise ValueError(f"{name} is non-positive or non-finite: {price}")
+    raise RuntimeError("the kernel's checks failed a day whose replay raises no error")
 
 
 def run_sim(scenario: Scenario) -> list[DayRecord]:

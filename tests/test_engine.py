@@ -89,13 +89,27 @@ class TestRunDay:
         assert nudge_bps(rr) == -nudge_bps(rf)
         assert rr.total_cost == rf.total_cost
 
-    def test_day_aborts_name_the_day(self):
-        # a sell-first schedule with absurd impact drives the mid non-positive
+    @pytest.mark.parametrize("tick", [0, 5])
+    @pytest.mark.parametrize("half_life", [None, 504.0, 1e-6])
+    @pytest.mark.parametrize("sigma", [0.0, 0.01])
+    def test_day_aborts_name_the_day(self, sigma, half_life, tick):
+        # a sell-first schedule with absurd impact drives the mid non-positive; a step of the mid past that
+        # order would take a negative power under mean reversion, so the refused day must not be stepped
         profile = SpreadDepthProfile.constant(392, 15.0, 1e4)
-        agent = RoundTripTrader(1e9, 10.0, -1e7, buy_tick=0, sell_tick=391)
-        scenario = replace(make_scenario(days=3, lam=1e7, agents=(agent,)), profile=profile)
-        with pytest.raises(SimulationError, match="day 1"):
+        agent = RoundTripTrader(1e9, 10.0, -1e7, buy_tick=tick, sell_tick=391)
+        scenario = replace(
+            make_scenario(days=3, lam=1e7, sigma=sigma, half_life=half_life, agents=(agent,)), profile=profile
+        )
+        message = (
+            f"trade of -10000000.0 at tick {tick} would drive the mid non-positive "
+            "(cumulative permanent impact -75000000000.0 bps)"
+        )
+        with pytest.raises(SimulationError, match=f"^day 1: {re.escape(message)}$"):
             run_sim(scenario)
+        columns, ledger = DayColumns(), Ledger()
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            _run_days(scenario, ledger, columns)
+        assert len(columns) == 0 and ledger == Ledger()
 
     def test_multi_agent_day_matches_single_agent_aggregate(self):
         from daydrift import split_trader
@@ -505,9 +519,13 @@ class TestErrorsAtBlockEdges:
     @pytest.mark.parametrize("seed", SPIKE_SEEDS)
     @pytest.mark.parametrize("spike_day", [TEST_BLOCK_DAYS, TEST_BLOCK_DAYS + 1])
     @pytest.mark.parametrize(("case", "step", "tick"), [("noisy-path", 0, 0), ("interior-trades-diffusing", 2, 40)])
-    def test_a_failing_segment_names_its_stop_tick(self, monkeypatch, case, step, tick, spike_day, seed):
-        # stops at ticks 0 and 391 on noisy-path; at 0, 5, 40, 50 and 63 on interior-trades-diffusing
-        scenario = replace(bitwise_case(case), days=2 * TEST_BLOCK_DAYS, seed=seed)
+    @pytest.mark.parametrize("half_life", [None, 1e-6])
+    def test_a_failing_segment_names_its_stop_tick(self, monkeypatch, half_life, case, step, tick, spike_day, seed):
+        # stops at ticks 0 and 391 on noisy-path; at 0, 5, 40, 50 and 63 on interior-trades-diffusing.  A half-life
+        # far below a tick reverts the mid fully at the next stop, so the close is finite after the spike
+        scenario = bitwise_case(case)
+        noise = replace(scenario.noise, half_life_days=half_life)
+        scenario = replace(scenario, noise=noise, days=2 * TEST_BLOCK_DAYS, seed=seed)
         spike_on(monkeypatch, spike_day, step)
         with pytest.raises(SimulationError, match=rf"^day {spike_day}: noise step produced .* at tick {tick}: inf$"):
             simulate(scenario)
