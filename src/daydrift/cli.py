@@ -28,6 +28,7 @@ from .engine import (
     run_sweep,
     simulate,
     summarize,
+    sweep_paths,
     write_daily_csv,
 )
 from .ledger import AccountingError
@@ -179,8 +180,9 @@ def cmd_sweep(args) -> int:
         if not cell.ok:
             label = ", ".join(f"{k}={v!r}" for k, v in cell.params)
             print(f"  failed cell [{label}]: {cell.error}")
-    _stanza({"cells": len(cells), "ok": ok, "failed": failed, "workers": args.workers,
-            "pool_workers": pool_workers(args.workers, len(cells)), "out": args.out})
+    paths = len(sweep_paths([cell.params for cell in cells]))
+    _stanza({"cells": len(cells), "ok": ok, "failed": failed, "paths": paths, "workers": args.workers,
+            "pool_workers": pool_workers(args.workers, paths), "out": args.out})
     return EXIT_OK if ok else EXIT_RUNTIME
 
 
@@ -251,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
         "e.g. agents.book_value=1e7,1e8,1e9",
     )
     sweep_p.add_argument("--out", required=True, help="sweep table CSV path")
-    sweep_p.add_argument("--workers", type=int, default=1, help="parallel runs (result is order-independent)")
+    sweep_p.add_argument("--workers", type=int, default=1, help="parallel price paths (result is order-independent)")
     sweep_p.add_argument("--seed", type=int, default=None, help="override run.seed")
     sweep_p.add_argument("--days", type=int, default=None, help="override run.days")
     sweep_p.set_defaults(func=cmd_sweep)

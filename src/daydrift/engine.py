@@ -460,7 +460,6 @@ def _run_days(scenario: Scenario, book_ledger: Ledger, columns: DayColumns) -> M
     pulls = [reversion_pull(noise, gap * dt) if revert else None for gap in gaps]
     coef = np.array([diffusion_coef(noise, gap * dt) for gap in gaps]) if diffuse else None
     steps = diffuse or revert
-    book_per_price = scenario.total_book_value / scenario.initial_mid  # marked book value per unit of price
     days = range(1, scenario.days + 1)
     block = min(len(days), _BLOCK_DAYS)
     anchors = np.empty((block, len(stop_ticks) + 1))  # row i: day i's anchor, then its anchor after each stop
@@ -525,13 +524,17 @@ def _run_days(scenario: Scenario, book_ledger: Ledger, columns: DayColumns) -> M
             if m:
                 path = np.array(closes[: m + 1])
                 prevs, now = path[:-1], path[1:]
-                gains = mark_to_market(book_per_price * prevs, prevs, now)
                 book_days(book_ledger, priced[:m, :-1], m, notional_micro, cost_micro)
-                columns.extend(prevs, priced[:m, -1], now, np.full(m, day_cost), gains)
+                columns.extend(prevs, priced[:m, -1], now, np.full(m, day_cost), _gains(scenario, prevs, now))
             if m < n:
                 factors = growth[m].tolist() if diffuse else flat
                 _fail_day(scenario.impact, orders, stop_ticks, pulls, fund, closes[m], factors, book_ledger)
     return MarketState(anchor, fund, close_perm)
+
+
+def _gains(scenario: Scenario, prevs: np.ndarray, now: np.ndarray) -> np.ndarray:
+    """The gains of the scenario's book, marked in proportion to the price, over closes ``now`` after ``prevs``."""
+    return mark_to_market(scenario.total_book_value / scenario.initial_mid * prevs, prevs, now)
 
 
 def _fail_day(impact: ImpactParams, orders: list[tuple], stop_ticks: list[int], pulls: list, fund: float,
@@ -667,23 +670,64 @@ class SweepCell:
         return self.error is None
 
 
-def _run_cell(args: tuple[ScenarioConfig, tuple[tuple[str, float], ...]]) -> SweepCell:
-    base, params = args
-    try:
-        summary = summarize(simulate(base.sweep_cell(params)).columns)
-        return SweepCell(params, summary, None)
-    except Exception as exc:  # cell failures must not abort the sweep
-        return SweepCell(params, None, f"{type(exc).__name__}: {exc}")
+def _error(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
 
 
-def pool_workers(workers: int, cells: int) -> int:
-    """The processes a sweep of ``cells`` cells runs on when ``workers`` are asked for; 1 runs them in this one.
+def _run_path(args: tuple[ScenarioConfig, list[tuple[tuple[str, float], ...]]]) -> list[SweepCell]:
+    """The cells of one price path (``sweep_paths``): one ``simulate``, then each cell's gains marked at its book.
 
-    At most one per cell and per CPU this process may run on, since the
+    Each cell is built on its own, so a cell whose build fails fails alone.
+    The cells that build differ only in the agents' capital and leverage,
+    which only ``_gains`` reads; the first is simulated, and if that fails,
+    so does each of them, with its error.
+    """
+    base, path = args
+    cells, run = [], None
+    for params in path:
+        try:
+            scenario = base.sweep_cell(params)
+        except Exception as exc:  # cell failures must not abort the sweep
+            cells.append(SweepCell(params, None, _error(exc)))
+            continue
+        if run is None:  # the first cell that builds
+            try:
+                run = simulate(scenario).columns
+            except Exception as exc:
+                run = _error(exc)
+        if isinstance(run, str):
+            cells.append(SweepCell(params, None, run))
+            continue
+        # the run's columns are this path's own, so each cell overwrites the gains in place
+        np.frombuffer(run.mtm_gain)[:] = _gains(scenario, np.frombuffer(run.prev_close), np.frombuffer(run.close))
+        cells.append(SweepCell(params, summarize(run), None))
+    return cells
+
+
+# the keys that set the agents' book, which only the gains read
+_BOOK_KEYS = ("agents.book_value", "agents.capital", "agents.leverage")
+
+
+def sweep_paths(cells: list[tuple[tuple[str, float], ...]]) -> list[list[int]]:
+    """The indices of sweep ``cells`` grouped by price path: cells whose other keys print the same share one.
+
+    Groups are in order of their first cell, and each in grid order.
+    Values are compared by ``repr``, so ``0.0`` and ``-0.0`` run apart.
+    """
+    paths: dict[str, list[int]] = {}
+    for i, params in enumerate(cells):
+        paths.setdefault(repr([param for param in params if param[0] not in _BOOK_KEYS]), []).append(i)
+    return list(paths.values())
+
+
+def pool_workers(workers: int, paths: int) -> int:
+    """The processes a sweep of ``paths`` price paths runs on when ``workers`` are asked for; 1 runs them in this one.
+
+    At most one per path and per CPU this process may run on, since the
     pool starts all its workers at once.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return max(1, min(workers, cells, cpus))
+    return max(1, min(workers, paths, cpus))
 
 
 def run_sweep(
@@ -691,16 +735,21 @@ def run_sweep(
     grid: list[tuple[str, list[float]]],
     workers: int = 1,
 ) -> list[SweepCell]:
-    """Run one scenario per grid point (cartesian product, row-major order).
+    """One summary per grid point (cartesian product, row-major order), from one price path per group of cells.
 
     A cell's scenario is ``base`` with each of the cell's keys set, then
     built (``ScenarioConfig.sweep_cell``): the scenario that a config
-    setting those keys builds.  Cells run independently, on
-    ``pool_workers(workers, cells)`` processes; results are merged in grid
-    order, so the output is identical whatever the worker count.  A failing
-    cell is reported in its row and does not abort the others.  A grid that names
-    a key twice, or both ``agents.book_value`` and ``agents.capital``, is a
-    ``ValueError``: its cells would not run the values their rows show.
+    setting those keys builds.  Cells that differ only in the book's keys
+    (``agents.book_value``, ``agents.capital``, ``agents.leverage``) share
+    one price path (``sweep_paths``), which ``_run_path`` simulates once
+    and marks per cell, so each cell's summary has the bits of its own
+    run.  Paths run independently, on ``pool_workers(workers, paths)``
+    processes; results are merged in grid order, so the output is identical
+    whatever the worker count.  A failing cell is reported in its row and
+    does not abort the others; a failing run fails every cell of its path.
+    A grid that names a key twice, or both ``agents.book_value`` and
+    ``agents.capital``, is a ``ValueError``: its cells would not run the
+    values their rows show.
     """
     from .config import KEYS  # config imports this module
 
@@ -717,12 +766,17 @@ def run_sweep(
             raise ValueError(f"sweep key {key!r} has no values")
     if "agents.book_value" in keys and "agents.capital" in keys:
         raise ValueError("sweep keys 'agents.book_value' and 'agents.capital' both set the capital; sweep one of them")
-    jobs = [(base, tuple(zip(keys, values))) for values in itertools.product(*(values for _, values in grid))]
+    cells = [tuple(zip(keys, values)) for values in itertools.product(*(values for _, values in grid))]
+    paths = sweep_paths(cells)
+    jobs = [(base, [cells[i] for i in path]) for path in paths]
     workers = pool_workers(workers, len(jobs))
     if workers == 1:
-        return [_run_cell(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_cell, jobs))
+        runs = list(map(_run_path, jobs))
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            runs = list(pool.map(_run_path, jobs))
+    swept = dict(zip(itertools.chain(*paths), itertools.chain(*runs)))
+    return [swept[i] for i in range(len(cells))]
 
 
 # --- the ziggurat tables -------------------------------------------------------

@@ -643,6 +643,17 @@ class TestSweep:
         assert code == 0
         assert (stanza["workers"], stanza["pool_workers"]) == ("64", "1")
 
+    def test_the_stanza_counts_price_paths_and_sizes_the_pool_by_them(
+        self, capsys, monkeypatch, reference_config_path, tmp_path
+    ):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)  # four usable CPUs
+        code, stanza, _, _ = run_cli(
+            capsys, "sweep", "--config", str(reference_config_path), "--grid", "agents.book_value=1e7,1e8,1e9,1e10",
+            "--workers", "4", "--out", str(tmp_path / "sweep.csv"),
+        )
+        assert code == 0
+        assert (stanza["cells"], stanza["paths"], stanza["workers"], stanza["pool_workers"]) == ("4", "1", "4", "1")
+
     def test_key_named_twice_exits_one_naming_it(self, capsys, reference_config_path, tmp_path):
         out = tmp_path / "sweep.csv"
         code, _, _, err = run_cli(

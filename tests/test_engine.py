@@ -1,5 +1,6 @@
 import copy
 import gc
+import itertools
 import math
 import os
 import re
@@ -1154,6 +1155,74 @@ class TestRunSweep:
 
         crossing = locate_zero_crossing([1e7, 1e8, 1e9, 1e10], nets)
         assert crossing == pytest.approx(1e8, rel=0.02)
+
+
+def noisy_base(**kwargs) -> ScenarioConfig:
+    """noisy.ini (seed 7) at 150 days, so the 64-day test block splits a run into three."""
+    return replace(load_config(NOISY_CONFIG), days=150, **kwargs)
+
+
+class TestSweepPaths:
+    """A sweep simulates one price path per group of cells that differ only in the book, and marks each cell."""
+
+    @staticmethod
+    def per_cell(base: ScenarioConfig, grid: list) -> list[str]:
+        """Each cell of ``grid`` built and simulated on its own, as ``repr``: a NaN ratio never equals itself."""
+        keys, cells = [key for key, _ in grid], []
+        for values in itertools.product(*(values for _, values in grid)):
+            params = tuple(zip(keys, values))
+            try:
+                cells.append(engine.SweepCell(params, summarize(simulate(base.sweep_cell(params)).columns), None))
+            except Exception as exc:
+                cells.append(engine.SweepCell(params, None, f"{type(exc).__name__}: {exc}"))
+        return list(map(repr, cells))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        ("base", "grid"),
+        [
+            (noisy_base(), [("run.seed", [1, 2]), ("agents.book_value", [1e7, 1e8, 1e10])]),
+            (noisy_base(), [("agents.book_value", [1e7, 1e8, 1e10]), ("run.seed", [1, 2])]),  # paths interleave
+            (noisy_base(), [("agents.leverage", [2.0, 10.0]), ("agents.book_value", [1e7, 3e8, 1e10])]),
+            (noisy_base(count=3), [("agents.capital", [5e8, 1e9, 2e9]), ("run.seed", [3])]),
+            (noisy_base(enabled=False), [("agents.book_value", [1e7, 1e10])]),  # no cost: a NaN gain/cost ratio
+            (noisy_base(), [("noise.sigma_daily", [0.01, 300.0]), ("agents.book_value", [1e7, 5e6, 1e10])]),
+        ],
+        ids=["book-last", "book-first", "leverage", "count-3-capital", "disabled", "failing-path"],
+    )
+    def test_each_cell_summarizes_its_own_run(self, base, grid, workers):
+        assert list(map(repr, run_sweep(base, grid, workers))) == self.per_cell(base, grid)
+
+    def test_a_failing_run_fails_every_cell_of_its_path_with_its_error(self):
+        cells = run_sweep(noisy_base(sigma_daily=300.0), [("agents.book_value", [1e7, 1e8, 1e10])])
+        error = "SimulationError: day 4: noise step produced a non-positive or non-finite price at tick 391: inf"
+        assert [cell.error for cell in cells] == [error] * 3
+
+    @pytest.mark.parametrize("books", [[5e6, 1e8, 1e10], [1e8, 5e6, 1e10]])
+    def test_a_book_the_build_rejects_fails_alone(self, books):
+        cells = run_sweep(noisy_base(), [("agents.book_value", books)])
+        rejected = books.index(5e6)
+        assert [cell.ok for cell in cells] == [i != rejected for i in range(3)]
+        assert cells[rejected].error == (
+            "ValueError: agents.book_value: leg_notional 10000000.0 exceeds book value 5000000.0"
+        )
+
+    @pytest.mark.parametrize(
+        ("grid", "runs"),
+        [
+            ([("agents.book_value", [1e7, 1e8, 1e9, 1e10])], 1),  # criterion 5's grid
+            ([("agents.book_value", [1e7, 3e7, 1e8, 3e8, 1e9, 1e10]), ("run.seed", [1, 2])], 2),
+        ],
+    )
+    def test_a_sweep_simulates_once_per_price_path(self, monkeypatch, grid, runs):
+        calls = []
+        monkeypatch.setattr(engine, "simulate", lambda scenario: calls.append(scenario) or simulate(scenario))
+        cells = run_sweep(replace(load_config(REFERENCE_CONFIG), days=20), grid, workers=1)
+        assert all(cell.ok for cell in cells) and len(calls) == runs
+
+    def test_paths_group_by_the_printed_values_of_the_other_keys(self):
+        cells = [(("impact.lambda", lam), ("agents.leverage", lev)) for lam in (0.0, -0.0, 0) for lev in (2.0, 5.0)]
+        assert engine.sweep_paths(cells) == [[0, 1], [2, 3], [4, 5]]
 
 
 class TestScenarioValidation:
