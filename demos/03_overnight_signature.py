@@ -13,11 +13,10 @@ seeds (as the test suite does) and the split is unambiguous.
 
 from dataclasses import replace
 
-from daydrift import PriceSeries, decompose, load_config, run_sim, write_decomposition_csv
+from daydrift import PriceSeries, decompose, load_config, simulate, write_decomposition_csv
 
 scenario = load_config("configs/noisy.ini").build()
-records = run_sim(scenario)
-result = decompose(PriceSeries.from_day_records(records))
+result = decompose(PriceSeries.from_day_records(simulate(scenario).columns))
 
 print(f"{scenario.days} noisy days, trader enabled (seed {scenario.seed}):")
 print(f"  cumulative overnight factor  {result.cumulative_overnight:8.4f}")
@@ -26,7 +25,7 @@ print(f"  cumulative total factor      {result.cumulative_total:8.4f}")
 print(f"  product identity gap         {result.identity_gap:.2e}")
 
 control = replace(scenario, agents=tuple(replace(a, enabled=False) for a in scenario.agents))
-control_result = decompose(PriceSeries.from_day_records(run_sim(control)))
+control_result = decompose(PriceSeries.from_day_records(simulate(control).columns))
 print()
 print("same seed with the trader disabled:")
 print(f"  cumulative overnight factor  {control_result.cumulative_overnight:8.4f}")

@@ -3,8 +3,9 @@
 Each trading day splits into an overnight return (open versus the prior
 close) and an intraday return (close versus open); their compounding is
 exactly the close-to-close return.  The decomposition here works the same
-on simulated day records and on ingested OHLC data, and reports both the
-per-day returns and the cumulative growth factors of each bucket.
+on a simulated run's columns or day records and on ingested OHLC data,
+and reports both the per-day returns and the cumulative growth factors of
+each bucket.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from array import array
 from dataclasses import dataclass
 
 import numpy as np
+
+from .engine import DayColumns
 
 DECOMPOSITION_CSV_HEADER = "day,overnight_ret,intraday_ret,cum_overnight,cum_intraday,cum_total"
 _TINY, _HUGE = np.finfo(float).tiny, np.finfo(float).max
@@ -57,7 +60,14 @@ class PriceSeries:
 
     @classmethod
     def from_day_records(cls, records) -> "PriceSeries":
-        """Build from objects carrying day/prev_close/open/close attributes."""
+        """Build from a run's ``DayColumns``, read as arrays, or from objects carrying day/prev_close/open/close attributes."""
+        if isinstance(records, DayColumns):
+            return cls(
+                days=range(1, len(records) + 1),
+                prev_close=np.array(records.prev_close),
+                open=np.array(records.open),
+                close=np.array(records.close),
+            )
         return cls(
             days=tuple(r.day for r in records),
             prev_close=np.array([r.prev_close for r in records], dtype=float),

@@ -25,13 +25,16 @@ read the price, and each stop's noise coefficients.  The kernel works in
 blocks of days.  Only the price chain goes day by day; the noise draw,
 the fill prices, the marks and the ledger are computed over a block at a
 time, the last three with the market model's step functions applied to
-arrays.  Within a day it stops only at the stops and between them
+arrays.  The chain runs over plain floats: each block's growth factors
+are read as one flat list, and each day's anchors are appended to one
+float array.  Within a day it stops only at the stops and between them
 advances the price over the whole gap.  The result has the bits of composing ``advance_noise``
 once per noise step and ``apply_aggressive_trade`` once per order, in the
 order above, one day at a time; after the close, the day's fills in
 booking order and then its open must be in (0, inf).  Array checks find
 a block's first failing day, and ``_fail_day`` replays that day alone
 to raise its error.  A day without noise builds no substream.
+``DayRecord``s are built only when read, a field's column at a time.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ import math
 import operator
 import os
 from array import array
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, NoReturn
@@ -321,7 +325,9 @@ class DayColumns:
     """A run's per-day numbers as float64 columns named by ``_DAY_COLUMNS``; row ``i`` is day ``i + 1``.
 
     The run kernel appends each booked block of days with ``extend``.  The
-    net P&L (gain minus cost) and the ``DayRecord``s are computed when read.
+    net P&L (gain minus cost) and the ``DayRecord``s are computed when read:
+    ``records`` sets each record field from its whole column (``_day_records``),
+    and ``PriceSeries.from_day_records`` reads the price columns with no rows.
     """
 
     def __init__(self):
@@ -337,7 +343,21 @@ class DayColumns:
             getattr(self, name).frombytes(block.tobytes())
 
     def records(self) -> list[DayRecord]:
-        return list(map(DayRecord, *(column.tolist() for column in _table(self))))
+        return _day_records([column.tolist() for column in _table(self)])
+
+
+def _day_records(columns: list) -> list[DayRecord]:
+    """``DayRecord``s from their columns, one per field in order, set a whole column at a time.
+
+    Each row is made with ``object.__new__`` and each field set by mapping
+    its slot descriptor's setter over the rows and the column, in C, so no
+    Python frame runs per row.  The rows equal, hash, print and pickle as
+    ``DayRecord(...)`` of the same values do, and stay frozen.
+    """
+    rows = list(map(object.__new__, itertools.repeat(DayRecord, len(columns[0]))))
+    for field, column in zip(fields(DayRecord), columns):
+        deque(map(getattr(DayRecord, field.name).__set__, rows, column), maxlen=0)
+    return rows
 
 
 def _table(days: "DayColumns | list[DayRecord] | tuple[DayRecord, ...]") -> list[np.ndarray]:
@@ -423,11 +443,13 @@ def _run_days(scenario: Scenario, book_ledger: Ledger, columns: DayColumns) -> M
        so the draw keeps no tracked object per day alive for the
        collector to walk.  A run without noise computes no keys and draws
        nothing.
-    2. *The chain*, plain arithmetic over the days before the refused
-       day: ``noise_step`` runs stop by stop and writes each stop's anchor
-       into an array of its own, so the growth factors stay as drawn; a
-       run with neither noise nor mean reversion keeps the day's anchor at
-       every stop.  It stops after the first close outside (0, inf).
+    2. *The chain*, plain arithmetic on floats over the days before the
+       refused day: the block's growth factors are read as one flat list,
+       ``noise_step`` takes them stop by stop, and each day's anchor and
+       its anchor after each stop are appended to one float array, read
+       back as the block's anchor rows; a run with neither noise nor mean
+       reversion keeps only the day's anchor.  No object per day outlives
+       its day.  It stops after the first close outside (0, inf).
     3. *Booking*: ``fill_price`` of every fill and of the open, a fill of
        zero spread after tick 0's orders, over the chained days, checked
        with one min and one max; then the marks, ``book_days`` and the
@@ -462,9 +484,8 @@ def _run_days(scenario: Scenario, book_ledger: Ledger, columns: DayColumns) -> M
     steps = diffuse or revert
     days = range(1, scenario.days + 1)
     block = min(len(days), _BLOCK_DAYS)
-    anchors = np.empty((block, len(stop_ticks) + 1))  # row i: day i's anchor, then its anchor after each stop
     growth = np.empty((block, len(stop_ticks))) if diffuse else None  # row i: day i's growth factors
-    flat = [1.0] * len(stop_ticks)
+    width = len(stop_ticks) + 1 if steps else 1  # a day's anchor, then its anchor after each stop
     state = scenario.initial_state()
     close = anchor = state.day_anchor
     fund = state.fundamental
@@ -502,32 +523,34 @@ def _run_days(scenario: Scenario, book_ledger: Ledger, columns: DayColumns) -> M
 
             # 2. the chain, over the days before the refused day, up to the first close outside (0, inf)
             m = min(n, refused - start)
-            closes = [close]
+            factors = iter(growth[:m].ravel().tolist()) if diffuse else itertools.repeat(1.0)
+            chained, closes = array("d"), array("d", [close])
             for i in range(m):
-                row = anchors[i]
-                row[0] = anchor = close
+                chained.append(close)
+                anchor = close
                 if steps:
-                    factors = growth[i].tolist() if diffuse else flat
-                    for s, pull in enumerate(pulls):
-                        anchor = noise_step(anchor, tick_perm[s], fund, pull, factors[s])
-                        row[s + 1] = anchor
+                    # zip ends the day on pulls, before it takes the next day's first factor
+                    for pull, stop_perm, factor in zip(pulls, tick_perm, factors):
+                        anchor = noise_step(anchor, stop_perm, fund, pull, factor)
+                        chained.append(anchor)
                 close = mid_price(anchor, close_perm)
                 closes.append(close)
                 if not 0.0 < close < math.inf:
                     m = i
                     break
+            anchors = np.frombuffer(chained).reshape(-1, width)  # row i: day i's anchors
 
             # 3. booking the days before the first failing day, which is then replayed for its error
             priced = fill_price(anchors[:m, price_col], price_perm, price_spreads, price_sides)
             if m and not (0.0 < priced.min() and priced.max() < math.inf):  # a NaN fails this too
                 m = (~((priced > 0.0) & (priced < math.inf))).any(axis=1).argmax().item()
             if m:
-                path = np.array(closes[: m + 1])
+                path = np.frombuffer(closes)[: m + 1]
                 prevs, now = path[:-1], path[1:]
                 book_days(book_ledger, priced[:m, :-1], m, notional_micro, cost_micro)
                 columns.extend(prevs, priced[:m, -1], now, np.full(m, day_cost), _gains(scenario, prevs, now))
             if m < n:
-                factors = growth[m].tolist() if diffuse else flat
+                factors = growth[m].tolist() if diffuse else [1.0] * len(pulls)
                 _fail_day(scenario.impact, orders, stop_ticks, pulls, fund, closes[m], factors, book_ledger)
     return MarketState(anchor, fund, close_perm)
 
@@ -654,7 +677,7 @@ def read_daily_csv(path) -> list[DayRecord]:
     with open(path, "r", encoding="utf-8-sig") as fh:
         if (header := fh.readline().rstrip("\n")) != DAILY_CSV_HEADER:
             raise ValueError(f"not a daily simulation CSV: header is {header!r}")
-        return list(map(DayRecord, *read_daily_columns(fh)))
+        return _day_records(read_daily_columns(fh))
 
 
 # --- parameter sweeps -------------------------------------------------------

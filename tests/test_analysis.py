@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -15,15 +16,18 @@ from daydrift import (
     decompose,
     doubling_time,
     ingest_ohlc_csv,
+    load_config,
     locate_zero_crossing,
     run_sim,
+    simulate,
     write_daily_csv,
     write_decomposition_csv,
 )
-from daydrift.analysis import DECOMPOSITION_CSV_HEADER
+from daydrift.analysis import DECOMPOSITION_CSV_HEADER, DecompositionResult
+from daydrift.engine import DayColumns
 
 from composition import make_scenario
-from conftest import REPO_ROOT
+from conftest import NOISY_CONFIG, REFERENCE_CONFIG, REPO_ROOT
 
 
 LOG_TINY = math.log(np.finfo(float).tiny)
@@ -141,6 +145,20 @@ class TestDecompose:
         assert result.cumulative_overnight > 1.0
         assert result.cumulative_intraday < 1.0
         assert result.cumulative_total == pytest.approx(1.0001**252, rel=1e-9)
+
+    @pytest.mark.parametrize("config", [NOISY_CONFIG, REFERENCE_CONFIG], ids=["noisy", "reference"])
+    def test_columns_decompose_as_their_records(self, monkeypatch, config):
+        result = simulate(replace(load_config(config).build(), days=300))
+        by_records = decompose(PriceSeries.from_day_records(result.records))
+
+        def no_rows(self):
+            raise AssertionError("DayColumns.records called")
+
+        monkeypatch.setattr(DayColumns, "records", no_rows)
+        by_columns = decompose(PriceSeries.from_day_records(result.columns))
+        assert by_columns.days == by_records.days == tuple(range(1, 301))
+        for field in fields(DecompositionResult)[1:]:
+            assert getattr(by_columns, field.name).tobytes() == getattr(by_records, field.name).tobytes(), field.name
 
     def test_log_columns_match_returns(self):
         result = decompose(series([(100.0, 101.0, 100.5)]))

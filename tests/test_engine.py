@@ -3,10 +3,11 @@ import gc
 import itertools
 import math
 import os
+import pickle
 import re
 import sys
 import tracemalloc
-from dataclasses import astuple, replace
+from dataclasses import FrozenInstanceError, astuple, fields, replace
 
 import numpy as np
 import pytest
@@ -40,7 +41,7 @@ from daydrift import (
     write_daily_csv,
 )
 from daydrift import engine
-from daydrift.engine import _BLOCK_DAYS, _CSV_BLOCK_ROWS, DayColumns, _run_days, day_keys
+from daydrift.engine import _BLOCK_DAYS, _CSV_BLOCK_ROWS, _DAY_COLUMNS, DayColumns, _run_days, day_keys
 from daydrift.ledger import AccountingError
 from daydrift.market import diffusion_coef, diffusion_growth
 
@@ -904,6 +905,35 @@ class TestRunSim:
         assert retained / days <= 100
 
 
+class TestCollection:
+    @pytest.fixture(autouse=True)
+    def edge_block(self):
+        """These tests run the kernel's own block."""
+
+    @pytest.mark.parametrize(
+        ("sigma", "half_life"),
+        [(0.0, None), (0.0, 504.0), (0.01, None), (0.01, 504.0)],
+        ids=["noiseless", "reversion", "noise", "noise-and-reversion"],
+    )
+    def test_a_run_starts_no_collection(self, sigma, half_life):
+        # the chain's floats and the block's arrays are untracked; a list per day alive through a block of
+        # 4096 days would start collector passes
+        scenario = replace(load_config(NOISY_CONFIG).build(), noise=NoiseParams(sigma, half_life), days=_BLOCK_DAYS + 1)
+        log = []
+
+        def collection(phase, info):
+            if phase == "start":
+                log.append(f"collection of generation {info['generation']}")
+
+        gc.collect()
+        gc.callbacks.append(collection)
+        try:
+            simulate(scenario)
+        finally:
+            gc.callbacks.remove(collection)
+        assert log == []
+
+
 DAILY_HEADER = "day,prev_close,open,close,overnight_ret,intraday_ret,total_cost,mtm_gain,net_pnl\n"
 DAILY_ROW_1 = "1,100.000000,100.000000,100.010000,0.0000000000,0.0001000000,10000.00,0.00,-10000.00\n"
 DAILY_ROW_2 = "2,100.010000,100.110000,100.020000,0.0010000000,-0.0009000000,10000.00,0.00,-10000.00\n"
@@ -1030,6 +1060,44 @@ class TestDailyCsv:
             DayRecord(1, 100.0, 100.0, 100.01, 10000.0, 0.0, -10000.0),
             DayRecord(2, 100.01, 100.11, 100.02, 10000.0, 0.0, -10000.0),
         ]
+
+
+def records_and_their_values(source: str, tmp_path) -> tuple[list, list[tuple]]:
+    """The ``DayRecord``s that ``source`` builds and, read apart from them, each record's field values."""
+    scenario = replace(load_config(NOISY_CONFIG).build(), days=TEST_BLOCK_DAYS + 1, seed=3)
+    result = simulate(scenario)
+    columns = [getattr(result.columns, name).tolist() for name in _DAY_COLUMNS]
+    values = [(day, *row, row[-1] - row[-2]) for day, row in enumerate(zip(*columns), start=1)]
+    if source == "run_sim":
+        return run_sim(scenario), values
+    if source == "SimResult.records":
+        return list(result.records), values
+    path = tmp_path / "daily.csv"
+    if source == "read_daily_csv":
+        write_daily_csv(result.columns, path)
+    else:
+        path.write_text(DAILY_HEADER)
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    return read_daily_csv(path), [(int(r[0]), *map(float, r[1:4]), *map(float, r[6:9])) for r in rows]
+
+
+class TestDayRecordBuilder:
+    @pytest.mark.parametrize("source", ["run_sim", "SimResult.records", "read_daily_csv", "empty daily CSV"])
+    def test_built_records_cannot_be_told_from_constructed_ones(self, tmp_path, source):
+        built, values = records_and_their_values(source, tmp_path)
+        constructed = [DayRecord(*row) for row in values]
+        assert len(built) == len(values) == (0 if source == "empty daily CSV" else TEST_BLOCK_DAYS + 1)
+        assert built == constructed
+        assert [hash(r) for r in built] == [hash(r) for r in constructed]
+        assert [repr(r) for r in built] == [repr(r) for r in constructed]
+        assert [astuple(r) for r in built] == values
+        assert all(type(r) is DayRecord for r in built)
+        for r, c in zip(built, constructed):
+            assert replace(r, close=1.5) == replace(c, close=1.5)
+            assert repr(pickle.loads(pickle.dumps(r))) == repr(c)
+            for field in fields(DayRecord):
+                with pytest.raises(FrozenInstanceError):
+                    setattr(r, field.name, 1.0)
 
 
 def make_config(**kwargs) -> ScenarioConfig:
