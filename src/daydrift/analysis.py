@@ -12,18 +12,19 @@ from __future__ import annotations
 
 import csv
 import datetime
+import itertools
 import math
+import operator
 from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
+from .csvio import blocks, split_cells, undecodable, write_rows
 from .engine import DayColumns
 
 DECOMPOSITION_CSV_HEADER = "day,overnight_ret,intraday_ret,cum_overnight,cum_intraday,cum_total"
 _TINY, _HUGE = np.finfo(float).tiny, np.finfo(float).max
-_REPORT_BLOCK_ROWS = 1024
-_REPORT_ROW = "%s,%.10f,%.10f,%.10f,%.10f,%.10f\n".__mod__
 
 
 @dataclass(frozen=True)
@@ -207,30 +208,75 @@ def breakeven_book(
 def ingest_ohlc_csv(path) -> PriceSeries:
     """Read date-ordered OHLC rows into a price series.
 
-    The header must name date, open and close columns (case-insensitive);
-    high/low and anything else are ignored, as is a UTF-8 byte-order mark.
-    Each day's prev_close is the previous row's close, so the first row
-    seeds the chain and contributes no overnight return.  Blank rows are
-    skipped; malformed rows are reported with their file line number.
+    The header must name date, open and close columns (case-insensitive),
+    each once; high/low and anything else are ignored, as is a UTF-8
+    byte-order mark.  Each day's prev_close is the previous row's close,
+    so the first row seeds the chain and contributes no overnight return.
+    Blank rows are skipped; malformed rows are reported with their file
+    line number, and a file that is not UTF-8 with its path.
     """
+    try:
+        return _ingest(path)
+    except UnicodeDecodeError:
+        raise undecodable(path) from None
+
+
+def _ohlc_block(lines: list[str], width: int, date_i: int, open_i: int, close_i: int, last_date) -> tuple | None:
+    """The dates, opens, closes and last date of a block of lines, if every row is good.
+
+    None if the lines are not plain (``split_cells``), a date or price
+    does not parse, the dates do not rise strictly from ``last_date``, or
+    a price is outside (0, inf): the row loop then reads the block and
+    raises the error.
+    """
+    if (cells := split_cells(lines, width)) is None:
+        return None
+    try:
+        raw = list(map(str.strip, cells[date_i::width]))
+        dates = list(map(datetime.date.fromisoformat, raw))
+        opens, closes = (array("d", map(float, cells[i::width])) for i in (open_i, close_i))
+    except ValueError:
+        return None
+    prices = np.frombuffer(opens + closes)
+    rising = all(map(operator.lt, dates, dates[1:])) and (last_date is None or last_date < dates[0])
+    return (raw, opens, closes, dates[-1]) if rising and ((prices > 0.0) & np.isfinite(prices)).all() else None
+
+
+def _ingest(path) -> PriceSeries:
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = next(csv.reader(fh))
         except StopIteration:
             raise ValueError(f"{path}: file is empty") from None
-        columns = {name.strip().lower(): i for i, name in enumerate(header)}
-        missing = [name for name in ("date", "open", "close") if name not in columns]
+        names = [name.strip().lower() for name in header]
+        missing = [name for name in ("date", "open", "close") if name not in names]
         if missing:
             raise ValueError(f"{path}: missing required column(s): {', '.join(missing)}")
-        date_i, open_i, close_i = columns["date"], columns["open"], columns["close"]
-
-        # rows are streamed, never held; only a row that is short or has an
-        # empty date cell can be blank, so only those pay the blank test
-        last_col, inf, fromisoformat = max(date_i, open_i, close_i), math.inf, datetime.date.fromisoformat
+        for name in ("date", "open", "close"):
+            if names.count(name) > 1:
+                raise ValueError(f"{path}: column {name!r} appears more than once")
+        date_i, open_i, close_i = (names.index(name) for name in ("date", "open", "close"))
         days, opens, closes = [], array("d"), array("d")
         last_date = None
-        for lineno, row in enumerate(reader, start=2):
+
+        # a block at a time (_ohlc_block); from the first block that it
+        # declines, the rest of the file goes through csv.reader row by row,
+        # the one definition of what is accepted and of every error
+        lineno, rows = 2, ()
+        for lines in blocks(fh):
+            if (block := _ohlc_block(lines, len(header), date_i, open_i, close_i, last_date)) is None:
+                rows = csv.reader(itertools.chain(lines, fh))
+                break
+            days += block[0]
+            opens += block[1]
+            closes += block[2]
+            last_date = block[3]
+            lineno += len(lines)
+
+        # only a row that is short or has an empty date cell can be blank,
+        # so only those pay the blank test
+        last_col, inf, fromisoformat = max(date_i, open_i, close_i), math.inf, datetime.date.fromisoformat
+        for lineno, row in enumerate(rows, start=lineno):
             if len(row) <= last_col:
                 if not any(cell.strip() for cell in row):
                     continue
@@ -258,23 +304,17 @@ def ingest_ohlc_csv(path) -> PriceSeries:
 
     if len(closes) < 2:
         raise ValueError(f"{path}: need at least 2 rows to form one overnight/intraday day")
-    return PriceSeries(
-        days=tuple(days[1:]),
-        prev_close=np.array(closes[:-1]),
-        open=np.array(opens[1:]),
-        close=np.array(closes[1:]),
-    )
+    del days[0]
+    opens, closes = np.frombuffer(opens), np.frombuffer(closes)  # views: the series copies no column
+    return PriceSeries(days=days, prev_close=closes[:-1], open=opens[1:], close=closes[1:])
 
 
 def write_decomposition_csv(result: DecompositionResult, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(DECOMPOSITION_CSV_HEADER + "\n")
-        columns = (result.overnight_ret, result.intraday_ret, result.cum_overnight, result.cum_intraday, result.cum_total)
-        # Python floats format faster than numpy scalars; converting and joining
-        # a block at a time keeps the report's memory flat in the series length
-        for start in range(0, len(result.days), _REPORT_BLOCK_ROWS):
-            block = slice(start, start + _REPORT_BLOCK_ROWS)
-            fh.write("".join(map(_REPORT_ROW, zip(result.days[block], *(c[block].tolist() for c in columns)))))
+    """The report of ``result``: its day labels and its five columns to 10 decimals, one row per day."""
+    with open(path, "wb") as fh:
+        fh.write(DECOMPOSITION_CSV_HEADER.encode() + b"\n")
+        columns = [result.overnight_ret, result.intraday_ret, result.cum_overnight, result.cum_intraday, result.cum_total]
+        write_rows(fh, result.days, columns, (10,) * 5)
 
 
 def locate_zero_crossing(xs, ys) -> float:

@@ -19,6 +19,7 @@ from .analysis import (
     write_decomposition_csv,
 )
 from .config import KEYS, ConfigError, ScenarioConfig, check_removed_key, load_config
+from .csvio import undecodable
 from .engine import (
     DAILY_CSV_HEADER,
     RunSummary,
@@ -90,8 +91,11 @@ def _read_series(path) -> PriceSeries:
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     with fh:
-        if fh.readline().rstrip("\n") == DAILY_CSV_HEADER:
-            return PriceSeries(*read_daily_columns(fh)[:4])
+        try:
+            if fh.readline().rstrip("\n") == DAILY_CSV_HEADER:
+                return PriceSeries(*read_daily_columns(fh)[:4])
+        except UnicodeDecodeError:
+            raise undecodable(path) from None
     return ingest_ohlc_csv(path)
 
 

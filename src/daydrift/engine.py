@@ -52,6 +52,7 @@ from typing import TYPE_CHECKING, NoReturn
 import numpy as np
 
 from .agents import RoundTripTrader, orders_for_tick
+from .csvio import blocks, split_cells, undecodable, write_rows
 from .ledger import Ledger, book_days, first_refused_day, from_micro, mark_to_market, record_fill, to_micro
 from .market import (
     BPS,
@@ -625,10 +626,6 @@ def intraday_return(record: DayRecord) -> float:
     return (record.close - record.open) / record.open
 
 
-_CSV_BLOCK_ROWS = 1024  # rows formatted, joined and written at a time
-_DAILY_ROW = "%s,%.6f,%.6f,%.6f,%.10f,%.10f,%.2f,%.2f,%.2f\n".__mod__
-
-
 def write_daily_csv(days, path) -> None:
     """Daily CSV of ``DayColumns`` or ``DayRecord``s: prices to 6 decimals, returns to 10, currency to 2.
 
@@ -647,37 +644,67 @@ def write_daily_csv(days, path) -> None:
                 "non-positive with 6 decimals; the daily CSV would be unreadable"
             )
     with np.errstate(over="ignore"):  # the returns are overnight_return and intraday_return, elementwise
-        columns = [day, prev, opens, close, (opens - prev) / prev, (close - opens) / opens, cost, gain, net]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(DAILY_CSV_HEADER + "\n")
-        for start in range(0, len(day), _CSV_BLOCK_ROWS):
-            rows = zip(*(column[start : start + _CSV_BLOCK_ROWS].tolist() for column in columns))
-            fh.write("".join(map(_DAILY_ROW, rows)))
+        columns = [prev, opens, close, (opens - prev) / prev, (close - opens) / opens, cost, gain, net]
+    with open(path, "wb") as fh:
+        fh.write(DAILY_CSV_HEADER.encode() + b"\n")
+        write_rows(fh, day, columns, (6, 6, 6, 10, 10, 2, 2, 2))
 
 
-def read_daily_columns(fh) -> list[tuple]:
-    """Columns day, prev_close, open, close, total_cost, mtm_gain, net_pnl of a daily CSV past its header."""
-    rows = []
-    for lineno, line in enumerate(fh, start=2):
+def _daily_block(lines: list[str]) -> list | None:
+    """The columns ``read_daily_columns`` keeps of a block of lines.
+
+    None if the lines are not plain (``split_cells``) or a cell does not convert.
+    """
+    if (cells := split_cells(lines, 9)) is None:
+        return None
+    try:
+        return [list(map(int, cells[0::9])), *(array("d", map(float, cells[i::9])) for i in (1, 2, 3, 6, 7, 8))]
+    except ValueError:
+        return None
+
+
+def read_daily_columns(fh) -> list:
+    """Columns day, prev_close, open, close, total_cost, mtm_gain, net_pnl of a daily CSV past its header.
+
+    The day column is a list of ints, the others ``array('d')``s.  Each
+    of ``blocks(fh)`` is converted a column at a time (``_daily_block``);
+    from the first that it declines, the rest of the file goes line by line
+    through the loop below, which defines what is accepted and every error.
+    """
+    columns = [[], *(array("d") for _ in range(6))]
+    lineno, rest = 2, ()
+    for lines in blocks(fh):
+        if (block := _daily_block(lines)) is None:
+            rest = itertools.chain(lines, fh)
+            break
+        for column, values in zip(columns, block):
+            column += values
+        lineno += len(lines)
+    for lineno, line in enumerate(rest, start=lineno):
         parts = line.rstrip("\n").split(",")
         if len(parts) != 9:
             if not line.strip():
                 continue
             raise ValueError(f"line {lineno}: expected 9 columns, got {len(parts)}")
         try:
-            rows.append((int(parts[0]), float(parts[1]), float(parts[2]), float(parts[3]),
-                         float(parts[6]), float(parts[7]), float(parts[8])))
+            row = (int(parts[0]), float(parts[1]), float(parts[2]), float(parts[3]),
+                   float(parts[6]), float(parts[7]), float(parts[8]))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from exc
-    return list(zip(*rows)) or [()] * 7
+        for column, value in zip(columns, row):
+            column.append(value)
+    return columns
 
 
 def read_daily_csv(path) -> list[DayRecord]:
     """Parse a daily CSV produced by ``write_daily_csv``."""
     with open(path, "r", encoding="utf-8-sig") as fh:
-        if (header := fh.readline().rstrip("\n")) != DAILY_CSV_HEADER:
-            raise ValueError(f"not a daily simulation CSV: header is {header!r}")
-        return _day_records(read_daily_columns(fh))
+        try:
+            if (header := fh.readline().rstrip("\n")) != DAILY_CSV_HEADER:
+                raise ValueError(f"not a daily simulation CSV: header is {header!r}")
+            return _day_records(read_daily_columns(fh))
+        except UnicodeDecodeError:
+            raise undecodable(path) from None
 
 
 # --- parameter sweeps -------------------------------------------------------

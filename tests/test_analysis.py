@@ -24,7 +24,7 @@ from daydrift import (
     write_decomposition_csv,
 )
 from daydrift.analysis import DECOMPOSITION_CSV_HEADER, DecompositionResult
-from daydrift.engine import DayColumns
+from daydrift.engine import DayColumns, read_daily_columns
 
 from composition import make_scenario
 from conftest import NOISY_CONFIG, REFERENCE_CONFIG, REPO_ROOT
@@ -317,6 +317,7 @@ class TestIngestOhlcCsv:
             ("", "file is empty"),
             ("date,close\n2024-01-02,100\n", "missing required column(s): open"),
             ("date,open,close\n2024-01-02,100,100\n", "need at least 2 rows to form one overnight/intraday day"),
+            ("Date,Open,Close,close\n2024-01-02,100,100,5\n2024-01-03,101,102,6\n", "column 'close' appears more than once"),
         ],
     )
     def test_whole_file_message_is_pinned(self, tmp_path, text, message):
@@ -409,12 +410,16 @@ class TestDecompositionCsv:
 
 
 class TestCsvMemory:
-    """The OHLC reader streams its rows and the report writer formats a block at a time.
+    """The CSV readers and writers hold a block at a time, never a whole file.
 
-    Bounds on tracemalloc's traced peak, which counts numpy's buffers too, so
-    they hold without timing anything.  On 60,000 rows, holding every parsed
-    row (``list(csv.reader(fh))``) adds about 26 MiB, and converting the
-    whole report at once (``.tolist()`` of its five columns) about 9 MiB.
+    The readers take ``csvio.BLOCK_CHARS`` characters of lines at a time
+    and convert a block's columns whole (or, from the first block they
+    decline, go row by row); the writers format ``csvio.BLOCK_ROWS`` rows
+    at a time.  Bounds on tracemalloc's traced peak, which counts numpy's
+    buffers too, so they hold without timing anything.  On 60,000 rows,
+    holding every parsed row (``list(csv.reader(fh))``) adds about 26 MiB,
+    holding a whole daily CSV's lines about 9 MiB, and converting the whole
+    report at once (``.tolist()`` of its five columns) about 9 MiB.
     """
 
     ROWS = 60_000
@@ -430,6 +435,15 @@ class TestCsvMemory:
             fh.write("date,open,high,low,close\n")
             fh.writelines(f"{d},{o!r},{o!r},{c!r},{c!r}\n" for d, o, c in zip(dates, opn.tolist(), close.tolist()))
         return path
+
+    @pytest.fixture(scope="class")
+    def days(self):
+        rng = np.random.default_rng(4)
+        close = 100.0 * np.exp(np.cumsum(rng.normal(0.0, 0.01, self.ROWS)))
+        days = DayColumns()
+        days.extend(np.concatenate([[100.0], close[:-1]]), close * np.exp(rng.normal(0.0, 0.003, self.ROWS)), close,
+                    np.full(self.ROWS, 10_000.0), rng.normal(0.0, 1e6, self.ROWS))
+        return days
 
     @staticmethod
     def traced(fn, *args):
@@ -451,10 +465,28 @@ class TestCsvMemory:
         assert peak - retained < 4 * 2**20
 
     def test_report_writer_peak_is_a_few_blocks(self, ohlc, tmp_path):
-        # one 1024-row block as floats and formatted text is about 0.3 MiB
+        # one 1024-row block's arrays and formatted bytes are about 0.6 MiB
         result = decompose(ingest_ohlc_csv(ohlc))
         _, peak, _ = self.traced(write_decomposition_csv, result, tmp_path / "report.csv")
         assert peak < 2**20
+
+    def test_daily_writer_peak_is_its_columns_plus_a_few_blocks(self, days, tmp_path):
+        # the writer makes about seven whole float64 columns (day numbers, net
+        # P&L, the prices stacked for their check, two returns), 3.2 MiB; one
+        # 1024-row block of eight columns is about 1 MiB
+        _, peak, _ = self.traced(write_daily_csv, days, tmp_path / "daily.csv")
+        assert peak < 9 * 8 * self.ROWS + 2**20
+
+    def test_daily_reader_peak_is_the_columns_plus_a_few_mib(self, days, tmp_path):
+        # the day numbers and six float arrays kept are about 4.6 MiB
+        path = tmp_path / "daily.csv"
+        write_daily_csv(days, path)
+        with open(path, encoding="utf-8-sig") as fh:
+            fh.readline()
+            columns, peak, retained = self.traced(read_daily_columns, fh)
+        assert len(columns[0]) == self.ROWS
+        assert retained > 4 * 2**20
+        assert peak - retained < 4 * 2**20
 
 
 class TestLocateZeroCrossing:

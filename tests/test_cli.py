@@ -20,6 +20,7 @@ from daydrift import (
     run_sweep,
     summarize,
 )
+from daydrift import csvio
 from daydrift.cli import main
 from daydrift.config import KEYS, ConfigError
 
@@ -552,6 +553,37 @@ class TestAnalyze:
         code, _, _, err = run_cli(capsys, "analyze", str(daily))
         assert code == 1
         assert err == f"error: {message}\n"
+
+    def test_a_utf16_export_is_refused_naming_the_path(self, capsys, tmp_path):
+        prices = tmp_path / "utf16.csv"
+        prices.write_bytes("date,open,close\n2024-01-02,100,100\n2024-01-03,101,102\n".encode("utf-16"))
+        assert prices.read_bytes()[:2] == b"\xff\xfe"
+        code, _, _, err = run_cli(capsys, "analyze", str(prices))
+        assert code == 1
+        assert err == f"error: {prices}: not UTF-8 text: line 1, byte 1 (0xff)\n"
+
+    @pytest.mark.parametrize("kind", ["ohlc", "daily"])
+    @pytest.mark.parametrize("block_chars", [1, 64, None], ids=["one-line-blocks", "small-blocks", "real-blocks"])
+    def test_a_stray_byte_mid_file_names_the_path_and_line(self, capsys, monkeypatch, tmp_path, kind, block_chars):
+        # the text names the file, the line and the byte, whatever the block size
+        if block_chars is not None:
+            monkeypatch.setattr(csvio, "BLOCK_CHARS", block_chars)
+        start = datetime.date(2000, 1, 3)
+        if kind == "ohlc":
+            text = "date,open,close\n" + "".join(f"{start + datetime.timedelta(days=d)},100,101\n" for d in range(400))
+        else:
+            text = "day,prev_close,open,close,overnight_ret,intraday_ret,total_cost,mtm_gain,net_pnl\n" + "".join(
+                f"{d},100.000000,100.000000,100.000000,0.0000000000,0.0000000000,1.00,0.00,-1.00\n" for d in range(1, 400)
+            )
+        data = bytearray(text.encode())
+        data[5000] = 0xFF
+        line = data[:5000].count(b"\n") + 1
+        column = 5000 - data[:5000].rfind(b"\n")
+        prices = tmp_path / f"{kind}.csv"
+        prices.write_bytes(bytes(data))
+        code, _, _, err = run_cli(capsys, "analyze", str(prices))
+        assert code == 1
+        assert err == f"error: {prices}: not UTF-8 text: line {line}, byte {column} (0xff)\n"
 
     def test_report_csv_written(self, capsys, reference_config_path, tmp_path):
         daily = tmp_path / "daily.csv"

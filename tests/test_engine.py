@@ -41,7 +41,8 @@ from daydrift import (
     write_daily_csv,
 )
 from daydrift import engine
-from daydrift.engine import _BLOCK_DAYS, _CSV_BLOCK_ROWS, _DAY_COLUMNS, DayColumns, _run_days, day_keys
+from daydrift.csvio import BLOCK_ROWS
+from daydrift.engine import _BLOCK_DAYS, _DAY_COLUMNS, DayColumns, _run_days, day_keys
 from daydrift.ledger import AccountingError
 from daydrift.market import diffusion_coef, diffusion_growth
 
@@ -983,7 +984,7 @@ class TestDailyCsv:
             "1,0.000001,0.000001,0.000001,0.0000000000,0.0000000000,-0.00,0.00,-0.00"
         )
 
-    @pytest.mark.parametrize("days", [_CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1, 2 * _CSV_BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("days", [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1])
     def test_records_and_columns_write_the_same_bytes(self, tmp_path, days):
         result = simulate(replace(load_config(NOISY_CONFIG).build(), days=days, seed=7))
         from_columns, from_records = tmp_path / "columns.csv", tmp_path / "records.csv"
@@ -992,7 +993,7 @@ class TestDailyCsv:
         assert from_columns.read_bytes() == from_records.read_bytes()
         assert from_columns.read_text().count("\n") == days + 1
 
-    @pytest.mark.parametrize("days", [1, _CSV_BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("days", [1, BLOCK_ROWS + 1])
     def test_records_and_columns_summarize_to_the_same_bits(self, days):
         result = simulate(replace(load_config(NOISY_CONFIG).build(), days=days, seed=1))
         by_columns, by_records = (astuple(summarize(run)) for run in (result.columns, result.records))

@@ -12,7 +12,7 @@ import daydrift.cli
 from conftest import REPO_ROOT
 
 
-@pytest.mark.parametrize("module", ["daydrift.config", "daydrift.engine", "daydrift.cli"])
+@pytest.mark.parametrize("module", ["daydrift.config", "daydrift.csvio", "daydrift.engine", "daydrift.cli"])
 def test_module_imports_alone(module):
     env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
     proc = subprocess.run(
