@@ -305,7 +305,10 @@ def _ingest(path) -> PriceSeries:
     if len(closes) < 2:
         raise ValueError(f"{path}: need at least 2 rows to form one overnight/intraday day")
     del days[0]
-    opens, closes = np.frombuffer(opens), np.frombuffer(closes)  # views: the series copies no column
+    # views: the series copies no column; prev_close and close share
+    # closes, so both are read-only and a write raises
+    opens, closes = np.frombuffer(opens), np.frombuffer(closes)
+    opens.flags.writeable = closes.flags.writeable = False
     return PriceSeries(days=days, prev_close=closes[:-1], open=opens[1:], close=closes[1:])
 
 

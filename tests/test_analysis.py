@@ -246,6 +246,15 @@ class TestIngestOhlcCsv:
         assert s.open[0] == 101.0
         assert s.close[0] == 101.5
 
+    def test_price_columns_are_read_only(self, tmp_path):
+        # prev_close and close are views of one array: a write to either would change the other
+        path = self.write(tmp_path, "date,open,close\n2024-01-02,100,100.5\n2024-01-03,101,101.5\n2024-01-04,102,102.5\n")
+        s = ingest_ohlc_csv(path)
+        for column in (s.prev_close, s.open, s.close):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 1.0
+        assert s.prev_close.tolist() == [100.5, 101.5]
+
     def test_zero_price_names_the_line(self, tmp_path):
         rows = ["date,open,close"]
         for d in range(2, 9):
