@@ -16,14 +16,13 @@ import itertools
 import math
 import operator
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .csvio import blocks, split_cells, undecodable, write_rows
 from .engine import DayColumns
 
-DECOMPOSITION_CSV_HEADER = "day,overnight_ret,intraday_ret,cum_overnight,cum_intraday,cum_total"
 _TINY, _HUGE = np.finfo(float).tiny, np.finfo(float).max
 
 
@@ -129,6 +128,11 @@ class DecompositionResult:
         )
 
 
+# the report's columns in file order and their decimals: the day label, then DecompositionResult's fields after days
+DECOMPOSITION_CSV = {"day": None} | {field.name: 10 for field in fields(DecompositionResult)[1:]}
+DECOMPOSITION_CSV_HEADER = ",".join(DECOMPOSITION_CSV)
+
+
 def decompose(series: PriceSeries) -> DecompositionResult:
     """Split each day into overnight and intraday returns and compound them.
 
@@ -205,22 +209,6 @@ def breakeven_book(
     return leg_notional * (spread_open_bps + spread_close_bps) / (2.0 * net_nudge_bps)
 
 
-def ingest_ohlc_csv(path) -> PriceSeries:
-    """Read date-ordered OHLC rows into a price series.
-
-    The header must name date, open and close columns (case-insensitive),
-    each once; high/low and anything else are ignored, as is a UTF-8
-    byte-order mark.  Each day's prev_close is the previous row's close,
-    so the first row seeds the chain and contributes no overnight return.
-    Blank rows are skipped; malformed rows are reported with their file
-    line number, and a file that is not UTF-8 with its path.
-    """
-    try:
-        return _ingest(path)
-    except UnicodeDecodeError:
-        raise undecodable(path) from None
-
-
 def _ohlc_block(lines: list[str], width: int, date_i: int, open_i: int, close_i: int, last_date) -> tuple | None:
     """The dates, opens, closes and last date of a block of lines, if every row is good.
 
@@ -242,65 +230,73 @@ def _ohlc_block(lines: list[str], width: int, date_i: int, open_i: int, close_i:
     return (raw, opens, closes, dates[-1]) if rising and ((prices > 0.0) & np.isfinite(prices)).all() else None
 
 
-def _ingest(path) -> PriceSeries:
+def ingest_ohlc_csv(path) -> PriceSeries:
+    """Read date-ordered OHLC rows into a price series.
+
+    The header must name date, open and close columns (case-insensitive),
+    each once; high/low and anything else are ignored, as is a UTF-8
+    byte-order mark.  Each day's prev_close is the previous row's close,
+    so the first row seeds the chain and contributes no overnight return.
+    Blank rows are skipped; malformed rows are reported with their file
+    line number, and a file that is not UTF-8 with its path.
+    """
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         try:
-            header = next(csv.reader(fh))
-        except StopIteration:
-            raise ValueError(f"{path}: file is empty") from None
-        names = [name.strip().lower() for name in header]
-        missing = [name for name in ("date", "open", "close") if name not in names]
-        if missing:
-            raise ValueError(f"{path}: missing required column(s): {', '.join(missing)}")
-        for name in ("date", "open", "close"):
-            if names.count(name) > 1:
-                raise ValueError(f"{path}: column {name!r} appears more than once")
-        date_i, open_i, close_i = (names.index(name) for name in ("date", "open", "close"))
-        days, opens, closes = [], array("d"), array("d")
-        last_date = None
+            if (header := next(csv.reader(fh), None)) is None:
+                raise ValueError(f"{path}: file is empty")
+            names = [name.strip().lower() for name in header]
+            if missing := [name for name in ("date", "open", "close") if name not in names]:
+                raise ValueError(f"{path}: missing required column(s): {', '.join(missing)}")
+            for name in ("date", "open", "close"):
+                if names.count(name) > 1:
+                    raise ValueError(f"{path}: column {name!r} appears more than once")
+            date_i, open_i, close_i = (names.index(name) for name in ("date", "open", "close"))
+            days, opens, closes = [], array("d"), array("d")
+            last_date = None
 
-        # a block at a time (_ohlc_block); from the first block that it
-        # declines, the rest of the file goes through csv.reader row by row,
-        # the one definition of what is accepted and of every error
-        lineno, rows = 2, ()
-        for lines in blocks(fh):
-            if (block := _ohlc_block(lines, len(header), date_i, open_i, close_i, last_date)) is None:
-                rows = csv.reader(itertools.chain(lines, fh))
-                break
-            days += block[0]
-            opens += block[1]
-            closes += block[2]
-            last_date = block[3]
-            lineno += len(lines)
+            # a block at a time (_ohlc_block); from the first block that it
+            # declines, the rest of the file goes through csv.reader row by row,
+            # the one definition of what is accepted and of every error
+            lineno, rows = 2, ()
+            for lines in blocks(fh):
+                if (block := _ohlc_block(lines, len(header), date_i, open_i, close_i, last_date)) is None:
+                    rows = csv.reader(itertools.chain(lines, fh))
+                    break
+                for column, values in zip((days, opens, closes), block):
+                    column += values
+                last_date = block[3]
+                lineno += len(lines)
 
-        # only a row that is short or has an empty date cell can be blank,
-        # so only those pay the blank test
-        last_col, inf, fromisoformat = max(date_i, open_i, close_i), math.inf, datetime.date.fromisoformat
-        for lineno, row in enumerate(rows, start=lineno):
-            if len(row) <= last_col:
-                if not any(cell.strip() for cell in row):
+            # only a row that is short or has an empty date cell can be blank,
+            # so only those pay the blank test
+            last_col, inf, fromisoformat = max(date_i, open_i, close_i), math.inf, datetime.date.fromisoformat
+            for lineno, row in enumerate(rows, start=lineno):
+                if len(row) <= last_col:
+                    if not any(cell.strip() for cell in row):
+                        continue
+                    raise ValueError(f"line {lineno}: row has {len(row)} columns, expected {len(header)}")
+                raw_date = row[date_i].strip()
+                if not raw_date and not any(cell.strip() for cell in row):
                     continue
-                raise ValueError(f"line {lineno}: row has {len(row)} columns, expected {len(header)}")
-            raw_date = row[date_i].strip()
-            if not raw_date and not any(cell.strip() for cell in row):
-                continue
-            try:
-                date = fromisoformat(raw_date)
-            except ValueError:
-                raise ValueError(f"line {lineno}: unparseable ISO date {raw_date!r}") from None
-            if last_date is not None and date <= last_date:
-                raise ValueError(f"line {lineno}: dates must be strictly increasing, got {raw_date}")
-            last_date = date
-            try:
-                opn = float(row[open_i])
-                cls_ = float(row[close_i])
-            except ValueError:
-                raise ValueError(f"line {lineno}: unparseable price in open/close") from None
-            if not (0.0 < opn < inf and 0.0 < cls_ < inf):
-                raise ValueError(f"line {lineno}: prices must be positive, got open={opn} close={cls_}")
-            days.append(raw_date)
-            opens.append(opn)
-            closes.append(cls_)
+                try:
+                    date = fromisoformat(raw_date)
+                except ValueError:
+                    raise ValueError(f"line {lineno}: unparseable ISO date {raw_date!r}") from None
+                if last_date is not None and date <= last_date:
+                    raise ValueError(f"line {lineno}: dates must be strictly increasing, got {raw_date}")
+                last_date = date
+                try:
+                    opn = float(row[open_i])
+                    cls_ = float(row[close_i])
+                except ValueError:
+                    raise ValueError(f"line {lineno}: unparseable price in open/close") from None
+                if not (0.0 < opn < inf and 0.0 < cls_ < inf):
+                    raise ValueError(f"line {lineno}: prices must be positive, got open={opn} close={cls_}")
+                days.append(raw_date)
+                opens.append(opn)
+                closes.append(cls_)
+        except UnicodeDecodeError:
+            raise undecodable(path) from None
 
     if len(closes) < 2:
         raise ValueError(f"{path}: need at least 2 rows to form one overnight/intraday day")
@@ -313,11 +309,11 @@ def _ingest(path) -> PriceSeries:
 
 
 def write_decomposition_csv(result: DecompositionResult, path) -> None:
-    """The report of ``result``: its day labels and its five columns to 10 decimals, one row per day."""
+    """The report of ``result``: its day labels and its columns with their decimals in ``DECOMPOSITION_CSV``."""
+    _, *names = DECOMPOSITION_CSV
     with open(path, "wb") as fh:
         fh.write(DECOMPOSITION_CSV_HEADER.encode() + b"\n")
-        columns = [result.overnight_ret, result.intraday_ret, result.cum_overnight, result.cum_intraday, result.cum_total]
-        write_rows(fh, result.days, columns, (10,) * 5)
+        write_rows(fh, result.days, [getattr(result, n) for n in names], tuple(DECOMPOSITION_CSV[n] for n in names))
 
 
 def locate_zero_crossing(xs, ys) -> float:

@@ -19,7 +19,6 @@ from .analysis import (
     write_decomposition_csv,
 )
 from .config import KEYS, ConfigError, ScenarioConfig, check_removed_key, load_config
-from .csvio import undecodable
 from .engine import (
     DAILY_CSV_HEADER,
     RunSummary,
@@ -87,16 +86,11 @@ def cmd_run(args) -> int:
 
 def _read_series(path) -> PriceSeries:
     try:
-        fh = open(path, "r", encoding="utf-8-sig")
+        with open(path, "r", encoding="utf-8-sig", errors="replace") as fh:
+            daily = fh.readline().rstrip("\n") == DAILY_CSV_HEADER  # the reader refuses what does not decode
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
-    with fh:
-        try:
-            if fh.readline().rstrip("\n") == DAILY_CSV_HEADER:
-                return PriceSeries(*read_daily_columns(fh)[:4])
-        except UnicodeDecodeError:
-            raise undecodable(path) from None
-    return ingest_ohlc_csv(path)
+    return PriceSeries(*read_daily_columns(path)[:4]) if daily else ingest_ohlc_csv(path)
 
 
 def cmd_analyze(args) -> int:

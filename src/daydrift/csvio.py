@@ -220,12 +220,12 @@ def split_cells(lines: list[str], fields: int) -> list[str] | None:
 
 def undecodable(path) -> ValueError:
     """The error for a file that is not UTF-8 text: its path, and the first line and byte that do not decode."""
-    with open(path, "rb") as fh:
+    with open(path, "r", encoding="latin-1", newline="") as fh:  # a character a byte, lines cut as the readers cut them
         for lineno, line in enumerate(fh, start=1):
             try:
-                line.decode("utf-8")
+                line.encode("latin-1").decode("utf-8")
             except UnicodeDecodeError as exc:
                 return ValueError(
-                    f"{path}: not UTF-8 text: line {lineno}, byte {exc.start + 1} (0x{line[exc.start]:02x})"
+                    f"{path}: not UTF-8 text: line {lineno}, byte {exc.start + 1} (0x{ord(line[exc.start]):02x})"
                 )
     return ValueError(f"{path}: not UTF-8 text")

@@ -75,9 +75,6 @@ from .market import (
 if TYPE_CHECKING:
     from .config import ScenarioConfig
 
-DAILY_CSV_HEADER = "day,prev_close,open,close,overnight_ret,intraday_ret,total_cost,mtm_gain,net_pnl"
-
-
 class SimulationError(RuntimeError):
     """A day failed mid-run; the message names the day."""
 
@@ -142,6 +139,14 @@ class DayRecord:
     total_cost: float
     mtm_gain: float
     net_pnl: float
+
+
+# the daily CSV's columns in file order and their decimals, the day being the row's label;
+# the readers keep the columns that are DayRecord's fields, at positions _KEPT, in its order
+DAILY_CSV = {"day": None, "prev_close": 6, "open": 6, "close": 6, "overnight_ret": 10, "intraday_ret": 10,
+             "total_cost": 2, "mtm_gain": 2, "net_pnl": 2}
+DAILY_CSV_HEADER = ",".join(DAILY_CSV)
+_KEPT = tuple(list(DAILY_CSV).index(field.name) for field in fields(DayRecord))
 
 
 @dataclass(frozen=True)
@@ -627,27 +632,31 @@ def intraday_return(record: DayRecord) -> float:
 
 
 def write_daily_csv(days, path) -> None:
-    """Daily CSV of ``DayColumns`` or ``DayRecord``s: prices to 6 decimals, returns to 10, currency to 2.
+    """Daily CSV of ``DayColumns`` or ``DayRecord``s, each column with its decimals in ``DAILY_CSV``.
 
     Both are formatted from the columns that ``_table`` gives.  Before
     the file is opened, a price that is non-finite or would print as
     zero or less raises ``ValueError`` naming the first such day and
     field: ``read_daily_csv`` and ``analyze`` could not use such a file.
     """
-    day, prev, opens, close, cost, gain, net = _table(days)
-    prices = np.stack([prev, opens, close], axis=1)
-    for i, j in zip(*np.nonzero(~((prices >= 1e-6) & (prices < math.inf)))):  # day by day, field by field
-        price = prices[i, j].item()
-        if not 0.0 < float(f"{price:.6f}") < math.inf:
+    columns = {field.name: column for field, column in zip(fields(DayRecord), _table(days))}
+    names = ("prev_close", "open", "close")
+    prices = np.stack([columns[name] for name in names], axis=1)
+    least = [10.0 ** -DAILY_CSV[name] for name in names]  # from 10**-d up a price prints as positive
+    for i, j in zip(*np.nonzero(~((prices >= least) & (prices < math.inf)))):  # day by day, field by field
+        name, price = names[j], prices[i, j].item()
+        if not 0.0 < float(f"{price:.{DAILY_CSV[name]}f}") < math.inf:
             raise ValueError(
-                f"day {day[i]}: {_DAY_COLUMNS[j]} {price!r} is non-finite or prints as "
-                "non-positive with 6 decimals; the daily CSV would be unreadable"
+                f"day {columns['day'][i]}: {name} {price!r} is non-finite or prints as "
+                f"non-positive with {DAILY_CSV[name]} decimals; the daily CSV would be unreadable"
             )
+    prev, opens, close = (columns[name] for name in names)
     with np.errstate(over="ignore"):  # the returns are overnight_return and intraday_return, elementwise
-        columns = [prev, opens, close, (opens - prev) / prev, (close - opens) / opens, cost, gain, net]
+        columns["overnight_ret"], columns["intraday_ret"] = (opens - prev) / prev, (close - opens) / opens
+    label, *numbers = DAILY_CSV
     with open(path, "wb") as fh:
         fh.write(DAILY_CSV_HEADER.encode() + b"\n")
-        write_rows(fh, day, columns, (6, 6, 6, 10, 10, 2, 2, 2))
+        write_rows(fh, columns[label], [columns[name] for name in numbers], tuple(DAILY_CSV[n] for n in numbers))
 
 
 def _daily_block(lines: list[str]) -> list | None:
@@ -655,56 +664,56 @@ def _daily_block(lines: list[str]) -> list | None:
 
     None if the lines are not plain (``split_cells``) or a cell does not convert.
     """
-    if (cells := split_cells(lines, 9)) is None:
+    width, (day, *kept) = len(DAILY_CSV), _KEPT
+    if (cells := split_cells(lines, width)) is None:
         return None
     try:
-        return [list(map(int, cells[0::9])), *(array("d", map(float, cells[i::9])) for i in (1, 2, 3, 6, 7, 8))]
+        return [list(map(int, cells[day::width])), *(array("d", map(float, cells[i::width])) for i in kept)]
     except ValueError:
         return None
 
 
-def read_daily_columns(fh) -> list:
-    """Columns day, prev_close, open, close, total_cost, mtm_gain, net_pnl of a daily CSV past its header.
+def read_daily_columns(path) -> list:
+    """The columns of ``DayRecord``'s fields in the daily CSV at ``path``: the days as ints, then ``array('d')``s.
 
-    The day column is a list of ints, the others ``array('d')``s.  Each
-    of ``blocks(fh)`` is converted a column at a time (``_daily_block``);
-    from the first that it declines, the rest of the file goes line by line
-    through the loop below, which defines what is accepted and every error.
+    The header must be ``DAILY_CSV_HEADER``, and the text UTF-8 (else ``undecodable``).  Each of
+    ``blocks(fh)`` is converted a column at a time (``_daily_block``); from the first that it
+    declines, the rest goes line by line through the loop below, which defines what is accepted and every error.
     """
-    columns = [[], *(array("d") for _ in range(6))]
-    lineno, rest = 2, ()
-    for lines in blocks(fh):
-        if (block := _daily_block(lines)) is None:
-            rest = itertools.chain(lines, fh)
-            break
-        for column, values in zip(columns, block):
-            column += values
-        lineno += len(lines)
-    for lineno, line in enumerate(rest, start=lineno):
-        parts = line.rstrip("\n").split(",")
-        if len(parts) != 9:
-            if not line.strip():
-                continue
-            raise ValueError(f"line {lineno}: expected 9 columns, got {len(parts)}")
-        try:
-            row = (int(parts[0]), float(parts[1]), float(parts[2]), float(parts[3]),
-                   float(parts[6]), float(parts[7]), float(parts[8]))
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from exc
-        for column, value in zip(columns, row):
-            column.append(value)
-    return columns
-
-
-def read_daily_csv(path) -> list[DayRecord]:
-    """Parse a daily CSV produced by ``write_daily_csv``."""
+    width, (day, *kept) = len(DAILY_CSV), _KEPT
+    columns = [[], *(array("d") for _ in kept)]
     with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             if (header := fh.readline().rstrip("\n")) != DAILY_CSV_HEADER:
                 raise ValueError(f"not a daily simulation CSV: header is {header!r}")
-            return _day_records(read_daily_columns(fh))
+            lineno, rest = 2, ()
+            for lines in blocks(fh):
+                if (block := _daily_block(lines)) is None:
+                    rest = itertools.chain(lines, fh)
+                    break
+                for column, values in zip(columns, block):
+                    column += values
+                lineno += len(lines)
+            for lineno, line in enumerate(rest, start=lineno):
+                parts = line.rstrip("\n").split(",")
+                if len(parts) != width:
+                    if not line.strip():
+                        continue
+                    raise ValueError(f"line {lineno}: expected {width} columns, got {len(parts)}")
+                try:
+                    row = (int(parts[day]), *[float(parts[i]) for i in kept])
+                except ValueError as exc:
+                    raise ValueError(f"line {lineno}: {exc}") from exc
+                for column, value in zip(columns, row):
+                    column.append(value)
         except UnicodeDecodeError:
             raise undecodable(path) from None
+    return columns
+
+
+def read_daily_csv(path) -> list[DayRecord]:
+    """The ``DayRecord``s of a daily CSV produced by ``write_daily_csv``, as ``read_daily_columns`` reads them."""
+    return _day_records(read_daily_columns(path))
 
 
 # --- parameter sweeps -------------------------------------------------------

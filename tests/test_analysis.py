@@ -490,9 +490,7 @@ class TestCsvMemory:
         # the day numbers and six float arrays kept are about 4.6 MiB
         path = tmp_path / "daily.csv"
         write_daily_csv(days, path)
-        with open(path, encoding="utf-8-sig") as fh:
-            fh.readline()
-            columns, peak, retained = self.traced(read_daily_columns, fh)
+        columns, peak, retained = self.traced(read_daily_columns, path)
         assert len(columns[0]) == self.ROWS
         assert retained > 4 * 2**20
         assert peak - retained < 4 * 2**20

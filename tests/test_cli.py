@@ -562,10 +562,12 @@ class TestAnalyze:
         assert code == 1
         assert err == f"error: {prices}: not UTF-8 text: line 1, byte 1 (0xff)\n"
 
+    @pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
     @pytest.mark.parametrize("kind", ["ohlc", "daily"])
     @pytest.mark.parametrize("block_chars", [1, 64, None], ids=["one-line-blocks", "small-blocks", "real-blocks"])
-    def test_a_stray_byte_mid_file_names_the_path_and_line(self, capsys, monkeypatch, tmp_path, kind, block_chars):
-        # the text names the file, the line and the byte, whatever the block size
+    def test_a_stray_byte_mid_file_names_the_path_and_line(self, capsys, monkeypatch, tmp_path, kind, block_chars,
+                                                             eol):
+        # the text names the file, the line and the byte, whatever the block size and the line ending
         if block_chars is not None:
             monkeypatch.setattr(csvio, "BLOCK_CHARS", block_chars)
         start = datetime.date(2000, 1, 3)
@@ -575,10 +577,11 @@ class TestAnalyze:
             text = "day,prev_close,open,close,overnight_ret,intraday_ret,total_cost,mtm_gain,net_pnl\n" + "".join(
                 f"{d},100.000000,100.000000,100.000000,0.0000000000,0.0000000000,1.00,0.00,-1.00\n" for d in range(1, 400)
             )
-        data = bytearray(text.encode())
+        data = bytearray(text.replace("\n", eol).encode())
+        assert data[5000] not in b"\r\n"
         data[5000] = 0xFF
-        line = data[:5000].count(b"\n") + 1
-        column = 5000 - data[:5000].rfind(b"\n")
+        line = data[:5000].count(eol.encode()) + 1
+        column = 5000 - data[:5000].rfind(eol[-1].encode())
         prices = tmp_path / f"{kind}.csv"
         prices.write_bytes(bytes(data))
         code, _, _, err = run_cli(capsys, "analyze", str(prices))

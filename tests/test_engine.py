@@ -42,7 +42,7 @@ from daydrift import (
 )
 from daydrift import engine
 from daydrift.csvio import BLOCK_ROWS
-from daydrift.engine import _BLOCK_DAYS, _DAY_COLUMNS, DayColumns, _run_days, day_keys
+from daydrift.engine import _BLOCK_DAYS, _DAY_COLUMNS, DAILY_CSV, DayColumns, _run_days, day_keys
 from daydrift.ledger import AccountingError
 from daydrift.market import diffusion_coef, diffusion_growth
 
@@ -942,20 +942,22 @@ DAILY_ROW_2 = "2,100.010000,100.110000,100.020000,0.0010000000,-0.0009000000,100
 
 class TestDailyCsv:
     def test_round_trip_preserves_the_six_decimal_schema(self, tmp_path):
-        records = run_sim(make_scenario(days=7, sigma=0.01, seed=2))
-        path = tmp_path / "daily.csv"
-        write_daily_csv(records, path)
-        text = path.read_text()
-        assert text.splitlines()[0] == (
-            "day,prev_close,open,close,overnight_ret,intraday_ret,total_cost,mtm_gain,net_pnl"
-        )
-        parsed = read_daily_csv(path)
-        assert len(parsed) == 7
-        for raw, back in zip(records, parsed):
-            assert back.day == raw.day
-            assert back.prev_close == pytest.approx(raw.prev_close, abs=5e-7)
-            assert back.close == pytest.approx(raw.close, abs=5e-7)
-            assert back.total_cost == pytest.approx(raw.total_cost, abs=5e-3)
+        # every field reads back as the value printed with its column's decimals, from columns and from records
+        result = simulate(make_scenario(days=7, sigma=0.01, seed=2))
+        records = result.records
+        for kind, days in (("columns", result.columns), ("records", records)):
+            path = tmp_path / "daily.csv"
+            write_daily_csv(days, path)
+            assert path.read_text().splitlines()[0] == (
+                "day,prev_close,open,close,overnight_ret,intraday_ret,total_cost,mtm_gain,net_pnl"
+            )
+            parsed = read_daily_csv(path)
+            assert len(parsed) == 7
+            for raw, back in zip(records, parsed):
+                assert back.day == raw.day
+                for field in fields(DayRecord)[1:]:
+                    value, decimals = getattr(raw, field.name), DAILY_CSV[field.name]
+                    assert getattr(back, field.name) == float(f"{value:.{decimals}f}"), (kind, raw.day, field.name)
 
     def test_rows_match_per_row_formatting_across_blocks(self, tmp_path):
         # several writer blocks and a partial last one; -0.0, the smallest

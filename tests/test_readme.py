@@ -6,7 +6,9 @@ import re
 from dataclasses import fields, is_dataclass
 
 import daydrift
+from daydrift.analysis import DECOMPOSITION_CSV
 from daydrift.config import _REMOVED_KEYS, KEYS
+from daydrift.engine import DAILY_CSV
 
 from conftest import REPO_ROOT
 
@@ -18,6 +20,18 @@ def test_the_removed_keys_paragraph_names_every_removed_key():
     text = " ".join(paragraph.group().split())
     named = [f"`[{section}] {key}`" for section, key in (name.split(".") for name in _REMOVED_KEYS)]
     assert [n for n in named if n not in text] == []
+
+
+def test_the_csv_schema_lines_match_their_tables():
+    # the header in backticks, then the distinct decimals of its columns in file order
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    for label, table in (("Daily output", DAILY_CSV), ("Decomposition report", DECOMPOSITION_CSV)):
+        line = re.search(rf"^{label}: `([^`]*)`\s*\(([^)]*)\)", readme, re.MULTILINE)
+        assert line, f"README has no {label!r} schema line"
+        header, decimals = line.groups()
+        assert header == ",".join(table)
+        distinct = list(dict.fromkeys(d for d in table.values() if d is not None))
+        assert [int(d) for d in re.findall(r"\d+", decimals)] == distinct
 
 
 # names the README and the docstrings take from numpy, not from daydrift
