@@ -39,6 +39,7 @@ to raise its error.  A day without noise builds no substream.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -121,7 +122,8 @@ class Scenario:
 
     @property
     def total_book_value(self) -> float:
-        return sum(a.book_value for a in self.agents if a.enabled)
+        # added left to right from 0 on every Python version, as summarize adds; from 3.12 sum compensates
+        return functools.reduce(operator.add, (a.book_value for a in self.agents if a.enabled), 0)
 
     def initial_state(self) -> MarketState:
         """The state before day 1."""
@@ -376,7 +378,7 @@ def _table(days: "DayColumns | list[DayRecord] | tuple[DayRecord, ...]") -> list
 
 @dataclass(frozen=True, eq=False)
 class SimResult:
-    """A run's ``DayColumns``, its ledger and its final state; ``records`` builds the ``DayRecord``s when read."""
+    """A run's ``DayColumns``, ledger sums (``fills`` is ``()``) and final state; ``records`` builds the ``DayRecord``s."""
 
     columns: DayColumns
     ledger: Ledger
@@ -415,12 +417,12 @@ _BLOCK_DAYS = 4096
 def _run_days(scenario: Scenario, book_ledger: Ledger, columns: DayColumns) -> MarketState:
     """The run kernel: simulate days ``1..scenario.days`` from the initial state; returns the final state.
 
-    Each finished day is booked into ``book_ledger`` and its numbers
-    appended to ``columns``, so after an error ``len(columns)`` counts the
-    days that finished and the ledger holds exactly those days; the failing
-    day books nothing.  Between days the anchor and the permanent impact
-    are carried as floats; the close becomes the next day's anchor, which
-    is ``MarketState.start_day``.
+    Each finished day is booked into ``book_ledger``'s sums (its fill
+    trail gains nothing) and its numbers appended to ``columns``, so after
+    an error ``len(columns)`` counts the days that finished and the sums
+    hold exactly those days; the failing day books nothing.  Between days
+    the anchor and the permanent impact are carried as floats; the close
+    becomes the next day's anchor, which is ``MarketState.start_day``.
 
     Every day is the same but for its noise, so the set-up is computed
     once, before the first block.  The day's orders are numbered in
@@ -458,9 +460,9 @@ def _run_days(scenario: Scenario, book_ledger: Ledger, columns: DayColumns) -> M
        its day.  It stops after the first close outside (0, inf).
     3. *Booking*: ``fill_price`` of every fill and of the open, a fill of
        zero spread after tick 0's orders, over the chained days, checked
-       with one min and one max; then the marks, ``book_days`` and the
-       columns for the days before the first failing day: the first day
-       with a price outside (0, inf), with a close outside it, or refused.
+       with one min and one max; then the marks, the sums (``book_days``)
+       and the columns for the days before the first failing day: the first
+       day with a price outside (0, inf), with a close outside it, or refused.
 
     That day goes to ``_fail_day``, which holds the error order.  The
     noise steps need no check of their own: a stop's anchor outside
@@ -553,7 +555,7 @@ def _run_days(scenario: Scenario, book_ledger: Ledger, columns: DayColumns) -> M
             if m:
                 path = np.frombuffer(closes)[: m + 1]
                 prevs, now = path[:-1], path[1:]
-                book_days(book_ledger, priced[:m, :-1], m, notional_micro, cost_micro)
+                book_days(book_ledger, m, notional_micro, cost_micro)
                 columns.extend(prevs, priced[:m, -1], now, np.full(m, day_cost), _gains(scenario, prevs, now))
             if m < n:
                 factors = growth[m].tolist() if diffuse else [1.0] * len(pulls)
@@ -601,12 +603,12 @@ def run_sim(scenario: Scenario) -> list[DayRecord]:
 
 
 def summarize(days: DayColumns | list[DayRecord] | tuple[DayRecord, ...]) -> RunSummary:
-    """The totals of a run's ``DayColumns`` or of a sequence of ``DayRecord``s, each summed left to right."""
+    """The totals of a run's ``DayColumns`` or ``DayRecord``s, each added left to right from 0 on every Python version."""
     _, prev, _, close, cost, gain, net = _table(days)
     if not (n := len(close)):
         raise ValueError("cannot summarize an empty run")
     initial, final = prev[0].item(), close[-1].item()
-    total_cost, total_mtm, total_net = (sum(column.tolist()) for column in (cost, gain, net))
+    total_cost, total_mtm, total_net = (np.cumsum(np.append(0.0, column))[-1].item() for column in (cost, gain, net))
     ratio = total_mtm / total_cost if total_cost != 0 else math.inf * (1 if total_mtm > 0 else -1 if total_mtm < 0 else math.nan)
     return RunSummary(
         days=n,

@@ -13,14 +13,15 @@ per day does not grow with its length.  Every name bound to a ledger sees
 its later updates; ``fills`` returns a tuple snapshot that later updates
 do not change.
 
-The fill trail is kept as typed columns (float64 prices, int64 micro
-amounts); ``fills`` builds the ``Fill`` records from them when it is read.
-The run kernel books days that all have the same fills, in micro-currency,
-so after ``d`` whole days the sums are exact ints, ``cash - d*outflow``
-and ``cost + d*day_cost``.  ``first_refused_day`` solves those for the
-first day whose fills ``record_fill`` would refuse, once per run, and
-``book_days`` books a run of whole days before it; the ledger ends as
-booking their fills one at a time would.
+``record_fill`` keeps a fill trail as typed columns (float64 prices,
+int64 micro amounts); ``fills`` builds the ``Fill`` records from them when
+it is read.  The run kernel books days that all have the same fills, in
+micro-currency, so after ``d`` whole days the sums are exact ints,
+``cash - d*outflow`` and ``cost + d*day_cost``.  ``first_refused_day``
+solves those for the first day whose fills ``record_fill`` would refuse,
+once per run, and ``book_days`` books a run of whole days before it into
+the sums only: they end as booking the fills one at a time would, and the
+trail gains nothing, so a run's ledger lists no fills.
 """
 
 from __future__ import annotations
@@ -66,7 +67,8 @@ class Ledger:
     """Running account updated in place by ``record_fill``.
 
     It holds integer running sums and the fill trail, three append-only
-    columns: each fill's price, notional and cost, the last two in micro.
+    columns: the price, notional and cost of each fill that ``record_fill``
+    booked, the last two in micro; ``book_days`` moves only the sums.
     Operations mutate the ledger they are given, so two names bound to one
     ledger alias the same account.
     """
@@ -141,17 +143,13 @@ def first_refused_day(ledger: Ledger, notional_micro: list[int], cost_micro: lis
     return min(days, default=None)
 
 
-def book_days(ledger: Ledger, prices, days: int, notional_micro: list[int], cost_micro: list[int]) -> None:
-    """Book ``days`` whole days in place, each of fills of the micro amounts ``notional_micro`` and ``cost_micro``.
+def book_days(ledger: Ledger, days: int, notional_micro: list[int], cost_micro: list[int]) -> None:
+    """Book ``days`` whole days into the sums, each of fills of the micro amounts ``notional_micro`` and ``cost_micro``.
 
-    ``prices``, a sequence or an array read in C order (a row per day),
-    holds every fill's price in booking order.  The days must come before
-    ``first_refused_day``; the ledger then ends as ``record_fill`` called
-    on each fill in turn would leave it.
+    The days must come before ``first_refused_day``; the sums then end as
+    ``record_fill`` called on each fill in turn would leave them.  The
+    fill trail gains nothing.
     """
     cost_sum = sum(cost_micro)
     ledger.cash_micro -= days * (sum(notional_micro) + cost_sum)
     ledger.cumulative_cost_micro += days * cost_sum
-    ledger._trail[0].frombytes(np.asarray(prices, dtype=np.float64).tobytes())
-    ledger._trail[1].extend(array("q", notional_micro) * days)
-    ledger._trail[2].extend(array("q", cost_micro) * days)

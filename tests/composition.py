@@ -1,7 +1,8 @@
 """Reference runs shared by the tests.
 
 ``compose_days`` runs a scenario through the market operations one day at
-a time, which the run kernel must equal bit for bit; ``bitwise_case``
+a time, which the run kernel must equal bit for bit, its ledger in
+``micro_sums`` since a run books no fill trail; ``bitwise_case``
 names the scenarios the kernel is checked on, and ``make_scenario``
 builds a small scenario around the reference trader.
 """
@@ -78,6 +79,11 @@ def bitwise_case(case: str) -> Scenario:
     if case == "interior-trades-diffusing":
         return make_scenario(days=3, seed=5, sigma=0.01, agents=agents, ticks=64)
     return make_scenario(days=3, sigma=0.0, half_life=0.5, agents=agents, ticks=64, fundamental=95.0)
+
+
+def micro_sums(ledger: Ledger) -> tuple[int, int]:
+    """A ledger's cash and cumulative cost in micro, the sums that a run's ledger keeps."""
+    return ledger.cash_micro, ledger.cumulative_cost_micro
 
 
 def compose_days(scenario: Scenario, sums: tuple[int, int] = (0, 0)):

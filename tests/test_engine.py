@@ -1,7 +1,10 @@
+import builtins
 import copy
+import functools
 import gc
 import itertools
 import math
+import operator
 import os
 import pickle
 import re
@@ -46,7 +49,7 @@ from daydrift.engine import _BLOCK_DAYS, _DAY_COLUMNS, DAILY_CSV, DayColumns, _r
 from daydrift.ledger import AccountingError
 from daydrift.market import diffusion_coef, diffusion_growth
 
-from composition import bitwise_case, compose_days, make_scenario
+from composition import bitwise_case, compose_days, make_scenario, micro_sums
 from conftest import NOISY_CONFIG, REFERENCE_CONFIG
 
 # Every test here runs the kernel with a 64-day block, except in the classes that override ``edge_block``
@@ -172,7 +175,7 @@ class TestRunDayMatchesOperationComposition:
         result = simulate(scenario)
         assert list(result.records) == [record for record, _, _ in expected]
         _, ledger, state = expected[-1]
-        assert result.ledger == ledger
+        assert micro_sums(result.ledger) == micro_sums(ledger) and result.ledger.fills == ()
         final = result.final_state
         assert final.day_anchor == state.day_anchor
         assert final.perm_impact_bps == state.perm_impact_bps
@@ -329,7 +332,7 @@ class TestBlockBoundaries:
         composed = list(compose_days(scenario))
         _, composed_ledger, composed_state = composed[-1]
         assert result.records == tuple(record for record, _, _ in composed)
-        assert result.ledger == composed_ledger
+        assert micro_sums(result.ledger) == micro_sums(composed_ledger) and result.ledger.fills == ()
         assert final_bits(result.final_state) == final_bits(composed_state)
 
     @pytest.mark.parametrize("sigma", [0.01, 300.0])
@@ -422,7 +425,7 @@ class TestComposedRuns:
         except (ValueError, OverflowError) as exc:
             error = exc
         assert columns.records() == records
-        assert ledger == composed_ledger
+        assert micro_sums(ledger) == micro_sums(composed_ledger) and ledger.fills == ()
         if composed_error is None:
             assert error is None
             assert final_bits(state) == final_bits(composed_state)
@@ -561,7 +564,8 @@ class TestErrorsAtBlockEdges:
             _run_days(scenario, ledger, columns)
         assert columns.records() == finished_columns.records()
         assert ledger == finished
-        assert len(columns) == day - 1 and len(ledger.fills) == 2 * (day - 1)
+        _, composed_ledger, _, _ = composed_run(scenario, sums)
+        assert len(columns) == day - 1 and micro_sums(ledger) == micro_sums(composed_ledger) and ledger.fills == ()
 
 
 class TestErrorsAtTheKernelsBlockEdge:
@@ -578,7 +582,8 @@ class TestErrorsAtTheKernelsBlockEdge:
         with pytest.raises(ValueError, match=r"^noise step produced .* at tick 391: inf$"):
             _run_days(scenario, ledger, columns)
         assert calls[0] == range(1, _BLOCK_DAYS + 1)
-        assert len(columns) == spike_day - 1 and len(ledger.fills) == 2 * (spike_day - 1)
+        *_, (_, composed_ledger, _) = compose_days(replace(scenario, days=spike_day - 1))
+        assert len(columns) == spike_day - 1 and micro_sums(ledger) == micro_sums(composed_ledger) and ledger.fills == ()
 
 
 # a scenario whose day 1 has a price out of range, and the error naming it
@@ -634,7 +639,7 @@ class TestPriceRange:
         records, composed_ledger, _, error = composed_run(scenario, (0, 0))
         assert str(error) == message
         assert columns.records() == records and len(records) == day - 1
-        assert ledger == composed_ledger and len(ledger.fills) == 2 * (day - 1)
+        assert micro_sums(ledger) == micro_sums(composed_ledger) and ledger.fills == ()
 
     def test_an_earlier_price_failure_wins_over_a_later_noise_failure_in_its_block(self, monkeypatch):
         # noise too weak to move the drift out of its 6.5 bp overflow window
@@ -858,11 +863,13 @@ class TestRunSim:
         assert abs(total - expected) / abs(expected) <= 1e-9
 
     def test_ledger_conservation_through_a_run(self):
+        # a run keeps only the sums; the composition's fill trail, booked with record_fill, accounts for them
         scenario = make_scenario(days=30, sigma=0.01, seed=5)
-        result = simulate(scenario)
-        led = result.ledger
-        assert led.cash_micro == -sum(f.signed_notional_micro + f.cost_micro for f in led.fills)
-        assert led.cumulative_cost_micro == sum(f.cost_micro for f in led.fills)
+        led = simulate(scenario).ledger
+        *_, (_, composed, _) = compose_days(scenario)
+        assert len(composed.fills) == 60 and led.fills == ()
+        assert led.cash_micro == -sum(f.signed_notional_micro + f.cost_micro for f in composed.fills)
+        assert led.cumulative_cost_micro == sum(f.cost_micro for f in composed.fills)
         assert led.cumulative_cost_micro == 30 * 10_000_000_000
 
     @pytest.mark.parametrize("days", BLOCK_EDGE_DAYS)
@@ -881,8 +888,9 @@ class TestRunSim:
         days = 300
         scenario = replace(load_config(NOISY_CONFIG).build(), days=days)
         result = simulate(scenario)
-        records, fills = result.records, result.ledger.fills
-        assert len(fills) == 2 * days
+        *_, (_, composed, _) = compose_days(scenario)  # the run books no trail; the composition's is the reference
+        records, fills = result.records, composed.fills
+        assert len(fills) == 2 * days and result.ledger.fills == ()
         book_per_price = scenario.total_book_value / scenario.initial_mid
         for record, day_fills in zip(records, zip(fills[::2], fills[1::2])):
             assert record.total_cost == from_micro(sum(f.cost_micro for f in day_fills))
@@ -891,10 +899,12 @@ class TestRunSim:
             assert record.net_pnl == record.mtm_gain - record.total_cost
         assert result.ledger.cumulative_cost_micro == sum(f.cost_micro for f in fills)
 
-    def test_a_finished_run_retains_at_most_100_bytes_per_day(self):
-        # the run's five float64 columns and the fill trail's 24 bytes per fill, two fills a day: 88 B/day
-        days = 8000
-        scenario = replace(load_config(NOISY_CONFIG).build(), days=days)
+    @pytest.mark.parametrize(
+        ("config", "days", "bound"), [(NOISY_CONFIG, 8000, 50), (REFERENCE_CONFIG, 64000, 45)], ids=["noisy", "reference"]
+    )
+    def test_a_finished_run_retains_its_columns_and_little_more(self, config, days, bound):
+        # the run's five float64 columns, 40 B/day; the ledger keeps two sums and no fill trail
+        scenario = replace(load_config(config).build(), days=days)
         simulate(replace(scenario, days=2))
         tracemalloc.start()
         try:
@@ -903,7 +913,7 @@ class TestRunSim:
         finally:
             tracemalloc.stop()
         assert len(result.columns) == days
-        assert retained / days <= 100
+        assert retained / days <= bound
 
 
 class TestCollection:
@@ -1101,6 +1111,43 @@ class TestDayRecordBuilder:
             for field in fields(DayRecord):
                 with pytest.raises(FrozenInstanceError):
                     setattr(r, field.name, 1.0)
+
+
+def compensated_sum(iterable, start=0):
+    """``sum`` as Python 3.12 and later add floats: Neumaier's compensated summation; ints stay exact."""
+    items = list(iterable)
+    if all(type(x) is int for x in [start, *items]):
+        return functools.reduce(operator.add, items, start)
+    total, error = float(start), 0.0
+    for x in items:
+        t = total + x
+        error += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + error if error and math.isfinite(error) else total
+
+
+class TestTotals:
+    """Totals are added left to right from 0, one rounding per term, whatever the interpreter's ``sum`` does."""
+
+    @pytest.fixture(autouse=True)
+    def compensating_sum(self, monkeypatch):
+        assert compensated_sum([1e16, 1.0, -1e16]) == 1.0 and compensated_sum([1, 2**70]) == 2**70 + 1
+        monkeypatch.setattr(builtins, "sum", compensated_sum)
+
+    def test_run_totals_round_after_every_day(self):
+        records = [DayRecord(day, 100.0, 100.0, 100.0, 0.0, gain, gain) for day, gain in enumerate([1e16, 1.0, -1e16], 1)]
+        summary = summarize(records)
+        assert (summary.total_cost, summary.total_mtm_gain, summary.total_net_pnl) == (0.0, 0.0, 0.0)
+
+    def test_run_totals_start_from_a_positive_zero(self):
+        records = [DayRecord(day, 100.0, 100.0, 100.0, 0.0, -0.0, -0.0) for day in (1, 2)]
+        summary = summarize(records)
+        assert math.copysign(1.0, summary.total_mtm_gain) == math.copysign(1.0, summary.total_net_pnl) == 1.0
+
+    def test_a_split_book_adds_its_parts_in_agent_order(self):
+        # six parts of 1e10 are 1666666666.6666665 each; compensated summation would give 1e10
+        scenario = ScenarioConfig(count=6, capital=1e9, leverage=10.0).build()
+        assert scenario.total_book_value == 9999999999.999998
 
 
 def make_config(**kwargs) -> ScenarioConfig:

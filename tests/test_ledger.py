@@ -13,6 +13,8 @@ from daydrift import (
 )
 from daydrift.ledger import book_days, first_refused_day
 
+from composition import micro_sums
+
 LIMIT = 2**63 - 1
 
 
@@ -152,12 +154,12 @@ class TestFirstRefusedDay:
             assert refused is None or refused >= self.DAYS
         else:
             assert refused == expected
-        # book_days books the whole days before it as record_fill does
+        # book_days books the whole days before it into the sums as record_fill does, and no fill trail
         whole = self.DAYS if expected is None else expected
         booked, reference = Ledger(cash, cost), Ledger(cash, cost)
-        book_days(booked, [100.0, 101.0] * whole, whole, notional_micro, cost_micro)
+        book_days(booked, whole, notional_micro, cost_micro)
         assert book_day_by_day(reference, fills, whole) is None
-        assert booked == reference
+        assert micro_sums(booked) == micro_sums(reference) and booked.fills == ()
 
     def test_a_day_that_moves_no_sum_is_never_refused(self):
         assert first_refused_day(Ledger(-LIMIT, LIMIT), [-(10**18), 10**18], [0, 0]) is None
