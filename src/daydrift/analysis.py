@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .csvio import blocks, split_cells, undecodable, write_rows
-from .engine import DayColumns
+from .engine import DayColumns, _table
 
 _TINY, _HUGE = np.finfo(float).tiny, np.finfo(float).max
 
@@ -62,12 +62,8 @@ class PriceSeries:
     def from_day_records(cls, records) -> "PriceSeries":
         """Build from a run's ``DayColumns``, read as arrays, or from objects carrying day/prev_close/open/close attributes."""
         if isinstance(records, DayColumns):
-            return cls(
-                days=range(1, len(records) + 1),
-                prev_close=np.array(records.prev_close),
-                open=np.array(records.open),
-                close=np.array(records.close),
-            )
+            days, prev, opens, close = _table(records)[:4]  # copied, so the series shares no memory with the run
+            return cls(days=days.tolist(), prev_close=prev, open=opens.copy(), close=close.copy())
         return cls(
             days=tuple(r.day for r in records),
             prev_close=np.array([r.prev_close for r in records], dtype=float),
@@ -212,15 +208,18 @@ def breakeven_book(
 def _ohlc_block(lines: list[str], width: int, date_i: int, open_i: int, close_i: int, last_date) -> tuple | None:
     """The dates, opens, closes and last date of a block of lines, if every row is good.
 
-    None if the lines are not plain (``split_cells``), a date or price
-    does not parse, the dates do not rise strictly from ``last_date``, or
-    a price is outside (0, inf): the row loop then reads the block and
-    raises the error.
+    None if the lines are not plain (``split_cells``), a date is not
+    ``YYYY-MM-DD`` or does not parse, a price does not parse, the dates
+    do not rise strictly from ``last_date``, or a price is outside
+    (0, inf): the row loop then reads the block and raises the error.
     """
     if (cells := split_cells(lines, width)) is None:
         return None
     try:
         raw = list(map(str.strip, cells[date_i::width]))
+        joined = "".join(raw)  # every date 10 characters with hyphens at 4 and 7, so fromisoformat takes one form
+        if set(map(len, raw)) != {10} or not joined[4::10] == joined[7::10] == "-" * len(raw):
+            return None
         dates = list(map(datetime.date.fromisoformat, raw))
         opens, closes = (array("d", map(float, cells[i::width])) for i in (open_i, close_i))
     except ValueError:
@@ -237,8 +236,9 @@ def ingest_ohlc_csv(path) -> PriceSeries:
     each once; high/low and anything else are ignored, as is a UTF-8
     byte-order mark.  Each day's prev_close is the previous row's close,
     so the first row seeds the chain and contributes no overnight return.
-    Blank rows are skipped; malformed rows are reported with their file
-    line number, and a file that is not UTF-8 with its path.
+    Dates are ``YYYY-MM-DD`` alone, whatever else ``datetime.date.fromisoformat``
+    takes.  Blank rows are skipped; malformed rows are reported with their
+    file line number, and a file that is not UTF-8 with its path.
     """
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         try:
@@ -279,6 +279,8 @@ def ingest_ohlc_csv(path) -> PriceSeries:
                 if not raw_date and not any(cell.strip() for cell in row):
                     continue
                 try:
+                    if len(raw_date) != 10 or raw_date[4] + raw_date[7] != "--":  # YYYY-MM-DD only, on every Python
+                        raise ValueError(raw_date)
                     date = fromisoformat(raw_date)
                 except ValueError:
                     raise ValueError(f"line {lineno}: unparseable ISO date {raw_date!r}") from None

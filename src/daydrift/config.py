@@ -131,7 +131,6 @@ class ScenarioConfig:
             )
             agents = tuple(split_trader(self.count, template))
         return Scenario(
-            clock=clock,
             profile=profile,
             impact=impact,
             noise=noise,

@@ -26,7 +26,7 @@ blocks of days.  Only the price chain goes day by day; the noise draw,
 the fill prices, the marks and the ledger are computed over a block at a
 time, the last three with the market model's step functions applied to
 arrays.  The chain runs over plain floats: each block's growth factors
-are read as one flat list, and each day's anchors are appended to one
+are read as one flat list, and each stop's anchor is appended to one
 float array.  Within a day it stops only at the stops and between them
 advances the price over the whole gap.  The result has the bits of composing ``advance_noise``
 once per noise step and ``apply_aggressive_trade`` once per order, in the
@@ -82,9 +82,8 @@ class SimulationError(RuntimeError):
 
 @dataclass(frozen=True)
 class Scenario:
-    """Everything needed to reproduce one simulation run."""
+    """Everything needed to reproduce one simulation run; the day has one tick per entry of ``profile``."""
 
-    clock: IntradayClock
     profile: SpreadDepthProfile
     impact: ImpactParams
     noise: NoiseParams
@@ -109,16 +108,16 @@ class Scenario:
             raise ValueError(f"initial_mid must be positive and finite, got {self.initial_mid}")
         if not 0.0 < self.initial_fundamental < math.inf:
             raise ValueError(f"initial_fundamental must be positive and finite, got {self.initial_fundamental}")
-        if len(self.profile) != self.clock.ticks_per_day:
-            raise ValueError(
-                f"profile has {len(self.profile)} ticks but clock expects {self.clock.ticks_per_day}"
-            )
         for agent in self.agents:
             if agent.sell_tick >= self.clock.ticks_per_day:
                 raise ValueError(
                     f"sell_tick: agent {agent.agent_id!r} trades at tick {agent.sell_tick}, outside the "
                     f"{self.clock.ticks_per_day}-tick day"
                 )
+
+    @property
+    def clock(self) -> IntradayClock:
+        return IntradayClock(len(self.profile))
 
     @property
     def total_book_value(self) -> float:
@@ -326,17 +325,19 @@ def _draw(seed: int, days: range, coef: np.ndarray, out: np.ndarray) -> None:
     diffusion_growth(coef, out, out=out)
 
 
-_DAY_COLUMNS = ("prev_close", "open", "close", "total_cost", "mtm_gain")
+_DAY_COLUMNS = ("open", "close", "mtm_gain")
 
 
 class DayColumns:
     """A run's per-day numbers as float64 columns named by ``_DAY_COLUMNS``; row ``i`` is day ``i + 1``.
 
-    The run kernel appends each booked block of days with ``extend``.  The
-    net P&L (gain minus cost) and the ``DayRecord``s are computed when read:
-    ``records`` sets each record field from its whole column (``_day_records``),
-    and ``PriceSeries.from_day_records`` reads the price columns with no rows.
+    The run kernel sets ``first`` (day 1's previous close) and ``day_cost``
+    (every day's cost), and appends each booked block with ``extend``.  The
+    other ``DayRecord`` fields are computed when read (``_table``); ``records``
+    sets each record field from its whole column (``_day_records``).
     """
+
+    first, day_cost = math.nan, 0.0
 
     def __init__(self):
         for name in _DAY_COLUMNS:
@@ -371,14 +372,15 @@ def _day_records(columns: list) -> list[DayRecord]:
 def _table(days: "DayColumns | list[DayRecord] | tuple[DayRecord, ...]") -> list[np.ndarray]:
     """The columns of ``DayRecord`` (day, prev_close, ..., net_pnl) of ``DayColumns`` or of ``DayRecord``s."""
     if isinstance(days, DayColumns):
-        prev, opens, close, cost, gain = (np.frombuffer(getattr(days, name)) for name in _DAY_COLUMNS)
-        return [np.arange(1, len(close) + 1), prev, opens, close, cost, gain, gain - cost]
+        opens, close, gain = (np.frombuffer(getattr(days, name)) for name in _DAY_COLUMNS)
+        cost = np.broadcast_to(days.day_cost, close.shape)  # read-only, and no memory per day
+        return [np.arange(1, len(close) + 1), np.append(days.first, close)[:-1], opens, close, cost, gain, gain - cost]
     return [np.array([getattr(r, f.name) for r in days]) for f in fields(DayRecord)]
 
 
 @dataclass(frozen=True, eq=False)
 class SimResult:
-    """A run's ``DayColumns``, ledger sums (``fills`` is ``()``) and final state; ``records`` builds the ``DayRecord``s."""
+    """A run's ``DayColumns`` (three float64 columns), its ledger's sums and final state; ``records`` builds the rows."""
 
     columns: DayColumns
     ledger: Ledger
@@ -417,10 +419,10 @@ _BLOCK_DAYS = 4096
 def _run_days(scenario: Scenario, book_ledger: Ledger, columns: DayColumns) -> MarketState:
     """The run kernel: simulate days ``1..scenario.days`` from the initial state; returns the final state.
 
-    Each finished day is booked into ``book_ledger``'s sums (its fill
-    trail gains nothing) and its numbers appended to ``columns``, so after
-    an error ``len(columns)`` counts the days that finished and the sums
-    hold exactly those days; the failing day books nothing.  Between days
+    It sets ``columns.first`` and ``columns.day_cost``; each finished day
+    is booked into ``book_ledger``'s sums and appended to ``columns``, so
+    after an error ``len(columns)`` counts the days that finished and the
+    sums hold exactly those days; the failing day books nothing.  Between days
     the anchor and the permanent impact are carried as floats; the close
     becomes the next day's anchor, which is ``MarketState.start_day``.
 
@@ -453,16 +455,18 @@ def _run_days(scenario: Scenario, book_ledger: Ledger, columns: DayColumns) -> M
        nothing.
     2. *The chain*, plain arithmetic on floats over the days before the
        refused day: the block's growth factors are read as one flat list,
-       ``noise_step`` takes them stop by stop, and each day's anchor and
-       its anchor after each stop are appended to one float array, read
-       back as the block's anchor rows; a run with neither noise nor mean
-       reversion keeps only the day's anchor.  No object per day outlives
-       its day.  It stops after the first close outside (0, inf).
+       ``noise_step`` takes them stop by stop, and each day's anchor after
+       each stop is appended to one float array, read back as the block's
+       anchor rows, and its close to another; a run with neither noise nor
+       mean reversion appends only the close, and its anchor is the
+       previous close.  No object per day outlives its day.  It stops after
+       the first close outside (0, inf).
     3. *Booking*: ``fill_price`` of every fill and of the open, a fill of
        zero spread after tick 0's orders, over the chained days, checked
        with one min and one max; then the marks, the sums (``book_days``)
-       and the columns for the days before the first failing day: the first
-       day with a price outside (0, inf), with a close outside it, or refused.
+       and the open, close and gain columns for the days before the first
+       failing day: the first day with a price outside (0, inf), with a
+       close outside it, or refused.
 
     That day goes to ``_fail_day``, which holds the error order.  The
     noise steps need no check of their own: a stop's anchor outside
@@ -493,9 +497,8 @@ def _run_days(scenario: Scenario, book_ledger: Ledger, columns: DayColumns) -> M
     days = range(1, scenario.days + 1)
     block = min(len(days), _BLOCK_DAYS)
     growth = np.empty((block, len(stop_ticks))) if diffuse else None  # row i: day i's growth factors
-    width = len(stop_ticks) + 1 if steps else 1  # a day's anchor, then its anchor after each stop
     state = scenario.initial_state()
-    close = anchor = state.day_anchor
+    columns.first = close = anchor = state.day_anchor
     fund = state.fundamental
     # an overflow surfaces as a non-finite price, which the checks report
     with np.errstate(over="ignore", invalid="ignore"):
@@ -505,9 +508,9 @@ def _run_days(scenario: Scenario, book_ledger: Ledger, columns: DayColumns) -> M
         perm[1:] = perm_steps
         np.add.accumulate(perm, out=perm)
         tick_perm = perm[firsts].tolist()
-        # the prices a day books: every order's fill, then the open, a zero-spread fill after tick 0's orders;
-        # each reads the anchor of its stop's column
-        price_col = [s + 1 if steps else 0 for s in [*order_stop, 0]]
+        # the prices a day books: every order's fill, then the open, a zero-spread fill after tick 0's orders; each
+        # reads its stop's column of a block's anchors (row i: day i), without steps the one column of previous closes
+        price_col = [*order_stop, 0] if steps else [0]
         price_perm = np.append(perm[:-1], perm[firsts[1]])
         price_spreads, price_sides = np.append(spreads, 0.0), np.append(notionals, 1.0)
         close_perm = perm[-1].item()
@@ -519,7 +522,7 @@ def _run_days(scenario: Scenario, book_ledger: Ledger, columns: DayColumns) -> M
         except (ValueError, OverflowError):
             refused = 0
         else:
-            day_cost = from_micro(sum(cost_micro))
+            columns.day_cost = from_micro(sum(cost_micro))
             first = first_refused_day(book_ledger, notional_micro, cost_micro)
             refused = refused if first is None else min(refused, first)
         for start in range(0, len(days), _BLOCK_DAYS):
@@ -534,7 +537,6 @@ def _run_days(scenario: Scenario, book_ledger: Ledger, columns: DayColumns) -> M
             factors = iter(growth[:m].ravel().tolist()) if diffuse else itertools.repeat(1.0)
             chained, closes = array("d"), array("d", [close])
             for i in range(m):
-                chained.append(close)
                 anchor = close
                 if steps:
                     # zip ends the day on pulls, before it takes the next day's first factor
@@ -546,17 +548,17 @@ def _run_days(scenario: Scenario, book_ledger: Ledger, columns: DayColumns) -> M
                 if not 0.0 < close < math.inf:
                     m = i
                     break
-            anchors = np.frombuffer(chained).reshape(-1, width)  # row i: day i's anchors
+            path = np.frombuffer(closes)
+            anchors = np.frombuffer(chained).reshape(-1, len(stop_ticks)) if steps else path[:-1, None]
 
             # 3. booking the days before the first failing day, which is then replayed for its error
             priced = fill_price(anchors[:m, price_col], price_perm, price_spreads, price_sides)
             if m and not (0.0 < priced.min() and priced.max() < math.inf):  # a NaN fails this too
                 m = (~((priced > 0.0) & (priced < math.inf))).any(axis=1).argmax().item()
             if m:
-                path = np.frombuffer(closes)[: m + 1]
-                prevs, now = path[:-1], path[1:]
+                prevs, now = path[:m], path[1 : m + 1]
                 book_days(book_ledger, m, notional_micro, cost_micro)
-                columns.extend(prevs, priced[:m, -1], now, np.full(m, day_cost), _gains(scenario, prevs, now))
+                columns.extend(priced[:m, -1], now, _gains(scenario, prevs, now))
             if m < n:
                 factors = growth[m].tolist() if diffuse else [1.0] * len(pulls)
                 _fail_day(scenario.impact, orders, stop_ticks, pulls, fund, closes[m], factors, book_ledger)
@@ -760,7 +762,8 @@ def _run_path(args: tuple[ScenarioConfig, list[tuple[tuple[str, float], ...]]]) 
             cells.append(SweepCell(params, None, run))
             continue
         # the run's columns are this path's own, so each cell overwrites the gains in place
-        np.frombuffer(run.mtm_gain)[:] = _gains(scenario, np.frombuffer(run.prev_close), np.frombuffer(run.close))
+        _, prev, _, close, _, gain, _ = _table(run)
+        gain[:] = _gains(scenario, prev, close)
         cells.append(SweepCell(params, summarize(run), None))
     return cells
 

@@ -13,21 +13,19 @@ per day does not grow with its length.  Every name bound to a ledger sees
 its later updates; ``fills`` returns a tuple snapshot that later updates
 do not change.
 
-``record_fill`` keeps a fill trail as typed columns (float64 prices,
-int64 micro amounts); ``fills`` builds the ``Fill`` records from them when
-it is read.  The run kernel books days that all have the same fills, in
-micro-currency, so after ``d`` whole days the sums are exact ints,
-``cash - d*outflow`` and ``cost + d*day_cost``.  ``first_refused_day``
-solves those for the first day whose fills ``record_fill`` would refuse,
-once per run, and ``book_days`` books a run of whole days before it into
-the sums only: they end as booking the fills one at a time would, and the
-trail gains nothing, so a run's ledger lists no fills.
+``record_fill`` keeps a fill trail of ``Fill`` records.  The run kernel
+books days that all have the same fills, in micro-currency, so after
+``d`` whole days the sums are exact ints, ``cash - d*outflow`` and
+``cost + d*day_cost``.  ``first_refused_day`` solves those for the first
+day whose fills ``record_fill`` would refuse, once per run, and
+``book_days`` books a run of whole days before it into the sums only:
+they end as booking the fills one at a time would, and the trail gains
+nothing, so a run's ledger lists no fills.
 """
 
 from __future__ import annotations
 
 import operator
-from array import array
 from dataclasses import dataclass, field
 from itertools import accumulate
 
@@ -66,20 +64,19 @@ class Fill:
 class Ledger:
     """Running account updated in place by ``record_fill``.
 
-    It holds integer running sums and the fill trail, three append-only
-    columns: the price, notional and cost of each fill that ``record_fill``
-    booked, the last two in micro; ``book_days`` moves only the sums.
+    It holds integer running sums and the fill trail, a ``Fill`` for each
+    fill that ``record_fill`` booked; ``book_days`` moves only the sums.
     Operations mutate the ledger they are given, so two names bound to one
     ledger alias the same account.
     """
 
     cash_micro: int = 0
     cumulative_cost_micro: int = 0
-    _trail: tuple[array, ...] = field(default_factory=lambda: (array("d"), array("q"), array("q")), init=False, repr=False)
+    _fills: list[Fill] = field(default_factory=list, init=False, repr=False)
 
     @property
     def fills(self) -> tuple[Fill, ...]:
-        return tuple(map(Fill, *self._trail))
+        return tuple(self._fills)
 
     @property
     def cumulative_cost(self) -> float:
@@ -102,8 +99,7 @@ def record_fill(ledger: Ledger, fill_price: float, signed_notional: float, cost:
     total_cost = ledger.cumulative_cost_micro + cost_micro
     if total_cost > _MICRO_LIMIT:
         raise AccountingError("cumulative cost left the micro-currency range")
-    for column, value in zip(ledger._trail, (fill_price, notional_micro, cost_micro)):
-        column.append(value)  # only the price can be refused, and it comes first
+    ledger._fills.append(Fill(float(fill_price), notional_micro, cost_micro))
     ledger.cash_micro = cash
     ledger.cumulative_cost_micro = total_cost
     return ledger

@@ -13,7 +13,6 @@ from dataclasses import replace
 from daydrift import (
     DayRecord,
     ImpactParams,
-    IntradayClock,
     Ledger,
     NoiseParams,
     RoundTripTrader,
@@ -47,7 +46,6 @@ def make_scenario(
     if agents is None:
         agents = (RoundTripTrader(1e9, 10.0, 1e7, buy_tick=0, sell_tick=ticks - 1),)
     return Scenario(
-        clock=IntradayClock(ticks_per_day=ticks),
         profile=SpreadDepthProfile.default(ticks),
         impact=ImpactParams(lam=lam),
         noise=NoiseParams(sigma, half_life),

@@ -287,6 +287,10 @@ class TestIngestOhlcCsv:
             (",101,102\n", "line 3: unparseable ISO date ''"),
             ("  ,101,102\n", "line 3: unparseable ISO date ''"),
             ("2024-13-01,101,102\n", "line 3: unparseable ISO date '2024-13-01'"),
+            # forms of 2024-01-03 that date.fromisoformat reads from Python 3.11 on, and 3.10 does not
+            ("20240103,101,102\n", "line 3: unparseable ISO date '20240103'"),
+            ("2024-W01-4,101,102\n", "line 3: unparseable ISO date '2024-W01-4'"),
+            ("2024W012,101,102\n", "line 3: unparseable ISO date '2024W012'"),
             ("2024-01-02,101,102\n", "line 3: dates must be strictly increasing, got 2024-01-02"),
             ("2024-01-03,1o1,102\n", "line 3: unparseable price in open/close"),
             ('"2024-01-03","1,01",102\n', "line 3: unparseable price in open/close"),
@@ -450,8 +454,8 @@ class TestCsvMemory:
         rng = np.random.default_rng(4)
         close = 100.0 * np.exp(np.cumsum(rng.normal(0.0, 0.01, self.ROWS)))
         days = DayColumns()
-        days.extend(np.concatenate([[100.0], close[:-1]]), close * np.exp(rng.normal(0.0, 0.003, self.ROWS)), close,
-                    np.full(self.ROWS, 10_000.0), rng.normal(0.0, 1e6, self.ROWS))
+        days.first, days.day_cost = 100.0, 10_000.0
+        days.extend(close * np.exp(rng.normal(0.0, 0.003, self.ROWS)), close, rng.normal(0.0, 1e6, self.ROWS))
         return days
 
     @staticmethod

@@ -11,7 +11,6 @@ import pytest
 
 from daydrift import (
     ImpactParams,
-    IntradayClock,
     NoiseParams,
     RoundTripTrader,
     Scenario,
@@ -258,7 +257,6 @@ class TestGoldenDigests:
     )
     def test_shipped_configs_build_the_paper_scenario(self, path, sigma, days, seed):
         expected = Scenario(
-            clock=IntradayClock(392),
             profile=SpreadDepthProfile.default(392, 15.0, 5.0, 1e9),
             impact=ImpactParams(20.0, 0.5),
             noise=NoiseParams(sigma, None),

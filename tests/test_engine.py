@@ -137,7 +137,7 @@ class TestRunDayMatchesOperationComposition:
         noise = NoiseParams(0.01, 504.0)
         agent = RoundTripTrader(1e9, 10.0, 1e7, buy_tick=0, sell_tick=ticks - 1)
         scenario = Scenario(
-            clock, profile, impact, noise, (agent,), days=3, seed=99,
+            profile, impact, noise, (agent,), days=3, seed=99,
             initial_mid=100.0, initial_fundamental=95.0,
         )
 
@@ -615,6 +615,22 @@ def overflowing_reference(day: int) -> Scenario:
     )
 
 
+class TestMicroRange:
+    def test_an_order_past_the_micro_range_refuses_day_1_in_the_kernel_and_the_composition(self):
+        # a 1e13 leg is 1e19 micro, past the ledger's 2**63 - 1: the kernel's set-up refuses day 1
+        scenario = replace(load_config(REFERENCE_CONFIG), capital=1e13, leg_notional=1e13).build()
+        message = "10000000000000.0 does not fit in micro-currency range"
+        with pytest.raises(SimulationError, match=f"^day 1: {re.escape(message)}$") as info:
+            simulate(scenario)
+        assert type(info.value.__cause__) is AccountingError
+        columns, ledger = DayColumns(), Ledger()
+        with pytest.raises(AccountingError, match=f"^{re.escape(message)}$"):
+            _run_days(scenario, ledger, columns)
+        assert len(columns) == 0 and micro_sums(ledger) == (0, 0)
+        with pytest.raises(AccountingError, match=f"^{re.escape(message)}$"):
+            next(compose_days(scenario))
+
+
 class TestPriceRange:
     @pytest.mark.parametrize(("scenario", "message"), PRICE_FAILURES)
     def test_a_price_out_of_range_fails_day_1_in_the_kernel_and_the_composition(self, scenario, message):
@@ -900,10 +916,10 @@ class TestRunSim:
         assert result.ledger.cumulative_cost_micro == sum(f.cost_micro for f in fills)
 
     @pytest.mark.parametrize(
-        ("config", "days", "bound"), [(NOISY_CONFIG, 8000, 50), (REFERENCE_CONFIG, 64000, 45)], ids=["noisy", "reference"]
+        ("config", "days", "bound"), [(NOISY_CONFIG, 8000, 32), (REFERENCE_CONFIG, 64000, 28)], ids=["noisy", "reference"]
     )
     def test_a_finished_run_retains_its_columns_and_little_more(self, config, days, bound):
-        # the run's five float64 columns, 40 B/day; the ledger keeps two sums and no fill trail
+        # three float64 columns, 24 B/day; the ledger keeps two sums and no fill trail
         scenario = replace(load_config(config).build(), days=days)
         simulate(replace(scenario, days=2))
         tracemalloc.start()
@@ -1016,16 +1032,18 @@ class TestDailyCsv:
         [
             ((1, 1, math.nan), "day 2: open nan"),
             ((1, 1, 4e-7), "day 2: open 4e-07"),
-            ((1, 0, -1.0), "day 2: prev_close -1.0"),
+            ((0, 0, -1.0), "day 1: prev_close -1.0"),
             ((2, 2, math.inf), "day 3: close inf"),
         ],
     )
     def test_records_and_columns_refuse_a_bad_price_alike(self, tmp_path, bad, message):
-        # day 2's prev_close of 7e-7 prints as 0.000001, so its row is readable up to the bad field
-        prices = np.array([[100.0, 100.0, 100.0], [7e-7, 100.0, 100.0], [100.0, 100.0, 100.0]])
+        # day 1's close, day 2's prev_close, of 7e-7 prints as 0.000001, so day 2's row is readable up to the bad
+        # field; the columns take day 1's prev_close as first and each later one as the close before it
+        prices = np.array([[100.0, 100.0, 7e-7], [7e-7, 100.0, 100.0], [100.0, 100.0, 100.0]])
         prices[bad[0], bad[1]] = bad[2]
         columns = DayColumns()
-        columns.extend(*prices.T, np.full(3, 10.0), np.zeros(3))
+        columns.first, columns.day_cost = prices[0, 0].item(), 10.0
+        columns.extend(prices[:, 1], prices[:, 2], np.zeros(3))
         messages = []
         for days in (columns, columns.records()):
             with pytest.raises(ValueError) as info:
@@ -1079,8 +1097,10 @@ def records_and_their_values(source: str, tmp_path) -> tuple[list, list[tuple]]:
     """The ``DayRecord``s that ``source`` builds and, read apart from them, each record's field values."""
     scenario = replace(load_config(NOISY_CONFIG).build(), days=TEST_BLOCK_DAYS + 1, seed=3)
     result = simulate(scenario)
-    columns = [getattr(result.columns, name).tolist() for name in _DAY_COLUMNS]
-    values = [(day, *row, row[-1] - row[-2]) for day, row in enumerate(zip(*columns), start=1)]
+    opens, closes, gains = (getattr(result.columns, name).tolist() for name in _DAY_COLUMNS)
+    prevs, cost = [result.columns.first, *closes[:-1]], result.columns.day_cost
+    values = [(day, prev, open_, close, cost, gain, gain - cost)
+              for day, prev, open_, close, gain in zip(range(1, len(closes) + 1), prevs, opens, closes, gains)]
     if source == "run_sim":
         return run_sim(scenario), values
     if source == "SimResult.records":
@@ -1124,6 +1144,13 @@ def compensated_sum(iterable, start=0):
         error += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
         total = t
     return total + error if error and math.isfinite(error) else total
+
+
+class TestEmptyRun:
+    @pytest.mark.parametrize("days", [[], DayColumns()], ids=["records", "columns"])
+    def test_an_empty_run_cannot_be_summarized(self, days):
+        with pytest.raises(ValueError, match="^cannot summarize an empty run$"):
+            summarize(days)
 
 
 class TestTotals:
@@ -1258,6 +1285,10 @@ class TestRunSweep:
         with pytest.raises(ValueError):
             run_sweep(make_config(), [])
 
+    def test_a_key_with_no_values_is_rejected(self):
+        with pytest.raises(ValueError, match=r"^sweep key 'run\.seed' has no values$"):
+            run_sweep(make_config(), [("run.seed", [])])
+
     def test_cartesian_product_order_is_row_major(self):
         base = make_config(days=1)
         cells = run_sweep(base, [("impact.lambda", [0.0, 20.0]), ("run.seed", [1.0, 2.0])])
@@ -1344,20 +1375,6 @@ class TestSweepPaths:
 
 
 class TestScenarioValidation:
-    def test_profile_and_clock_must_agree(self):
-        with pytest.raises(ValueError):
-            make_scenario(ticks=392, agents=()).__class__(
-                clock=IntradayClock(100),
-                profile=SpreadDepthProfile.default(392),
-                impact=ImpactParams(),
-                noise=NoiseParams(0.0, None),
-                agents=(),
-                days=1,
-                seed=0,
-                initial_mid=100.0,
-                initial_fundamental=100.0,
-            )
-
     def test_agent_schedule_must_fit_the_day(self):
         agent = RoundTripTrader(1e9, 10.0, 1e7, buy_tick=0, sell_tick=500)
         with pytest.raises(ValueError):
