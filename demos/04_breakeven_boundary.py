@@ -14,7 +14,7 @@ from daydrift import breakeven_book, load_config, locate_zero_crossing, run_swee
 
 base = replace(load_config("configs/reference.ini"), days=20)
 books = [1e7, 3e7, 1e8, 3e8, 1e9, 1e10]
-cells = run_sweep(base, [("agents.book_value", books)], workers=2)
+cells = run_sweep(base, [("agents.book_value", books)])
 
 print(f"{'book':>14}  {'cost/day':>12}  {'gain/day':>14}  {'net/day':>14}")
 for cell in cells:

@@ -23,7 +23,6 @@ from .engine import (
     DAILY_CSV_HEADER,
     RunSummary,
     SimulationError,
-    pool_workers,
     read_daily_columns,
     run_sweep,
     simulate,
@@ -155,7 +154,7 @@ def cmd_sweep(args) -> int:
     base = _load(args)
     base.build()  # a bad base is a config error, not a failure in every cell
     grid = _parse_grid(args.grid)
-    cells = run_sweep(base, grid, workers=args.workers)
+    cells = run_sweep(base, grid)
 
     keys = [key for key, _ in grid]
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -179,8 +178,7 @@ def cmd_sweep(args) -> int:
             label = ", ".join(f"{k}={v!r}" for k, v in cell.params)
             print(f"  failed cell [{label}]: {cell.error}")
     paths = len(sweep_paths([cell.params for cell in cells]))
-    _stanza({"cells": len(cells), "ok": ok, "failed": failed, "paths": paths, "workers": args.workers,
-            "pool_workers": pool_workers(args.workers, paths), "out": args.out})
+    _stanza({"cells": len(cells), "ok": ok, "failed": failed, "paths": paths, "out": args.out})
     return EXIT_OK if ok else EXIT_RUNTIME
 
 
@@ -251,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
         "e.g. agents.book_value=1e7,1e8,1e9",
     )
     sweep_p.add_argument("--out", required=True, help="sweep table CSV path")
-    sweep_p.add_argument("--workers", type=int, default=1, help="parallel price paths (result is order-independent)")
+    sweep_p.add_argument("--workers", type=int, default=1, help="no effect: paths run one after another in this process")
     sweep_p.add_argument("--seed", type=int, default=None, help="override run.seed")
     sweep_p.add_argument("--days", type=int, default=None, help="override run.days")
     sweep_p.set_defaults(func=cmd_sweep)

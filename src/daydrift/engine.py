@@ -43,10 +43,8 @@ import functools
 import itertools
 import math
 import operator
-import os
 from array import array
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, NoReturn
 
@@ -737,7 +735,7 @@ def _error(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _run_path(args: tuple[ScenarioConfig, list[tuple[tuple[str, float], ...]]]) -> list[SweepCell]:
+def _run_path(base: ScenarioConfig, path: list[tuple[tuple[str, float], ...]]) -> list[SweepCell]:
     """The cells of one price path (``sweep_paths``): one ``simulate``, then each cell's gains marked at its book.
 
     Each cell is built on its own, so a cell whose build fails fails alone.
@@ -745,7 +743,6 @@ def _run_path(args: tuple[ScenarioConfig, list[tuple[tuple[str, float], ...]]]) 
     which only ``_gains`` reads; the first is simulated, and if that fails,
     so does each of them, with its error.
     """
-    base, path = args
     cells, run = [], None
     for params in path:
         try:
@@ -784,21 +781,7 @@ def sweep_paths(cells: list[tuple[tuple[str, float], ...]]) -> list[list[int]]:
     return list(paths.values())
 
 
-def pool_workers(workers: int, paths: int) -> int:
-    """The processes a sweep of ``paths`` price paths runs on when ``workers`` are asked for; 1 runs them in this one.
-
-    At most one per path and per CPU this process may run on, since the
-    pool starts all its workers at once.
-    """
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return max(1, min(workers, paths, cpus))
-
-
-def run_sweep(
-    base: ScenarioConfig,
-    grid: list[tuple[str, list[float]]],
-    workers: int = 1,
-) -> list[SweepCell]:
+def run_sweep(base: ScenarioConfig, grid: list[tuple[str, list[float]]]) -> list[SweepCell]:
     """One summary per grid point (cartesian product, row-major order), from one price path per group of cells.
 
     A cell's scenario is ``base`` with each of the cell's keys set, then
@@ -807,9 +790,8 @@ def run_sweep(
     (``agents.book_value``, ``agents.capital``, ``agents.leverage``) share
     one price path (``sweep_paths``), which ``_run_path`` simulates once
     and marks per cell, so each cell's summary has the bits of its own
-    run.  Paths run independently, on ``pool_workers(workers, paths)``
-    processes; results are merged in grid order, so the output is identical
-    whatever the worker count.  A failing cell is reported in its row and
+    run.  Paths run one after another in this process, and their cells are
+    merged in grid order.  A failing cell is reported in its row and
     does not abort the others; a failing run fails every cell of its path.
     A grid that names a key twice, or both ``agents.book_value`` and
     ``agents.capital``, is a ``ValueError``: its cells would not run the
@@ -832,13 +814,7 @@ def run_sweep(
         raise ValueError("sweep keys 'agents.book_value' and 'agents.capital' both set the capital; sweep one of them")
     cells = [tuple(zip(keys, values)) for values in itertools.product(*(values for _, values in grid))]
     paths = sweep_paths(cells)
-    jobs = [(base, [cells[i] for i in path]) for path in paths]
-    workers = pool_workers(workers, len(jobs))
-    if workers == 1:
-        runs = list(map(_run_path, jobs))
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            runs = list(pool.map(_run_path, jobs))
+    runs = [_run_path(base, [cells[i] for i in path]) for path in paths]
     swept = dict(zip(itertools.chain(*paths), itertools.chain(*runs)))
     return [swept[i] for i in range(len(cells))]
 

@@ -2,7 +2,6 @@ import csv
 import datetime
 import hashlib
 import math
-import os
 import re
 import sys
 from dataclasses import fields, replace
@@ -667,25 +666,14 @@ class TestSweep:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
-    def test_the_stanza_reports_the_pool_size_next_to_the_request(self, capsys, monkeypatch, reference_config_path, tmp_path):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)  # one usable CPU
-        code, stanza, _, _ = run_cli(
-            capsys, "sweep", "--config", str(reference_config_path), "--grid", "run.seed=1,2,3,4", "--days", "2",
-            "--workers", "64", "--out", str(tmp_path / "sweep.csv"),
-        )
-        assert code == 0
-        assert (stanza["workers"], stanza["pool_workers"]) == ("64", "1")
-
-    def test_the_stanza_counts_price_paths_and_sizes_the_pool_by_them(
-        self, capsys, monkeypatch, reference_config_path, tmp_path
-    ):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)  # four usable CPUs
+    def test_the_stanza_counts_price_paths_and_reports_no_pool(self, capsys, reference_config_path, tmp_path):
         code, stanza, _, _ = run_cli(
             capsys, "sweep", "--config", str(reference_config_path), "--grid", "agents.book_value=1e7,1e8,1e9,1e10",
             "--workers", "4", "--out", str(tmp_path / "sweep.csv"),
         )
         assert code == 0
-        assert (stanza["cells"], stanza["paths"], stanza["workers"], stanza["pool_workers"]) == ("4", "1", "4", "1")
+        assert (stanza["cells"], stanza["paths"]) == ("4", "1")
+        assert "workers" not in stanza and "pool_workers" not in stanza
 
     def test_key_named_twice_exits_one_naming_it(self, capsys, reference_config_path, tmp_path):
         out = tmp_path / "sweep.csv"

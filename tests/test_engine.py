@@ -5,7 +5,6 @@ import gc
 import itertools
 import math
 import operator
-import os
 import pickle
 import re
 import sys
@@ -919,9 +918,11 @@ class TestRunSim:
         ("config", "days", "bound"), [(NOISY_CONFIG, 8000, 32), (REFERENCE_CONFIG, 64000, 28)], ids=["noisy", "reference"]
     )
     def test_a_finished_run_retains_its_columns_and_little_more(self, config, days, bound):
-        # three float64 columns, 24 B/day; the ledger keeps two sums and no fill trail
+        # three float64 columns, 24 B/day; the ledger keeps two sums and no fill trail.  The warm-up is the
+        # measured run itself, so what a first run imports or caches (numpy.random, on a first rejected draw)
+        # is not counted
         scenario = replace(load_config(config).build(), days=days)
-        simulate(replace(scenario, days=2))
+        simulate(scenario)
         tracemalloc.start()
         try:
             result = simulate(scenario)
@@ -1189,50 +1190,6 @@ class TestRunSweep:
         assert len(cells) == 1 and cells[0].ok
         assert cells[0].summary == summarize(run_sim(base.build()))
 
-    def test_worker_count_does_not_change_results(self):
-        base = make_config(days=2, sigma_daily=0.01, seed=21)
-        grid = [("agents.book_value", [1e7, 1e8, 1e9, 1e10])]
-        serial = run_sweep(base, grid, workers=1)
-        parallel = run_sweep(base, grid, workers=4)
-        assert serial == parallel
-
-    @staticmethod
-    def recorded_pools(monkeypatch, cpus: int) -> list[int]:
-        """The pool sizes that ``run_sweep`` asks for from now on, on ``cpus`` CPUs; it starts no process."""
-        pools = []
-
-        class RecordingPool:  # runs the cells in this process and records the pool size asked for
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, jobs):
-                return map(fn, jobs)
-
-        monkeypatch.setattr(engine, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-        return pools
-
-    def test_pool_has_no_more_workers_than_cells(self, monkeypatch):
-        pools = self.recorded_pools(monkeypatch, cpus=8)
-        grid = [("run.seed", [1, 2, 3, 4])]
-        assert all(cell.ok for cell in run_sweep(make_config(), grid, workers=500))
-        run_sweep(make_config(), grid, workers=2)
-        assert pools == [4, 2]
-
-    def test_pool_has_no_more_workers_than_cpus(self, monkeypatch):
-        # the pool starts all its workers at once, so --workers 500 would start 500 processes
-        base, grid = make_config(days=2, sigma_daily=0.01), [("run.seed", [1, 2, 3, 4])]
-        serial = run_sweep(base, grid, workers=1)
-        pools = self.recorded_pools(monkeypatch, cpus=2)
-        assert run_sweep(base, grid, workers=64) == serial
-        assert pools == [2]
-
     @pytest.mark.parametrize("book_first", [True, False])
     def test_book_value_is_set_at_the_cells_leverage_in_either_order(self, book_first):
         grid = [("agents.book_value", [1e8]), ("agents.leverage", [5.0])]
@@ -1326,7 +1283,6 @@ class TestSweepPaths:
                 cells.append(engine.SweepCell(params, None, f"{type(exc).__name__}: {exc}"))
         return list(map(repr, cells))
 
-    @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize(
         ("base", "grid"),
         [
@@ -1339,8 +1295,8 @@ class TestSweepPaths:
         ],
         ids=["book-last", "book-first", "leverage", "count-3-capital", "disabled", "failing-path"],
     )
-    def test_each_cell_summarizes_its_own_run(self, base, grid, workers):
-        assert list(map(repr, run_sweep(base, grid, workers))) == self.per_cell(base, grid)
+    def test_each_cell_summarizes_its_own_run(self, base, grid):
+        assert list(map(repr, run_sweep(base, grid))) == self.per_cell(base, grid)
 
     def test_a_failing_run_fails_every_cell_of_its_path_with_its_error(self):
         cells = run_sweep(noisy_base(sigma_daily=300.0), [("agents.book_value", [1e7, 1e8, 1e10])])
@@ -1366,7 +1322,7 @@ class TestSweepPaths:
     def test_a_sweep_simulates_once_per_price_path(self, monkeypatch, grid, runs):
         calls = []
         monkeypatch.setattr(engine, "simulate", lambda scenario: calls.append(scenario) or simulate(scenario))
-        cells = run_sweep(replace(load_config(REFERENCE_CONFIG), days=20), grid, workers=1)
+        cells = run_sweep(replace(load_config(REFERENCE_CONFIG), days=20), grid)
         assert all(cell.ok for cell in cells) and len(calls) == runs
 
     def test_paths_group_by_the_printed_values_of_the_other_keys(self):

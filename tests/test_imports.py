@@ -1,4 +1,4 @@
-"""Each module imports alone, so the key table in ``config`` adds no import cycle; the benchmark's names exist."""
+"""Each module imports alone, so the key table in ``config`` adds no import cycle; no process pool loads; the benchmark's names exist."""
 
 import os
 import re
@@ -19,6 +19,18 @@ def test_module_imports_alone(module):
         [sys.executable, "-c", f"import {module}"], env=env, capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_importing_the_package_loads_no_process_pool():
+    # a sweep runs in one process, so no import pays for multiprocessing's set-up
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+    code = (
+        "import sys, daydrift, daydrift.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing' or m.startswith('concurrent.futures')))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_every_name_the_benchmark_calls_exists():
