@@ -2,6 +2,7 @@ import csv
 import datetime
 import hashlib
 import math
+import os
 import re
 import sys
 from dataclasses import fields, replace
@@ -18,7 +19,7 @@ from daydrift import (
     run_sweep,
     summarize,
 )
-from daydrift import csvio
+from daydrift import csvio, engine
 from daydrift.cli import main
 from daydrift.config import KEYS, ConfigError
 
@@ -674,6 +675,25 @@ class TestSweep:
         assert code == 0
         assert (stanza["cells"], stanza["paths"]) == ("4", "1")
         assert "workers" not in stanza and "pool_workers" not in stanza
+
+    def test_the_stanza_counts_one_price_path_per_seed(self, capsys, reference_config_path, tmp_path):
+        code, stanza, _, _ = run_cli(
+            capsys, "sweep", "--config", str(reference_config_path), "--grid", "run.seed=1,2,3,4", "--days", "2",
+            "--workers", "64", "--out", str(tmp_path / "sweep.csv"),
+        )
+        assert code == 0
+        assert (stanza["cells"], stanza["ok"], stanza["paths"]) == ("4", "4", "4")
+
+    @pytest.mark.parametrize("workers", ["1", "4"])
+    def test_every_price_path_runs_once_in_this_process(self, capsys, monkeypatch, reference_config_path, tmp_path, workers):
+        pids, run_path = [], engine._run_path
+        monkeypatch.setattr(engine, "_run_path", lambda base, path: pids.append(os.getpid()) or run_path(base, path))
+        code, stanza, _, _ = run_cli(
+            capsys, "sweep", "--config", str(reference_config_path), "--grid", "agents.book_value=1e8,1e9",
+            "--grid", "run.seed=1,2", "--days", "2", "--workers", workers, "--out", str(tmp_path / "sweep.csv"),
+        )
+        assert code == 0 and stanza["paths"] == "2"
+        assert pids == [os.getpid()] * 2
 
     def test_key_named_twice_exits_one_naming_it(self, capsys, reference_config_path, tmp_path):
         out = tmp_path / "sweep.csv"

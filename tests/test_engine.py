@@ -1190,6 +1190,11 @@ class TestRunSweep:
         assert len(cells) == 1 and cells[0].ok
         assert cells[0].summary == summarize(run_sim(base.build()))
 
+    def test_a_sweep_takes_no_worker_count(self):
+        # paths run in the calling process; a worker count would be a parameter with no effect
+        with pytest.raises(TypeError, match="workers"):
+            run_sweep(make_config(days=2), [("run.seed", [1, 2])], workers=2)
+
     @pytest.mark.parametrize("book_first", [True, False])
     def test_book_value_is_set_at_the_cells_leverage_in_either_order(self, book_first):
         grid = [("agents.book_value", [1e8]), ("agents.leverage", [5.0])]
@@ -1295,7 +1300,12 @@ class TestSweepPaths:
         ],
         ids=["book-last", "book-first", "leverage", "count-3-capital", "disabled", "failing-path"],
     )
-    def test_each_cell_summarizes_its_own_run(self, base, grid):
+    @pytest.mark.parametrize("order", ["grid", "reversed"])
+    def test_each_cell_summarizes_its_own_run(self, monkeypatch, base, grid, order):
+        # the paths run one after another in one process, so no path may depend on the ones run before it
+        if order == "reversed":
+            paths = engine.sweep_paths
+            monkeypatch.setattr(engine, "sweep_paths", lambda cells: paths(cells)[::-1])
         assert list(map(repr, run_sweep(base, grid))) == self.per_cell(base, grid)
 
     def test_a_failing_run_fails_every_cell_of_its_path_with_its_error(self):
