@@ -237,12 +237,14 @@ def ingest_ohlc_csv(path) -> PriceSeries:
     byte-order mark.  Each day's prev_close is the previous row's close,
     so the first row seeds the chain and contributes no overnight return.
     Dates are ``YYYY-MM-DD`` alone, whatever else ``datetime.date.fromisoformat``
-    takes.  Blank rows are skipped; malformed rows are reported with their
-    file line number, and a file that is not UTF-8 with its path.
+    takes.  Blank rows are skipped.  A malformed row, or one with a cell longer
+    than ``csv.field_size_limit()``, is reported with the file line it starts
+    on; such a header, or a file that is not UTF-8, with the path.
     """
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        rows = ()
         try:
-            if (header := next(csv.reader(fh), None)) is None:
+            if (header := next(reader := csv.reader(fh), None)) is None:
                 raise ValueError(f"{path}: file is empty")
             names = [name.strip().lower() for name in header]
             if missing := [name for name in ("date", "open", "close") if name not in names]:
@@ -257,7 +259,7 @@ def ingest_ohlc_csv(path) -> PriceSeries:
             # a block at a time (_ohlc_block); from the first block that it
             # declines, the rest of the file goes through csv.reader row by row,
             # the one definition of what is accepted and of every error
-            lineno, rows = 2, ()
+            lineno = 1 + reader.line_num
             for lines in blocks(fh):
                 if (block := _ohlc_block(lines, len(header), date_i, open_i, close_i, last_date)) is None:
                     rows = csv.reader(itertools.chain(lines, fh))
@@ -270,7 +272,9 @@ def ingest_ohlc_csv(path) -> PriceSeries:
             # only a row that is short or has an empty date cell can be blank,
             # so only those pay the blank test
             last_col, inf, fromisoformat = max(date_i, open_i, close_i), math.inf, datetime.date.fromisoformat
-            for lineno, row in enumerate(rows, start=lineno):
+            start, read = lineno, 0  # the row loop's first line; the lines csv.reader has read before a row
+            for row in rows:
+                lineno, read = start + read, rows.line_num
                 if len(row) <= last_col:
                     if not any(cell.strip() for cell in row):
                         continue
@@ -299,6 +303,8 @@ def ingest_ohlc_csv(path) -> PriceSeries:
                 closes.append(cls_)
         except UnicodeDecodeError:
             raise undecodable(path) from None
+        except csv.Error as exc:  # a cell past csv.field_size_limit(), in the header or in the row after `read` lines
+            raise ValueError(f"{f'line {start + read}' if rows else path}: {exc}") from None
 
     if len(closes) < 2:
         raise ValueError(f"{path}: need at least 2 rows to form one overnight/intraday day")

@@ -33,8 +33,8 @@ once per noise step and ``apply_aggressive_trade`` once per order, in the
 order above, one day at a time; after the close, the day's fills in
 booking order and then its open must be in (0, inf).  Array checks find
 a block's first failing day, and ``_fail_day`` replays that day alone
-to raise its error.  A day without noise builds no substream.
-``DayRecord``s are built only when read, a field's column at a time.
+to raise its error.  A day without noise builds no substream.  A run is
+its day columns and its ledger's sums; ``DayRecord``s are built when read.
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ from .market import (
     BPS,
     ImpactParams,
     IntradayClock,
-    MarketState,
     NoiseParams,
     SpreadDepthProfile,
     check_noise_price,
@@ -121,10 +120,6 @@ class Scenario:
     def total_book_value(self) -> float:
         # added left to right from 0 on every Python version, as summarize adds; from 3.12 sum compensates
         return functools.reduce(operator.add, (a.book_value for a in self.agents if a.enabled), 0)
-
-    def initial_state(self) -> MarketState:
-        """The state before day 1."""
-        return MarketState.initial(self.initial_mid, self.initial_fundamental)
 
 
 @dataclass(frozen=True, slots=True)
@@ -378,11 +373,10 @@ def _table(days: "DayColumns | list[DayRecord] | tuple[DayRecord, ...]") -> list
 
 @dataclass(frozen=True, eq=False)
 class SimResult:
-    """A run's ``DayColumns`` (three float64 columns), its ledger's sums and final state; ``records`` builds the rows."""
+    """A run's ``DayColumns`` (three float64 columns) and its ledger's sums; ``records`` builds the rows."""
 
     columns: DayColumns
     ledger: Ledger
-    final_state: MarketState
 
     @property
     def records(self) -> tuple[DayRecord, ...]:
@@ -390,7 +384,7 @@ class SimResult:
 
 
 def simulate(scenario: Scenario) -> SimResult:
-    """Run the full scenario, carrying state and accounting across days.
+    """Run the full scenario into its day columns and its ledger's sums.
 
     The run kernel computes the days in blocks (see ``_run_days``) into
     ``DayColumns``.  A noisy run draws each block's normals, those of
@@ -404,25 +398,25 @@ def simulate(scenario: Scenario) -> SimResult:
     """
     book_ledger, columns = Ledger(), DayColumns()
     try:
-        state = _run_days(scenario, book_ledger, columns)
+        _run_days(scenario, book_ledger, columns)
     except (ValueError, OverflowError) as exc:
         raise SimulationError(f"day {len(columns) + 1}: {exc}") from exc
-    return SimResult(columns, book_ledger, state)
+    return SimResult(columns, book_ledger)
 
 
 # days per block: a 4096 x (stops + 1) float64 array and one day_keys call of 64 KB
 _BLOCK_DAYS = 4096
 
 
-def _run_days(scenario: Scenario, book_ledger: Ledger, columns: DayColumns) -> MarketState:
-    """The run kernel: simulate days ``1..scenario.days`` from the initial state; returns the final state.
+def _run_days(scenario: Scenario, book_ledger: Ledger, columns: DayColumns) -> None:
+    """The run kernel: simulate days ``1..scenario.days`` from the scenario's initial mid and fundamental.
 
     It sets ``columns.first`` and ``columns.day_cost``; each finished day
     is booked into ``book_ledger``'s sums and appended to ``columns``, so
     after an error ``len(columns)`` counts the days that finished and the
-    sums hold exactly those days; the failing day books nothing.  Between days
-    the anchor and the permanent impact are carried as floats; the close
-    becomes the next day's anchor, which is ``MarketState.start_day``.
+    sums hold exactly those days; the failing day books nothing.  The chain
+    starts from the scenario's initial mid and fundamental as floats, and
+    each close becomes the next day's anchor (``MarketState.start_day``).
 
     Every day is the same but for its noise, so the set-up is computed
     once, before the first block.  The day's orders are numbered in
@@ -495,9 +489,8 @@ def _run_days(scenario: Scenario, book_ledger: Ledger, columns: DayColumns) -> M
     days = range(1, scenario.days + 1)
     block = min(len(days), _BLOCK_DAYS)
     growth = np.empty((block, len(stop_ticks))) if diffuse else None  # row i: day i's growth factors
-    state = scenario.initial_state()
-    columns.first = close = anchor = state.day_anchor
-    fund = state.fundamental
+    columns.first = close = float(scenario.initial_mid)
+    fund = float(scenario.initial_fundamental)
     # an overflow surfaces as a non-finite price, which the checks report
     with np.errstate(over="ignore", invalid="ignore"):
         # what does not read the price; perm[j] is the permanent impact before order j
@@ -560,7 +553,6 @@ def _run_days(scenario: Scenario, book_ledger: Ledger, columns: DayColumns) -> M
             if m < n:
                 factors = growth[m].tolist() if diffuse else [1.0] * len(pulls)
                 _fail_day(scenario.impact, orders, stop_ticks, pulls, fund, closes[m], factors, book_ledger)
-    return MarketState(anchor, fund, close_perm)
 
 
 def _gains(scenario: Scenario, prevs: np.ndarray, now: np.ndarray) -> np.ndarray:

@@ -14,6 +14,7 @@ from daydrift import (
     DayRecord,
     ImpactParams,
     Ledger,
+    MarketState,
     NoiseParams,
     RoundTripTrader,
     Scenario,
@@ -90,7 +91,7 @@ def compose_days(scenario: Scenario, sums: tuple[int, int] = (0, 0)):
     The noise steps once per stop (tick 0, each tick with orders and the
     close), over the ticks since the previous stop, counting from tick -1.
     The orders of a tick trade after its noise step.  Yields
-    ``(record, ledger, state)`` after each day; fills are booked with
+    ``(record, ledger)`` after each day; fills are booked with
     ``record_fill`` into one ledger, which starts at ``sums`` (cash and
     cumulative cost, in micro), and each day's book is marked with
     ``mark_to_market``.  A day whose close, then whose fills in booking
@@ -100,7 +101,7 @@ def compose_days(scenario: Scenario, sums: tuple[int, int] = (0, 0)):
     clock, profile, impact, noise = scenario.clock, scenario.profile, scenario.impact, scenario.noise
     traded = {t for t in range(clock.ticks_per_day) for agent in scenario.agents if orders_for_tick(agent, t)}
     ticks = sorted({0, clock.close_tick, *traded})
-    state = scenario.initial_state()
+    state = MarketState.initial(scenario.initial_mid, scenario.initial_fundamental)
     ledger = Ledger(*sums)
     for day in range(1, scenario.days + 1):
         state, rng = state.start_day(), day_rng(scenario.seed, day)
@@ -124,4 +125,4 @@ def compose_days(scenario: Scenario, sums: tuple[int, int] = (0, 0)):
         book = scenario.total_book_value / scenario.initial_mid * prev
         gain = mark_to_market(book, prev, state.mid)
         cost = from_micro(ledger.cumulative_cost_micro - cost_before)
-        yield DayRecord(day, prev, open_price, state.mid, cost, gain, gain - cost), ledger, state
+        yield DayRecord(day, prev, open_price, state.mid, cost, gain, gain - cost), ledger

@@ -27,7 +27,7 @@ from daydrift.analysis import DECOMPOSITION_CSV_HEADER, DecompositionResult
 from daydrift.engine import DayColumns, read_daily_columns
 
 from composition import make_scenario
-from conftest import NOISY_CONFIG, REFERENCE_CONFIG, REPO_ROOT
+from conftest import NOISY_CONFIG, OHLC_INPUT_ERRORS, REFERENCE_CONFIG, REPO_ROOT
 
 
 LOG_TINY = math.log(np.finfo(float).tiny)
@@ -80,6 +80,14 @@ class TestPriceSeries:
         gaps = s.continuity_gaps()
         assert gaps == [1, 3] and all(type(i) is int for i in gaps)
         assert series([(100.0, 101.0, 100.5)]).continuity_gaps() == []
+
+    def test_unequal_lengths_are_refused(self):
+        with pytest.raises(ValueError, match="^days, prev_close, open, close must have equal lengths$"):
+            PriceSeries(days=(1, 2), prev_close=np.array([100.0]), open=np.array([101.0]), close=np.array([100.5]))
+
+    def test_no_rows_are_refused(self):
+        with pytest.raises(ValueError, match="^price series is empty$"):
+            series([])
 
 
 class TestDecompose:
@@ -188,6 +196,13 @@ class TestDoublingTime:
     def test_monotone_in_the_nudge(self):
         times = [doubling_time(n) for n in (0.5, 1.0, 2.0, 4.0, 8.0)]
         assert times == sorted(times, reverse=True)
+
+    def test_a_first_estimate_one_short_is_corrected_upward(self):
+        nudge = 3.0479043993817267e-09
+        base = 1.0 + nudge * 1e-4
+        assert math.ceil(math.log(2.0) / math.log(base)) == 2_273_603_338_735
+        assert doubling_time(nudge) == 2_273_603_338_736
+        assert base**2_273_603_338_736 >= 2.0 > base**2_273_603_338_735
 
     @pytest.mark.parametrize("nudge", [0.0, -1.0])
     def test_non_positive_nudge_rejected(self, nudge):
@@ -338,6 +353,14 @@ class TestIngestOhlcCsv:
         with pytest.raises(ValueError) as info:
             ingest_ohlc_csv(path)
         assert str(info.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("case", list(OHLC_INPUT_ERRORS))
+    def test_an_input_error_is_pinned(self, tmp_path, case):
+        text, message = OHLC_INPUT_ERRORS[case]
+        path = self.write(tmp_path, text)
+        with pytest.raises(ValueError) as info:
+            ingest_ohlc_csv(path)
+        assert str(info.value) == message.format(path=path)
 
     def test_single_row_cannot_decompose(self, tmp_path):
         path = self.write(tmp_path, "date,open,close\n2024-01-02,100,100.5\n")

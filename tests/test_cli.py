@@ -19,12 +19,12 @@ from daydrift import (
     run_sweep,
     summarize,
 )
-from daydrift import csvio, engine
+from daydrift import cli, csvio, engine
 from daydrift.cli import main
 from daydrift.config import KEYS, ConfigError
 
 from composition import compose_days
-from conftest import NOISY_CONFIG, REFERENCE_CONFIG, parse_stanza
+from conftest import NOISY_CONFIG, OHLC_INPUT_ERRORS, REFERENCE_CONFIG, parse_stanza
 
 
 def run_cli(capsys, *argv) -> tuple[int, dict, str, str]:
@@ -142,6 +142,23 @@ class TestRun:
         assert code == 1
         assert "nope.ini" in err
 
+    def test_an_unknown_section_is_a_config_error(self, capsys, tmp_path):
+        config = tmp_path / "bogus.ini"
+        config.write_text("[bogus]\nx = 1\n")
+        with pytest.raises(ConfigError, match=r"^unknown section \[bogus\]$"):
+            load_config(config)
+        code, _, _, err = run_cli(capsys, "run", "--config", str(config), "--out", str(tmp_path / "x.csv"))
+        assert code == 1
+        assert err == "error: unknown section [bogus]\n"
+
+    def test_a_line_without_a_value_is_a_malformed_config(self, capsys, tmp_path):
+        config = tmp_path / "bad.ini"
+        config.write_text("[run]\ndays = 5\ngarbage\n")
+        code, _, _, err = run_cli(capsys, "run", "--config", str(config), "--out", str(tmp_path / "x.csv"))
+        assert code == 1
+        parsing = f"Source contains parsing errors: '{config}'\n\t[line  3]: 'garbage\\n'"
+        assert err == f"error: malformed config {config}: {parsing}\n"
+
     @pytest.mark.parametrize("sigma", ["300", "60"])
     def test_unwritable_prices_are_a_runtime_error(self, capsys, tmp_path, sigma):
         # sigma 300 overflows the price to inf; sigma 60 leaves closes that
@@ -249,7 +266,7 @@ class TestGoldenDigests:
         cells = run_sweep(base, [(key, values)])
         assert [cell.params for cell in cells] == [((key, value),) for value in values]
         for cell in cells:
-            composed = [record for record, _, _ in compose_days(base.sweep_cell(cell.params))]
+            composed = [record for record, _ in compose_days(base.sweep_cell(cell.params))]
             assert cell.summary == summarize(composed)
 
     @pytest.mark.parametrize(
@@ -586,6 +603,36 @@ class TestAnalyze:
         assert code == 1
         assert err == f"error: {prices}: not UTF-8 text: line {line}, byte {column} (0xff)\n"
 
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_an_unreadable_path_exits_one_naming_it(self, capsys, tmp_path, kind):
+        path = tmp_path / "nope.csv" if kind == "missing" else tmp_path
+        reason = "[Errno 2] No such file or directory" if kind == "missing" else "[Errno 21] Is a directory"
+        code, _, _, err = run_cli(capsys, "analyze", str(path))
+        assert code == 1
+        assert err == f"error: cannot read {path}: {reason}: '{path}'\n"
+
+    def test_an_edited_prev_close_is_noted_as_a_continuity_gap(self, capsys, reference_config_path, tmp_path):
+        daily = tmp_path / "daily.csv"
+        run_cli(capsys, "run", "--config", str(reference_config_path), "--days", "10", "--out", str(daily))
+        lines = daily.read_text().splitlines(keepends=True)
+        cells = lines[5].split(",")  # day 5, row 4 of the series
+        cells[1] = "99.000000"
+        lines[5] = ",".join(cells)
+        daily.write_text("".join(lines))
+        code, stanza, text, _ = run_cli(capsys, "analyze", str(daily), "--out", str(tmp_path / "rep.csv"))
+        assert code == 0
+        assert text.startswith("note: 1 day(s) whose prev_close != prior close (first at row 4)\n")
+        assert stanza["continuity_gaps"] == "1"
+
+    @pytest.mark.parametrize("case", list(OHLC_INPUT_ERRORS))
+    def test_an_ohlc_input_error_exits_one(self, capsys, tmp_path, case):
+        text, message = OHLC_INPUT_ERRORS[case]
+        prices = tmp_path / "prices.csv"
+        prices.write_text(text)
+        code, _, _, err = run_cli(capsys, "analyze", str(prices))
+        assert code == 1
+        assert err == f"error: {message.format(path=prices)}\n"
+
     def test_report_csv_written(self, capsys, reference_config_path, tmp_path):
         daily = tmp_path / "daily.csv"
         run_cli(capsys, "run", "--config", str(reference_config_path), "--out", str(daily))
@@ -864,6 +911,23 @@ class TestSweep:
         assert err == f"error: --workers must be >= 1, got {workers}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "spec, problem",
+        [
+            ("agents.book_value", "is not of the form key=v1,v2,..."),
+            ("agents.book_value=1e7,x", "has a non-numeric value"),
+            ("agents.book_value=, ,", "has no values"),
+        ],
+    )
+    def test_a_malformed_grid_spec_exits_one_naming_it(self, capsys, reference_config_path, tmp_path, spec, problem):
+        out = tmp_path / "sweep.csv"
+        code, _, _, err = run_cli(
+            capsys, "sweep", "--config", str(reference_config_path), "--grid", spec, "--out", str(out)
+        )
+        assert code == 1
+        assert err == f"error: grid spec {spec!r} {problem}\n"
+        assert not out.exists()
+
 
 class TestCalibrate:
     def test_one_bp_target(self, capsys, reference_config_path):
@@ -937,3 +1001,12 @@ class TestArgumentHandling:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         capsys.readouterr()
+
+    def test_an_unexpected_error_is_a_runtime_error(self, capsys, monkeypatch, reference_config_path):
+        def broken(args):
+            raise KeyError("lost")
+
+        monkeypatch.setattr(cli, "cmd_calibrate", broken)
+        code, _, _, err = run_cli(capsys, "calibrate", "--config", str(reference_config_path), "--target-bps", "1")
+        assert code == 2
+        assert err == "runtime error: KeyError: 'lost'\n"

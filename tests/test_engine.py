@@ -44,7 +44,7 @@ from daydrift import (
 )
 from daydrift import engine
 from daydrift.csvio import BLOCK_ROWS
-from daydrift.engine import _BLOCK_DAYS, _DAY_COLUMNS, DAILY_CSV, DayColumns, _run_days, day_keys
+from daydrift.engine import _BLOCK_DAYS, _DAY_COLUMNS, DAILY_CSV, DayColumns, SimResult, _run_days, day_keys
 from daydrift.ledger import AccountingError
 from daydrift.market import diffusion_coef, diffusion_growth
 
@@ -141,7 +141,7 @@ class TestRunDayMatchesOperationComposition:
         )
 
         # the stops are the open and the close: one noise step over tick 0, one over ticks 1..5
-        state = scenario.initial_state()
+        state = MarketState.initial(scenario.initial_mid, scenario.initial_fundamental)
         expected = []
         for day in range(1, scenario.days + 1):
             state, rng = state.start_day(), day_rng(scenario.seed, day)
@@ -160,9 +160,6 @@ class TestRunDayMatchesOperationComposition:
             assert record.prev_close == prev
             assert record.open == open_price
             assert record.close == close
-        # carried state agrees bit-for-bit too
-        final = simulate(scenario).final_state
-        assert final.mid == expected[-1][2]
 
     @pytest.mark.parametrize(
         "case",
@@ -172,12 +169,12 @@ class TestRunDayMatchesOperationComposition:
         scenario = bitwise_case(case)
         expected = list(compose_days(scenario))
         result = simulate(scenario)
-        assert list(result.records) == [record for record, _, _ in expected]
-        _, ledger, state = expected[-1]
+        assert list(result.records) == [record for record, _ in expected]
+        _, ledger = expected[-1]
         assert micro_sums(result.ledger) == micro_sums(ledger) and result.ledger.fills == ()
-        final = result.final_state
-        assert final.day_anchor == state.day_anchor
-        assert final.perm_impact_bps == state.perm_impact_bps
+
+    def test_a_run_returns_its_columns_and_its_ledger(self):
+        assert [f.name for f in fields(SimResult)] == ["columns", "ledger"]
 
     @pytest.mark.parametrize("half_life", [None, 504.0])
     def test_non_finite_price_names_the_first_day_the_noise_step_fails(self, half_life):
@@ -284,14 +281,9 @@ class TestReversionLaw:
         result = simulate(scenario)
         assert endless.records == result.records
         assert endless.ledger == result.ledger
-        assert final_bits(endless.final_state) == final_bits(result.final_state)
 
 
 BLOCK_EDGE_DAYS = [1, TEST_BLOCK_DAYS, TEST_BLOCK_DAYS + 1, 2 * TEST_BLOCK_DAYS + 3]
-
-
-def final_bits(state: MarketState) -> tuple[str, str]:
-    return state.day_anchor.hex(), state.perm_impact_bps.hex()
 
 
 def key_calls(monkeypatch) -> list[range]:
@@ -329,10 +321,9 @@ class TestBlockBoundaries:
         scenario = replace(bitwise_case(case), days=days)
         result = simulate(scenario)
         composed = list(compose_days(scenario))
-        _, composed_ledger, composed_state = composed[-1]
-        assert result.records == tuple(record for record, _, _ in composed)
+        _, composed_ledger = composed[-1]
+        assert result.records == tuple(record for record, _ in composed)
         assert micro_sums(result.ledger) == micro_sums(composed_ledger) and result.ledger.fills == ()
-        assert final_bits(result.final_state) == final_bits(composed_state)
 
     @pytest.mark.parametrize("sigma", [0.01, 300.0])
     def test_block_growth_in_place_over_strided_rows_has_the_per_day_bits(self, sigma):
@@ -388,15 +379,15 @@ ledger_sums = st.tuples(
 
 
 def composed_run(scenario: Scenario, sums: tuple[int, int]):
-    """``compose_days`` up to its first failing day: the records, the ledger and state after them, and the error."""
-    records, ledger, state = [], Ledger(*sums), None
+    """``compose_days`` up to its first failing day: the records, the ledger after them, and the error."""
+    records, ledger = [], Ledger(*sums)
     try:
-        for record, day_ledger, state in compose_days(scenario, sums):
+        for record, day_ledger in compose_days(scenario, sums):
             records.append(record)
             ledger = copy.deepcopy(day_ledger)
     except (ValueError, OverflowError) as exc:
-        return records, ledger, state, exc
-    return records, ledger, state, None
+        return records, ledger, exc
+    return records, ledger, None
 
 
 def one_trader_day(lam: float, leg: float, **kwargs) -> Scenario:
@@ -417,17 +408,16 @@ class TestComposedRuns:
     @example(replace(one_trader_day(20.0, -1e7), profile=SpreadDepthProfile.constant(2, 30000.0, 1e9)), (0, 0))
     @example(one_trader_day(2e4, 1e8, initial_mid=sys.float_info.max / 2.2, half_life=1e-6), (0, 0))  # the open
     def test_the_kernel_has_the_bits_and_the_failing_day_of_the_composition(self, scenario, sums):
-        records, composed_ledger, composed_state, composed_error = composed_run(scenario, sums)
-        columns, ledger = DayColumns(), Ledger(*sums)
+        records, composed_ledger, composed_error = composed_run(scenario, sums)
+        columns, ledger, error = DayColumns(), Ledger(*sums), None
         try:
-            state, error = _run_days(scenario, ledger, columns), None
+            _run_days(scenario, ledger, columns)
         except (ValueError, OverflowError) as exc:
             error = exc
         assert columns.records() == records
         assert micro_sums(ledger) == micro_sums(composed_ledger) and ledger.fills == ()
         if composed_error is None:
             assert error is None
-            assert final_bits(state) == final_bits(composed_state)
         else:
             # the kernel also names the tick that a failing noise step ends at
             assert type(error) is type(composed_error)
@@ -563,7 +553,7 @@ class TestErrorsAtBlockEdges:
             _run_days(scenario, ledger, columns)
         assert columns.records() == finished_columns.records()
         assert ledger == finished
-        _, composed_ledger, _, _ = composed_run(scenario, sums)
+        _, composed_ledger, _ = composed_run(scenario, sums)
         assert len(columns) == day - 1 and micro_sums(ledger) == micro_sums(composed_ledger) and ledger.fills == ()
 
 
@@ -581,7 +571,7 @@ class TestErrorsAtTheKernelsBlockEdge:
         with pytest.raises(ValueError, match=r"^noise step produced .* at tick 391: inf$"):
             _run_days(scenario, ledger, columns)
         assert calls[0] == range(1, _BLOCK_DAYS + 1)
-        *_, (_, composed_ledger, _) = compose_days(replace(scenario, days=spike_day - 1))
+        *_, (_, composed_ledger) = compose_days(replace(scenario, days=spike_day - 1))
         assert len(columns) == spike_day - 1 and micro_sums(ledger) == micro_sums(composed_ledger) and ledger.fills == ()
 
 
@@ -651,7 +641,7 @@ class TestPriceRange:
         columns, ledger = DayColumns(), Ledger()
         with pytest.raises(ValueError, match=f"^{message}$"):
             _run_days(scenario, ledger, columns)
-        records, composed_ledger, _, error = composed_run(scenario, (0, 0))
+        records, composed_ledger, error = composed_run(scenario, (0, 0))
         assert str(error) == message
         assert columns.records() == records and len(records) == day - 1
         assert micro_sums(ledger) == micro_sums(composed_ledger) and ledger.fills == ()
@@ -696,7 +686,7 @@ class TestDayKeys:
         assert calls == [range(1, 4097), range(4097, 8193), range(8193, 8194)]
         assert all(len(days) <= 4096 for days in calls)
         edges = {_BLOCK_DAYS - 1, _BLOCK_DAYS, _BLOCK_DAYS + 1, 2 * _BLOCK_DAYS, 2 * _BLOCK_DAYS + 1}
-        composed = [record for record, _, _ in compose_days(scenario) if record.day in edges]
+        composed = [record for record, _ in compose_days(scenario) if record.day in edges]
         assert composed == [records[day - 1] for day in sorted(edges)]
 
     def test_the_draw_starts_no_collection(self, monkeypatch):
@@ -795,7 +785,7 @@ class TestDraw:
             simulate(scenario)
         _, first_slow = reference_draw(seed, range(day, day + 1), 2)
         assert path == ("fast" if first_slow[0] == 2 else "redrawn")
-        records, _, _, error = composed_run(scenario, (0, 0))
+        records, _, error = composed_run(scenario, (0, 0))
         assert len(records) == day - 1 and str(error) == f"{failure}: {price}"
 
 
@@ -827,7 +817,7 @@ class TestRunSim:
     def test_simulate_never_builds_day_rng(self, monkeypatch, seed, half_life):
         # compose_days draws from the reference day_rng; simulate must reach its bits through day_keys alone
         scenario = make_scenario(days=4, sigma=0.01, half_life=half_life, seed=seed)
-        expected = [record for record, _, _ in compose_days(scenario)]
+        expected = [record for record, _ in compose_days(scenario)]
 
         def no_substream(seed, day):
             raise AssertionError(f"day_rng({seed}, {day}) called by simulate")
@@ -881,7 +871,7 @@ class TestRunSim:
         # a run keeps only the sums; the composition's fill trail, booked with record_fill, accounts for them
         scenario = make_scenario(days=30, sigma=0.01, seed=5)
         led = simulate(scenario).ledger
-        *_, (_, composed, _) = compose_days(scenario)
+        *_, (_, composed) = compose_days(scenario)
         assert len(composed.fills) == 60 and led.fills == ()
         assert led.cash_micro == -sum(f.signed_notional_micro + f.cost_micro for f in composed.fills)
         assert led.cumulative_cost_micro == sum(f.cost_micro for f in composed.fills)
@@ -903,7 +893,7 @@ class TestRunSim:
         days = 300
         scenario = replace(load_config(NOISY_CONFIG).build(), days=days)
         result = simulate(scenario)
-        *_, (_, composed, _) = compose_days(scenario)  # the run books no trail; the composition's is the reference
+        *_, (_, composed) = compose_days(scenario)  # the run books no trail; the composition's is the reference
         records, fills = result.records, composed.fills
         assert len(fills) == 2 * days and result.ledger.fills == ()
         book_per_price = scenario.total_book_value / scenario.initial_mid

@@ -34,6 +34,14 @@ def test_the_csv_schema_lines_match_their_tables():
         assert [int(d) for d in re.findall(r"\d+", decimals)] == distinct
 
 
+def test_the_ci_workflow_runs_the_tier_1_command_of_the_roadmap():
+    roadmap = (REPO_ROOT / "ROADMAP.md").read_text(encoding="utf-8")
+    command = re.search(r"^\*\*Tier-1 verify:\*\* `([^`]*)`", roadmap, re.MULTILINE)
+    assert command, "ROADMAP has no tier-1 command"
+    workflow = (REPO_ROOT / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
+    assert re.findall(r"^ +run: (.*-m pytest.*)$", workflow, re.MULTILINE) == [command.group(1)]
+
+
 # names the README and the docstrings take from numpy, not from daydrift
 NUMPY_NAMES = {"SeedSequence", "Philox"}
 
