@@ -40,11 +40,11 @@ ledger = Ledger()
 prev_close = state.mid
 
 fill, cost, state = apply_aggressive_trade(state, profile, params, +LEG, OPEN_TICK)
-ledger = record_fill(ledger, fill, +LEG, cost)
+ledger = record_fill(ledger, +LEG, cost)
 print(f"open:  buy  ${LEG:,.0f} filled at {fill:.6f}  (cost ${cost:,.2f}), mid now {state.mid:.6f}")
 
 fill, cost, state = apply_aggressive_trade(state, profile, params, -LEG, CLOSE_TICK)
-ledger = record_fill(ledger, fill, -LEG, cost)
+ledger = record_fill(ledger, -LEG, cost)
 print(f"close: sell ${LEG:,.0f} filled at {fill:.6f}  (cost ${cost:,.2f}), mid now {state.mid:.6f}")
 print()
 

@@ -41,7 +41,6 @@ from .engine import (
 )
 from .ledger import (
     AccountingError,
-    Fill,
     Ledger,
     from_micro,
     mark_to_market,

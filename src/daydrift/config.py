@@ -97,13 +97,23 @@ class ScenarioConfig:
         """The scenario of a sweep cell: this config with each of one or more ``(key, value)`` set in turn.
 
         The leverage and then ``agents.book_value`` are set first, so the
-        book is the cell's.  The config is built after each key, so an owning
-        type's ``ValueError`` is raised again naming the first key whose
-        value it rejects.
+        book is the cell's.  The config is built once every key is set, so a
+        cell runs whenever a config setting its keys builds.  Only if that
+        fails is it built again after each key, so an owning type's
+        ``ValueError`` is raised again naming the first key whose value it
+        rejects.
         """
         first = {"agents.leverage": 0, "agents.book_value": 1}
+        ordered = sorted(params, key=lambda param: first.get(param[0], 2))
         config = self
-        for key, value in sorted(params, key=lambda param: first.get(param[0], 2)):
+        try:
+            for key, value in ordered:
+                config = config.with_key(key, value)
+            return config._scenario()
+        except (ValueError, ArithmeticError):  # a zero leverage fails agents.book_value's division
+            pass
+        config = self
+        for key, value in ordered:
             config = config.with_key(key, value)
             try:
                 scenario = config._scenario()

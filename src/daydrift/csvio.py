@@ -27,7 +27,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 BLOCK_ROWS = 1024  # rows formatted, joined and written at a time
 BLOCK_CHARS = 1 << 13  # readlines' hint; on 60k OHLC rows 8K peaked 1.2 MiB below 16K and 32K in RSS
-_PAD = 0xFF  # no byte of UTF-8 text: fills the bytes of a block's row layout that a row does not use
+_PAD = 0xFF  # no byte of UTF-8 text: pads the bytes of a block's row layout that a row does not use
 _SPLIT = 2.0**27 + 1  # Veltkamp's splitter for float64
 
 

@@ -30,8 +30,8 @@ are read as one flat list, and each stop's anchor is appended to one
 float array.  Within a day it stops only at the stops and between them
 advances the price over the whole gap.  The result has the bits of composing ``advance_noise``
 once per noise step and ``apply_aggressive_trade`` once per order, in the
-order above, one day at a time; after the close, the day's fills in
-booking order and then its open must be in (0, inf).  Array checks find
+order above, one day at a time; after the close, the day's fill prices
+in booking order and then its open must be in (0, inf).  Array checks find
 a block's first failing day, and ``_fail_day`` replays that day alone
 to raise its error.  A day without noise builds no substream.  A run is
 its day columns and its ledger's sums; ``DayRecord``s are built when read.
@@ -277,7 +277,7 @@ def _philox(keys: np.ndarray, blocks: int) -> np.ndarray:
 
 
 def _draw(seed: int, days: range, coef: np.ndarray, out: np.ndarray) -> None:
-    """Fill ``out`` with the growth factors of the noise of ``days``: row ``i`` for ``days[i]``, a column per stop.
+    """Set ``out`` to the growth factors of the noise of ``days``: row ``i`` for ``days[i]``, a column per stop.
 
     Row ``i`` first holds, bit for bit, the normals that
     ``day_rng(seed, days[i]).standard_normal(out=row)`` draws; then
@@ -436,7 +436,7 @@ def _run_days(scenario: Scenario, book_ledger: Ledger, columns: DayColumns) -> N
     blocks of ``_BLOCK_DAYS``, in three steps.  Only the chain goes day by
     day:
 
-    1. *Draw.*  ``_draw`` fills the block's rows with each noisy day's
+    1. *Draw.*  ``_draw`` sets the block's rows to each noisy day's
        normals, one per stop, those of its ``day_rng``, and
        ``diffusion_growth`` turns them into growth factors in place, each
        column with its step's ``diffusion_coef``.  It computes them as
@@ -463,7 +463,7 @@ def _run_days(scenario: Scenario, book_ledger: Ledger, columns: DayColumns) -> N
     That day goes to ``_fail_day``, which holds the error order.  The
     noise steps need no check of their own: a stop's anchor outside
     (0, inf) puts the price that reads it outside too, the open at tick 0,
-    the fills at an order's stop and the close at the close.  The result
+    the fill prices at an order's stop and the close at the close.  The result
     is bit-identical to composing ``advance_noise`` once per stop (over
     the segment's ``gap * dt_days``) and ``apply_aggressive_trade`` once
     per order, one day at a time, which the tests check at block edges.
@@ -569,7 +569,7 @@ def _fail_day(impact: ImpactParams, orders: list[tuple], stop_ticks: list[int], 
     ``check_noise_price``, which names the stop's tick, then the stop's
     ``(stop, spread, depth, notional)`` order rows through ``fill_order``
     and ``record_fill`` on a scratch ledger; then it checks the close, the
-    fills in booking order and the open.  A day that raises nothing raises
+    fill prices in booking order and the open.  A day that raises nothing raises
     ``RuntimeError``.
     """
     scratch = Ledger(ledger.cash_micro, ledger.cumulative_cost_micro)
@@ -579,7 +579,7 @@ def _fail_day(impact: ImpactParams, orders: list[tuple], stop_ticks: list[int], 
         check_noise_price(anchor, tick=tick)
         for _, spread, depth, notional in (order for order in orders if order[0] == s):
             fill, cost, perm = fill_order(impact, spread, depth, anchor, perm, notional, tick)
-            record_fill(scratch, fill, notional, cost)
+            record_fill(scratch, notional, cost)
             prices.append((f"fill at tick {tick}", fill))
         if not s:
             open_price = mid_price(anchor, perm)

@@ -1,10 +1,9 @@
 """Reference runs shared by the tests.
 
 ``compose_days`` runs a scenario through the market operations one day at
-a time, which the run kernel must equal bit for bit, its ledger in
-``micro_sums`` since a run books no fill trail; ``bitwise_case``
-names the scenarios the kernel is checked on, and ``make_scenario``
-builds a small scenario around the reference trader.
+a time, which the run kernel must equal bit for bit, its ledger's sums
+too; ``bitwise_case`` names the scenarios the kernel is checked on, and
+``make_scenario`` builds a small scenario around the reference trader.
 """
 
 import math
@@ -80,11 +79,6 @@ def bitwise_case(case: str) -> Scenario:
     return make_scenario(days=3, sigma=0.0, half_life=0.5, agents=agents, ticks=64, fundamental=95.0)
 
 
-def micro_sums(ledger: Ledger) -> tuple[int, int]:
-    """A ledger's cash and cumulative cost in micro, the sums that a run's ledger keeps."""
-    return ledger.cash_micro, ledger.cumulative_cost_micro
-
-
 def compose_days(scenario: Scenario, sums: tuple[int, int] = (0, 0)):
     """Reference run through the market operations, one day at a time, from a ledger of ``sums``.
 
@@ -115,7 +109,7 @@ def compose_days(scenario: Scenario, sums: tuple[int, int] = (0, 0)):
             for agent in scenario.agents:
                 for notional in orders_for_tick(agent, t):
                     fill, cost, state = apply_aggressive_trade(state, profile, impact, notional, t)
-                    ledger = record_fill(ledger, fill, notional, cost)
+                    ledger = record_fill(ledger, notional, cost)
                     prices.append((f"fill at tick {t}", fill))
             if t == 0:
                 open_price = state.mid

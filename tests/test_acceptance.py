@@ -28,6 +28,7 @@ from daydrift import (
     run_sim,
     run_sweep,
     simulate,
+    to_micro,
     write_daily_csv,
 )
 from daydrift.cli import main
@@ -149,11 +150,14 @@ def test_criterion_6_invariant_suite(tmp_path):
 
         # ledger conservation, exact in integer micro
         rng = np.random.default_rng(123)
-        led = Ledger()
+        led, notional_micro, cost_micro = Ledger(), [], []
         for _ in range(500):
-            led = record_fill(led, 100.0, float(rng.uniform(-1e8, 1e8)), float(rng.uniform(0, 1e5)))
-        assert led.cash_micro == -sum(f.signed_notional_micro + f.cost_micro for f in led.fills)
-        assert led.cumulative_cost_micro == sum(f.cost_micro for f in led.fills)
+            notional, cost = float(rng.uniform(-1e8, 1e8)), float(rng.uniform(0, 1e5))
+            led = record_fill(led, notional, cost)
+            notional_micro.append(to_micro(notional))
+            cost_micro.append(to_micro(cost))
+        assert led.cash_micro == -(sum(notional_micro) + sum(cost_micro))
+        assert led.cumulative_cost_micro == sum(cost_micro)
 
         # decomposition product identity on a noisy simulated series
         noisy = load_config(NOISY_CONFIG).build()

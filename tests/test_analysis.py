@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -171,6 +172,7 @@ class TestDecompose:
     def test_log_columns_match_returns(self):
         result = decompose(series([(100.0, 101.0, 100.5)]))
         assert result.log_overnight[0] == pytest.approx(math.log(1.01), rel=1e-12)
+        assert result.log_intraday.tobytes() == np.log1p(result.intraday_ret).tobytes()
 
 
 class TestDoublingTime:
@@ -209,6 +211,11 @@ class TestDoublingTime:
         with pytest.raises(ValueError):
             doubling_time(nudge)
 
+    def test_a_nudge_lost_in_one_plus_nudge_is_refused(self):
+        message = "nudge of 1e-13 bps is lost in 1 + nudge == 1.0: the price never doubles"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            doubling_time(1e-13)
+
     def test_tiny_nudges_return_or_raise_at_once(self):
         # in a child with a timeout, so that a hang fails this test, not the suite: from an estimate that is not
         # taken of the float 1 + r, stepping n by one takes ~7.7e-17 / r**2 steps, and never ends if 1 + r == 1.0
@@ -245,6 +252,14 @@ class TestBreakevenBook:
     def test_zero_nudge_rejected(self):
         with pytest.raises(ValueError):
             breakeven_book(1e7, 15.0, 5.0, 0.0)
+
+    @pytest.mark.parametrize(
+        ("args", "message"),
+        [((-1.0, 15, 5, 1), "leg_notional must be >= 0, got -1.0"), ((1e7, -1, 5, 1), "spreads must be >= 0")],
+    )
+    def test_a_negative_leg_or_spread_is_rejected(self, args, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            breakeven_book(*args)
 
 
 class TestIngestOhlcCsv:
@@ -533,3 +548,8 @@ class TestLocateZeroCrossing:
     def test_no_crossing(self):
         with pytest.raises(ValueError):
             locate_zero_crossing([1.0, 2.0], [1.0, 2.0])
+
+    @pytest.mark.parametrize(("xs", "ys"), [([], []), ([1, 2], [1])])
+    def test_empty_or_unequal_tables_rejected(self, xs, ys):
+        with pytest.raises(ValueError, match="^xs and ys must be non-empty and of equal length$"):
+            locate_zero_crossing(xs, ys)

@@ -17,6 +17,7 @@ from daydrift import (
     SpreadDepthProfile,
     load_config,
     run_sweep,
+    simulate,
     summarize,
 )
 from daydrift import cli, csvio, engine
@@ -186,6 +187,9 @@ class TestRun:
                  "leg_notional = 1e7": "leg_notional = -1e7"},
                 "fill at tick 0 is non-positive or non-finite: -50.0",
             ),
+            # not a price: a leg whose value in micro-currency overflows a float as well as the ledger's range
+            ({"capital = 1e9": "capital = 1e303", "leg_notional = 1e7": "leg_notional = 1e303"},
+             "1e+303 does not fit in micro-currency range"),
         ],
     )
     def test_a_price_out_of_range_is_a_runtime_error(self, capsys, tmp_path, edits, message):
@@ -435,6 +439,21 @@ class TestKeyTables:
         cells = run_sweep(base, [(key, [SWEEP_VALUES[key], BAD_CELLS[key]])])
         assert [cell.ok for cell in cells] == [True, False]
         assert cells[1].error.startswith(f"ValueError: {key}")
+
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_a_cell_runs_what_a_config_setting_its_keys_builds_in_either_grid_order(self, reference_config_path, swap):
+        # the leg exceeds the base's book, and fits the cell's
+        base = replace(load_config(reference_config_path), days=3)
+        grid = [("agents.leg_notional", [1e11]), ("agents.capital", [1e12])]
+        [cell] = run_sweep(base, grid[::-1] if swap else grid)
+        assert cell.ok
+        assert cell.summary == summarize(simulate(replace(base, leg_notional=1e11, capital=1e12).build()).columns)
+
+    def test_a_refused_cell_names_the_first_key_a_build_refuses(self, reference_config_path):
+        # a zero leverage is set first, and cannot divide agents.book_value into a capital
+        base = replace(load_config(reference_config_path), days=3)
+        [cell] = run_sweep(base, [("agents.book_value", [1e10]), ("agents.leverage", [0.0])])
+        assert cell.error == "ValueError: agents.leverage must be positive and finite, got 0.0"
 
     @pytest.mark.parametrize("key", [name for name, row in KEYS.items() if row.sweep and row.kind == "int"])
     def test_integer_key_takes_integral_floats_only(self, noisy_config_path, key):

@@ -31,7 +31,6 @@ from daydrift import (
     advance_noise,
     apply_aggressive_trade,
     day_rng,
-    from_micro,
     load_config,
     mark_to_market,
     orders_for_tick,
@@ -48,7 +47,7 @@ from daydrift.engine import _BLOCK_DAYS, _DAY_COLUMNS, DAILY_CSV, DayColumns, Si
 from daydrift.ledger import AccountingError
 from daydrift.market import diffusion_coef, diffusion_growth
 
-from composition import bitwise_case, compose_days, make_scenario, micro_sums
+from composition import bitwise_case, compose_days, make_scenario
 from conftest import NOISY_CONFIG, REFERENCE_CONFIG
 
 # Every test here runs the kernel with a 64-day block, except in the classes that override ``edge_block``
@@ -171,7 +170,7 @@ class TestRunDayMatchesOperationComposition:
         result = simulate(scenario)
         assert list(result.records) == [record for record, _ in expected]
         _, ledger = expected[-1]
-        assert micro_sums(result.ledger) == micro_sums(ledger) and result.ledger.fills == ()
+        assert result.ledger == ledger
 
     def test_a_run_returns_its_columns_and_its_ledger(self):
         assert [f.name for f in fields(SimResult)] == ["columns", "ledger"]
@@ -323,7 +322,7 @@ class TestBlockBoundaries:
         composed = list(compose_days(scenario))
         _, composed_ledger = composed[-1]
         assert result.records == tuple(record for record, _ in composed)
-        assert micro_sums(result.ledger) == micro_sums(composed_ledger) and result.ledger.fills == ()
+        assert result.ledger == composed_ledger
 
     @pytest.mark.parametrize("sigma", [0.01, 300.0])
     def test_block_growth_in_place_over_strided_rows_has_the_per_day_bits(self, sigma):
@@ -415,7 +414,7 @@ class TestComposedRuns:
         except (ValueError, OverflowError) as exc:
             error = exc
         assert columns.records() == records
-        assert micro_sums(ledger) == micro_sums(composed_ledger) and ledger.fills == ()
+        assert ledger == composed_ledger
         if composed_error is None:
             assert error is None
         else:
@@ -554,7 +553,7 @@ class TestErrorsAtBlockEdges:
         assert columns.records() == finished_columns.records()
         assert ledger == finished
         _, composed_ledger, _ = composed_run(scenario, sums)
-        assert len(columns) == day - 1 and micro_sums(ledger) == micro_sums(composed_ledger) and ledger.fills == ()
+        assert len(columns) == day - 1 and ledger == composed_ledger
 
 
 class TestErrorsAtTheKernelsBlockEdge:
@@ -572,7 +571,7 @@ class TestErrorsAtTheKernelsBlockEdge:
             _run_days(scenario, ledger, columns)
         assert calls[0] == range(1, _BLOCK_DAYS + 1)
         *_, (_, composed_ledger) = compose_days(replace(scenario, days=spike_day - 1))
-        assert len(columns) == spike_day - 1 and micro_sums(ledger) == micro_sums(composed_ledger) and ledger.fills == ()
+        assert len(columns) == spike_day - 1 and ledger == composed_ledger
 
 
 # a scenario whose day 1 has a price out of range, and the error naming it
@@ -615,7 +614,7 @@ class TestMicroRange:
         columns, ledger = DayColumns(), Ledger()
         with pytest.raises(AccountingError, match=f"^{re.escape(message)}$"):
             _run_days(scenario, ledger, columns)
-        assert len(columns) == 0 and micro_sums(ledger) == (0, 0)
+        assert len(columns) == 0 and ledger == Ledger()
         with pytest.raises(AccountingError, match=f"^{re.escape(message)}$"):
             next(compose_days(scenario))
 
@@ -644,7 +643,7 @@ class TestPriceRange:
         records, composed_ledger, error = composed_run(scenario, (0, 0))
         assert str(error) == message
         assert columns.records() == records and len(records) == day - 1
-        assert micro_sums(ledger) == micro_sums(composed_ledger) and ledger.fills == ()
+        assert ledger == composed_ledger
 
     def test_an_earlier_price_failure_wins_over_a_later_noise_failure_in_its_block(self, monkeypatch):
         # noise too weak to move the drift out of its 6.5 bp overflow window
@@ -868,13 +867,11 @@ class TestRunSim:
         assert abs(total - expected) / abs(expected) <= 1e-9
 
     def test_ledger_conservation_through_a_run(self):
-        # a run keeps only the sums; the composition's fill trail, booked with record_fill, accounts for them
+        # the run books its sums a block at a time; the composition books each fill with record_fill
         scenario = make_scenario(days=30, sigma=0.01, seed=5)
         led = simulate(scenario).ledger
         *_, (_, composed) = compose_days(scenario)
-        assert len(composed.fills) == 60 and led.fills == ()
-        assert led.cash_micro == -sum(f.signed_notional_micro + f.cost_micro for f in composed.fills)
-        assert led.cumulative_cost_micro == sum(f.cost_micro for f in composed.fills)
+        assert led == composed
         assert led.cumulative_cost_micro == 30 * 10_000_000_000
 
     @pytest.mark.parametrize("days", BLOCK_EDGE_DAYS)
@@ -889,20 +886,19 @@ class TestRunSim:
         simulate(replace(load_config(NOISY_CONFIG).build(), days=days))
         assert len(calls) == 1
 
-    def test_the_fill_trail_matches_the_day_records(self):
+    def test_the_day_records_match_the_composed_costs_and_ledger(self):
         days = 300
         scenario = replace(load_config(NOISY_CONFIG).build(), days=days)
         result = simulate(scenario)
-        *_, (_, composed) = compose_days(scenario)  # the run books no trail; the composition's is the reference
-        records, fills = result.records, composed.fills
-        assert len(fills) == 2 * days and result.ledger.fills == ()
+        composed = list(compose_days(scenario))
+        records = result.records
+        assert len(records) == days and result.ledger == composed[-1][1]
         book_per_price = scenario.total_book_value / scenario.initial_mid
-        for record, day_fills in zip(records, zip(fills[::2], fills[1::2])):
-            assert record.total_cost == from_micro(sum(f.cost_micro for f in day_fills))
+        for record, (composed_record, _) in zip(records, composed):
+            assert record.total_cost == composed_record.total_cost
             prev = record.prev_close
             assert record.mtm_gain == mark_to_market(book_per_price * prev, prev, record.close)
             assert record.net_pnl == record.mtm_gain - record.total_cost
-        assert result.ledger.cumulative_cost_micro == sum(f.cost_micro for f in fills)
 
     @pytest.mark.parametrize(
         ("config", "days", "bound"), [(NOISY_CONFIG, 8000, 32), (REFERENCE_CONFIG, 64000, 28)], ids=["noisy", "reference"]

@@ -85,6 +85,12 @@ class TestProfile:
         with pytest.raises(ValueError):
             SpreadDepthProfile(np.array([15.0, 5.0]), np.array([1e9]))
 
+    def test_a_profile_of_one_tick_rejected(self):
+        with pytest.raises(ValueError, match="^n_ticks must be >= 2$"):
+            SpreadDepthProfile.default(n_ticks=1)
+        with pytest.raises(ValueError, match="^profile needs at least 2 ticks$"):
+            SpreadDepthProfile([1.0], [1.0])
+
 
 class TestQuotedHalfSpread:
     def test_open_and_close(self):

@@ -3,6 +3,7 @@ import importlib
 import inspect
 import pkgutil
 import re
+import tomllib
 from dataclasses import fields, is_dataclass
 
 import daydrift
@@ -40,6 +41,19 @@ def test_the_ci_workflow_runs_the_tier_1_command_of_the_roadmap():
     assert command, "ROADMAP has no tier-1 command"
     workflow = (REPO_ROOT / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
     assert re.findall(r"^ +run: (.*-m pytest.*)$", workflow, re.MULTILINE) == [command.group(1)]
+
+
+def test_the_readme_pyproject_and_ci_agree_on_the_python_floor():
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    floor = re.search(r"^Requires Python ≥ (3\.\d+)", readme, re.MULTILINE)
+    assert floor, "README has no Python floor"
+    pyproject = tomllib.loads((REPO_ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    workflow = (REPO_ROOT / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
+    matrix = re.search(r"^ +python-version: \[([^\]]*)\]$", workflow, re.MULTILINE)
+    assert matrix, "the CI workflow has no Python matrix"
+    lowest = min(re.findall(r'"(3\.\d+)"', matrix.group(1)), key=lambda version: int(version.split(".")[1]))
+    assert pyproject["project"]["requires-python"] == f">={floor.group(1)}"
+    assert lowest == floor.group(1)
 
 
 # names the README and the docstrings take from numpy, not from daydrift
