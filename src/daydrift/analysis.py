@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import datetime
-import itertools
 import math
 import operator
 from array import array
@@ -20,7 +19,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .csvio import blocks, split_cells, undecodable, write_rows
+from .csvio import read_plain, undecodable, write_rows
 from .engine import DayColumns, _table
 
 _TINY, _HUGE = np.finfo(float).tiny, np.finfo(float).max
@@ -196,37 +195,35 @@ def breakeven_book(
     formula is schedule-agnostic: it does not check that the nudge is
     attainable for these spreads.
     """
-    if leg_notional < 0:
+    if not leg_notional >= 0:
         raise ValueError(f"leg_notional must be >= 0, got {leg_notional}")
-    if spread_open_bps < 0 or spread_close_bps < 0:
+    if not (spread_open_bps >= 0 and spread_close_bps >= 0):
         raise ValueError("spreads must be >= 0")
     if not net_nudge_bps > 0:
         raise ValueError(f"net_nudge_bps must be positive, got {net_nudge_bps}")
     return leg_notional * (spread_open_bps + spread_close_bps) / (2.0 * net_nudge_bps)
 
 
-def _ohlc_block(lines: list[str], width: int, date_i: int, open_i: int, close_i: int, last_date) -> tuple | None:
-    """The dates, opens, closes and last date of a block of lines, if every row is good.
+def _ohlc_block(cells: list[str], width: int, date_i: int, open_i: int, close_i: int, days: list) -> tuple | None:
+    """The dates, opens and closes of a plain block's cells, if every row is good.
 
-    None if the lines are not plain (``split_cells``), a date is not
-    ``YYYY-MM-DD`` or does not parse, a price does not parse, the dates
-    do not rise strictly from ``last_date``, or a price is outside
+    None if a date is not ``YYYY-MM-DD`` or does not parse, a price does
+    not parse, the dates do not rise strictly from the last of ``days``
+    (compared as strings, which such dates sort as), or a price is outside
     (0, inf): the row loop then reads the block and raises the error.
     """
-    if (cells := split_cells(lines, width)) is None:
-        return None
     try:
         raw = list(map(str.strip, cells[date_i::width]))
         joined = "".join(raw)  # every date 10 characters with hyphens at 4 and 7, so fromisoformat takes one form
         if set(map(len, raw)) != {10} or not joined[4::10] == joined[7::10] == "-" * len(raw):
             return None
-        dates = list(map(datetime.date.fromisoformat, raw))
+        list(map(datetime.date.fromisoformat, raw))  # raises for a date that does not exist
         opens, closes = (array("d", map(float, cells[i::width])) for i in (open_i, close_i))
     except ValueError:
         return None
     prices = np.frombuffer(opens + closes)
-    rising = all(map(operator.lt, dates, dates[1:])) and (last_date is None or last_date < dates[0])
-    return (raw, opens, closes, dates[-1]) if rising and ((prices > 0.0) & np.isfinite(prices)).all() else None
+    rising = all(map(operator.lt, raw, raw[1:])) and (not days or days[-1] < raw[0])
+    return (raw, opens, closes) if rising and ((prices > 0.0) & np.isfinite(prices)).all() else None
 
 
 def ingest_ohlc_csv(path) -> PriceSeries:
@@ -254,25 +251,19 @@ def ingest_ohlc_csv(path) -> PriceSeries:
                     raise ValueError(f"{path}: column {name!r} appears more than once")
             date_i, open_i, close_i = (names.index(name) for name in ("date", "open", "close"))
             days, opens, closes = [], array("d"), array("d")
-            last_date = None
 
-            # a block at a time (_ohlc_block); from the first block that it
-            # declines, the rest of the file goes through csv.reader row by row,
-            # the one definition of what is accepted and of every error
-            lineno = 1 + reader.line_num
-            for lines in blocks(fh):
-                if (block := _ohlc_block(lines, len(header), date_i, open_i, close_i, last_date)) is None:
-                    rows = csv.reader(itertools.chain(lines, fh))
-                    break
-                for column, values in zip((days, opens, closes), block):
-                    column += values
-                last_date = block[3]
-                lineno += len(lines)
+            # plain blocks through _ohlc_block; from the first it declines, the rest through
+            # csv.reader row by row, the one definition of what is accepted and of every error
+            plain, rest = read_plain(
+                fh, len(header), lambda cells: _ohlc_block(cells, len(header), date_i, open_i, close_i, days),
+                [days, opens, closes],
+            )
+            rows = csv.reader(rest)
 
             # only a row that is short or has an empty date cell can be blank,
             # so only those pay the blank test
             last_col, inf, fromisoformat = max(date_i, open_i, close_i), math.inf, datetime.date.fromisoformat
-            start, read = lineno, 0  # the row loop's first line; the lines csv.reader has read before a row
+            start, read = 1 + reader.line_num + plain, 0  # the row loop's first line; csv.reader's lines before a row
             for row in rows:
                 lineno, read = start + read, rows.line_num
                 if len(row) <= last_col:
@@ -285,12 +276,11 @@ def ingest_ohlc_csv(path) -> PriceSeries:
                 try:
                     if len(raw_date) != 10 or raw_date[4] + raw_date[7] != "--":  # YYYY-MM-DD only, on every Python
                         raise ValueError(raw_date)
-                    date = fromisoformat(raw_date)
+                    fromisoformat(raw_date)
                 except ValueError:
                     raise ValueError(f"line {lineno}: unparseable ISO date {raw_date!r}") from None
-                if last_date is not None and date <= last_date:
+                if days and raw_date <= days[-1]:
                     raise ValueError(f"line {lineno}: dates must be strictly increasing, got {raw_date}")
-                last_date = date
                 try:
                     opn = float(row[open_i])
                     cls_ = float(row[close_i])
@@ -329,12 +319,14 @@ def locate_zero_crossing(xs, ys) -> float:
 
     Exact grid points with y == 0 are returned as-is; otherwise the
     crossing is interpolated between the first adjacent pair with opposite
-    signs.
+    signs.  Every value must be finite.
     """
     xs = [float(x) for x in xs]
     ys = [float(y) for y in ys]
     if len(xs) != len(ys) or len(xs) < 1:
         raise ValueError("xs and ys must be non-empty and of equal length")
+    if not all(map(math.isfinite, xs + ys)):
+        raise ValueError("xs and ys must be finite")
     for i, y in enumerate(ys):
         if y == 0.0:
             return xs[i]

@@ -9,11 +9,11 @@ number does not use dropped at the end.  A block it declines (a value
 out of its exact range, nan or inf, a label holding a newline) is
 formatted with the ``%`` template, which stays the reference.
 
-The readers take a file's lines a block at a time (``blocks``).  A block
-whose lines are all plain (``split_cells``) is split once and converted
-a column at a time; from the first block that is not plain or does not
-convert, each reader goes line by line, and its row loop is the one
-definition of what it accepts and of every error it raises.
+The readers take a file's lines a block at a time (``read_plain``).  A
+block whose lines are all plain (``split_cells``) is split once and
+converted a column at a time by the reader; from the first block that is
+not plain or does not convert, each reader goes line by line, and its row
+loop is the one definition of what it accepts and of every error it raises.
 """
 
 from __future__ import annotations
@@ -189,14 +189,6 @@ def write_rows(fh, labels, columns: list, decimals: tuple[int, ...]) -> None:
         fh.write(fixed_rows(names, x, decimals) or "".join(map(template, zip(names, *x.tolist()))).encode())
 
 
-def blocks(fh) -> Iterator[list[str]]:
-    """The lines of text file ``fh``, ``BLOCK_CHARS`` characters' worth at a time.
-
-    A loop that breaks leaves ``fh`` after the block it broke on.
-    """
-    return iter(lambda: fh.readlines(BLOCK_CHARS), [])
-
-
 def split_cells(lines: list[str], fields: int) -> list[str] | None:
     """The cells of a block of lines, row after row, or None unless every line is plain.
 
@@ -216,6 +208,26 @@ def split_cells(lines: list[str], fields: int) -> list[str] | None:
     cells = text.replace("\n", ",").split(",")
     cells.pop()  # after the last newline
     return cells
+
+
+def read_plain(fh, fields: int, convert, columns: list) -> tuple[int, Iterator[str]]:
+    """Extend ``columns`` from text file ``fh``'s plain lines, ``BLOCK_CHARS`` characters' worth at a time.
+
+    Each plain block (``split_cells``) is split once into its cells, and
+    ``convert(cells)`` gives one list per column to append, or None to
+    decline the block.  At the first block that is not plain or that
+    ``convert`` declines, or at the end of the file, the result is the
+    number of lines appended and the lines left for the caller's row loop,
+    that block's first.
+    """
+    read = 0
+    while lines := fh.readlines(BLOCK_CHARS):
+        if (cells := split_cells(lines, fields)) is None or (block := convert(cells)) is None:
+            break
+        for column, values in zip(columns, block):
+            column += values
+        read += len(lines)
+    return read, itertools.chain(lines, fh)
 
 
 def undecodable(path) -> ValueError:

@@ -51,7 +51,7 @@ from typing import TYPE_CHECKING, NoReturn
 import numpy as np
 
 from .agents import RoundTripTrader, orders_for_tick
-from .csvio import blocks, split_cells, undecodable, write_rows
+from .csvio import read_plain, undecodable, write_rows
 from .ledger import Ledger, book_days, first_refused_day, from_micro, mark_to_market, record_fill, to_micro
 from .market import (
     BPS,
@@ -653,14 +653,9 @@ def write_daily_csv(days, path) -> None:
         write_rows(fh, columns[label], [columns[name] for name in numbers], tuple(DAILY_CSV[n] for n in numbers))
 
 
-def _daily_block(lines: list[str]) -> list | None:
-    """The columns ``read_daily_columns`` keeps of a block of lines.
-
-    None if the lines are not plain (``split_cells``) or a cell does not convert.
-    """
+def _daily_block(cells: list[str]) -> list | None:
+    """The columns ``read_daily_columns`` keeps of a plain block's cells, or None if a cell does not convert."""
     width, (day, *kept) = len(DAILY_CSV), _KEPT
-    if (cells := split_cells(lines, width)) is None:
-        return None
     try:
         return [list(map(int, cells[day::width])), *(array("d", map(float, cells[i::width])) for i in kept)]
     except ValueError:
@@ -670,9 +665,9 @@ def _daily_block(lines: list[str]) -> list | None:
 def read_daily_columns(path) -> list:
     """The columns of ``DayRecord``'s fields in the daily CSV at ``path``: the days as ints, then ``array('d')``s.
 
-    The header must be ``DAILY_CSV_HEADER``, and the text UTF-8 (else ``undecodable``).  Each of
-    ``blocks(fh)`` is converted a column at a time (``_daily_block``); from the first that it
-    declines, the rest goes line by line through the loop below, which defines what is accepted and every error.
+    The header must be ``DAILY_CSV_HEADER``, and the text UTF-8 (else ``undecodable``).  Plain blocks are
+    converted a column at a time (``read_plain`` with ``_daily_block``); from the first that is declined,
+    the rest goes line by line through the loop below, which defines what is accepted and every error.
     """
     width, (day, *kept) = len(DAILY_CSV), _KEPT
     columns = [[], *(array("d") for _ in kept)]
@@ -680,15 +675,8 @@ def read_daily_columns(path) -> list:
         try:
             if (header := fh.readline().rstrip("\n")) != DAILY_CSV_HEADER:
                 raise ValueError(f"not a daily simulation CSV: header is {header!r}")
-            lineno, rest = 2, ()
-            for lines in blocks(fh):
-                if (block := _daily_block(lines)) is None:
-                    rest = itertools.chain(lines, fh)
-                    break
-                for column, values in zip(columns, block):
-                    column += values
-                lineno += len(lines)
-            for lineno, line in enumerate(rest, start=lineno):
+            read, rest = read_plain(fh, width, _daily_block, columns)
+            for lineno, line in enumerate(rest, start=2 + read):
                 parts = line.rstrip("\n").split(",")
                 if len(parts) != width:
                     if not line.strip():

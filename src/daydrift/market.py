@@ -360,7 +360,8 @@ def calibrate_lambda(
 
     Raises CalibrationError when the schedule has no spread/depth asymmetry
     (or no permanent component) and the target is nonzero, and when the
-    solved ``lam`` is negative or not finite.
+    solved ``lam`` is not finite, or negative: the legs' other sides (a
+    negative ``leg_notional``) then reach the target, as the message says.
     """
     _check_tick(profile, buy_tick)
     _check_tick(profile, sell_tick)
@@ -383,8 +384,8 @@ def calibrate_lambda(
         )
     if lam < 0:
         raise CalibrationError(
-            f"target of {target_net_nudge_bps} bps needs a negative impact coefficient "
-            "with this schedule; swap the buy/sell ticks instead"
+            f"target of {target_net_nudge_bps} bps needs a negative impact coefficient with this schedule; "
+            "reverse the legs' sides instead: a negative leg_notional sells at buy_tick and buys back at sell_tick"
         )
     return lam
 

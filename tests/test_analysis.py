@@ -17,13 +17,16 @@ from daydrift import (
     decompose,
     doubling_time,
     ingest_ohlc_csv,
+    intraday_return,
     load_config,
     locate_zero_crossing,
+    overnight_return,
     run_sim,
     simulate,
     write_daily_csv,
     write_decomposition_csv,
 )
+from daydrift import engine
 from daydrift.analysis import DECOMPOSITION_CSV_HEADER, DecompositionResult
 from daydrift.engine import DayColumns, read_daily_columns
 
@@ -169,6 +172,24 @@ class TestDecompose:
         for field in fields(DecompositionResult)[1:]:
             assert getattr(by_columns, field.name).tobytes() == getattr(by_records, field.name).tobytes(), field.name
 
+    def test_the_record_returns_are_the_daily_csv_and_report_returns(self, monkeypatch, tmp_path):
+        # overnight_return and intraday_return give, bit for bit, the elementwise returns that write_daily_csv
+        # formats (caught on their way to write_rows) and decompose's columns
+        records = simulate(replace(load_config(NOISY_CONFIG).build(), days=300)).records
+        written = {}
+
+        def catch(fh, labels, columns, decimals):
+            written.update(zip(list(engine.DAILY_CSV)[1:], columns))
+            return write_rows(fh, labels, columns, decimals)
+
+        write_rows = engine.write_rows
+        monkeypatch.setattr(engine, "write_rows", catch)
+        write_daily_csv(records, tmp_path / "daily.csv")
+        result = decompose(PriceSeries.from_day_records(records))
+        for name, of in (("overnight_ret", overnight_return), ("intraday_ret", intraday_return)):
+            returns = np.array([of(r) for r in records])
+            assert returns.tobytes() == np.asarray(written[name]).tobytes() == getattr(result, name).tobytes(), name
+
     def test_log_columns_match_returns(self):
         result = decompose(series([(100.0, 101.0, 100.5)]))
         assert result.log_overnight[0] == pytest.approx(math.log(1.01), rel=1e-12)
@@ -198,6 +219,14 @@ class TestDoublingTime:
     def test_monotone_in_the_nudge(self):
         times = [doubling_time(n) for n in (0.5, 1.0, 2.0, 4.0, 8.0)]
         assert times == sorted(times, reverse=True)
+
+    def test_a_first_estimate_one_long_is_corrected_downward(self):
+        # log(2) / log(base) rounds to just above 11, but base**11 is exactly 2.0
+        nudge = 650.4108943996264
+        base = 1.0 + nudge * 1e-4
+        assert math.ceil(math.log(2.0) / math.log(base)) == 12
+        assert doubling_time(nudge) == 11 == self.brute_force(nudge)
+        assert base**11 == 2.0 > base**10
 
     def test_a_first_estimate_one_short_is_corrected_upward(self):
         nudge = 3.0479043993817267e-09
@@ -255,9 +284,16 @@ class TestBreakevenBook:
 
     @pytest.mark.parametrize(
         ("args", "message"),
-        [((-1.0, 15, 5, 1), "leg_notional must be >= 0, got -1.0"), ((1e7, -1, 5, 1), "spreads must be >= 0")],
+        [
+            ((-1.0, 15, 5, 1), "leg_notional must be >= 0, got -1.0"),
+            ((1e7, -1, 5, 1), "spreads must be >= 0"),
+            ((math.nan, 15, 5, 1), "leg_notional must be >= 0, got nan"),
+            ((1e7, math.nan, 5, 1), "spreads must be >= 0"),
+            ((1e7, 15, math.nan, 1), "spreads must be >= 0"),
+        ],
     )
     def test_a_negative_leg_or_spread_is_rejected(self, args, message):
+        # NaN is refused too: it is not >= 0
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             breakeven_book(*args)
 
@@ -552,4 +588,12 @@ class TestLocateZeroCrossing:
     @pytest.mark.parametrize(("xs", "ys"), [([], []), ([1, 2], [1])])
     def test_empty_or_unequal_tables_rejected(self, xs, ys):
         with pytest.raises(ValueError, match="^xs and ys must be non-empty and of equal length$"):
+            locate_zero_crossing(xs, ys)
+
+    @pytest.mark.parametrize(
+        ("xs", "ys"),
+        [([1, 2, 3], [-1, math.nan, 1]), ([1, 2, 3], [-1, math.inf, 1]), ([1, math.nan, 3], [-1, 0.5, 1])],
+    )
+    def test_a_non_finite_table_value_is_rejected(self, xs, ys):
+        with pytest.raises(ValueError, match="^xs and ys must be finite$"):
             locate_zero_crossing(xs, ys)

@@ -995,6 +995,31 @@ class TestCalibrate:
         )
         assert m and float(m.group(1)) == pytest.approx(2e301, rel=1e-12)
 
+    @pytest.mark.parametrize(("swap", "target"), [(True, "1"), (False, "-1")],
+                             ids=["swapped-spreads", "negative-target"])
+    def test_a_negative_lambda_names_the_legs_and_reversed_legs_calibrate(self, capsys, tmp_path, reference_config_path,
+                                                                          swap, target):
+        # the schedule drifts the other way from the target (the open tighter than the close, or a
+        # negative target); the message's advice, followed in the config, calibrates and verifies it
+        text = reference_config_path.read_text()
+        if swap:
+            text = text.replace("spread_open_bps = 15", "spread_open_bps = 5").replace(
+                "spread_close_bps = 5", "spread_close_bps = 15", 1)
+        config = tmp_path / "drift.ini"
+        config.write_text(text)
+        code, _, out, err = run_cli(capsys, "calibrate", "--config", str(config), "--target-bps", target)
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: target of {float(target)} bps needs a negative impact coefficient with this schedule; "
+            "reverse the legs' sides instead: a negative leg_notional sells at buy_tick and buys back at sell_tick\n"
+        )
+        config.write_text(text.replace("leg_notional = 1e7", "leg_notional = -1e7"))
+        code, stanza, out, _ = run_cli(capsys, "calibrate", "--config", str(config), "--target-bps", target)
+        assert code == 0
+        assert float(stanza["lambda"]) == pytest.approx(20.0, rel=1e-12)
+        assert float(stanza["achieved_nudge_bps"]) == pytest.approx(float(target), rel=1e-9)
+        assert f"verified nudge  {float(target):.4f} bp" in out
+
     def test_a_disabled_trader_is_calibrated_as_if_it_traded(self, capsys, tmp_path, reference_config_path):
         config = tmp_path / "disabled.ini"
         config.write_text(reference_config_path.read_text().replace("enabled = true", "enabled = false"))

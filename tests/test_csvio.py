@@ -177,12 +177,12 @@ def placed(lines: list[str], at: int, special: str) -> str:
     return "".join(lines[:at]) + special.replace("{d}", date) + "".join(lines[at + 1 :])
 
 
-def compare_to_the_row_loop(monkeypatch, tmp_path, module, read, header, lines, special, width):
+def compare_to_the_row_loop(monkeypatch, tmp_path, read, header, lines, special, width):
     path = tmp_path / "input.csv"
     for at in range(len(lines) + 1):
         path.write_bytes((header + placed(lines, at, special)).encode())
         with monkeypatch.context() as m:
-            m.setattr(module, "split_cells", lambda lines, fields: None)
+            m.setattr(csvio, "split_cells", lambda lines, fields: None)
             reference = outcome(read, path)
         # one line a block, three lines a block (the special line first, in the middle, last
         # or across an edge), and the real hint
@@ -195,8 +195,7 @@ def compare_to_the_row_loop(monkeypatch, tmp_path, module, read, header, lines, 
 class TestBlockReaders:
     @pytest.mark.parametrize("special", SPECIAL_OHLC.values(), ids=SPECIAL_OHLC.keys())
     def test_ohlc_blocks_read_as_the_row_loop_reads(self, monkeypatch, tmp_path, special):
-        compare_to_the_row_loop(monkeypatch, tmp_path, analysis, ingest_ohlc_csv, OHLC_HEADER, GOOD, special,
-                                len(GOOD[0]))
+        compare_to_the_row_loop(monkeypatch, tmp_path, ingest_ohlc_csv, OHLC_HEADER, GOOD, special, len(GOOD[0]))
 
     @pytest.mark.parametrize("kind", ["ohlc", "daily"])
     def test_plain_lines_take_the_block_path(self, monkeypatch, tmp_path, kind):
@@ -230,5 +229,5 @@ class TestBlockReaders:
 
     @pytest.mark.parametrize("special", SPECIAL_DAILY.values(), ids=SPECIAL_DAILY.keys())
     def test_daily_blocks_read_as_the_row_loop_reads(self, monkeypatch, tmp_path, special):
-        compare_to_the_row_loop(monkeypatch, tmp_path, engine, read_daily_csv, DAILY_CSV_HEADER + "\n", self.DAILY,
+        compare_to_the_row_loop(monkeypatch, tmp_path, read_daily_csv, DAILY_CSV_HEADER + "\n", self.DAILY,
                                 special, len(self.DAILY[0]))

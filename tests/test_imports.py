@@ -1,5 +1,10 @@
-"""Each module imports alone, so the key table in ``config`` adds no import cycle; no process pool loads; the benchmark's names exist."""
+"""Each module imports alone and uses every name it imports.
 
+The key table in ``config`` adds no import cycle, no process pool loads,
+and every name the benchmark calls exists.
+"""
+
+import ast
 import os
 import re
 import subprocess
@@ -42,3 +47,37 @@ def test_every_name_the_benchmark_calls_exists():
             assert hasattr(modules[alias], name), f"{path.name} calls {alias}.{name}, which daydrift does not define"
             called.add(f"{alias}.{name}")
     assert {"dd.run_sim", "dd.load_config", "dd_cli.main"} <= called
+
+
+def unused_imports(source: str) -> list[str]:
+    """The names that ``source`` imports and never reads; a use in an annotation, quoted or not, counts."""
+    tree = ast.parse(source)
+    imported, used = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import | ast.ImportFrom) and getattr(node, "module", None) != "__future__":
+            imported.update((alias.asname or alias.name.split(".")[0], node.lineno) for alias in node.names)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        for annotation in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+            for quoted in ast.walk(annotation) if annotation else ():
+                if isinstance(quoted, ast.Constant) and isinstance(quoted.value, str):
+                    used.update(n.id for n in ast.walk(ast.parse(quoted.value, mode="eval")) if isinstance(n, ast.Name))
+    return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
+
+
+MODULES = [path for path in sorted((REPO_ROOT / "src" / "daydrift").glob("*.py")) if path.name != "__init__.py"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_module_imports_a_name_it_does_not_use(path):
+    # every process compiles and runs what a module imports; __init__ imports its names to re-export them
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_an_unused_import_is_found():
+    source = (
+        "from __future__ import annotations\nimport itertools\nimport numpy as np\nimport os.path\n"
+        "from array import array\nfrom x import Used, Quoted as Q\n"
+        "def f(a: Used) -> list['Q | None']:\n    return np, os\n"
+    )
+    assert unused_imports(source) == ["line 2: itertools", "line 5: array"]
