@@ -25,9 +25,11 @@ read the price, and each stop's noise coefficients.  The kernel works in
 blocks of days.  Only the price chain goes day by day; the noise draw,
 the fill prices, the marks and the ledger are computed over a block at a
 time, the last three with the market model's step functions applied to
-arrays.  The chain runs over plain floats: each block's growth factors
-are read as one flat list, and each stop's anchor is appended to one
-float array.  Within a day it stops only at the stops and between them
+arrays.  The chain runs over plain floats, reading each block's growth
+factors as one flat list: a run without mean reversion carries only its
+close, and its stop anchors are rebuilt after the chain as column
+products, while a reverting run appends each stop's anchor to one float
+array.  Within a day it stops only at the stops and between them
 advances the price over the whole gap.  The result has the bits of composing ``advance_noise``
 once per noise step and ``apply_aggressive_trade`` once per order, in the
 order above, one day at a time; after the close, the day's fill prices
@@ -404,7 +406,7 @@ def simulate(scenario: Scenario) -> SimResult:
     return SimResult(columns, book_ledger)
 
 
-# days per block: a 4096 x (stops + 1) float64 array and one day_keys call of 64 KB
+# days per block: 4096 x stops float64 arrays of growth factors and anchors, and one day_keys call of 64 KB
 _BLOCK_DAYS = 4096
 
 
@@ -446,13 +448,17 @@ def _run_days(scenario: Scenario, book_ledger: Ledger, columns: DayColumns) -> N
        collector to walk.  A run without noise computes no keys and draws
        nothing.
     2. *The chain*, plain arithmetic on floats over the days before the
-       refused day: the block's growth factors are read as one flat list,
-       ``noise_step`` takes them stop by stop, and each day's anchor after
-       each stop is appended to one float array, read back as the block's
-       anchor rows, and its close to another; a run with neither noise nor
-       mean reversion appends only the close, and its anchor is the
-       previous close.  No object per day outlives its day.  It stops after
-       the first close outside (0, inf).
+       refused day; it reads the block's growth factors as one flat list
+       and appends each close to one float array.  Without mean reversion
+       a stop's step is one multiply, which raises nothing: a day
+       multiplies its row of factors (empty without noise) into the
+       previous close, one array check after the loop finds the first
+       close outside (0, inf), and the anchors are rebuilt a stop's column
+       at a time in a new array, the chain's multiplies in its order (the
+       previous close, without noise).  A reverting run's step is
+       ``noise_step``'s ``**``: it appends each anchor to a second array
+       and stops after the first close outside (0, inf).  No object per
+       day outlives its day.
     3. *Booking*: ``fill_price`` of every fill and of the open, a fill of
        zero spread after tick 0's orders, over the chained days, checked
        with one min and one max; then the marks, the sums (``book_days``)
@@ -485,10 +491,10 @@ def _run_days(scenario: Scenario, book_ledger: Ledger, columns: DayColumns) -> N
     revert, diffuse = noise.half_life_days is not None, noise.sigma_daily > 0.0
     pulls = [reversion_pull(noise, gap * dt) if revert else None for gap in gaps]
     coef = np.array([diffusion_coef(noise, gap * dt) for gap in gaps]) if diffuse else None
-    steps = diffuse or revert
-    days = range(1, scenario.days + 1)
+    stops, days = len(stop_ticks), range(1, scenario.days + 1)
     block = min(len(days), _BLOCK_DAYS)
-    growth = np.empty((block, len(stop_ticks))) if diffuse else None  # row i: day i's growth factors
+    growth = np.empty((block, stops)) if diffuse else None  # row i: day i's growth factors
+    rebuilt = np.empty((block, stops)) if diffuse and not revert else None  # row i: day i's anchor after each stop
     columns.first = close = float(scenario.initial_mid)
     fund = float(scenario.initial_fundamental)
     # an overflow surfaces as a non-finite price, which the checks report
@@ -501,10 +507,11 @@ def _run_days(scenario: Scenario, book_ledger: Ledger, columns: DayColumns) -> N
         tick_perm = perm[firsts].tolist()
         # the prices a day books: every order's fill, then the open, a zero-spread fill after tick 0's orders; each
         # reads its stop's column of a block's anchors (row i: day i), without steps the one column of previous closes
-        price_col = [*order_stop, 0] if steps else [0]
+        price_col = [*order_stop, 0] if diffuse or revert else [0]
         price_perm = np.append(perm[:-1], perm[firsts[1]])
         price_spreads, price_sides = np.append(spreads, 0.0), np.append(notionals, 1.0)
         close_perm = perm[-1].item()
+        lift = close_perm * BPS  # mid_price(anchor, close_perm) is anchor + anchor * lift
         # the first day whose orders are refused, counted from 0; len(days) if none
         refused = 0 if (1.0 + perm * BPS <= 0.0).any() else len(days)
         try:
@@ -523,24 +530,40 @@ def _run_days(scenario: Scenario, book_ledger: Ledger, columns: DayColumns) -> N
             if diffuse:
                 _draw(scenario.seed, days[start : start + n], coef, growth[:n])
 
-            # 2. the chain, over the days before the refused day, up to the first close outside (0, inf)
+            # 2. the chain, over the days before the refused day; then the first close outside (0, inf)
             m = min(n, refused - start)
-            factors = iter(growth[:m].ravel().tolist()) if diffuse else itertools.repeat(1.0)
-            chained, closes = array("d"), array("d", [close])
-            for i in range(m):
-                anchor = close
-                if steps:
+            closes = array("d", [close])
+            if revert:  # noise_step's reversion is a **: stop after the first close outside (0, inf)
+                factors = iter(growth[:m].ravel().tolist()) if diffuse else itertools.repeat(1.0)
+                chained = array("d")
+                for _ in range(m):
+                    anchor = close
                     # zip ends the day on pulls, before it takes the next day's first factor
                     for pull, stop_perm, factor in zip(pulls, tick_perm, factors):
                         anchor = noise_step(anchor, stop_perm, fund, pull, factor)
                         chained.append(anchor)
-                close = mid_price(anchor, close_perm)
-                closes.append(close)
-                if not 0.0 < close < math.inf:
-                    m = i
-                    break
+                    close = mid_price(anchor, close_perm)
+                    closes.append(close)
+                    if not 0.0 < close < math.inf:
+                        break
+            else:  # a stop's step is one multiply, which raises nothing: carry the close alone, check the block after
+                for row in zip(*[iter(growth[:m].ravel().tolist())] * stops) if diffuse else itertools.repeat((), m):
+                    anchor = close
+                    for factor in row:
+                        anchor *= factor
+                    close = anchor + anchor * lift
+                    closes.append(close)
             path = np.frombuffer(closes)
-            anchors = np.frombuffer(chained).reshape(-1, len(stop_ticks)) if steps else path[:-1, None]
+            if m and not (0.0 < path.min() and path.max() < math.inf):  # a NaN fails this too
+                m = (~((path[1:] > 0.0) & (path[1:] < math.inf))).argmax().item()
+            if revert:
+                anchors = np.frombuffer(chained).reshape(-1, stops)
+            elif diffuse:  # the chain's multiplies in its order, a stop's column at a time: the same bits
+                anchors, column = rebuilt[:m], path[:m]
+                for s in range(stops):
+                    column = np.multiply(column, growth[:m, s], out=anchors[:, s])
+            else:
+                anchors = path[:-1, None]
 
             # 3. booking the days before the first failing day, which is then replayed for its error
             priced = fill_price(anchors[:m, price_col], price_perm, price_spreads, price_sides)

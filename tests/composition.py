@@ -76,6 +76,8 @@ def bitwise_case(case: str) -> Scenario:
     )
     if case == "interior-trades-diffusing":
         return make_scenario(days=3, seed=5, sigma=0.01, agents=agents, ticks=64)
+    if case == "interior-trades-noiseless":  # more than two stops, each with an empty row of growth factors
+        return make_scenario(days=3, agents=agents, ticks=64)
     return make_scenario(days=3, sigma=0.0, half_life=0.5, agents=agents, ticks=64, fundamental=95.0)
 
 

@@ -47,6 +47,7 @@ from daydrift.engine import _BLOCK_DAYS, _DAY_COLUMNS, DAILY_CSV, DayColumns, Si
 from daydrift.ledger import AccountingError
 from daydrift.market import diffusion_coef, diffusion_growth
 
+import composition
 from composition import bitwise_case, compose_days, make_scenario
 from conftest import NOISY_CONFIG, REFERENCE_CONFIG
 
@@ -162,7 +163,14 @@ class TestRunDayMatchesOperationComposition:
 
     @pytest.mark.parametrize(
         "case",
-        ["noisy-path", "noisy-reverting", "noiseless", "interior-trades-diffusing", "interior-trades-reverting"],
+        [
+            "noisy-path",
+            "noisy-reverting",
+            "noiseless",
+            "interior-trades-diffusing",
+            "interior-trades-reverting",
+            "interior-trades-noiseless",
+        ],
     )
     def test_bitwise_equivalence_across_day_shapes(self, case):
         scenario = bitwise_case(case)
@@ -314,6 +322,7 @@ class TestBlockBoundaries:
             "noiseless",
             "interior-trades-diffusing",
             "interior-trades-reverting",
+            "interior-trades-noiseless",
         ],
     )
     def test_simulate_and_composition_agree(self, case, days):
@@ -423,16 +432,18 @@ class TestComposedRuns:
             assert re.sub(r" at tick \d+:", ":", str(error)) == str(composed_error)
 
 
-def spike_on(monkeypatch, spike_day: int, step: int = 5) -> None:
-    """Make the growth factor of noise step ``step`` of ``spike_day`` infinite, so that step overflows.
+def spike_on(monkeypatch, spike_day: int, step: int = 5, factor: float = math.inf) -> None:
+    """Make the growth factor of noise step ``step`` of ``spike_day`` equal ``factor``, inf (an overflow) or 0.0.
 
     The kernel turns a block's normals into growth factors with one
     ``diffusion_growth`` call, a row per day; the spike is written into the
     block that holds ``spike_day``.  Each run has its own block array, so
     the days are counted afresh for each run.  A day has one noise step
-    per stop segment, so ``step`` is a segment index.
+    per stop segment, so ``step`` is a segment index.  ``compose_days``
+    draws the step's normal as +inf (factor inf) or -inf (factor 0.0),
+    which gives it the same factor.  Spikes set by several calls add up.
     """
-    growth = diffusion_growth
+    growth, rng_of = engine.diffusion_growth, composition.day_rng
     run = {"rows": None, "days": 0}  # the current run's block array and the days it has drawn
 
     def spiked(coef, z, out=None):
@@ -441,10 +452,27 @@ def spike_on(monkeypatch, spike_day: int, step: int = 5) -> None:
             run.update(rows=factors.base, days=0)
         first, run["days"] = run["days"], run["days"] + len(factors)
         if first < spike_day <= run["days"]:
-            factors[spike_day - first - 1, step] = math.inf
+            factors[spike_day - first - 1, step] = factor
         return factors
 
+    class SpikedDay:
+        """A day's generator whose normal of draw ``step`` is spiked."""
+
+        def __init__(self, rng):
+            self.rng, self.draws = rng, 0
+
+        def standard_normal(self, size):
+            z = self.rng.standard_normal(size)
+            if self.draws == step:
+                z[:] = math.inf if factor == math.inf else -math.inf
+            self.draws += 1
+            return z
+
+    def spiked_rng(seed, day):
+        return SpikedDay(rng_of(seed, day)) if day == spike_day else rng_of(seed, day)
+
     monkeypatch.setattr("daydrift.engine.diffusion_growth", spiked)
+    monkeypatch.setattr(composition, "day_rng", spiked_rng)
 
 
 SPIKE_SEEDS = [7, 2**96]  # a seed within SeedSequence's 4-word pool and one wider
@@ -488,6 +516,34 @@ class TestErrorsAtBlockEdges:
         assert len(columns) == spike_day - 1
         assert tuple(columns.records()) == finished.records
         assert ledger == finished.ledger
+
+    @pytest.mark.parametrize("trader", [True, False])
+    @pytest.mark.parametrize("spike_day", [TEST_BLOCK_DAYS, TEST_BLOCK_DAYS + 1])
+    @pytest.mark.parametrize(
+        "spikes",
+        [
+            {1: 0.0},  # the close is 0
+            {0: math.inf, 1: 0.0},  # the close is inf * 0, NaN
+            {1: math.inf},  # the close is inf; NaN without the trader, inf + inf * 0 with no impact to add
+        ],
+        ids=["zero", "inf-then-zero", "inf-at-the-close"],
+    )
+    def test_a_close_outside_the_range_fails_its_day_as_in_the_composition(self, monkeypatch, spikes, spike_day, trader):
+        # without reversion the chain checks a block's closes after its loop; without the trader only the close reads
+        # the closing stop's anchor, so that check alone finds the day
+        config = load_config(NOISY_CONFIG)
+        scenario = replace(config, half_life_days=None, days=2 * TEST_BLOCK_DAYS, enabled=trader).build()
+        for step, factor in spikes.items():
+            spike_on(monkeypatch, spike_day, step, factor)
+        records, composed_ledger, composed_error = composed_run(scenario, (0, 0))
+        assert len(records) == spike_day - 1
+        columns, ledger = DayColumns(), Ledger()
+        with pytest.raises(ValueError) as info:
+            _run_days(scenario, ledger, columns)
+        # the kernel also names the tick that a failing noise step ends at
+        assert re.sub(r" at tick \d+:", ":", str(info.value)) == str(composed_error)
+        assert columns.records() == records
+        assert ledger == composed_ledger
 
     @pytest.mark.parametrize("seed", SPIKE_SEEDS)
     @pytest.mark.parametrize("half_life", [None, 504.0])
